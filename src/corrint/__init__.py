@@ -6,7 +6,7 @@ the nowhere-equivalence condition and its constructive equivalents, Walsh
 calculus, and the explicit large-game construction, each as a
 machine-checkable computation.
 """
-from ._kernels import KERNEL_PATH, NUMBA_ACTIVE
+from ._kernels import KERNEL_PATH
 from .correspondences import (
     Correspondence,
     CounterexampleBundle,

@@ -1,66 +1,34 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
-The active path is chosen once at import time from the ``CORRINT_KERNELS``
-environment variable: ``auto`` (default; numba when importable), ``numba``,
-or ``numpy``.  The two paths run the same floating-point operations in the
-same order: the transform and distance kernels agree bit-for-bit, the game
-kernels evaluate ``sin`` through libm on both paths.
-``benchmarks/bench_kernels.py`` compares their speed.
-
-``CORRINT_THREADS`` bounds internal parallelism.  All kernels here are
-serial, so the bound holds trivially; when numba is active the numba
-threading layer is capped as well.
+The Walsh butterfly and the distance scan pair and order their
+floating-point operations exactly as plain loops do, so both agree with
+their loop forms bit for bit.  The game kernels share one batched payoff
+formula, ``_payoffs``, which keeps the loop form's operation order and
+evaluates ``sin`` through libm (``math.sin``), so a table at one externality
+and an exhaustive scan over many agree with a per-element loop exactly.
+The loop forms live in the test suite as oracles.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_MODE = os.environ.get("CORRINT_KERNELS", "auto").lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"CORRINT_KERNELS must be auto|numba|numpy, got {_MODE!r}")
+KERNEL_PATH = "numpy"
 
-NUMBA_ACTIVE = False
-if _MODE in ("auto", "numba"):
-    try:
-        import numba
-        from numba import njit
-
-        NUMBA_ACTIVE = True
-        threads = os.environ.get("CORRINT_THREADS")
-        if threads:
-            numba.set_num_threads(max(1, min(int(threads), numba.get_num_threads())))
-    except ImportError:
-        if _MODE == "numba":
-            raise
-KERNEL_PATH = "numba" if NUMBA_ACTIVE else "numpy"
-
-# distance modes shared by both paths
+# distance modes of min_dists
 MODE_WSUM = 1   # weighted l1:  sum_m w_m |dx_m|
 MODE_EUCLID = 2
 MODE_MAX = 3
 
+# target size in bytes of one (profiles, atoms, actions) temporary of the scan
+_SCAN_CHUNK_BYTES = 1 << 16
 
-def _fwht_loop(v):
-    """Hadamard butterfly, naive loop form (numba source)."""
-    out = v.copy()
-    n = out.shape[0]
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for i in range(start, start + h):
-                a = out[i]
-                b = out[i + h]
-                out[i] = a + b
-                out[i + h] = a - b
-        h *= 2
-    return out
+_libm_sin = np.frompyfunc(math.sin, 1, 1)
 
 
-def _fwht_vec(v):
-    """Vectorized butterfly; pairs the identical elements as the loop form."""
+def fwht_f64(v):
+    """Hadamard butterfly, unnormalized; pairs elements as the naive loop does."""
     out = v.copy()
     n = out.shape[0]
     h = 1
@@ -74,39 +42,11 @@ def _fwht_vec(v):
     return out
 
 
-def _min_dists_loop(targets, cloud, mode, weights):
-    nt = targets.shape[0]
-    nc = cloud.shape[0]
-    d = targets.shape[1]
-    res = np.empty(nt)
-    for it in range(nt):
-        best = math.inf
-        for ic in range(nc):
-            if mode == MODE_EUCLID:
-                acc = 0.0
-                for m in range(d):
-                    dx = targets[it, m] - cloud[ic, m]
-                    acc += dx * dx
-                dist = math.sqrt(acc)
-            elif mode == MODE_WSUM:
-                acc = 0.0
-                for m in range(d):
-                    acc += weights[m] * abs(targets[it, m] - cloud[ic, m])
-                dist = acc
-            else:
-                acc = 0.0
-                for m in range(d):
-                    dx = abs(targets[it, m] - cloud[ic, m])
-                    if dx > acc:
-                        acc = dx
-                dist = acc
-            if dist < best:
-                best = dist
-        res[it] = best
-    return res
+fwht_i64 = fwht_f64
 
 
-def _min_dists_vec(targets, cloud, mode, weights):
+def min_dists(targets, cloud, mode, weights):
+    """Distance from each target row to its nearest cloud row."""
     nt = targets.shape[0]
     res = np.empty(nt)
     for it in range(nt):
@@ -121,121 +61,74 @@ def _min_dists_vec(targets, cloud, mode, weights):
     return res
 
 
-def _payoff_table(theta, phi, gamma, na, p2, dn, am, k):
+def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):
+    """Payoff of every (theta, player, action) triple, shape (ntheta, natoms, nact).
+
+    Players with theta = 0 or phi <= gamma get u = 0, hence a zero
+    oscillating factor and exactly -p2.
+    """
+    active = (thetas[:, None] != 0.0) & (phi[None, :] > gamma)
+    u = np.divide(phi[None, :] - gamma, thetas[:, None],
+                  out=np.zeros(active.shape), where=active)
+    # the residue is taken in floats, where floor(u) is exact at any size
+    rho = (np.floor(u) % (k + 1)).astype(np.int64)
+    sinv = np.abs(_libm_sin(u * math.pi).astype(float))
+    # in place where the loop form's operands allow: x * y == y * x exactly
+    hv = na + am[0, rho][:, :, None]
+    hv *= (thetas[:, None] * sinv)[:, :, None]
+    for i in range(1, k + 1):
+        hv *= dn[None, :, :, i - 1] + am[i, rho][:, :, None]
+    np.negative(hv, out=hv)
+    hv -= p2
+    return hv
+
+
+def payoff_table(theta, phi, gamma, na, p2, dn, am, k):
     """Payoff of every (player, action) pair at scalar externality theta.
 
     p2[t, a] is the theta-independent product term, dn[t, a, i-1] the norm
     gap to the i-th mixed point of t's cell, na[a] the action norm, and
     am[i, rho] the planar root-of-unity modulus table.
     """
-    natoms = phi.shape[0]
-    nact = na.shape[0]
-    out = np.empty((natoms, nact))
-    for t in range(natoms):
-        if theta == 0.0 or phi[t] <= gamma:
-            for a in range(nact):
-                out[t, a] = -p2[t, a]
-            continue
-        u = (phi[t] - gamma) / theta
-        rho = int(math.floor(u)) % (k + 1)
-        sinv = abs(math.sin(u * math.pi))
-        for a in range(nact):
-            hv = theta * sinv * (na[a] + am[0, rho])
-            for i in range(1, k + 1):
-                hv *= dn[t, a, i - 1] + am[i, rho]
-            out[t, a] = -hv - p2[t, a]
-    return out
+    return _payoffs(np.array([float(theta)]), phi, gamma, na, p2, dn, am, k)[0]
 
 
-def _exhaustive_scan(nact, block_mass, block_start, block_len,
-                     actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+def exhaustive_scan(nact, block_mass, block_start, block_len,
+                    actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
     """Scan every block-constant profile; return the minimum-residual one.
 
     Returns (min residual, best profile digits, min aggregate distance to
-    e_mean over all profiles).  Deterministic: mixed-radix order, first
-    strict improvement wins.
+    e_mean over all profiles).  Deterministic: mixed-radix order with the
+    last block fastest, first minimum wins.  Profiles are evaluated in
+    chunks whose payoff temporaries stay near ``_SCAN_CHUNK_BYTES``.
     """
     nblocks = block_mass.shape[0]
     d = actions.shape[1]
-    total = 1
-    for _ in range(nblocks):
-        total *= nact
-    digits = np.zeros(nblocks, dtype=np.int64)
-    best_prof = np.zeros(nblocks, dtype=np.int64)
-    agg = np.zeros(d)
+    total = nact ** nblocks
+    radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
+    atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
+    atom_block = np.repeat(np.arange(nblocks), block_len)
+    phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
+    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * atoms.shape[0] * nact))
     best_res = math.inf
+    best_prof = np.zeros(nblocks, dtype=np.int64)
     min_aggdist = math.inf
-    for _step in range(total):
-        for m in range(d):
-            agg[m] = 0.0
+    for lo in range(0, total, chunk):
+        digits = (np.arange(lo, min(lo + chunk, total))[:, None] // radix) % nact
+        agg = np.zeros((digits.shape[0], d))
         for b in range(nblocks):
-            ab = digits[b]
-            for m in range(d):
-                agg[m] += block_mass[b] * actions[ab, m]
-        acc = 0.0
+            agg += block_mass[b] * actions[digits[:, b]]
+        dx = agg - e_mean
+        acc = np.zeros(digits.shape[0])
         for m in range(d):
-            dx = agg[m] - e_mean[m]
-            acc += dx * dx
-        aggdist = math.sqrt(acc)
-        if aggdist < min_aggdist:
-            min_aggdist = aggdist
-        theta = beta * aggdist
-        worst = 0.0
-        for b in range(nblocks):
-            chosen = digits[b]
-            for j in range(block_len[b]):
-                t = block_start[b] + j
-                if theta == 0.0 or phi[t] <= gamma:
-                    rho = -1
-                    sinv = 0.0
-                else:
-                    u = (phi[t] - gamma) / theta
-                    rho = int(math.floor(u)) % (k + 1)
-                    sinv = abs(math.sin(u * math.pi))
-                best_pay = -math.inf
-                chosen_pay = 0.0
-                for a in range(nact):
-                    if rho < 0:
-                        pay = -p2[t, a]
-                    else:
-                        hv = theta * sinv * (na[a] + am[0, rho])
-                        for i in range(1, k + 1):
-                            hv *= dn[t, a, i - 1] + am[i, rho]
-                        pay = -hv - p2[t, a]
-                    if pay > best_pay:
-                        best_pay = pay
-                    if a == chosen:
-                        chosen_pay = pay
-                regret = best_pay - chosen_pay
-                if regret > worst:
-                    worst = regret
-            if worst >= best_res:
-                break
-        if worst < best_res:
-            best_res = worst
-            for b in range(nblocks):
-                best_prof[b] = digits[b]
-        pos = nblocks - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < nact:
-                break
-            digits[pos] = 0
-            pos -= 1
+            acc += dx[:, m] * dx[:, m]
+        aggdist = np.sqrt(acc)
+        min_aggdist = min(min_aggdist, float(aggdist.min()))
+        pay = _payoffs(beta * aggdist, phi, gamma, na, p2, dn, am, k)
+        chosen = np.take_along_axis(pay, digits[:, atom_block, None], axis=2)[:, :, 0]
+        worst = (pay.max(axis=2) - chosen).max(axis=1)
+        i = int(np.argmin(worst))
+        if worst[i] < best_res:
+            best_res = float(worst[i])
+            best_prof = digits[i].copy()
     return best_res, best_prof, min_aggdist
-
-
-if NUMBA_ACTIVE:
-    fwht_f64 = njit(cache=True)(_fwht_loop)
-    fwht_i64 = fwht_f64
-    min_dists = njit(cache=True)(_min_dists_loop)
-    payoff_table = njit(cache=True)(_payoff_table)
-    exhaustive_scan = njit(cache=True)(_exhaustive_scan)
-else:
-    fwht_f64 = _fwht_vec
-    fwht_i64 = _fwht_vec
-    min_dists = _min_dists_vec
-    # the game kernels stay in loop form so both paths share libm's sin;
-    # they are small enough to run interpreted within the stated budgets
-    payoff_table = _payoff_table
-    exhaustive_scan = _exhaustive_scan

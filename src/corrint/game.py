@@ -20,6 +20,7 @@ independent of the characteristic algebra.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -549,77 +550,67 @@ def _report_for(game, res, agg, iterations, trace, tol,
     )
 
 
+def _scan_arguments(game: LargeGame) -> tuple:
+    """Positional arguments of ``_kernels.exhaustive_scan`` for an explicit
+    game with integral externality; atoms are reordered so that each
+    t-block is contiguous."""
+    space = game.space
+    pay = game.payoff
+    phi, gamma_f, na, p2, dn, am, _ = _ctables(game)
+    starts, lens, bmass = [], [], []
+    order = []
+    for blk in game.t_alg.blocks:
+        idxs = [space.ids.index(a) for a in sorted(blk)]
+        starts.append(len(order))
+        lens.append(len(idxs))
+        order.extend(idxs)
+        bmass.append(float(space.mass(blk)))
+    perm = np.array(order)
+    return (
+        game.nact,
+        np.array(bmass),
+        np.array(starts, dtype=np.int64),
+        np.array(lens, dtype=np.int64),
+        game.actions,
+        pay.bundle.e_mean(),
+        pay.beta,
+        phi[perm],
+        gamma_f,
+        na,
+        np.ascontiguousarray(p2[perm]),
+        np.ascontiguousarray(dn[perm]),
+        am,
+        pay.k,
+    )
+
+
 def _find_exhaustive(game: LargeGame, cap: int, tol: float):
     space = game.space
-    nblocks = len(game.t_alg.blocks)
-    if game.nact ** nblocks > cap:
-        raise CapacityError(game.nact ** nblocks, cap)
-    pay = game.payoff
-    if isinstance(pay, CounterexamplePayoff) \
+    blocks = game.t_alg.blocks
+    if game.nact ** len(blocks) > cap:
+        raise CapacityError(game.nact ** len(blocks), cap)
+    if isinstance(game.payoff, CounterexamplePayoff) \
             and game.externality == EXTERNALITY_INTEGRAL:
-        phi, gamma_f, na, p2, dn, am, masses = _ctables(game)
-        # atoms of each t-block must be contiguous in id order for the kernel
-        starts, lens, bmass = [], [], []
-        order = []
-        for blk in game.t_alg.blocks:
-            atoms = sorted(blk)
-            idxs = [space.ids.index(a) for a in atoms]
-            starts.append(len(order))
-            lens.append(len(idxs))
-            order.extend(idxs)
-            bmass.append(float(space.mass(blk)))
-        perm = np.array(order)
-        res, prof_digits, min_aggdist = _kernels.exhaustive_scan(
-            game.nact,
-            np.array(bmass),
-            np.array(starts, dtype=np.int64),
-            np.array(lens, dtype=np.int64),
-            game.actions,
-            pay.bundle.e_mean(),
-            pay.beta,
-            phi[perm],
-            gamma_f,
-            na,
-            np.ascontiguousarray(p2[perm]),
-            np.ascontiguousarray(dn[perm]),
-            am,
-            pay.k,
-        )
+        _, prof_digits, min_aggdist = _kernels.exhaustive_scan(*_scan_arguments(game))
         play = [0] * len(space.ids)
-        for bi, blk in enumerate(game.t_alg.blocks):
+        for bi, blk in enumerate(blocks):
             for a in blk:
                 play[space.ids.index(a)] = int(prof_digits[bi])
         profile = StrategyProfile(tuple(play))
-        res2, agg = residual_of(game, profile)
-        report = _report_for(game, res2, agg, iterations=0, trace=[res2],
+        res, agg = residual_of(game, profile)
+        report = _report_for(game, res, agg, iterations=0, trace=[res],
                              tol=tol, min_aggdist=float(min_aggdist))
         return profile, report
-    # generic fallback: direct scan
+    # generic fallback: direct scan in the kernel's order, first minimum wins
     best = None
-    min_aggdist = None
-    digits = [0] * nblocks
-    total = game.nact ** nblocks
-    lookup = {a: bi for bi, blk in enumerate(game.t_alg.blocks) for a in blk}
-    for _ in range(total):
-        play = tuple(digits[lookup[a]] for a in space.ids)
-        profile = StrategyProfile(play)
+    lookup = {a: bi for bi, blk in enumerate(blocks) for a in blk}
+    for digits in itertools.product(range(game.nact), repeat=len(blocks)):
+        profile = StrategyProfile(tuple(digits[lookup[a]] for a in space.ids))
         res, agg = residual_of(game, profile)
-        if isinstance(pay, CounterexamplePayoff) \
-                and game.externality == EXTERNALITY_INTEGRAL:
-            dist = norm(np.asarray(agg) - pay.bundle.e_mean(), pay.flavor)
-            min_aggdist = dist if min_aggdist is None else min(min_aggdist, dist)
         if best is None or res < best[0]:
             best = (res, profile, agg)
-        pos = nblocks - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < game.nact:
-                break
-            digits[pos] = 0
-            pos -= 1
     res, profile, agg = best
-    report = _report_for(game, res, agg, iterations=0, trace=[res],
-                         tol=tol, min_aggdist=min_aggdist)
+    report = _report_for(game, res, agg, iterations=0, trace=[res], tol=tol)
     return profile, report
 
 
@@ -749,13 +740,14 @@ def lemma_bound_check(parts, d0, gamma=0, L: int | None = None):
     mesh_exp = ncell.bit_length() - 1
     n_top = ncell if L is None else min(ncell, 1 << L)
     qsum = sum(qs)
+    width = float(1 - gamma)
     worst = 0.0
     for qi in qs:
         g = qi + qsum - 1
         spectrum = walsh_integer_spectrum(g)
         total = 0.0
         for n in range(n_top):
-            integral = float(1 - gamma) * int(spectrum[n]) / ncell
+            integral = width * int(spectrum[n]) / ncell
             total += (0.5 ** n) * abs(integral)
         worst = max(worst, total)
     bound = 4.0 * float(d0)

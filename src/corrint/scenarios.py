@@ -207,6 +207,8 @@ def check_convexity_decay(params: dict, seed: int) -> dict:
     N = params.get("N", 1)
     L = params.get("L", 4)
     levels = params.get("levels", [1, 2, 3, 4, 5, 6])
+    if not isinstance(levels, list) or not levels:
+        raise ConfigError("convexity-decay: 'levels' must be a non-empty list")
     samples = params.get("samples", 128)
     cap = params.get("cap", 2_000_000)
     final_tol = params.get("final_tol", 1e-3)
@@ -547,6 +549,8 @@ def run_scenario_dict(config: dict) -> dict:
         raise ConfigError("scenario needs a non-empty 'checks' list")
     results = []
     for i, chk in enumerate(checks_cfg):
+        if not isinstance(chk, dict):
+            raise ConfigError(f"checks[{i}]: expected an object, got {chk!r}")
         kind = chk.get("kind")
         if kind == "determinism":
             results.append(_run_determinism(chk, seed))

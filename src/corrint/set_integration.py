@@ -72,8 +72,19 @@ def dedup_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
 
 
 def _coarse_dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Fast intermediate dedup on the tol-quantized grid (exact values merge)."""
-    q = np.round(points / tol).astype(np.int64)
+    """Fast intermediate dedup on the tol-quantized grid (exact values merge).
+
+    Refuses points whose grid coordinates leave the int64 range, where the
+    cast would wrap and merge distinct points.
+    """
+    q = np.round(points / tol)
+    # reductions only, so the check adds no array of the points' size
+    if q.size and not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
+        raise PreconditionError(
+            f"coordinates from {float(points.min())!r} to {float(points.max())!r} do not fit "
+            f"the int64 dedup grid of step {tol!r}"
+        )
+    q = q.astype(np.int64)
     _, idx = np.unique(q, axis=0, return_index=True)
     return points[np.sort(idx)]
 

@@ -1,15 +1,12 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line each (run with ``pytest tests/test_acceptance.py -s`` to see
-the lines live).  Budgets exclude one-time kernel warmup, which the session
-fixture performs up front.
+the lines live).
 """
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from corrint import _kernels
 from corrint.correspondences import (
     Correspondence,
     Selection,
@@ -37,18 +34,6 @@ from corrint.set_integration import (
 from corrint.spaces import DiscreteSpace, SigmaPartition
 from corrint.vectors import Workspace, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_sign_on_cell
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    rng = np.random.default_rng(0)
-    _kernels.fwht_f64(rng.normal(size=8))
-    _kernels.fwht_i64(rng.integers(-1, 2, size=8).astype(np.int64))
-    _kernels.min_dists(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)),
-                       _kernels.MODE_EUCLID, np.ones(3))
-    g = build_counterexample_game(1, 0, 0, 1)
-    find_equilibrium(g, mode="exhaustive", cap=1000)
-    find_equilibrium(g, max_iter=1, tol=1e-9)
 
 
 def _report(num, label, ok, elapsed, detail=""):

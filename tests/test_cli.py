@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from corrint.cli import main
 
@@ -59,6 +60,20 @@ def test_unknown_kind_exit_2(tmp_path):
     }))
     code, out, err = run_cli(["run", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("checks", [
+    ["oops"],
+    [{"kind": "convexity-decay", "levels": []}],
+])
+def test_malformed_check_exit_2(tmp_path, checks):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": 0, "checks": checks}))
+    code, out, err = run_cli(["run", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_capacity_exit_3(tmp_path):

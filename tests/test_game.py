@@ -157,6 +157,34 @@ def test_single_player_game_exhaustive():
     assert rep.residual == 0.0
 
 
+def test_generic_exhaustive_returns_first_tied_profile_in_scan_order():
+    # masses 1/4 and 3/4 make the aggregate a0/4 + 3*a1/4 name the profile;
+    # exactly (0, 2) and (1, 0) are equilibria.  Scan order runs the last
+    # block fastest, so (0, 2) at position 2 precedes (1, 0) at position 3;
+    # with the first block fastest (1, 0) would come first
+    space = DiscreteSpace((0, 1), (Fraction(1, 4), Fraction(3, 4)))
+    equilibria = {(0, 2), (1, 0)}
+
+    def pay(t, a, agg):
+        code = round(4 * agg[0])
+        played = (code % 3, code // 3)
+        if played in equilibria:
+            return 0.0
+        return float(a[0] != played[t])
+
+    game = LargeGame(
+        f_alg=SigmaPartition.trivial(space),
+        t_alg=SigmaPartition.singletons(space),
+        actions=np.array([[0.0], [1.0], [2.0]]),
+        payoff=GenericPayoff(pay),
+        player_space=space,
+    )
+    prof, rep = find_equilibrium(game, mode="exhaustive", cap=100)
+    assert prof.play == (0, 2)
+    assert rep.residual == 0.0
+    assert rep.min_aggregate_distance is None
+
+
 def test_br_iteration_reaches_balanced_equilibrium():
     g = build_counterexample_game(2, 0, 2, 3, refinement=3)
     prof, rep = find_equilibrium(g, max_iter=50, tol=1e-9)

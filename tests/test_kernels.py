@@ -1,28 +1,182 @@
-import json
-import os
+import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from corrint import _kernels
+from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
+from corrint.game import LargeGame, _scan_arguments, build_counterexample_game
 
+
+# -- loop-form oracles: the element-by-element definitions of the kernels ------
+
+def _fwht_loop(v):
+    """Hadamard butterfly, naive loop form."""
+    out = v.copy()
+    n = out.shape[0]
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for i in range(start, start + h):
+                a = out[i]
+                b = out[i + h]
+                out[i] = a + b
+                out[i + h] = a - b
+        h *= 2
+    return out
+
+
+def _min_dists_loop(targets, cloud, mode, weights):
+    nt = targets.shape[0]
+    nc = cloud.shape[0]
+    d = targets.shape[1]
+    res = np.empty(nt)
+    for it in range(nt):
+        best = math.inf
+        for ic in range(nc):
+            if mode == MODE_EUCLID:
+                acc = 0.0
+                for m in range(d):
+                    dx = targets[it, m] - cloud[ic, m]
+                    acc += dx * dx
+                dist = math.sqrt(acc)
+            elif mode == MODE_WSUM:
+                acc = 0.0
+                for m in range(d):
+                    acc += weights[m] * abs(targets[it, m] - cloud[ic, m])
+                dist = acc
+            else:
+                acc = 0.0
+                for m in range(d):
+                    dx = abs(targets[it, m] - cloud[ic, m])
+                    if dx > acc:
+                        acc = dx
+                dist = acc
+            if dist < best:
+                best = dist
+        res[it] = best
+    return res
+
+
+def _payoff_table(theta, phi, gamma, na, p2, dn, am, k):
+    """Payoff of every (player, action) pair at scalar externality theta.
+
+    p2[t, a] is the theta-independent product term, dn[t, a, i-1] the norm
+    gap to the i-th mixed point of t's cell, na[a] the action norm, and
+    am[i, rho] the planar root-of-unity modulus table.
+    """
+    natoms = phi.shape[0]
+    nact = na.shape[0]
+    out = np.empty((natoms, nact))
+    for t in range(natoms):
+        if theta == 0.0 or phi[t] <= gamma:
+            for a in range(nact):
+                out[t, a] = -p2[t, a]
+            continue
+        u = (phi[t] - gamma) / theta
+        rho = int(math.floor(u)) % (k + 1)
+        sinv = abs(math.sin(u * math.pi))
+        for a in range(nact):
+            hv = theta * sinv * (na[a] + am[0, rho])
+            for i in range(1, k + 1):
+                hv *= dn[t, a, i - 1] + am[i, rho]
+            out[t, a] = -hv - p2[t, a]
+    return out
+
+
+def _exhaustive_scan(nact, block_mass, block_start, block_len,
+                     actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+    """Scan every block-constant profile; return the minimum-residual one.
+
+    Returns (min residual, best profile digits, min aggregate distance to
+    e_mean over all profiles).  Deterministic: mixed-radix order, first
+    strict improvement wins.
+    """
+    nblocks = block_mass.shape[0]
+    d = actions.shape[1]
+    total = 1
+    for _ in range(nblocks):
+        total *= nact
+    digits = np.zeros(nblocks, dtype=np.int64)
+    best_prof = np.zeros(nblocks, dtype=np.int64)
+    agg = np.zeros(d)
+    best_res = math.inf
+    min_aggdist = math.inf
+    for _step in range(total):
+        for m in range(d):
+            agg[m] = 0.0
+        for b in range(nblocks):
+            ab = digits[b]
+            for m in range(d):
+                agg[m] += block_mass[b] * actions[ab, m]
+        acc = 0.0
+        for m in range(d):
+            dx = agg[m] - e_mean[m]
+            acc += dx * dx
+        aggdist = math.sqrt(acc)
+        if aggdist < min_aggdist:
+            min_aggdist = aggdist
+        theta = beta * aggdist
+        worst = 0.0
+        for b in range(nblocks):
+            chosen = digits[b]
+            for j in range(block_len[b]):
+                t = block_start[b] + j
+                if theta == 0.0 or phi[t] <= gamma:
+                    rho = -1
+                    sinv = 0.0
+                else:
+                    u = (phi[t] - gamma) / theta
+                    rho = int(math.floor(u)) % (k + 1)
+                    sinv = abs(math.sin(u * math.pi))
+                best_pay = -math.inf
+                chosen_pay = 0.0
+                for a in range(nact):
+                    if rho < 0:
+                        pay = -p2[t, a]
+                    else:
+                        hv = theta * sinv * (na[a] + am[0, rho])
+                        for i in range(1, k + 1):
+                            hv *= dn[t, a, i - 1] + am[i, rho]
+                        pay = -hv - p2[t, a]
+                    if pay > best_pay:
+                        best_pay = pay
+                    if a == chosen:
+                        chosen_pay = pay
+                regret = best_pay - chosen_pay
+                if regret > worst:
+                    worst = regret
+            if worst >= best_res:
+                break
+        if worst < best_res:
+            best_res = worst
+            for b in range(nblocks):
+                best_prof[b] = digits[b]
+        pos = nblocks - 1
+        while pos >= 0:
+            digits[pos] += 1
+            if digits[pos] < nact:
+                break
+            digits[pos] = 0
+            pos -= 1
+    return best_res, best_prof, min_aggdist
+
+
+# -- tests --------------------------------------------------------------------
 
 def test_kernel_path_reported():
-    assert _kernels.KERNEL_PATH in ("numba", "numpy")
+    assert _kernels.KERNEL_PATH == "numpy"
 
 
 def test_fwht_paths_agree_exactly():
     rng = np.random.default_rng(61)
     for size in (2, 16, 128, 1024):
         v = rng.normal(size=size)
-        loop = _kernels._fwht_loop(v)
-        vec = _kernels._fwht_vec(v)
-        active = _kernels.fwht_f64(v)
-        assert np.array_equal(loop, vec)
-        assert np.array_equal(loop, active)
+        assert np.array_equal(_fwht_loop(v), _kernels.fwht_f64(v))
     g = rng.integers(-3, 4, size=256)
-    assert np.array_equal(_kernels._fwht_loop(g), _kernels._fwht_vec(g))
+    assert np.array_equal(_fwht_loop(g), _kernels.fwht_i64(g))
 
 
 def test_min_dists_paths_agree_exactly():
@@ -30,12 +184,9 @@ def test_min_dists_paths_agree_exactly():
     targets = rng.normal(size=(7, 5))
     cloud = rng.normal(size=(40, 5))
     weights = 0.5 ** (np.arange(5) + 1.0)
-    for mode in (_kernels.MODE_WSUM, _kernels.MODE_EUCLID, _kernels.MODE_MAX):
-        loop = _kernels._min_dists_loop(targets, cloud, mode, weights)
-        vec = _kernels._min_dists_vec(targets, cloud, mode, weights)
-        active = _kernels.min_dists(targets, cloud, mode, weights)
-        assert np.array_equal(loop, vec)
-        assert np.array_equal(loop, active)
+    for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):
+        loop = _min_dists_loop(targets, cloud, mode, weights)
+        assert np.array_equal(loop, _kernels.min_dists(targets, cloud, mode, weights))
 
 
 def test_payoff_table_matches_pure_python():
@@ -46,31 +197,83 @@ def test_payoff_table_matches_pure_python():
     p2 = np.abs(rng.normal(size=(natoms, nact)))
     dn = np.abs(rng.normal(size=(natoms, nact, k)))
     am = np.abs(rng.normal(size=(k + 1, k + 1)))
-    for theta in (0.0, 0.17, 1.3):
-        pure = _kernels._payoff_table(theta, phi, 0.0, na, p2, dn, am, k)
-        active = _kernels.payoff_table(theta, phi, 0.0, na, p2, dn, am, k)
-        assert np.array_equal(pure, active)
+    for gamma in (0.0, 0.3):
+        for theta in (0.0, 0.17, 1.3):
+            pure = _payoff_table(theta, phi, gamma, na, p2, dn, am, k)
+            active = _kernels.payoff_table(theta, phi, gamma, na, p2, dn, am, k)
+            assert np.array_equal(pure, active)
 
 
-def test_numpy_fallback_subprocess_scenario_matches():
-    # the same scenario under CORRINT_KERNELS=numpy must agree with the
-    # active path except for the recorded kernel tag
-    env = dict(os.environ, CORRINT_KERNELS="numpy")
+def test_payoff_table_residue_of_huge_ratio():
+    # theta far below the player's level makes u exceed the int64 range; the
+    # residue must still be the one Python's exact integers give
+    phi = np.array([0.75])
+    na, p2 = np.array([0.5, 1.0]), np.zeros((1, 2))
+    dn = np.array([[[0.3, 0.7], [0.2, 0.1]]])
+    am = np.arange(9.0).reshape(3, 3)
+    theta = 1e-300
+    pure = _payoff_table(theta, phi, 0.0, na, p2, dn, am, 2)
+    assert np.array_equal(pure, _kernels.payoff_table(theta, phi, 0.0, na, p2, dn, am, 2))
+
+
+def _reversed_actions(g):
+    return LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=g.actions[::-1],
+                     payoff=g.payoff, externality=g.externality)
+
+
+def _coarse_strategies(g):
+    return LargeGame(f_alg=g.f_alg, t_alg=g.f_alg, actions=g.actions,
+                     payoff=g.payoff, externality=g.externality)
+
+
+# each loop-oracle scan below takes well under a second
+SCAN_CASES = {
+    # singleton t-blocks: one block per atom
+    "singletons": lambda: build_counterexample_game(1, 0, 1, 2),
+    "singletons-refined": lambda: build_counterexample_game(1, 0, 1, 1, refinement=2),
+    "reversed-actions": lambda: _reversed_actions(build_counterexample_game(1, 0, 1, 2)),
+    # atomic part [0, 1/4]: its players pay -p2 whatever theta is
+    "gamma-quarter": lambda: build_counterexample_game(1, "1/4", 1, 2),
+    "gamma-quarter-k2-coarse": lambda: _coarse_strategies(
+        build_counterexample_game(2, "1/4", 1, 1, refinement=2)),
+    # t-blocks of several atoms: the non-existence set-up
+    "coarse": lambda: _coarse_strategies(build_counterexample_game(1, 0, 1, 2, refinement=2)),
+    "k2-coarse": lambda: _coarse_strategies(build_counterexample_game(2, 0, 1, 1, refinement=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_exhaustive_scan_matches_loop_oracle(case):
+    args = _scan_arguments(SCAN_CASES[case]())
+    res0, prof0, dist0 = _exhaustive_scan(*args)
+    res1, prof1, dist1 = _kernels.exhaustive_scan(*args)
+    assert res0 == res1
+    assert np.array_equal(prof0, prof1)
+    assert dist0 == dist1
+
+
+def test_exhaustive_scan_chunking_does_not_move_the_winner(monkeypatch):
+    # chunk boundaries at every profile must give the same first minimum
+    args = _scan_arguments(build_counterexample_game(1, 0, 1, 2))
+    whole = _kernels.exhaustive_scan(*args)
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK_BYTES", 1)
+    single = _kernels.exhaustive_scan(*args)
+    assert whole[0] == single[0] and whole[2] == single[2]
+    assert np.array_equal(whole[1], single[1])
+
+
+def test_fresh_process_report_bytes_match_in_process():
+    # a fresh interpreter renders the same report bytes as this process
     code = (
         "from corrint.scenarios import load_bundled, run_scenario_dict, "
         "render_report; import sys; "
         "sys.stdout.write(render_report(run_scenario_dict("
         "load_bundled('e1-nonconvexity'))))"
     )
-    out_np = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
     ).stdout
     from corrint.scenarios import load_bundled, render_report, run_scenario_dict
 
     here = render_report(run_scenario_dict(load_bundled("e1-nonconvexity")))
-    a = json.loads(out_np)
-    b = json.loads(here)
-    a.pop("kernels")
-    b.pop("kernels")
-    assert a == b
+    assert fresh == here

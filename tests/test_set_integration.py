@@ -14,6 +14,7 @@ from corrint.errors import CapacityError, DivisibilityError, PreconditionError
 from corrint.set_integration import (
     ConditionalSet,
     PointCloudSet,
+    _coarse_dedup,
     aumann_integral_set,
     conditional_expectation,
     conditional_set,
@@ -363,6 +364,19 @@ def test_dedup_and_cloud_invariants():
     assert len(cloud) == 2
     # canonical lexicographic order
     assert cloud.points[0][0] <= cloud.points[1][0]
+
+
+def test_coarse_dedup_refuses_int64_overflow():
+    # 1e7 / 1e-12 = 1e19 leaves int64: the cast used to wrap and the three
+    # distinct rows came out as the single row 1e7
+    pts = np.array([[1e7], [2e7], [3e7]])
+    with pytest.raises(PreconditionError):
+        _coarse_dedup(pts)
+    assert _coarse_dedup(pts / 1e4).shape == (3, 1)
+    space = DiscreteSpace.uniform(2)
+    corr = Correspondence(space, {a: [np.array([2e7]), np.array([4e7])] for a in space.ids})
+    with pytest.raises(PreconditionError):
+        aumann_integral_set(corr, SigmaPartition.singletons(space), mode="minkowski")
 
 
 def test_cloud_serialization():
