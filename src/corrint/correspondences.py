@@ -28,8 +28,6 @@ from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
 from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
 
-DEDUP_TOL = 1e-12
-
 
 def _freeze(v: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=float)
@@ -124,7 +122,7 @@ class Correspondence:
         return self.values[0][0].shape[0]
 
     def value_set(self, atom: int) -> tuple[np.ndarray, ...]:
-        return self.values[self.space.ids.index(atom)]
+        return self.values[self.space.position(atom)]
 
     def norm_bound(self) -> float:
         return max(
@@ -171,7 +169,7 @@ class Selection:
                 raise StructureError(f"choice not constant on block {sorted(b)}")
 
     def at(self, atom: int) -> np.ndarray:
-        return self.choice[self.corr.space.ids.index(atom)]
+        return self.choice[self.corr.space.position(atom)]
 
     def is_measurable_against(self, alg: SigmaPartition) -> bool:
         return all(

@@ -20,6 +20,7 @@ independent of the characteristic algebra.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -124,6 +125,11 @@ class LargeGame:
     @property
     def nact(self) -> int:
         return self.actions.shape[0]
+
+    @functools.cached_property
+    def ctables(self) -> tuple:
+        """``_ctables`` of this game, built once: a frozen game never changes them."""
+        return _ctables(self)
 
 
 @dataclass(frozen=True)
@@ -290,8 +296,10 @@ def _ctables(game: LargeGame):
     for i in range(k + 1):
         for r in range(k + 1):
             am[i, r] = root_of_unity_gap(i, r, k)
-    masses = np.array([float(m) for m in space.masses])
-    return phi, gamma_f, na, p2, dn, am, masses
+    # shared by every later call on the game (``LargeGame.ctables``)
+    for table in (phi, na, p2, dn, am):
+        table.setflags(write=False)
+    return phi, gamma_f, na, p2, dn, am
 
 
 def payoff_G(game: LargeGame, t: int, a, b) -> float:
@@ -351,7 +359,7 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
             for ai in range(game.nact):
                 table[ti, ai] = payoff_G(game, atom, game.actions[ai], b)
         return table
-    phi, gamma_f, na, p2, dn, am, _ = _ctables(game)
+    phi, gamma_f, na, p2, dn, am = game.ctables
     e_mean = pay.bundle.e_mean()
     k = pay.k
     if game.externality == EXTERNALITY_INTEGRAL:
@@ -362,7 +370,7 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
         theta = pay.beta * norm(np.asarray(aggregate[bi]) - e_mean, pay.flavor)
         sub = _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, k)
         for atom in blk:
-            ti = space.ids.index(atom)
+            ti = space.position(atom)
             table[ti] = sub[ti]
     return table
 
@@ -556,11 +564,11 @@ def _scan_arguments(game: LargeGame) -> tuple:
     t-block is contiguous."""
     space = game.space
     pay = game.payoff
-    phi, gamma_f, na, p2, dn, am, _ = _ctables(game)
+    phi, gamma_f, na, p2, dn, am = game.ctables
     starts, lens, bmass = [], [], []
     order = []
     for blk in game.t_alg.blocks:
-        idxs = [space.ids.index(a) for a in sorted(blk)]
+        idxs = [space.position(a) for a in sorted(blk)]
         starts.append(len(order))
         lens.append(len(idxs))
         order.extend(idxs)
@@ -595,7 +603,7 @@ def _find_exhaustive(game: LargeGame, cap: int, tol: float):
         play = [0] * len(space.ids)
         for bi, blk in enumerate(blocks):
             for a in blk:
-                play[space.ids.index(a)] = int(prof_digits[bi])
+                play[space.position(a)] = int(prof_digits[bi])
         profile = StrategyProfile(tuple(play))
         res, agg = residual_of(game, profile)
         report = _report_for(game, res, agg, iterations=0, trace=[res],

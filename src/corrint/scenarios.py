@@ -195,7 +195,7 @@ def check_lyapunov_exactness(params: dict, seed: int) -> dict:
         "refinement": refinement,
         "mix_error": err,
         "integral_error": integral_err,
-        "conditional_set_size": len(cs),
+        "conditional_set_size": cs.size,
         "mixture_in_conditional_set": member,
         "verdict": err <= tol and member and integral_err <= tol,
     }
@@ -402,8 +402,7 @@ def check_game_nonexistence(params: dict, seed: int) -> dict:
     )
     profile, rep = find_equilibrium(game, mode="exhaustive", cap=cap)
     profiles = game.nact ** len(game.t_alg.blocks)
-    ids = list(game.space.ids)
-    block_play = [profile.play[ids.index(min(b))] for b in game.t_alg.blocks]
+    block_play = [profile.play[game.space.position(min(b))] for b in game.t_alg.blocks]
     return {
         "k": k,
         "L": L,

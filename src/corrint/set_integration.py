@@ -10,7 +10,8 @@ deterministic low-discrepancy stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -277,16 +278,23 @@ class ConditionalSet:
     """Exact set of conditional expectations, one vector per block.
 
     The per-block value sets are independent across blocks, so the set is
-    their product; ``functions`` materializes it (within cap) as an array of
-    shape (count, nblocks, d) in canonical order.
+    their product and is kept as its factors: ``block_sets[j]`` holds the
+    attainable averages on the j-th block of ``g_alg`` in canonical order.
+    Membership and distances reduce block by block, and nothing builds the
+    product itself.
     """
 
     g_alg: SigmaPartition
     block_sets: tuple[np.ndarray, ...]
-    functions: np.ndarray = field(compare=False)
+
+    @property
+    def size(self) -> int:
+        """Number of functions: the product of the block sizes, exact at any size."""
+        return math.prod(bs.shape[0] for bs in self.block_sets)
 
     def __len__(self) -> int:
-        return self.functions.shape[0]
+        # len() itself refuses values past sys.maxsize; ``size`` does not
+        return self.size
 
     def contains_function(self, func, tol: float = MEMBERSHIP_TOL, metric=None) -> bool:
         """Membership via the product structure: per block, a set hit."""
@@ -312,8 +320,8 @@ def conditional_set(
     """All conditional expectations E(f|g_alg) of t_alg-measurable selections.
 
     Requires t_alg to refine g_alg.  Per conditioning block the attainable
-    averages form an exact Minkowski sum over the inner t-blocks; the
-    product across blocks is materialized within ``cap``.
+    averages form an exact Minkowski sum over the inner t-blocks, folded
+    within ``cap``; the set is the product of these block sets, of any size.
     """
     if not is_refinement(t_alg, g_alg):
         raise PreconditionError("t_alg must refine g_alg")
@@ -330,7 +338,6 @@ def conditional_set(
                 inner_of[id(gb)].append((tb, cs))
                 break
     block_sets = []
-    total = 1
     for gb in g_alg.blocks:
         gmass = space.mass(gb)
         if gmass == 0:
@@ -339,22 +346,8 @@ def conditional_set(
             np.array([float(space.mass(tb) / gmass) * v for v in cs])
             for tb, cs in inner_of[id(gb)]
         ]
-        pts = _minkowski_fold(contribs, cap, corr.dim)
-        pts = dedup_points(pts)
-        block_sets.append(pts)
-        total *= pts.shape[0]
-    if total > cap:
-        raise CapacityError(total, cap)
-    counts = [bs.shape[0] for bs in block_sets]
-    nb = len(block_sets)
-    funcs = np.zeros((total, nb, corr.dim))
-    rep = total
-    for j, bs in enumerate(block_sets):
-        rep //= counts[j]
-        tile = total // (rep * counts[j])
-        idx = np.tile(np.repeat(np.arange(counts[j]), rep), tile)
-        funcs[:, j, :] = bs[idx]
-    return ConditionalSet(g_alg, tuple(block_sets), funcs)
+        block_sets.append(dedup_points(_minkowski_fold(contribs, cap, corr.dim)))
+    return ConditionalSet(g_alg, tuple(block_sets))
 
 
 def lyapunov_mix(
@@ -538,31 +531,30 @@ def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> f
 
 
 def function_semidistance(
-    fa: np.ndarray, fb: np.ndarray, masses, metric=None
+    a: ConditionalSet, b: ConditionalSet, masses, metric=None
 ) -> float:
-    """Hausdorff semidistance between sets of block-indexed functions.
+    """Hausdorff semidistance between two conditional sets.
 
     The distance between two functions is the block-mass-weighted sum of
     per-block vector distances (the L1 reading; with one block of mass 1 it
-    reduces to the plain vector metric).
+    reduces to the plain vector metric).  Both sets are products over the
+    same blocks, so the value is sum_j masses[j] * h(a_j, b_j), h the
+    semidistance of one block's sets: float sums and products by weights
+    >= 0 are monotone, so this equals the pairwise max-min bit for bit.
     """
-    if fa.shape[0] == 0 or fb.shape[0] == 0:
+    nb = len(a.block_sets)
+    if len(b.block_sets) != nb or len(masses) != nb:
+        raise StructureError(
+            f"block counts differ: {nb} and {len(b.block_sets)} sets, "
+            f"{len(masses)} masses"
+        )
+    if a.size == 0 or b.size == 0:
         raise PreconditionError("semidistance needs non-empty function sets")
-    w = np.array([float(m) for m in masses])
-    mode, weights = _mode_for(metric, fa.shape[2])
-    worst = 0.0
-    for f in fa:
-        best = np.inf
-        for g in fb:
-            dist = 0.0
-            for j in range(fa.shape[1]):
-                dj = float(_kernels.min_dists(
-                    f[j].reshape(1, -1), g[j].reshape(1, -1), mode, weights)[0])
-                dist += w[j] * dj
-            if dist < best:
-                best = dist
-        worst = max(worst, best)
-    return worst
+    mode, weights = _mode_for(metric, a.block_sets[0].shape[1])
+    total = 0.0
+    for m, xs, ys in zip(masses, a.block_sets, b.block_sets):
+        total += float(m) * float(_kernels.min_dists(xs, ys, mode, weights).max())
+    return total
 
 
 def uhc_diagnostic(
@@ -592,7 +584,5 @@ def uhc_diagnostic(
     out = []
     for fy in family:
         cs = conditional_set(fy, t_alg, g_alg, cap)
-        out.append(
-            function_semidistance(cs.functions, limit_set.functions, masses, metric)
-        )
+        out.append(function_semidistance(cs, limit_set, masses, metric))
     return out

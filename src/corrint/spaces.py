@@ -46,6 +46,7 @@ class DiscreteSpace:
     ids: tuple[int, ...]
     masses: tuple[Fraction, ...]
     label: str | None = None
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) != len(self.masses) or not self.ids:
@@ -57,6 +58,7 @@ class DiscreteSpace:
                 raise StructureError(f"atom mass {m} is not strictly positive")
         if sum(self.masses, Fraction(0)) != 1:
             raise StructureError("atom masses must sum exactly to 1")
+        object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
 
     @classmethod
     def uniform(cls, n: int, label: str | None = None) -> "DiscreteSpace":
@@ -69,20 +71,18 @@ class DiscreteSpace:
         ms = tuple(_as_fraction(m) for m in masses)
         return cls(tuple(range(len(ms))), ms, label)
 
-    def mass_of(self, atom: int) -> Fraction:
+    def position(self, atom: int) -> int:
+        """Index of the atom in ``ids`` (and ``masses``)."""
         try:
-            return self.masses[self.ids.index(atom)]
-        except ValueError:
+            return self._position[atom]
+        except KeyError:
             raise StructureError(f"atom {atom} not in space") from None
 
+    def mass_of(self, atom: int) -> Fraction:
+        return self.masses[self.position(atom)]
+
     def mass(self, atoms) -> Fraction:
-        lookup = dict(zip(self.ids, self.masses))
-        total = Fraction(0)
-        for a in set(atoms):
-            if a not in lookup:
-                raise StructureError(f"atom {a} not in space")
-            total += lookup[a]
-        return total
+        return sum((self.masses[self.position(a)] for a in set(atoms)), Fraction(0))
 
     @property
     def atom_set(self) -> frozenset[int]:

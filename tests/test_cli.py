@@ -88,6 +88,19 @@ def test_capacity_exit_3(tmp_path):
     assert "6561" in err
 
 
+def test_conditional_set_beyond_int64_exit_0(tmp_path):
+    # 16 blocks of 35 averages each: 35**16 functions, past len()'s range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "name": "x", "seed": 0,
+        "checks": [{"kind": "lyapunov-exactness", "k": 3, "L": 4, "refinement": 4}],
+    }))
+    code, out, err = run_cli(["run", str(cfg)])
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["checks"][0]["conditional_set_size"] == 35 ** 16
+
+
 def test_verdict_failure_exit_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -10,23 +10,75 @@ from corrint.correspondences import (
     dyadic_convexify,
     enumerate_selections,
 )
-from corrint.errors import CapacityError, DivisibilityError, PreconditionError
+from corrint import _kernels
+from corrint.errors import (
+    CapacityError,
+    DivisibilityError,
+    PreconditionError,
+    StructureError,
+)
 from corrint.set_integration import (
     ConditionalSet,
     PointCloudSet,
     _coarse_dedup,
+    _mode_for,
     aumann_integral_set,
     conditional_expectation,
     conditional_set,
     convexity_gap,
     dedup_points,
+    function_semidistance,
     hausdorff_semidistance,
     integrate_selection,
     lyapunov_mix,
     uhc_diagnostic,
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition
-from corrint.vectors import Workspace, basis_vector, norm, zero_vector
+from corrint.vectors import (
+    NORM_EUCLID,
+    NORM_MAX,
+    NORM_SUM,
+    Workspace,
+    basis_vector,
+    norm,
+    zero_vector,
+)
+
+
+# -- oracles: the materialized product and the pairwise semidistance ----------
+
+def _product_functions(cs):
+    """All functions of a conditional set, shape (count, nblocks, d), in
+    canonical order (the first block varies slowest)."""
+    counts = [bs.shape[0] for bs in cs.block_sets]
+    total = int(np.prod(counts))
+    funcs = np.zeros((total, len(counts), cs.block_sets[0].shape[1]))
+    rep = total
+    for j, bs in enumerate(cs.block_sets):
+        rep //= counts[j]
+        tile = total // (rep * counts[j])
+        idx = np.tile(np.repeat(np.arange(counts[j]), rep), tile)
+        funcs[:, j, :] = bs[idx]
+    return funcs
+
+
+def _pairwise_function_semidistance(fa, fb, masses, metric=None):
+    """max over f in fa of min over g in fb of sum_j masses[j] * d(f_j, g_j)."""
+    w = np.array([float(m) for m in masses])
+    mode, weights = _mode_for(metric, fa.shape[2])
+    worst = 0.0
+    for f in fa:
+        best = np.inf
+        for g in fb:
+            dist = 0.0
+            for j in range(fa.shape[1]):
+                dj = float(_kernels.min_dists(
+                    f[j].reshape(1, -1), g[j].reshape(1, -1), mode, weights)[0])
+                dist += w[j] * dj
+            if dist < best:
+                best = dist
+        worst = max(worst, best)
+    return worst
 
 
 def _const_corr(space, values):
@@ -170,8 +222,70 @@ def test_conditional_set_trivial_reduces_to_integral_set():
     cloud = aumann_integral_set(b.corr, singles, cap=10 ** 4)
     cs = conditional_set(b.corr, singles, trivial, cap=10 ** 4)
     assert len(cs) == len(cloud)
-    flat = dedup_points(cs.functions[:, 0, :])
+    flat = dedup_points(cs.block_sets[0])
     assert np.max(np.abs(flat - cloud.points)) <= 1e-12
+
+
+def _random_nested_instance(rng, d):
+    """A space of 3-5 atoms with random rational masses, G with 2-3 blocks,
+    T refining G, and two T-measurable correspondences of 1-2 values per
+    T-block (integer grids half the time, so distances tie)."""
+    n = int(rng.integers(3, 6))
+    weights = rng.integers(1, 8, size=n)
+    space = DiscreteSpace.from_masses([Fraction(int(w), int(weights.sum())) for w in weights])
+    nb = int(rng.integers(2, min(3, n - 1) + 1))
+    cuts = sorted(rng.choice(np.arange(1, n), size=nb - 1, replace=False).tolist())
+    bounds = [0, *cuts, n]
+    g_blocks, t_blocks = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        g_blocks.append(set(range(lo, hi)))
+        split = int(rng.integers(lo, hi + 1))
+        t_blocks += [set(range(lo, split)), set(range(split, hi))]
+    t_alg = SigmaPartition([b for b in t_blocks if b])
+    grid = rng.random() < 0.5
+
+    def corr():
+        value_map = {}
+        for tb in t_alg.blocks:
+            m = int(rng.integers(1, 3))
+            vals = rng.integers(-2, 3, size=(m, d)).astype(float) if grid \
+                else rng.normal(size=(m, d))
+            for a in tb:
+                value_map[a] = list(vals)
+        return Correspondence(space, value_map)
+
+    return space, t_alg, SigmaPartition(g_blocks), corr(), corr()
+
+
+@pytest.mark.parametrize("flavor", [NORM_EUCLID, NORM_SUM, NORM_MAX])
+def test_function_semidistance_matches_pairwise_oracle(flavor):
+    rng = np.random.default_rng({NORM_EUCLID: 41, NORM_SUM: 42, NORM_MAX: 43}[flavor])
+    for trial in range(36):
+        d = 1 + trial % 3
+        space, t_alg, g_alg, ca, cb = _random_nested_instance(rng, d)
+        sa = conditional_set(ca, t_alg, g_alg, cap=10 ** 4)
+        sb = conditional_set(cb, t_alg, g_alg, cap=10 ** 4)
+        assert len(sa) == sa.size == _product_functions(sa).shape[0]
+        masses = [space.mass(b) for b in g_alg.blocks]
+        ws = Workspace(d=d, norm_flavor=flavor)
+        for x, y in ((sa, sb), (sb, sa), (sa, sa)):
+            got = function_semidistance(x, y, masses, ws)
+            want = _pairwise_function_semidistance(
+                _product_functions(x), _product_functions(y), masses, ws)
+            assert got == want
+
+
+def test_function_semidistance_refuses_mismatched_blocks():
+    b = build_counterexample(2, 0, 1, 2)
+    singles = SigmaPartition.singletons(b.model.space)
+    trivial = SigmaPartition.trivial(b.model.space)
+    fine = conditional_set(b.corr, singles, b.f_alg, cap=10 ** 4)
+    coarse = conditional_set(b.corr, singles, trivial, cap=10 ** 4)
+    masses = [b.model.space.mass(blk) for blk in b.f_alg.blocks]
+    with pytest.raises(StructureError):
+        function_semidistance(fine, coarse, masses)
+    with pytest.raises(StructureError):
+        function_semidistance(fine, fine, masses[:-1])
 
 
 def test_conditional_set_single_valued():

@@ -35,6 +35,18 @@ def test_space_invariants():
         DiscreteSpace.from_masses([0.5, 0.5])  # floats rejected
 
 
+def test_atom_lookups_follow_ids(uniform4):
+    # a restricted space keeps its parent's ids, so id and position differ
+    sub, _ = restrict(uniform4, SigmaPartition.singletons(uniform4), {1, 3})
+    assert sub.position(3) == 1
+    assert sub.mass_of(3) == Fraction(1, 2)
+    assert sub.mass([1, 3, 3]) == 1
+    for lookup in (lambda: sub.position(0), lambda: sub.mass_of(2),
+                   lambda: sub.mass([1, 4])):
+        with pytest.raises(StructureError):
+            lookup()
+
+
 def test_partition_canonical_order_and_overlap():
     p = SigmaPartition([{2, 3}, {0, 1}])
     assert [sorted(b) for b in p.blocks] == [[0, 1], [2, 3]]
