@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorized in numpy.
 
-The Walsh butterfly and the distance scan pair and order their
-floating-point operations exactly as plain loops do, so both agree with
-their loop forms bit for bit.  The game kernels share one batched payoff
+The Walsh butterfly pairs its floating-point operations as the plain loop
+does, and the nearest-distance search sums each distance coordinate by
+coordinate in the loop's order, so both agree with their loop forms bit
+for bit at every size and dimension.  The game kernels share one batched payoff
 formula, ``_payoffs``, which keeps the loop form's operation order and
 evaluates ``sin`` through libm (``math.sin``), so a table at one externality
 and an exhaustive scan over many agree with a per-element loop exactly.
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import PreconditionError
 
 KERNEL_PATH = "numpy"
 
@@ -45,20 +48,122 @@ def fwht_f64(v):
 fwht_i64 = fwht_f64
 
 
-def min_dists(targets, cloud, mode, weights):
-    """Distance from each target row to its nearest cloud row."""
-    nt = targets.shape[0]
-    res = np.empty(nt)
-    for it in range(nt):
-        diff = cloud - targets[it]
+def _row_dists(tcols, ccols, mode, weights):
+    """Distance of each (target, cloud row) pair, squared under MODE_EUCLID.
+
+    ``tcols[m]`` and ``ccols[m]`` hold coordinate m of the paired rows.  The
+    terms are taken as target minus cloud and accumulated from m = 0 up, as
+    the loop form does; every term is >= +0, so starting from the first term
+    equals the loop's ``0.0 + term``.
+    """
+    acc = None
+    for m, (t, c) in enumerate(zip(tcols, ccols)):
+        dx = t - c
         if mode == MODE_EUCLID:
-            dist = np.sqrt(np.sum(diff * diff, axis=1))
-        elif mode == MODE_WSUM:
-            dist = np.sum(np.abs(diff) * weights, axis=1)
+            term = dx * dx
         else:
-            dist = np.max(np.abs(diff), axis=1)
-        res[it] = dist.min()
-    return res
+            term = np.abs(dx)
+            if mode == MODE_WSUM:
+                term *= weights[m]
+        if acc is None:
+            acc = term
+        elif mode == MODE_EUCLID or mode == MODE_WSUM:
+            acc += term
+        else:
+            np.maximum(acc, term, out=acc)
+    return acc
+
+
+def _lex_sorted(rows):
+    """Whether the rows are in lexicographic order, in O(n d)."""
+    a, b = rows[:-1], rows[1:]
+    first = (a != b).argmax(axis=1)  # first differing coordinate, 0 if none
+    i = np.arange(first.shape[0])
+    return bool((b[i, first] >= a[i, first]).all())
+
+
+def _lex_view(rows):
+    """C-contiguous float rows as records that compare lexicographically."""
+    fields = np.dtype([(f"c{m}", "f8") for m in range(rows.shape[1])])
+    return rows.view(fields)[:, 0]
+
+
+def min_dists(targets, cloud, mode, weights):
+    """Distance from each target row to its nearest cloud row.
+
+    An exact windowed search over the cloud in lexicographic order.  Each
+    target first gets a bound b from a few seed rows: its lexicographic
+    neighbours once its first coordinate is snapped to each adjacent value
+    of the cloud's first column.  Only rows with w0 |c0 - t0| <= b, found by
+    ``searchsorted`` on that column, are scanned.  No row outside the window
+    can come below b: every computed distance is at least its rounded first
+    term fl(w0 |fl(t0 - c0)|), because the other terms are >= 0 and
+    rounding is monotone, and the window's radius is rounded up so that
+    rounding can only add rows.  Distances are accumulated in the loop
+    form's order and, under MODE_EUCLID, minimized as squares with one
+    ``sqrt`` after (exact, as ``sqrt`` is correctly rounded and monotone),
+    so the result equals the loop form bit for bit at every dimension.  A
+    cloud passed as its own targets is at distance 0 without a scan.
+
+    Raises ``PreconditionError`` on NaN or infinite coordinates, on an empty
+    cloud, and on MODE_WSUM weights that are negative or not finite: the
+    window relies on the order of the first column and on terms >= 0.
+    Targets and cloud must be (n, d) arrays of one d >= 1.
+    """
+    targets = np.asarray(targets, dtype=float)
+    cloud = np.asarray(cloud, dtype=float)
+    if targets.ndim != 2 or cloud.shape[1:] != targets.shape[1:] or targets.shape[1] == 0:
+        raise PreconditionError(
+            f"need (n, d) targets and cloud of one d >= 1, got {targets.shape} and {cloud.shape}"
+        )
+    nt, n = targets.shape[0], cloud.shape[0]
+    if not (np.isfinite(targets).all() and np.isfinite(cloud).all()):
+        raise PreconditionError("nearest distances need finite coordinates")
+    # -0.0 weights become +0.0, so every term is >= +0 as _row_dists needs
+    w = np.asarray(weights, dtype=float) + 0.0
+    if mode == MODE_WSUM and not (np.isfinite(w).all() and (w >= 0).all()):
+        raise PreconditionError(f"weighted l1 needs finite weights >= 0, got {w!r}")
+    if nt == 0:
+        return np.empty(0)
+    if n == 0:
+        raise PreconditionError("an empty cloud has no nearest row")
+    if targets is cloud or np.array_equal(targets, cloud):
+        return np.zeros(nt)
+    if not _lex_sorted(cloud):
+        cloud = cloud[np.lexsort(cloud.T[::-1])]
+    cloud = np.ascontiguousarray(cloud)
+    cols, tcols = np.ascontiguousarray(cloud.T), targets.T
+    c0, t0 = cols[0], tcols[0]
+
+    # seed bound: distances to the lexicographic neighbours of the target
+    # with its first coordinate snapped to either adjacent value of c0
+    records = _lex_view(cloud)
+    p = np.searchsorted(c0, t0)
+    best = np.full(nt, np.inf)
+    for v in (c0[np.maximum(p - 1, 0)], c0[np.minimum(p, n - 1)]):
+        key = targets.copy()
+        key[:, 0] = v
+        q = np.searchsorted(records, _lex_view(key))
+        for s in (np.maximum(q - 1, 0), np.minimum(q, n - 1)):
+            np.minimum(best, _row_dists(tcols, cols[:, s], mode, w), out=best)
+
+    # window radius r: a first term fl(w0 |dx0|) >= best needs |dx0| >= r
+    if mode == MODE_EUCLID:
+        r = np.sqrt(best)
+    elif mode == MODE_WSUM:
+        with np.errstate(over="ignore"):  # a subnormal w0 may give an infinite r
+            r = best / w[0] if w[0] > 0 else np.full(nt, np.inf)
+    else:
+        r = best
+    # rho >= r exactly, and a float c0 outside [fl(t0 - rho), fl(t0 + rho)]
+    # has |c0 - t0| >= rho exactly, hence |fl(t0 - c0)| >= rho
+    rho = np.nextafter(r, np.inf)
+    lo = np.searchsorted(c0, t0 - rho, "left")
+    hi = np.searchsorted(c0, t0 + rho, "right")
+    for i in range(nt):
+        window = cols[:, lo[i]:hi[i]]
+        best[i] = _row_dists(targets[i], window, mode, w).min(initial=best[i])
+    return np.sqrt(best) if mode == MODE_EUCLID else best
 
 
 def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):

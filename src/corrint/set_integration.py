@@ -49,26 +49,47 @@ def _mode_for(metric, d: int) -> tuple[int, np.ndarray]:
 
 
 def dedup_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Lexicographically sorted rows with near-duplicate neighbors merged.
+    """Lexicographically sorted rows with near-duplicates of a representative dropped.
 
-    Two rows whose every coordinate differs by less than ``tol`` collapse to
-    the first (lexicographically smallest) representative; the sweep merges
-    lexicographic neighbors, which covers the intended case of float fuzz
-    around identical exact values.
+    One sweep over the rows in lexicographic order: the first row is a
+    representative, and each later row is kept, becoming the new
+    representative, exactly when some coordinate differs from the current
+    representative's by ``tol`` or more.  So a kept row is never dropped
+    for fuzz, but rows within ``tol`` of each other need not merge when a
+    lexicographically smaller row lies between them: (0, 0), (0, 1) and
+    (1e-16, 0) stay three rows.
+
+    While the previous row was kept, a row's verdict is its gap to its
+    predecessor, taken for all rows at once; only the stretch after a
+    dropped row compares with the representative, in blocks that double,
+    until a row is kept again.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2:
         raise StructureError(f"expected (n, d) points, got shape {pts.shape}")
     if pts.shape[0] == 0:
         return pts
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = [0]
-    rep = pts[0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - rep)) >= tol:
-            keep.append(i)
-            rep = pts[i]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    n = pts.shape[0]
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.max(np.abs(pts[1:] - pts[:-1]), axis=1) >= tol
+    end = 1  # rows before end have their final verdict
+    for i in np.flatnonzero(~keep):
+        if i < end:
+            continue
+        rep = pts[i - 1]  # row i - 1 is kept, so row i rightly dropped
+        end, step = i + 1, 8
+        while end < n:
+            far = np.max(np.abs(pts[end:end + step] - rep), axis=1) >= tol
+            j = int(far.argmax())
+            keep[end:end + (j if far[j] else step)] = False
+            if far[j]:
+                keep[end + j] = True
+                end += j + 1
+                break
+            end += step
+            step *= 2
     return pts[keep]
 
 

@@ -4,9 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrint import _kernels
 from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
+from corrint.errors import PreconditionError
 from corrint.game import LargeGame, _scan_arguments, build_counterexample_game
 
 
@@ -179,14 +183,87 @@ def test_fwht_paths_agree_exactly():
     assert np.array_equal(_fwht_loop(g), _kernels.fwht_i64(g))
 
 
+def _min_dists_cases(d, rng):
+    """(targets, cloud) pairs that probe the windowed search at dimension d."""
+    cloud = rng.normal(size=(30, d))
+    yield rng.normal(size=(6, d)), cloud
+    yield rng.normal(size=(6, d)), cloud[np.lexsort(cloud.T[::-1])]
+    # integer rows, each twice, against half-integer targets: duplicate
+    # rows and distances tied between several rows
+    grid = np.repeat(rng.integers(-2, 3, size=(15, d)), 2, axis=0).astype(float)
+    grid = grid[rng.permutation(30)]
+    yield rng.integers(-4, 5, size=(6, d)) / 2.0, grid
+    yield rng.normal(size=(4, d)), cloud[:1]
+    yield cloud[[3, 0, 3, 29]], cloud
+    yield cloud.copy(), cloud
+    yield cloud, cloud
+
+
 def test_min_dists_paths_agree_exactly():
+    # d >= 8 catches a pairwise row sum (numpy's sum over an axis of 8 or
+    # more), which adds in another order than the loop form
     rng = np.random.default_rng(62)
-    targets = rng.normal(size=(7, 5))
-    cloud = rng.normal(size=(40, 5))
-    weights = 0.5 ** (np.arange(5) + 1.0)
-    for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):
-        loop = _min_dists_loop(targets, cloud, mode, weights)
-        assert np.array_equal(loop, _kernels.min_dists(targets, cloud, mode, weights))
+    for d in (1, 2, 5, 8, 10, 17):
+        weights = 0.5 ** (np.arange(d) + 1.0)
+        for targets, cloud in _min_dists_cases(d, rng):
+            for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):
+                loop = _min_dists_loop(targets, cloud, mode, weights)
+                fast = _kernels.min_dists(targets, cloud, mode, weights)
+                assert np.array_equal(loop, fast), (d, mode, targets, cloud)
+
+
+def test_min_dists_nearest_row_on_the_window_edge():
+    # the seed row (0.5, y) sets the window; the nearest row (c, 0) lies on
+    # its rounded edge, where an unwidened radius or a half-open window
+    # would drop it
+    for w0, t0, y, c in ((0.7, 5.551115123125783e-16, 0.6050458292357432, 1.3643511846224905),
+                         (0.1, 2.6645352591003757e-15, 0.8045809953710716, 8.545809953710716)):
+        weights = np.array([w0, 1.0])
+        for sign in (1.0, -1.0):  # the upper edge, then the mirrored lower one
+            targets = sign * np.array([[t0, 0.0]])
+            cloud = sign * np.array([[0.5, y], [c, 0.0]])
+            loop = _min_dists_loop(targets, cloud, MODE_WSUM, weights)
+            assert loop[0] < _min_dists_loop(targets, cloud[:1], MODE_WSUM, weights)[0]
+            assert np.array_equal(loop, _kernels.min_dists(targets, cloud, MODE_WSUM, weights))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["targets", "cloud"])
+def test_min_dists_refuses_non_finite(side, bad):
+    # the window relies on the order of the first column, which NaN breaks
+    rng = np.random.default_rng(64)
+    rows = {"targets": rng.normal(size=(3, 2)), "cloud": rng.normal(size=(9, 2))}
+    rows[side][1, 0] = bad
+    with pytest.raises(PreconditionError):
+        _kernels.min_dists(rows["targets"], rows["cloud"], MODE_EUCLID, np.ones(2))
+
+
+def test_min_dists_refuses_mismatched_shapes():
+    for targets, cloud in ((np.zeros((2, 3)), np.zeros((4, 2))),
+                           (np.zeros(3), np.zeros((4, 3))),
+                           (np.zeros((2, 0)), np.zeros((4, 0)))):
+        with pytest.raises(PreconditionError):
+            _kernels.min_dists(targets, cloud, MODE_EUCLID, np.ones(3))
+
+
+_coordinates = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 1e-16, 0.25, 0.5, 1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 10), nt=st.integers(1, 5), nc=st.integers(1, 12),
+       mode=st.sampled_from([MODE_WSUM, MODE_EUCLID, MODE_MAX]))
+def test_min_dists_property_equals_loop_oracle(data, d, nt, nc, mode):
+    targets = data.draw(arrays(float, (nt, d), elements=_coordinates))
+    cloud = data.draw(arrays(float, (nc, d), elements=_coordinates))
+    if data.draw(st.booleans()):
+        targets = np.concatenate([targets, cloud[::2]])
+    weights = data.draw(arrays(float, d, elements=st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 2.0)))
+    loop = _min_dists_loop(targets, cloud, mode, weights)
+    # bytes, so that -0.0 and 0.0 count as different
+    assert loop.tobytes() == _kernels.min_dists(targets, cloud, mode, weights).tobytes()
 
 
 def test_payoff_table_matches_pure_python():

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrint.correspondences import (
     Correspondence,
@@ -18,6 +21,7 @@ from corrint.errors import (
     StructureError,
 )
 from corrint.set_integration import (
+    DEDUP_TOL,
     ConditionalSet,
     PointCloudSet,
     _coarse_dedup,
@@ -79,6 +83,22 @@ def _pairwise_function_semidistance(fa, fb, masses, metric=None):
                 best = dist
         worst = max(worst, best)
     return worst
+
+
+def _dedup_points_loop(points, tol=DEDUP_TOL):
+    """Row-by-row representative sweep over the lexicographically sorted rows."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.shape[0] == 0:
+        return pts
+    order = np.lexsort(pts.T[::-1])
+    pts = pts[order]
+    keep = [0]
+    rep = pts[0]
+    for i in range(1, pts.shape[0]):
+        if np.max(np.abs(pts[i] - rep)) >= tol:
+            keep.append(i)
+            rep = pts[i]
+    return pts[keep]
 
 
 def _const_corr(space, values):
@@ -478,6 +498,46 @@ def test_dedup_and_cloud_invariants():
     assert len(cloud) == 2
     # canonical lexicographic order
     assert cloud.points[0][0] <= cloud.points[1][0]
+
+
+def test_dedup_keeps_rows_a_smaller_row_separates():
+    # the sweep compares with the representative only: (1e-16, 0) is within
+    # tol of (0, 0), but (0, 1) lies between them and becomes representative
+    pts = np.array([[0.0, 0.0], [0.0, 1.0], [1e-16, 0.0]])
+    assert np.array_equal(dedup_points(pts), pts)
+
+
+def _fuzz_chain(rng, n, d):
+    """Rows that step from their predecessor by offsets near the dedup tol."""
+    steps = np.array([0.0, 0.4, 0.999, 1.0, 1.001, 2.5]) * DEDUP_TOL
+    offsets = rng.choice(steps, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+    return rng.integers(-1, 2, size=d) + np.cumsum(offsets, axis=0)
+
+
+def test_dedup_sweep_matches_loop_oracle():
+    rng = np.random.default_rng(91)
+    for _ in range(600):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        pts = _fuzz_chain(rng, n, d)
+        assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
+    # rows all within tol of the first: one merged stretch up to the array
+    # end, or, for odd n, cut in the middle by a kept row
+    for n in (7, 8, 9, 100, 1000, 1001):
+        pts = np.zeros((n, 2))
+        pts[:, 1] = np.arange(n) * (0.9 * DEDUP_TOL / n)
+        pts[n // 2:, 0] += 2 * DEDUP_TOL * (n % 2)
+        assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), d=st.integers(1, 3))
+def test_dedup_property_equals_loop_oracle(data, n, d):
+    steps = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 3.0, -0.5, -1.0, -1.001])
+    offsets = data.draw(arrays(float, (n, d), elements=steps)) * DEDUP_TOL
+    base = data.draw(arrays(float, d, elements=st.sampled_from([0.0, -1.0, 0.5, 1e3])))
+    pts = base + np.cumsum(offsets, axis=0)
+    pts = pts[data.draw(st.permutations(range(n)))]
+    assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
 
 
 def test_coarse_dedup_refuses_int64_overflow():
