@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorized in numpy.
 
-The Walsh butterfly pairs its floating-point operations as the plain loop
-does, and the nearest-distance search sums each distance coordinate by
-coordinate in the loop's order, so both agree with their loop forms bit
-for bit at every size and dimension.  The game kernels share one batched payoff
+The Walsh butterfly runs along the last axis, so a stack of rows is one
+call, and pairs its floating-point operations as the plain loop does; the
+nearest-distance search sums each distance coordinate by coordinate in the
+loop's order.  So both agree with their loop forms bit for bit at every
+size and dimension.  The game kernels share one batched payoff
 formula, ``_payoffs``, which keeps the loop form's operation order and
 evaluates ``sin`` through libm (``math.sin``), so a table at one externality
 and an exhaustive scan over many agree with a per-element loop exactly.
@@ -24,23 +25,27 @@ MODE_WSUM = 1   # weighted l1:  sum_m w_m |dx_m|
 MODE_EUCLID = 2
 MODE_MAX = 3
 
-# target size in bytes of one (profiles, atoms, actions) temporary of the scan
-_SCAN_CHUNK_BYTES = 1 << 16
+# target size in bytes of one chunk temporary: a (profiles, atoms, actions)
+# payoff block of the scan, a stack of lemma trials, a slice of a sign table
+_CHUNK_BYTES = 1 << 16
 
 _libm_sin = np.frompyfunc(math.sin, 1, 1)
 
 
 def fwht_f64(v):
-    """Hadamard butterfly, unnormalized; pairs elements as the naive loop does."""
-    out = v.copy()
-    n = out.shape[0]
+    """Hadamard butterfly along the last axis, unnormalized.
+
+    Pairs elements as the naive loop does, so each row of a stack equals
+    the transform of that row alone.
+    """
+    out = np.array(v, order="C")
+    n = out.shape[-1]
     h = 1
     while h < n:
+        # in C order each block of 2h elements lies within one row
         m = out.reshape(-1, 2 * h)
-        a = m[:, :h].copy()
-        b = m[:, h:].copy()
-        m[:, :h] = a + b
-        m[:, h:] = a - b
+        a, b = m[:, :h], m[:, h:]
+        m[:, :h], m[:, h:] = a + b, a - b
         h *= 2
     return out
 
@@ -205,7 +210,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     Returns (min residual, best profile digits, min aggregate distance to
     e_mean over all profiles).  Deterministic: mixed-radix order with the
     last block fastest, first minimum wins.  Profiles are evaluated in
-    chunks whose payoff temporaries stay near ``_SCAN_CHUNK_BYTES``.
+    chunks whose payoff temporaries stay near ``_CHUNK_BYTES``.
     """
     nblocks = block_mass.shape[0]
     d = actions.shape[1]
@@ -214,7 +219,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
     atom_block = np.repeat(np.arange(nblocks), block_len)
     phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
-    chunk = max(1, _SCAN_CHUNK_BYTES // (8 * atoms.shape[0] * nact))
+    chunk = max(1, _CHUNK_BYTES // (8 * atoms.shape[0] * nact))
     best_res = math.inf
     best_prof = np.zeros(nblocks, dtype=np.int64)
     min_aggdist = math.inf

@@ -709,12 +709,109 @@ def case1_indicator_parts(
     if sorted(roles) != list(range(k + 1)):
         raise PreconditionError("roles must permute 0..k")
     ncell = 1 << mesh_exp
-    parts = [np.zeros(ncell, dtype=np.int64) for _ in range(k)]
-    for c in range(ncell):
-        r = roles[(c + shift) % (k + 1)]
-        if r >= 1:
-            parts[r - 1][c] = 1
-    return parts
+    role = np.asarray(roles, dtype=np.int64)[(np.arange(ncell) + shift) % (k + 1)]
+    return [(role == i).astype(np.int64) for i in range(1, k + 1)]
+
+
+def _lemma_holds(spectra, n_top: int) -> np.ndarray:
+    """Whether sum_{n < n_top} |s_n| 2**-n < 4, exactly, for each spectrum row.
+
+    A float pre-filter decides the rows far from 4.  Each term |s_n| 2**-n
+    is exact (|s_n| < 2**53) but for underflow, below 2**-1074, and summing
+    m = n_top terms >= 0 in any order errs by at most 2 m 2**-53 of the sum,
+    so near 4 the float sum is within m 2**-50 + m 2**-1074 of the true one
+    and decides every row farther from 4 than m 2**-48.  The other rows are
+    decided in Python integers as
+    sum_n |s_n| 2**(n_top - 1 - n) < 2**(n_top + 1).
+    """
+    terms = np.abs(spectra[:, :n_top], dtype=float)
+    terms *= np.ldexp(1.0, -np.arange(n_top))
+    approx = terms.sum(axis=1)
+    holds = approx < 4.0
+    for r in np.flatnonzero(np.abs(approx - 4.0) <= n_top * 2.0 ** -48):
+        row = spectra[r, :n_top].tolist()
+        exact = sum(abs(x) << (n_top - 1 - n) for n, x in enumerate(row))
+        holds[r] = exact < 1 << (n_top + 1)
+    return holds
+
+
+def _lemma_trials(stack, counts, d0, gamma, L):
+    """Lemma sums and exact verdicts of trials stacked row by row.
+
+    ``stack`` is an (rows, ncell) array of {0,1} indicators, overwritten
+    here; trial t owns the next counts[t] >= 1 rows.  Returns each trial's
+    worst float sum over its parts (for display) and its exact verdict:
+    with d0 ncell = 1 - gamma > 0, sum_n 2**-n |(1-gamma) s_n / ncell| <
+    4 d0 holds exactly when sum_n 2**-n |s_n| < 4.
+    """
+    ncell = stack.shape[1]
+    if np.any((stack != 0) & (stack != 1)):
+        raise PreconditionError("parts must be {0,1} indicators")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    qsum = np.add.reduceat(stack, starts, axis=0)
+    if np.any(qsum > 1):
+        raise PreconditionError("indicator supports overlap")
+    if ncell & (ncell - 1):
+        raise PreconditionError(f"mesh size {ncell} is not a power of two")
+    if d0 * ncell != 1 - gamma:
+        raise PreconditionError(
+            f"cell width {d0} times {ncell} cells does not tile (gamma, 1]"
+        )
+    if d0 <= 0:
+        raise PreconditionError(f"cell width {d0} must be positive")
+    n_top = ncell if L is None else min(ncell, 1 << L)
+    # each row becomes its integrand q_i + sum_j q_j - 1
+    stack += np.repeat(qsum - 1, counts, axis=0)
+    spectra = walsh_integer_spectrum(stack)[:, :n_top]
+    holds = np.logical_and.reduceat(_lemma_holds(spectra, n_top), starts)
+    # the terms (0.5**n) |integral| of the loop form, summed left to right
+    terms = float(1 - gamma) * spectra
+    terms /= ncell
+    np.abs(terms, out=terms)
+    terms *= np.ldexp(1.0, -np.arange(n_top))
+    worst = np.maximum.reduceat(np.cumsum(terms, axis=1, out=terms)[:, -1], starts)
+    return worst, holds
+
+
+def lemma_bound_trials(trials, d0, gamma=0, L: int | None = None):
+    """``lemma_bound_check`` over an iterable of part lists, batched.
+
+    Consumes the trials in order, stacking the parts of consecutive trials
+    into chunks whose temporaries stay near ``_kernels._CHUNK_BYTES``, and
+    returns (worst sums, verdicts) as arrays with one entry per trial; each
+    entry equals that trial's ``lemma_bound_check``.
+    """
+    gamma = Fraction(gamma)
+    d0 = Fraction(d0)
+    worst, holds = [], []
+    rows, counts = [], []
+
+    def flush():
+        w, h = _lemma_trials(np.stack(rows), counts, d0, gamma, L)
+        worst.append(w)
+        holds.append(h)
+        rows.clear()
+        counts.clear()
+
+    for parts in trials:
+        qs = [np.asarray(q, dtype=np.int64) for q in parts]
+        if not qs:
+            raise PreconditionError("need at least one indicator part")
+        ncell = qs[0].shape[0]
+        if any(q.shape != (ncell,) for q in qs):
+            raise StructureError("indicator parts live on different meshes")
+        # the stacked rows take half the budget: the butterfly's copy and
+        # the permuted spectrum are live beside them
+        if rows and (ncell != rows[0].shape[0]
+                     or 8 * ncell * (len(rows) + len(qs)) > _kernels._CHUNK_BYTES // 2):
+            flush()
+        rows.extend(qs)
+        counts.append(len(qs))
+    if rows:
+        flush()
+    if not worst:
+        return np.empty(0), np.empty(0, dtype=bool)
+    return np.concatenate(worst), np.concatenate(holds)
 
 
 def lemma_bound_check(parts, d0, gamma=0, L: int | None = None):
@@ -725,38 +822,8 @@ def lemma_bound_check(parts, d0, gamma=0, L: int | None = None):
     [0,1]).  Integrals are exact dyadic cell sums; the weighted sum is
     truncated at index 2**L - 1 when L is given (terms beyond the mesh
     resolution vanish identically).  Returns (worst sum over i, 4*d0,
-    verdict).
+    verdict): the sum is a float for display, the verdict is decided
+    exactly on the integer spectrum.
     """
-    gamma = Fraction(gamma)
-    d0 = Fraction(d0)
-    qs = [np.asarray(q, dtype=np.int64) for q in parts]
-    if not qs:
-        raise PreconditionError("need at least one indicator part")
-    ncell = qs[0].shape[0]
-    if any(q.shape != (ncell,) for q in qs):
-        raise StructureError("indicator parts live on different meshes")
-    if any(np.any((q != 0) & (q != 1)) for q in qs):
-        raise PreconditionError("parts must be {0,1} indicators")
-    if np.any(sum(qs) > 1):
-        raise PreconditionError("indicator supports overlap")
-    if ncell & (ncell - 1):
-        raise PreconditionError(f"mesh size {ncell} is not a power of two")
-    if d0 * ncell != 1 - gamma:
-        raise PreconditionError(
-            f"cell width {d0} times {ncell} cells does not tile (gamma, 1]"
-        )
-    mesh_exp = ncell.bit_length() - 1
-    n_top = ncell if L is None else min(ncell, 1 << L)
-    qsum = sum(qs)
-    width = float(1 - gamma)
-    worst = 0.0
-    for qi in qs:
-        g = qi + qsum - 1
-        spectrum = walsh_integer_spectrum(g)
-        total = 0.0
-        for n in range(n_top):
-            integral = width * int(spectrum[n]) / ncell
-            total += (0.5 ** n) * abs(integral)
-        worst = max(worst, total)
-    bound = 4.0 * float(d0)
-    return worst, bound, bool(worst < bound)
+    worst, holds = lemma_bound_trials([parts], d0, gamma, L)
+    return float(worst[0]), 4.0 * float(d0), bool(holds[0])

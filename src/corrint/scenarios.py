@@ -19,13 +19,14 @@ from .correspondences import (
     Selection,
     build_counterexample,
 )
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .game import (
     LargeGame,
     build_counterexample_game,
     case1_indicator_parts,
     find_equilibrium,
     lemma_bound_check,
+    lemma_bound_trials,
     verify_equilibrium_partition,
 )
 from .rcd import kernel_mix, rcd_of_selection
@@ -42,7 +43,7 @@ from .set_integration import (
 )
 from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
 from .vectors import Workspace, basis_vector, norm
-from .walsh import walsh_sign_on_cell
+from .walsh import walsh_gram
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +53,14 @@ def _fraction(x) -> Fraction:
         return Fraction(x)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"not a rational: {x!r}") from exc
+
+
+def _int(params: dict, kind: str, key: str, default: int, lo: int) -> int:
+    """An integer parameter >= lo, or ``ConfigError`` naming the check."""
+    v = params.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+        raise ConfigError(f"{kind}: '{key}' must be an integer >= {lo}, got {v!r}")
+    return v
 
 
 def _ws(cfg: dict, default_d: int) -> Workspace:
@@ -65,19 +74,21 @@ def _ws(cfg: dict, default_d: int) -> Workspace:
 
 # -- check runners ------------------------------------------------------------
 
+# largest sign table the orthogonality check builds, in entries
+ORTHOGONALITY_CAP = 1 << 22
+
+
 def check_walsh_orthogonality(params: dict, seed: int) -> dict:
-    level = params.get("level", 8)
-    max_index = params.get("max_index", 16)
+    level = _int(params, "walsh-orthogonality", "level", 8, 0)
+    max_index = _int(params, "walsh-orthogonality", "max_index", 16, 1)
     ncells = 1 << level
-    failures = []
-    for m in range(max_index):
-        for n in range(max_index):
-            acc = 0
-            for c in range(ncells):
-                acc += walsh_sign_on_cell(m, c, level) * walsh_sign_on_cell(n, c, level)
-            expect = ncells if m == n else 0
-            if acc != expect:
-                failures.append([m, n, acc])
+    if max_index * ncells > ORTHOGONALITY_CAP:
+        raise CapacityError(max_index * ncells, ORTHOGONALITY_CAP,
+                            f"sign table of {max_index} x {ncells} entries exceeds "
+                            f"cap {ORTHOGONALITY_CAP}")
+    gram = walsh_gram(max_index, level)
+    expect = ncells * np.eye(max_index, dtype=np.int64)
+    failures = [[int(m), int(n), int(gram[m, n])] for m, n in np.argwhere(gram != expect)]
     return {
         "level": level,
         "max_index": max_index,
@@ -415,27 +426,45 @@ def check_game_nonexistence(params: dict, seed: int) -> dict:
     }
 
 
+# largest trial the lemma check builds: parts x mesh cells
+LEMMA_CAP = 1 << 22
+
+
 def check_lemma_bound(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
+    k = _int(params, "lemma-bound", "k", 2, 1)
     meshes = params.get("meshes", [3, 4, 5, 6, 7, 8])
-    trials = params.get("trials", 1000)
-    kmax = params.get("kmax", 4)
+    trials = _int(params, "lemma-bound", "trials", 1000, 0)
+    kmax = _int(params, "lemma-bound", "kmax", 4, 1)
+    if not isinstance(meshes, list) or not meshes or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in meshes
+    ):
+        raise ConfigError("lemma-bound: 'meshes' must be a non-empty list of "
+                          f"integers >= 0, got {meshes!r}")
+    # exponents past the cap's bit length are clipped: the count stays a
+    # lower bound that exceeds the cap, and no huge integer is built
+    entries = max(k, kmax) << min(max(meshes), LEMMA_CAP.bit_length())
+    if entries > LEMMA_CAP:
+        raise CapacityError(entries, LEMMA_CAP,
+                            f"lemma-bound: {max(k, kmax)} parts on a mesh of "
+                            f"2**{max(meshes)} cells exceed cap {LEMMA_CAP}")
     rng = np.random.default_rng(seed)
+
+    def draws(s):
+        for _ in range(trials):
+            kk = int(rng.integers(1, kmax + 1))
+            shift = int(rng.integers(0, kk + 1))
+            roles = [int(x) for x in rng.permutation(kk + 1)]
+            yield case1_indicator_parts(kk, s, shift=shift, roles=roles)
+
     rows = []
     ok = True
     for s in meshes:
         d0 = Fraction(1, 1 << s)
         canonical = lemma_bound_check(case1_indicator_parts(k, s), d0)
-        worst_ratio = canonical[0] / canonical[1]
-        all_hold = canonical[2]
-        for _ in range(trials):
-            kk = int(rng.integers(1, kmax + 1))
-            shift = int(rng.integers(0, kk + 1))
-            roles = [int(x) for x in rng.permutation(kk + 1)]
-            parts = case1_indicator_parts(kk, s, shift=shift, roles=roles)
-            total, bound, holds = lemma_bound_check(parts, d0)
-            all_hold = all_hold and holds
-            worst_ratio = max(worst_ratio, total / bound)
+        totals, holds = lemma_bound_trials(draws(s), d0)
+        all_hold = canonical[2] and bool(holds.all())
+        bound = canonical[1]
+        worst_ratio = float(np.max(totals / bound, initial=canonical[0] / bound))
         ok = ok and all_hold
         rows.append({
             "mesh": f"1/{1 << s}",

@@ -11,6 +11,7 @@ carry no mass at desk scale).
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -97,13 +98,41 @@ def walsh_set(n: int, level: int) -> frozenset[int]:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _bit_reverse_permutation(level: int) -> np.ndarray:
+    """Index array reversing the ``level`` low bits; cached, so read-only."""
     idx = np.arange(1 << level)
     rev = np.zeros_like(idx)
     for _ in range(level):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
+    rev.flags.writeable = False
     return rev
+
+
+def walsh_gram(max_index: int, level: int) -> np.ndarray:
+    """Integer Gram matrix sum_c W_m(c) W_n(c) over the level-``level`` cells.
+
+    Entry (m, n), for m, n < max_index, is 2**level <W_m, W_n>.  The sign
+    table is built from ``walsh_sign_on_cell`` one chunk of cells at a time,
+    each chunk near ``_kernels._CHUNK_BYTES``, and the products are summed
+    in int64, which is exact: no entry exceeds 2**level in absolute value.
+    """
+    if max_index < 1 or level < 0:
+        raise PreconditionError(
+            f"need max_index >= 1 and level >= 0, got {max_index} and {level}"
+        )
+    ncells = 1 << level
+    gram = np.zeros((max_index, max_index), dtype=np.int64)
+    chunk = max(1, _kernels._CHUNK_BYTES // (8 * max_index))
+    for lo in range(0, ncells, chunk):
+        cells = range(lo, min(lo + chunk, ncells))
+        signs = np.array(
+            [[walsh_sign_on_cell(n, c, level) for c in cells] for n in range(max_index)],
+            dtype=np.int64,
+        )
+        gram += signs @ signs.T
+    return gram
 
 
 def walsh_transform(step_values) -> np.ndarray:
@@ -132,16 +161,38 @@ def walsh_inverse(coeffs) -> np.ndarray:
     return _kernels.fwht_f64(c[_bit_reverse_permutation(level)])
 
 
-def walsh_integer_spectrum(step_values: np.ndarray) -> np.ndarray:
+def walsh_integer_spectrum(step_values) -> np.ndarray:
     """Integer cell sums sum_c g_c W_n(cell c) for all n, via the butterfly.
 
-    For integer step values this is exact; dividing by 2**L gives the exact
-    dyadic integrals used by the inequality checks.
+    Takes one row of integer step values or a stack of rows (the transform
+    runs along the last axis, whose length must be a power of two) and is
+    exact: dividing by 2**L gives the exact dyadic integrals used by the
+    inequality checks.  Every intermediate of the butterfly is a signed sum
+    of a row's values, so a row whose sum of |g_c| stays below 2**63 cannot
+    overflow int64.  Raises ``PreconditionError`` on non-integral values and
+    on a row that reaches that sum, instead of truncating or wrapping.
     """
-    v = np.asarray(step_values, dtype=np.int64)
-    size = v.shape[0]
+    v = np.asarray(step_values)
+    size = v.shape[-1] if v.ndim else 0
     if size == 0 or size & (size - 1):
         raise PreconditionError(f"input length {size} is not a power of two")
+    if v.dtype.kind == "f":
+        if not (np.isfinite(v).all() and (v == np.trunc(v)).all()):
+            raise PreconditionError("integer spectrum needs integral step values")
+    elif v.dtype.kind not in "biu":
+        raise PreconditionError(
+            f"integer spectrum needs int64-range step values, got dtype {v.dtype}"
+        )
+    if v.size:
+        # in Python ints, so neither the bound nor |int64 min| can wrap
+        top = max(int(v.max()), -int(v.min()))
+        if top * size >= 1 << 63:
+            rows = v.reshape(-1, size).tolist()
+            if max(sum(abs(int(x)) for x in row) for row in rows) >= 1 << 63:
+                raise PreconditionError(
+                    "integer spectrum would overflow int64: a row's sum of |values| "
+                    "reaches 2**63"
+                )
     level = size.bit_length() - 1
-    out = _kernels.fwht_i64(v)
-    return out[_bit_reverse_permutation(level)]
+    out = _kernels.fwht_i64(v.astype(np.int64, copy=False))
+    return out[..., _bit_reverse_permutation(level)]

@@ -76,6 +76,53 @@ def test_malformed_check_exit_2(tmp_path, checks):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("check", [
+    {"kind": "lemma-bound", "kmax": 0},
+    {"kind": "lemma-bound", "trials": "3"},
+    {"kind": "lemma-bound", "k": True},
+    {"kind": "lemma-bound", "meshes": []},
+    {"kind": "lemma-bound", "meshes": "3..8"},
+    {"kind": "lemma-bound", "meshes": [3, -1]},
+    {"kind": "walsh-orthogonality", "level": -1},
+    {"kind": "walsh-orthogonality", "max_index": 0},
+    {"kind": "walsh-orthogonality", "level": 2, "max_index": 5},
+])
+def test_malformed_walsh_check_exit_2(tmp_path, check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": 0, "checks": [check]}))
+    code, out, err = run_cli(["run", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", [
+    # refused before anything of that size is allocated
+    {"kind": "lemma-bound", "meshes": [3, 70]},
+    {"kind": "lemma-bound", "meshes": [10 ** 9]},
+    {"kind": "lemma-bound", "meshes": [21], "kmax": 4},
+    {"kind": "walsh-orthogonality", "level": 70},
+])
+def test_oversized_walsh_check_exit_3(tmp_path, check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": 0, "checks": [check]}))
+    code, out, err = run_cli(["run", str(cfg)])
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_corrint_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrint", "run", "--bundled", "walsh-orthogonality"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"][0]["kind"] == "walsh-orthogonality"
+
+
 def test_capacity_exit_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corrint import _kernels
 from corrint.correspondences import build_counterexample
-from corrint.errors import CapacityError, PreconditionError
+from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import (
     EXTERNALITY_CONDITIONAL,
     balanced_profile,
@@ -17,8 +18,10 @@ from corrint.game import (
     best_response,
     build_counterexample_game,
     case1_indicator_parts,
+    _lemma_holds,
     find_equilibrium,
     lemma_bound_check,
+    lemma_bound_trials,
     payoff_G,
     payoff_h,
     residual_of,
@@ -27,6 +30,7 @@ from corrint.game import (
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition
 from corrint.vectors import basis_vector, norm, zero_vector
+from corrint.walsh import walsh_integer_spectrum, walsh_sign_on_cell
 
 
 def _h_reference(l, a, xs, theta, gamma, k):
@@ -418,6 +422,205 @@ def test_lemma_bound_truncation_argument():
     full = lemma_bound_check(parts, Fraction(1, 16))
     truncated = lemma_bound_check(parts, Fraction(1, 16), L=4)
     assert full[0] == truncated[0]  # terms past the mesh vanish identically
+
+
+def _lemma_bound_check_loop(parts, d0, gamma=0, L: int | None = None):
+    """Per-trial loop form of ``lemma_bound_check``, with its float verdict."""
+    gamma = Fraction(gamma)
+    d0 = Fraction(d0)
+    qs = [np.asarray(q, dtype=np.int64) for q in parts]
+    if not qs:
+        raise PreconditionError("need at least one indicator part")
+    ncell = qs[0].shape[0]
+    if any(q.shape != (ncell,) for q in qs):
+        raise StructureError("indicator parts live on different meshes")
+    if any(np.any((q != 0) & (q != 1)) for q in qs):
+        raise PreconditionError("parts must be {0,1} indicators")
+    if np.any(sum(qs) > 1):
+        raise PreconditionError("indicator supports overlap")
+    if ncell & (ncell - 1):
+        raise PreconditionError(f"mesh size {ncell} is not a power of two")
+    if d0 * ncell != 1 - gamma:
+        raise PreconditionError(
+            f"cell width {d0} times {ncell} cells does not tile (gamma, 1]"
+        )
+    mesh_exp = ncell.bit_length() - 1
+    n_top = ncell if L is None else min(ncell, 1 << L)
+    qsum = sum(qs)
+    width = float(1 - gamma)
+    worst = 0.0
+    for qi in qs:
+        g = qi + qsum - 1
+        spectrum = walsh_integer_spectrum(g)
+        total = 0.0
+        for n in range(n_top):
+            integral = width * int(spectrum[n]) / ncell
+            total += (0.5 ** n) * abs(integral)
+        worst = max(worst, total)
+    bound = 4.0 * float(d0)
+    return worst, bound, bool(worst < bound)
+
+
+def _lemma_fraction_oracle(parts, d0, gamma=0, L=None):
+    """Exact worst sum and verdict in ``Fraction``s, from cell signs."""
+    gamma, d0 = Fraction(gamma), Fraction(d0)
+    ncell = len(parts[0])
+    level = ncell.bit_length() - 1
+    n_top = ncell if L is None else min(ncell, 1 << L)
+    qsum = [sum(int(q[c]) for q in parts) for c in range(ncell)]
+    worst = Fraction(0)
+    for q in parts:
+        total = Fraction(0)
+        for n in range(n_top):
+            cells = sum((int(q[c]) + qsum[c] - 1) * walsh_sign_on_cell(n, c, level)
+                        for c in range(ncell))
+            total += Fraction(1, 2 ** n) * abs((1 - gamma) * Fraction(cells, ncell))
+        worst = max(worst, total)
+    return worst, worst < 4 * d0
+
+
+def _random_trials(rng, mesh_exp, count, kmax=4):
+    """Disjoint indicator parts: case-1 patterns and random cell labellings."""
+    ncell = 1 << mesh_exp
+    for t in range(count):
+        k = int(rng.integers(1, kmax + 1))
+        if t % 2:
+            yield case1_indicator_parts(
+                k, mesh_exp, shift=int(rng.integers(0, k + 1)),
+                roles=[int(x) for x in rng.permutation(k + 1)],
+            )
+        else:
+            label = rng.integers(0, k + 1, size=ncell)
+            yield [(label == i).astype(np.int64) for i in range(1, k + 1)]
+
+
+LEMMA_GAMMAS = [Fraction(0), Fraction(1, 4), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 8 * 16 * 3])
+@pytest.mark.parametrize("L", [None, 2])
+@pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
+def test_lemma_batched_equals_loop_oracle(monkeypatch, gamma, L, budget):
+    # totals bit for bit and verdicts, one trial at a time and batched; a
+    # budget of 1 byte makes every trial its own chunk, 384 bytes puts a
+    # few trials in each chunk and leaves tails of every length
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(56)
+    verdicts = set()
+    for s in (0, 1, 3, 4, 6):
+        ncell = 1 << s
+        d0 = (1 - gamma) / ncell
+        trials = list(_random_trials(rng, s, 40))
+        expect = [_lemma_bound_check_loop(parts, d0, gamma, L) for parts in trials]
+        totals, holds = lemma_bound_trials(iter(trials), d0, gamma, L)
+        assert totals.dtype == float and holds.dtype == bool
+        assert totals.tolist() == [e[0] for e in expect]
+        assert holds.tolist() == [e[2] for e in expect]
+        for parts, e in zip(trials, expect):
+            assert lemma_bound_check(parts, d0, gamma, L) == e
+        verdicts.update(holds.tolist())
+    assert verdicts == {True, False}
+
+
+def test_lemma_chunks_stay_within_budget(monkeypatch):
+    # a stack of every trial at once would hold about 9 MB in the bundled
+    # lemma-bound scenario; each chunk's rows stay within half the budget
+    import corrint.game as game
+
+    sizes = []
+    core = game._lemma_trials
+
+    def spy(stack, *args):
+        sizes.append(stack.nbytes)
+        return core(stack, *args)
+
+    monkeypatch.setattr(game, "_lemma_trials", spy)
+    trials = list(_random_trials(np.random.default_rng(58), 8, 200))
+    totals, _ = lemma_bound_trials(trials, Fraction(1, 256))
+    assert len(totals) == 200 and len(sizes) > 1
+    assert max(sizes) <= _kernels._CHUNK_BYTES // 2
+
+
+@pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
+def test_lemma_exact_verdict_matches_fraction_oracle(gamma):
+    rng = np.random.default_rng(57)
+    verdicts = set()
+    for s in (0, 1, 2, 3, 4):
+        d0 = (1 - gamma) / (1 << s)
+        for L in (None, 1):
+            for parts in _random_trials(rng, s, 12):
+                total, bound, holds = lemma_bound_check(parts, d0, gamma, L)
+                exact, exact_holds = _lemma_fraction_oracle(parts, d0, gamma, L)
+                assert holds == exact_holds
+                assert bound == 4.0 * float(d0)
+                assert abs(total - float(exact)) <= 1e-15 * max(1.0, float(exact))
+                verdicts.add(holds)
+    # tie: all-zero parts on 4 cells give exactly 4 d0, which is not below it
+    d0 = (1 - gamma) / 4
+    for parts in ([np.zeros(4, dtype=np.int64)],
+                  case1_indicator_parts(3, 2, roles=[1, 2, 3, 0])):
+        exact_holds = _lemma_fraction_oracle(parts, d0, gamma)[1]
+        assert lemma_bound_check(parts, d0, gamma)[2] == exact_holds
+    assert not lemma_bound_check([np.zeros(4, dtype=np.int64)], (1 - gamma) / 4, gamma)[2]
+    assert verdicts == {True, False}
+
+
+def _spectrum_summing_to(n_top, sign):
+    """An integer spectrum whose weighted sum sum |s_n| 2**-n is 4 + sign 2**-(n_top-1).
+
+    2**-(n_top - 1) is the finest step such a sum can take.
+    """
+    s = np.zeros(n_top, dtype=np.int64)
+    if sign < 0:
+        s[0] = -3
+        s[1:] = 1  # 3 + (1 - 2**-(n_top - 1))
+    else:
+        s[0] = 4
+        if sign > 0:
+            s[-1] = -1
+    return s
+
+
+@pytest.mark.parametrize("n_top", [2, 8, 64, 256, 2048])
+def test_lemma_holds_on_crafted_boundaries(n_top):
+    # at n_top >= 64 the float sums of 4 and 4 +- 2**-(n_top-1) coincide, so
+    # only the exact integer decision can tell them apart
+    rows = np.stack([_spectrum_summing_to(n_top, sign) for sign in (0, -1, 1)])
+    wide = np.hstack([rows, np.full((3, 5), 7, dtype=np.int64)])  # past n_top
+    assert _lemma_holds(rows, n_top).tolist() == [False, True, False]
+    assert _lemma_holds(wide, n_top).tolist() == [False, True, False]
+    far = np.zeros((2, n_top), dtype=np.int64)
+    far[1, 0] = 5
+    assert _lemma_holds(far, n_top).tolist() == [True, False]
+
+
+def test_lemma_trials_refuse_bad_input():
+    good = case1_indicator_parts(2, 3)
+    with pytest.raises(PreconditionError):
+        lemma_bound_trials([good, []], Fraction(1, 8))
+    with pytest.raises(StructureError):
+        lemma_bound_trials([good, [good[0], np.zeros(16, dtype=np.int64)]], Fraction(1, 8))
+    with pytest.raises(PreconditionError):  # a trial on another mesh does not tile
+        lemma_bound_trials([good, case1_indicator_parts(2, 4)], Fraction(1, 8))
+    with pytest.raises(PreconditionError):
+        lemma_bound_trials([good, [np.full(8, 2)]], Fraction(1, 8))
+    with pytest.raises(PreconditionError):
+        lemma_bound_check(good, Fraction(1, 8), gamma=1)  # does not tile
+    with pytest.raises(PreconditionError):
+        lemma_bound_check([np.zeros(8, dtype=np.int64)], Fraction(0), gamma=1)
+    totals, holds = lemma_bound_trials(iter([]), Fraction(1, 8))
+    assert totals.shape == holds.shape == (0,)
+
+
+def test_case1_indicator_parts_pattern():
+    # cell c carries role roles[(c + shift) % (k + 1)]
+    parts = case1_indicator_parts(2, 3, shift=1, roles=[2, 0, 1])
+    assert [p.tolist() for p in parts] == [
+        [0, 1, 0, 0, 1, 0, 0, 1],
+        [0, 0, 1, 0, 0, 1, 0, 0],
+    ]
+    assert all(p.dtype == np.int64 for p in parts)
 
 
 def test_game_requires_refining_algebras():

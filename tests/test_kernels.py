@@ -183,6 +183,22 @@ def test_fwht_paths_agree_exactly():
     assert np.array_equal(_fwht_loop(g), _kernels.fwht_i64(g))
 
 
+@pytest.mark.parametrize("size", [1, 2, 16, 256])
+def test_fwht_stack_rows_equal_loop_oracle(size):
+    # the butterfly runs along the last axis: each row of a stack, C- or
+    # Fortran-ordered, equals the loop form on that row alone
+    rng = np.random.default_rng(62)
+    for v in (rng.normal(size=(5, size)), rng.integers(-3, 4, size=(2, 3, size))):
+        for stack in (v, np.asfortranarray(v)):
+            before = stack.copy()
+            out = _kernels.fwht_f64(stack)
+            assert out.dtype == v.dtype and out.shape == v.shape
+            assert np.array_equal(stack, before)  # the input is left alone
+            for idx in np.ndindex(*v.shape[:-1]):
+                assert np.array_equal(out[idx], _fwht_loop(v[idx].copy()))
+    assert _kernels.fwht_i64 is _kernels.fwht_f64
+
+
 def _min_dists_cases(d, rng):
     """(targets, cloud) pairs that probe the windowed search at dimension d."""
     cloud = rng.normal(size=(30, d))
@@ -333,7 +349,7 @@ def test_exhaustive_scan_chunking_does_not_move_the_winner(monkeypatch):
     # chunk boundaries at every profile must give the same first minimum
     args = _scan_arguments(build_counterexample_game(1, 0, 1, 2))
     whole = _kernels.exhaustive_scan(*args)
-    monkeypatch.setattr(_kernels, "_SCAN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_kernels, "_CHUNK_BYTES", 1)
     single = _kernels.exhaustive_scan(*args)
     assert whole[0] == single[0] and whole[2] == single[2]
     assert np.array_equal(whole[1], single[1])
