@@ -124,12 +124,6 @@ class Correspondence:
     def value_set(self, atom: int) -> tuple[np.ndarray, ...]:
         return self.values[self.space.position(atom)]
 
-    def norm_bound(self) -> float:
-        return max(
-            float(np.max(np.abs(v))) if v.size else 0.0
-            for tup in self.values for v in tup
-        )
-
     def to_json(self) -> dict:
         return {
             str(a): [[float(x) for x in v] for v in tup]

@@ -20,18 +20,13 @@ class DivisibilityError(CorrintError):
 class CapacityError(CorrintError):
     """An enumeration would exceed the caller's cap.
 
-    Carries the exact count so callers can report it or switch to an
-    accumulation mode.
+    Carries the exact count so callers can report it.
     """
 
     def __init__(self, count: int, cap: int, message: str | None = None):
         self.count = count
         self.cap = cap
-        super().__init__(
-            message
-            or f"enumeration size {count} exceeds cap {cap}; "
-            "consider Minkowski accumulation mode"
-        )
+        super().__init__(message or f"enumeration size {count} exceeds cap {cap}")
 
 
 class NoSelectionError(CorrintError):

@@ -156,14 +156,6 @@ class EquilibriumReport:
     applicable: bool = True
     note: str = ""
 
-    def all_pass(self) -> bool:
-        ok = self.applicable
-        if self.independence_table is not None:
-            ok = ok and all(row[4] for row in self.independence_table)
-        if self.lemma_bound is not None:
-            ok = ok and self.lemma_bound[2]
-        return ok
-
     def to_json(self) -> dict:
         doc = {
             "residual": self.residual,
@@ -738,8 +730,10 @@ def _lemma_holds(spectra, n_top: int) -> np.ndarray:
 def _lemma_trials(stack, counts, d0, gamma, L):
     """Lemma sums and exact verdicts of trials stacked row by row.
 
-    ``stack`` is an (rows, ncell) array of {0,1} indicators, overwritten
-    here; trial t owns the next counts[t] >= 1 rows.  Returns each trial's
+    ``stack`` is an (rows, ncell) array of {0,1} indicators of any dtype;
+    the check comes before the int64 cast, so a fraction is refused, not
+    truncated.  An int64 stack is overwritten here.  Trial t owns the next
+    counts[t] >= 1 rows.  Returns each trial's
     worst float sum over its parts (for display) and its exact verdict:
     with d0 ncell = 1 - gamma > 0, sum_n 2**-n |(1-gamma) s_n / ncell| <
     4 d0 holds exactly when sum_n 2**-n |s_n| < 4.
@@ -747,6 +741,7 @@ def _lemma_trials(stack, counts, d0, gamma, L):
     ncell = stack.shape[1]
     if np.any((stack != 0) & (stack != 1)):
         raise PreconditionError("parts must be {0,1} indicators")
+    stack = stack.astype(np.int64, copy=False)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     qsum = np.add.reduceat(stack, starts, axis=0)
     if np.any(qsum > 1):
@@ -794,7 +789,7 @@ def lemma_bound_trials(trials, d0, gamma=0, L: int | None = None):
         counts.clear()
 
     for parts in trials:
-        qs = [np.asarray(q, dtype=np.int64) for q in parts]
+        qs = [np.asarray(q) for q in parts]
         if not qs:
             raise PreconditionError("need at least one indicator part")
         ncell = qs[0].shape[0]

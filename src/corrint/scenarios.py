@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 def _fraction(x) -> Fraction:
     try:
         return Fraction(x)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational: {x!r}") from exc
 
 

@@ -1,10 +1,10 @@
 """Aumann integral sets, conditional-expectation sets, mixing, and the
 convexity / hemicontinuity diagnostics.
 
-All set computations are exact enumerations or exact Minkowski
-accumulations over finite value sets; point clouds are deduplicated at
-``DEDUP_TOL`` (collapsing float fuzz of equal rational combinations) and
-membership questions use ``MEMBERSHIP_TOL``.  Nothing here samples: the
+All set computations are exact Minkowski accumulations over finite value
+sets; every point cloud is deduplicated by ``dedup_points`` on the
+``DEDUP_TOL`` grid (collapsing float fuzz of equal rational combinations)
+and membership questions use ``MEMBERSHIP_TOL``.  Nothing here samples: the
 only randomness-flavored ingredient, the gap prober's weight sequence, is a
 deterministic low-discrepancy stream.
 """
@@ -48,77 +48,49 @@ def _mode_for(metric, d: int) -> tuple[int, np.ndarray]:
     return resolved
 
 
-def dedup_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Lexicographically sorted rows with near-duplicates of a representative dropped.
+def dedup_points(points: np.ndarray) -> np.ndarray:
+    """One row per cell of the ``DEDUP_TOL`` grid, in lexicographic key order.
 
-    One sweep over the rows in lexicographic order: the first row is a
-    representative, and each later row is kept, becoming the new
-    representative, exactly when some coordinate differs from the current
-    representative's by ``tol`` or more.  So a kept row is never dropped
-    for fuzz, but rows within ``tol`` of each other need not merge when a
-    lexicographically smaller row lies between them: (0, 0), (0, 1) and
-    (1e-16, 0) stay three rows.
+    A row's key is its coordinates divided by ``DEDUP_TOL`` and rounded to
+    integers.  Rows with equal keys merge, and the first of them in input
+    order is kept.  So float fuzz of equal rational combinations merges
+    unless it straddles a cell boundary at (j + 1/2) ``DEDUP_TOL``, and rows
+    more than ``DEDUP_TOL`` apart in some coordinate never merge.
+    The output's keys are distinct, so a second call returns it unchanged.
 
-    While the previous row was kept, a row's verdict is its gap to its
-    predecessor, taken for all rows at once; only the stretch after a
-    dropped row compares with the representative, in blocks that double,
-    until a row is kept again.
+    Refuses points whose keys leave the int64 range, where the cast would
+    wrap and merge distinct points.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2:
         raise StructureError(f"expected (n, d) points, got shape {pts.shape}")
     if pts.shape[0] == 0:
         return pts
-    pts = pts[np.lexsort(pts.T[::-1])]
-    n = pts.shape[0]
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.max(np.abs(pts[1:] - pts[:-1]), axis=1) >= tol
-    end = 1  # rows before end have their final verdict
-    for i in np.flatnonzero(~keep):
-        if i < end:
-            continue
-        rep = pts[i - 1]  # row i - 1 is kept, so row i rightly dropped
-        end, step = i + 1, 8
-        while end < n:
-            far = np.max(np.abs(pts[end:end + step] - rep), axis=1) >= tol
-            j = int(far.argmax())
-            keep[end:end + (j if far[j] else step)] = False
-            if far[j]:
-                keep[end + j] = True
-                end += j + 1
-                break
-            end += step
-            step *= 2
-    return pts[keep]
-
-
-def _coarse_dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Fast intermediate dedup on the tol-quantized grid (exact values merge).
-
-    Refuses points whose grid coordinates leave the int64 range, where the
-    cast would wrap and merge distinct points.
-    """
-    q = np.round(points / tol)
+    q = pts / DEDUP_TOL
+    np.round(q, out=q)
     # reductions only, so the check adds no array of the points' size
-    if q.size and not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
+    if not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
         raise PreconditionError(
-            f"coordinates from {float(points.min())!r} to {float(points.max())!r} do not fit "
-            f"the int64 dedup grid of step {tol!r}"
+            f"coordinates from {float(pts.min())!r} to {float(pts.max())!r} do not fit "
+            f"the int64 dedup grid of step {DEDUP_TOL!r}"
         )
     q = q.astype(np.int64)
-    _, idx = np.unique(q, axis=0, return_index=True)
-    return points[np.sort(idx)]
+    order = np.lexsort(q.T[::-1])
+    q = q[order]
+    keep = np.empty(q.shape[0], dtype=bool)
+    keep[0] = True
+    np.any(q[1:] != q[:-1], axis=1, out=keep[1:])
+    return pts[order[keep]]
 
 
 @dataclass(frozen=True, init=False)
 class PointCloudSet:
-    """Finite set of vectors in canonical (lexicographic) order."""
+    """Finite set of vectors, deduplicated by ``dedup_points`` and in its order."""
 
     points: np.ndarray
 
-    def __init__(self, points, tol: float = DEDUP_TOL):
-        pts = dedup_points(np.asarray(points, dtype=float), tol)
+    def __init__(self, points):
+        pts = dedup_points(points)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -152,7 +124,7 @@ def cloud_metadata(
     corr: Correspondence, alg: SigmaPartition, cap: int, mode: str
 ) -> dict:
     """Provenance block for cloud exports: correspondence hash, algebra,
-    cap, and accumulation mode."""
+    cap, and capacity mode."""
     import hashlib
     import json as _json
 
@@ -232,7 +204,7 @@ def _minkowski_fold(contribs: list[np.ndarray], cap: int, d: int) -> np.ndarray:
         if total > max(cap, 1) * 64:
             raise CapacityError(total, cap)
         acc = (acc[:, None, :] + step[None, :, :]).reshape(-1, d)
-        acc = _coarse_dedup(acc)
+        acc = dedup_points(acc)
         if acc.shape[0] > cap:
             raise CapacityError(acc.shape[0], cap)
         i += run
@@ -261,37 +233,26 @@ def aumann_integral_set(
     corr: Correspondence,
     alg: SigmaPartition,
     cap: int = 2_000_000,
-    mode: str = "auto",
+    mode: str = "minkowski",
 ) -> PointCloudSet:
     """The exact finite set of integrals of alg-measurable selections.
 
-    ``mode='enumerate'`` demands the full selection product fit under
-    ``cap`` (CapacityError reports the exact count); ``'minkowski'``
-    accumulates blockwise with dedup pruning, which is exact because value
-    sets are finite; ``'auto'`` enumerates when it fits and accumulates
-    otherwise.
+    The set is accumulated block by block with dedup pruning, which is exact
+    because value sets are finite; ``cap`` bounds the accumulated set.
+    ``mode`` is a capacity policy only: ``'enumerate'`` also refuses when
+    the selection product exceeds ``cap``, and the CapacityError reports
+    its exact count.
     """
-    if mode not in ("auto", "enumerate", "minkowski"):
+    if mode not in ("enumerate", "minkowski"):
         raise PreconditionError(f"unknown mode {mode!r}")
     sets = block_choice_sets(corr, alg)
-    count = 1
-    for cs in sets:
-        if not cs:
-            return PointCloudSet(np.zeros((0, corr.dim)))
-        count *= len(cs)
-    contribs = _block_contributions(corr.space, alg, sets, Fraction(1))
+    if not all(sets):
+        return PointCloudSet(np.zeros((0, corr.dim)))
+    count = math.prod(len(cs) for cs in sets)
     if mode == "enumerate" and count > cap:
         raise CapacityError(count, cap)
-    if mode == "auto" and count > cap:
-        mode = "minkowski"
-    if mode == "minkowski":
-        pts = _minkowski_fold(contribs, cap, corr.dim)
-    else:
-        pts = np.zeros((1, corr.dim))
-        for c in contribs:
-            pts = (pts[:, None, :] + c[None, :, :]).reshape(-1, corr.dim)
-        # no intermediate dedup: canonical enumeration order is the contract
-    return PointCloudSet(pts)
+    contribs = _block_contributions(corr.space, alg, sets, Fraction(1))
+    return PointCloudSet(_minkowski_fold(contribs, cap, corr.dim))
 
 
 @dataclass(frozen=True)
@@ -367,7 +328,7 @@ def conditional_set(
             np.array([float(space.mass(tb) / gmass) * v for v in cs])
             for tb, cs in inner_of[id(gb)]
         ]
-        block_sets.append(dedup_points(_minkowski_fold(contribs, cap, corr.dim)))
+        block_sets.append(_minkowski_fold(contribs, cap, corr.dim))
     return ConditionalSet(g_alg, tuple(block_sets))
 
 

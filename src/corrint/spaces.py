@@ -143,12 +143,6 @@ class SigmaPartition:
     def atom_set(self) -> frozenset[int]:
         return frozenset().union(*self.blocks)
 
-    def block_of(self, atom: int) -> frozenset[int]:
-        for b in self.blocks:
-            if atom in b:
-                return b
-        raise StructureError(f"atom {atom} not covered by partition")
-
     def block_index_of(self, atom: int) -> int:
         for i, b in enumerate(self.blocks):
             if atom in b:
@@ -368,10 +362,6 @@ class DyadicModel:
         if self.gamma > 0:
             blocks.append({0})
         return SigmaPartition(blocks)
-
-    @property
-    def atom_partition(self) -> SigmaPartition:
-        return SigmaPartition.singletons(self.space)
 
     def phi(self, atom: int) -> Fraction:
         """Evaluation point of an atom: its subinterval midpoint in (gamma, 1]."""

@@ -119,7 +119,3 @@ def norm_mode(flavor: str, d: int) -> tuple[int, np.ndarray]:
     if flavor == NORM_MAX:
         return _kernels.MODE_MAX, ones
     raise PreconditionError(f"unknown norm flavor {flavor!r}")
-
-
-def vectors_to_json(vs) -> list[list[float]]:
-    return [[float(x) for x in np.asarray(v)] for v in vs]

@@ -20,13 +20,6 @@ from . import _kernels
 from .errors import PreconditionError
 
 
-def index_bits(n: int) -> tuple[int, ...]:
-    """Binary digits of n, least significant first; empty for n = 0."""
-    if n < 0:
-        raise PreconditionError(f"Walsh index must be >= 0, got {n}")
-    return tuple((n >> j) & 1 for j in range(n.bit_length()))
-
-
 def walsh_sign_on_cell(n: int, cell: int, level: int) -> int:
     """Sign of W_n on the dyadic cell [cell/2**level, (cell+1)/2**level)."""
     if n < 0:

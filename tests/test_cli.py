@@ -65,6 +65,7 @@ def test_unknown_kind_exit_2(tmp_path):
 @pytest.mark.parametrize("checks", [
     ["oops"],
     [{"kind": "convexity-decay", "levels": []}],
+    [{"kind": "lyapunov-exactness", "gamma": "1/0"}],
 ])
 def test_malformed_check_exit_2(tmp_path, checks):
     cfg = tmp_path / "cfg.json"
@@ -202,6 +203,21 @@ def test_necessity_demo_coincide(capsys):
     chk = json.loads(out)["checks"][0]
     assert chk["midpoint_present"] is False
     assert chk["midpoint_gap"] > 1e-9
+
+
+def test_necessity_gap_non_dyadic_cloud_size(tmp_path, capsys):
+    # the 3**9 selections at gamma = 1/3 have 1,071 distinct integrals,
+    # counted exactly in Fractions; sums that float fuzz splits must merge
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "name": "x", "seed": 0,
+        "checks": [{"kind": "necessity-gap", "k": 2, "gamma": "1/3", "N": 2, "L": 3}],
+    }))
+    code = main(["run", str(cfg)])
+    chk = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 0
+    assert chk["selections"] == 3 ** 9
+    assert chk["cloud_size"] == 1071
 
 
 def test_convexity_demo_small(capsys):

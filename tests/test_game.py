@@ -605,6 +605,8 @@ def test_lemma_trials_refuse_bad_input():
         lemma_bound_trials([good, case1_indicator_parts(2, 4)], Fraction(1, 8))
     with pytest.raises(PreconditionError):
         lemma_bound_trials([good, [np.full(8, 2)]], Fraction(1, 8))
+    with pytest.raises(PreconditionError):  # refused, not truncated to [0, 1, 0, 0]
+        lemma_bound_check([np.array([0.5, 1.0, 0.9, 0.0])], Fraction(1, 4))
     with pytest.raises(PreconditionError):
         lemma_bound_check(good, Fraction(1, 8), gamma=1)  # does not tile
     with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from corrint.correspondences import (
     Correspondence,
     Selection,
+    block_choice_sets,
     build_counterexample,
     dyadic_convexify,
     enumerate_selections,
@@ -24,7 +26,6 @@ from corrint.set_integration import (
     DEDUP_TOL,
     ConditionalSet,
     PointCloudSet,
-    _coarse_dedup,
     _mode_for,
     aumann_integral_set,
     conditional_expectation,
@@ -85,20 +86,41 @@ def _pairwise_function_semidistance(fa, fb, masses, metric=None):
     return worst
 
 
-def _dedup_points_loop(points, tol=DEDUP_TOL):
-    """Row-by-row representative sweep over the lexicographically sorted rows."""
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.shape[0] == 0:
-        return pts
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = [0]
-    rep = pts[0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - rep)) >= tol:
-            keep.append(i)
-            rep = pts[i]
-    return pts[keep]
+def _coarse_dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Fast intermediate dedup on the tol-quantized grid (exact values merge).
+
+    Refuses points whose grid coordinates leave the int64 range, where the
+    cast would wrap and merge distinct points.
+    """
+    q = np.round(points / tol)
+    # reductions only, so the check adds no array of the points' size
+    if q.size and not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
+        raise PreconditionError(
+            f"coordinates from {float(points.min())!r} to {float(points.max())!r} do not fit "
+            f"the int64 dedup grid of step {tol!r}"
+        )
+    q = q.astype(np.int64)
+    _, idx = np.unique(q, axis=0, return_index=True)
+    return points[np.sort(idx)]
+
+
+def _grid_oracle(points):
+    """``_coarse_dedup``'s rows, put in lexicographic order of their grid keys."""
+    rows = _coarse_dedup(points)
+    keys = np.round(rows / DEDUP_TOL).astype(np.int64)
+    return rows[np.lexsort(keys.T[::-1])]
+
+
+def _exact_integrals(corr, alg):
+    """The integrals of all alg-measurable selections, as exact Fraction tuples."""
+    masses = [corr.space.mass(b) for b in alg.blocks]
+    out = set()
+    for pick in itertools.product(*block_choice_sets(corr, alg)):
+        out.add(tuple(
+            sum((m * Fraction(float(v[j])) for m, v in zip(masses, pick)), Fraction(0))
+            for j in range(corr.dim)
+        ))
+    return out
 
 
 def _const_corr(space, values):
@@ -500,11 +522,12 @@ def test_dedup_and_cloud_invariants():
     assert cloud.points[0][0] <= cloud.points[1][0]
 
 
-def test_dedup_keeps_rows_a_smaller_row_separates():
-    # the sweep compares with the representative only: (1e-16, 0) is within
-    # tol of (0, 0), but (0, 1) lies between them and becomes representative
+def test_dedup_merges_rows_a_smaller_row_separates():
+    # (1e-16, 0) is within tol of (0, 0) and shares its grid key, though
+    # (0, 1) lies between them in float lexicographic order
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [1e-16, 0.0]])
-    assert np.array_equal(dedup_points(pts), pts)
+    assert np.array_equal(dedup_points(pts), pts[:2])
+    assert len(PointCloudSet(pts)) == 2
 
 
 def _fuzz_chain(rng, n, d):
@@ -514,43 +537,68 @@ def _fuzz_chain(rng, n, d):
     return rng.integers(-1, 2, size=d) + np.cumsum(offsets, axis=0)
 
 
-def test_dedup_sweep_matches_loop_oracle():
+def test_dedup_matches_grid_oracle():
     rng = np.random.default_rng(91)
     for _ in range(600):
         n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
         pts = _fuzz_chain(rng, n, d)
-        assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
-    # rows all within tol of the first: one merged stretch up to the array
-    # end, or, for odd n, cut in the middle by a kept row
+        got = dedup_points(pts)
+        assert np.array_equal(got, _grid_oracle(pts))
+        assert np.array_equal(dedup_points(got), got)
     for n in (7, 8, 9, 100, 1000, 1001):
         pts = np.zeros((n, 2))
         pts[:, 1] = np.arange(n) * (0.9 * DEDUP_TOL / n)
         pts[n // 2:, 0] += 2 * DEDUP_TOL * (n % 2)
-        assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
+        assert np.array_equal(dedup_points(pts), _grid_oracle(pts))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30), d=st.integers(1, 3))
-def test_dedup_property_equals_loop_oracle(data, n, d):
+def test_dedup_property_equals_grid_oracle(data, n, d):
     steps = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 3.0, -0.5, -1.0, -1.001])
     offsets = data.draw(arrays(float, (n, d), elements=steps)) * DEDUP_TOL
     base = data.draw(arrays(float, d, elements=st.sampled_from([0.0, -1.0, 0.5, 1e3])))
     pts = base + np.cumsum(offsets, axis=0)
     pts = pts[data.draw(st.permutations(range(n)))]
-    assert np.array_equal(dedup_points(pts), _dedup_points_loop(pts))
+    assert np.array_equal(dedup_points(pts), _grid_oracle(pts))
 
 
 def test_coarse_dedup_refuses_int64_overflow():
-    # 1e7 / 1e-12 = 1e19 leaves int64: the cast used to wrap and the three
-    # distinct rows came out as the single row 1e7
+    # 1e7 / 1e-12 = 1e19 leaves int64: the cast would wrap and the three
+    # distinct rows would come out as the single row 1e7
     pts = np.array([[1e7], [2e7], [3e7]])
-    with pytest.raises(PreconditionError):
-        _coarse_dedup(pts)
-    assert _coarse_dedup(pts / 1e4).shape == (3, 1)
+    for dedup in (_coarse_dedup, dedup_points, PointCloudSet):
+        with pytest.raises(PreconditionError):
+            dedup(pts)
+    assert dedup_points(pts / 1e4).shape == (3, 1)
     space = DiscreteSpace.uniform(2)
     corr = Correspondence(space, {a: [np.array([2e7]), np.array([4e7])] for a in space.ids})
-    with pytest.raises(PreconditionError):
-        aumann_integral_set(corr, SigmaPartition.singletons(space), mode="minkowski")
+    for mode in ("enumerate", "minkowski"):
+        with pytest.raises(PreconditionError):
+            aumann_integral_set(corr, SigmaPartition.singletons(space), mode=mode)
+
+
+def test_aumann_set_equals_exact_fraction_enumeration():
+    # non-dyadic masses put float fuzz on equal rational sums; the cloud
+    # must hold exactly one row per distinct exact integral, in both modes
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        w = rng.integers(1, 6, size=n)
+        space = DiscreteSpace.from_masses([Fraction(int(x), int(w.sum())) for x in w])
+        d = int(rng.integers(2, 4))
+        corr = Correspondence(space, {
+            a: list(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)).astype(float))
+            for a in space.ids
+        })
+        singles = SigmaPartition.singletons(space)
+        want = np.array(sorted(_exact_integrals(corr, singles)), dtype=float)
+        for mode in ("enumerate", "minkowski"):
+            got = aumann_integral_set(corr, singles, cap=10 ** 4, mode=mode).points
+            assert got.shape == want.shape
+            gaps = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+            assert gaps.min(axis=0).max() <= 1e-12
+            assert gaps.min(axis=1).max() <= 1e-12
 
 
 def test_cloud_serialization():
