@@ -12,6 +12,8 @@ from pathlib import Path
 
 from .errors import CapacityError, ConfigError, CorrintError
 from .scenarios import (
+    PARAMS,
+    SEED,
     bundled_names,
     extract_csv_tables,
     load_bundled,
@@ -28,18 +30,14 @@ EXIT_CAPACITY = 3
 
 def _emit(report: dict, out_dir: str | None, emit_plot_data: bool) -> None:
     tables = extract_csv_tables(report) if emit_plot_data else {}
-    slim = strip_csv(report)
-    text = render_report(slim)
+    text = render_report(strip_csv(report))
     sys.stdout.write(text)
+    out = Path(out_dir or ".")
     if out_dir:
-        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{report['name']}.json").write_text(text)
-        for fname, body in tables.items():
-            (out / fname).write_text(body)
-    elif emit_plot_data:
-        for fname, body in tables.items():
-            Path(fname).write_text(body)
+    for fname, body in tables.items():
+        (out / fname).write_text(body)
 
 
 def _run(config: dict, args) -> int:
@@ -59,32 +57,47 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _add_common(sub, *names):
-    for n in names:
-        if n == "k":
-            sub.add_argument("--k", type=int, default=2)
-        elif n == "gamma":
-            sub.add_argument("--gamma", default="0", help="exact rational, e.g. 1/4")
-        elif n == "N":
-            sub.add_argument("--N", type=int, default=2, help="series truncation level")
-        elif n == "L":
-            sub.add_argument("--L", type=int, default=3, help="dyadic level")
-        elif n == "refinement":
-            sub.add_argument("--refinement", type=int, default=None)
-        elif n == "seed":
-            sub.add_argument("--seed", type=int, default=0)
-        elif n == "cap":
-            sub.add_argument("--cap", type=int, default=None)
+# demo subcommand -> (check kind, kind under --coincide or None, help, flags);
+# a flag names a parameter of the kind, or is "seed" or "config"
+DEMOS = {
+    "convexity-demo": ("convexity-decay", None, "integral-cloud gap decay series",
+                       "k gamma N L seed cap levels samples"),
+    "lyapunov-mix": ("lyapunov-exactness", None, "exact conditional-expectation mixing",
+                     "k gamma N L refinement cap"),
+    "necessity-demo": ("necessity-gap", "necessity-gap", "midpoint-absence certificate",
+                       "k gamma N L cap"),
+    "uhc-demo": ("uhc-decay", None, "semidistance decay of truncations", "k gamma N L cap"),
+    "game-equilibrium": ("game-equilibrium", "game-nonexistence",
+                         "best-response equilibrium run",
+                         "k gamma N L refinement seed cap mode externality tol max_iter config"),
+    "lemma-bound": ("lemma-bound", None, "weighted Walsh sum vs 4*d0", "k seed meshes trials"),
+    "rcd-check": ("rcd-mixture", None, "kernel mixture realization check", "resolution"),
+}
+
+
+def _add_demo(subs, command: str) -> None:
+    """A demo subcommand; its flags default to None, so the check table's defaults hold."""
+    kind, coincide_kind, help_text, flags = DEMOS[command]
+    sub = subs.add_parser(command, help=help_text)
+    for flag in flags.split():
+        if flag == "config":
+            sub.add_argument("--config", help="JSON file with check fields; flags override")
+            continue
+        spec = SEED if flag == "seed" else PARAMS[kind][flag]
+        sub.add_argument("--" + flag.replace("_", "-"),
+                         type={"int": int, "real": float}.get(spec.type),
+                         choices=spec.choices or None, help=spec.doc)
+    if coincide_kind:
+        sub.add_argument("--coincide", action="store_true", default=None,
+                         help="run with the strategy algebra equal to the characteristic "
+                              f"algebra: the {coincide_kind} check")
     sub.add_argument("--out", default=None, help="directory for the report and CSVs")
     sub.add_argument("--emit-plot-data", action="store_true",
                      help="write series tables as CSV")
-
-
-def _scenario_for(name: str, check: dict, seed: int = 0) -> dict:
-    check = {kk: v for kk, v in check.items() if v is not None}
-    return {"schema": 1, "name": name, "seed": seed, "checks": [check]}
 
 
 def main(argv=None) -> int:
@@ -102,51 +115,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--emit-plot-data", action="store_true")
 
     subs.add_parser("list-scenarios", help="list bundled scenario names")
-
-    conv = subs.add_parser("convexity-demo", help="integral-cloud gap decay series")
-    _add_common(conv, "k", "gamma", "N", "L", "seed", "cap")
-    conv.set_defaults(k=1, N=1, L=4)
-    conv.add_argument("--levels", default="1..6", help="refinement exponents, e.g. 1..6")
-    conv.add_argument("--samples", type=int, default=128)
-
-    lya = subs.add_parser("lyapunov-mix", help="exact conditional-expectation mixing")
-    _add_common(lya, "k", "gamma", "N", "L", "refinement", "cap")
-    lya.set_defaults(L=2)
-
-    nec = subs.add_parser("necessity-demo", help="midpoint-absence certificate")
-    _add_common(nec, "k", "gamma", "N", "L", "cap")
-    nec.add_argument("--coincide", action="store_true",
-                     help="run with the strategy algebra equal to the "
-                          "characteristic algebra (the only supported mode)")
-
-    uhc = subs.add_parser("uhc-demo", help="semidistance decay of truncations")
-    _add_common(uhc, "k", "gamma", "N", "L", "cap")
-    uhc.set_defaults(N=4)
-
-    game = subs.add_parser("game-equilibrium", help="best-response equilibrium run")
-    _add_common(game, "k", "gamma", "N", "L", "refinement", "seed", "cap")
-    game.add_argument("--mode", choices=["br_iterate", "exhaustive"],
-                      default="br_iterate")
-    game.add_argument("--coincide", action="store_true",
-                      help="run with the strategy algebra equal to the "
-                           "characteristic algebra (non-existence certificate; "
-                           "implies exhaustive search)")
-    game.add_argument("--externality", choices=["integral", "conditional"],
-                      default="integral")
-    game.add_argument("--tol", type=float, default=1e-9)
-    game.add_argument("--max-iter", type=int, default=50)
-    game.add_argument("--config", default=None,
-                      help="JSON file with game fields; flags override")
-
-    lem = subs.add_parser("lemma-bound", help="weighted Walsh sum vs 4*d0")
-    _add_common(lem, "k", "seed")
-    lem.add_argument("--meshes", default="3..8", help="mesh exponents, e.g. 3..8")
-    lem.add_argument("--trials", type=int, default=1000)
-
-    rcd = subs.add_parser("rcd-check", help="kernel mixture realization check")
-    rcd.add_argument("--resolution", type=int, default=4)
-    rcd.add_argument("--out", default=None)
-    rcd.add_argument("--emit-plot-data", action="store_true")
+    for command in DEMOS:
+        _add_demo(subs, command)
 
     args = parser.parse_args(argv)
     try:
@@ -162,80 +132,45 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",") if x]
+def _parse_range(flag: str, spec: str) -> list[int]:
+    """``lo..hi`` or a comma-separated list of integers."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"--{flag}: expected lo..hi or a comma-separated list of "
+                          f"integers, got {spec!r}") from None
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "list-scenarios":
-        for name in bundled_names():
-            print(name)
+    if args.command == "list-scenarios":
+        print("\n".join(bundled_names()))
         return EXIT_OK
-    if cmd == "run":
+    if args.command == "run":
         config = load_bundled(args.bundled) if args.bundled \
             else _load_config_file(args.config)
         return _run(config, args)
-    if cmd == "convexity-demo":
-        check = {
-            "kind": "convexity-decay", "k": args.k, "gamma": args.gamma,
-            "N": args.N, "L": args.L, "levels": _parse_range(args.levels),
-            "samples": args.samples, "cap": args.cap,
-        }
-        return _run(_scenario_for("convexity-demo", check, args.seed), args)
-    if cmd == "lyapunov-mix":
-        check = {
-            "kind": "lyapunov-exactness", "k": args.k, "gamma": args.gamma,
-            "N": args.N, "L": args.L, "refinement": args.refinement,
-            "cap": args.cap,
-        }
-        return _run(_scenario_for("lyapunov-mix", check), args)
-    if cmd == "necessity-demo":
-        check = {
-            "kind": "necessity-gap", "k": args.k, "gamma": args.gamma,
-            "N": args.N, "L": args.L, "cap": args.cap,
-        }
-        return _run(_scenario_for("necessity-demo", check), args)
-    if cmd == "uhc-demo":
-        check = {
-            "kind": "uhc-decay", "k": args.k, "gamma": args.gamma,
-            "N": args.N, "L": args.L, "cap": args.cap,
-        }
-        return _run(_scenario_for("uhc-demo", check), args)
-    if cmd == "game-equilibrium":
-        base = {}
-        if args.config:
-            base = _load_config_file(args.config)
-        coincide = args.coincide or base.get("coincide", False)
-        check = {
-            "kind": "game-nonexistence" if coincide else "game-equilibrium",
-            "k": base.get("k", args.k),
-            "gamma": base.get("gamma", args.gamma),
-            "N": base.get("N", args.N),
-            "L": base.get("L", args.L),
-            "refinement": base.get("refinement", args.refinement),
-            "tol": base.get("tol", args.tol),
-            "max_iter": base.get("max_iter", args.max_iter),
-            "externality": base.get("externality", args.externality),
-            "cap": base.get("cap", args.cap),
-        }
-        if not coincide:
-            check["mode"] = base.get("mode", args.mode)
-        seed = base.get("seed", args.seed)
-        return _run(_scenario_for("game-equilibrium", check, seed), args)
-    if cmd == "lemma-bound":
-        check = {
-            "kind": "lemma-bound", "k": args.k,
-            "meshes": _parse_range(args.meshes), "trials": args.trials,
-        }
-        return _run(_scenario_for("lemma-bound", check, args.seed), args)
-    if cmd == "rcd-check":
-        check = {"kind": "rcd-mixture", "resolution": args.resolution}
-        return _run(_scenario_for("rcd-check", check), args)
-    raise ConfigError(f"unknown command {cmd!r}")
+    # a demo: the flags given override the --config file, and both override
+    # the check table's defaults
+    kind, coincide_kind, _, flags = DEMOS[args.command]
+    check = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(check, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object")
+    for flag in flags.split() + ["coincide"]:
+        value = getattr(args, flag, None)
+        if value is not None and flag != "config":
+            ints = flag in PARAMS[kind] and PARAMS[kind][flag].type == "ints"
+            check[flag] = _parse_range(flag, value) if ints else value
+    coincide = check.pop("coincide", False)
+    if not isinstance(coincide, bool):
+        raise ConfigError(f"'coincide' must be true or false, got {coincide!r}")
+    check = {key: v for key, v in check.items() if v is not None}
+    check["kind"] = coincide_kind if coincide else kind
+    scenario = {"schema": 1, "name": args.command, "seed": check.pop("seed", 0),
+                "checks": [check]}
+    return _run(scenario, args)
 
 
 if __name__ == "__main__":

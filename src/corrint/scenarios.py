@@ -9,7 +9,11 @@ checks also expose CSV tables for external plotting.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from importlib import resources
+from typing import Any
 
 import numpy as np
 
@@ -21,7 +25,10 @@ from .correspondences import (
 )
 from .errors import CapacityError, ConfigError
 from .game import (
-    LargeGame,
+    EXTERNALITY_CONDITIONAL,
+    EXTERNALITY_INTEGRAL,
+    MODE_BR_ITERATE,
+    MODE_EXHAUSTIVE,
     build_counterexample_game,
     case1_indicator_parts,
     find_equilibrium,
@@ -42,70 +49,229 @@ from .set_integration import (
     lyapunov_mix,
 )
 from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
-from .vectors import Workspace, basis_vector, norm
+from .vectors import (
+    NORM_EUCLID,
+    NORM_FLAVORS,
+    TOPOLOGIES,
+    TOPOLOGY_NORM,
+    Workspace,
+    basis_vector,
+    norm,
+)
 from .walsh import walsh_gram
 
 SCHEMA_VERSION = 1
 
 
-def _fraction(x) -> Fraction:
+# -- check parameters ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """A check parameter: type, default and bounds ``lo <= value < hi``.
+
+    ``default``, ``lo`` and ``hi`` may be functions of the parameters read
+    before this one.  Types are the keys of ``_TYPES``, ``choice`` (one of
+    ``choices``), ``ints`` and ``rationals`` (non-empty lists of bounded
+    items) and ``workspace`` (an object read against ``WORKSPACE``).
+    """
+
+    type: str
+    default: Any
+    lo: Any = None
+    hi: Any = None
+    choices: tuple[str, ...] = ()
+    doc: str | None = None
+
+
+def _series(k: int, N: int, L: int, **rest: Param) -> dict[str, Param]:
+    """The counterexample's k, gamma, N and L with these defaults, then ``rest``."""
+    return {
+        "k": Param("int", k, 1),
+        "gamma": Param("rational", 0, 0, 1, doc="exact rational, e.g. 1/4"),
+        "N": Param("int", N, 0, doc="series truncation level"),
+        # level L resolves the Walsh indices up to N
+        "L": Param("int", L, lambda p: p["N"].bit_length(), doc="dyadic level"),
+        **rest,
+    }
+
+
+def _dim(p: dict) -> int:
+    return p["k"] * (p["N"] + 1)
+
+
+SEED = Param("int", 0, 0)
+# the metric weighs each coordinate, so d is the counterexample's dimension
+WORKSPACE = {
+    "d": Param("int", _dim, _dim, lambda p: _dim(p) + 1),
+    "norm": Param("choice", NORM_EUCLID, choices=NORM_FLAVORS),
+    "topology": Param("choice", TOPOLOGY_NORM, choices=TOPOLOGIES),
+}
+_WS = Param("workspace", {})
+_K_PLUS_1 = Param("int", lambda p: p["k"] + 1, 1)
+
+# Each check kind's parameters, in reading order.  Runners receive exactly
+# these keys, read and bounded, with defaults filled in.
+PARAMS: dict[str, dict[str, Param]] = {
+    "walsh-orthogonality": {"level": Param("int", 8, 0), "max_index": Param("int", 16, 1)},
+    "counterexample-integrals": _series(
+        2, 2, 5, gammas=Param("rationals", ["0", "1/4"], 0, 1), tol=Param("real", 1e-12)),
+    "necessity-gap": _series(2, 2, 3, cap=Param("int", 100_000, 0), workspace=_WS),
+    "lyapunov-exactness": _series(2, 2, 2, refinement=_K_PLUS_1,
+                                  cap=Param("int", 200_000, 0), tol=Param("real", 1e-12)),
+    "convexity-decay": _series(
+        1, 1, 4, levels=Param("ints", [1, 2, 3, 4, 5, 6], 0,
+                              doc="refinement exponents, e.g. 1..6"),
+        samples=Param("int", 128, 0), cap=Param("int", 2_000_000, 0),
+        final_tol=Param("real", 1e-3), workspace=_WS),
+    "tower-barycenter": {"instances": Param("int", 200, 0), "tol": Param("real", 1e-12)},
+    "uhc-decay": _series(2, 4, 3, cap=Param("int", 100_000, 0), final_tol=Param("real", 1e-6),
+                         workspace=_WS),
+    "game-equilibrium": _series(
+        2, 2, 3, refinement=_K_PLUS_1, tol=Param("real", 1e-9), max_iter=Param("int", 50, 0),
+        mode=Param("choice", MODE_BR_ITERATE, choices=(MODE_BR_ITERATE, MODE_EXHAUSTIVE)),
+        externality=Param("choice", EXTERNALITY_INTEGRAL,
+                          choices=(EXTERNALITY_INTEGRAL, EXTERNALITY_CONDITIONAL)),
+        workspace=_WS, cap=Param("int", 20_000_000, 0)),
+    "game-nonexistence": _series(2, 2, 2, refinement=Param("int", 4, 1),
+                                 cap=Param("int", 20_000_000, 0)),
+    "lemma-bound": {
+        "k": Param("int", 2, 1),
+        "meshes": Param("ints", [3, 4, 5, 6, 7, 8], 0, doc="mesh exponents, e.g. 3..8"),
+        "trials": Param("int", 1000, 0),
+        "kmax": Param("int", 4, 1),
+    },
+    "rcd-mixture": {"resolution": Param("int", 4, 1), "d": Param("int", 2, 1)},
+    "determinism": {"target": Param("scenario", None)},
+}
+
+
+def _rational(v):
     try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not a rational: {x!r}") from exc
+        return Fraction(v) if isinstance(v, (int, float, str)) else None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
 
 
-def _int(params: dict, kind: str, key: str, default: int, lo: int) -> int:
-    """An integer parameter >= lo, or ``ConfigError`` naming the check."""
-    v = params.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
-        raise ConfigError(f"{kind}: '{key}' must be an integer >= {lo}, got {v!r}")
-    return v
+# type -> (what a value must be, the value read, or None if it is not one)
+_TYPES = {
+    "int": ("an integer", lambda v: v if isinstance(v, int) else None),
+    "real": ("a finite number", lambda v: v if isinstance(v, int) or (
+        isinstance(v, float) and math.isfinite(v)) else None),
+    "rational": ("a rational", _rational),
+    "scenario": ("a bundled scenario name or a scenario object",
+                 lambda v: v if isinstance(v, (str, dict)) else None),
+}
 
 
-def _ws(cfg: dict, default_d: int) -> Workspace:
-    w = cfg.get("workspace", {})
-    return Workspace(
-        d=w.get("d", default_d),
-        norm_flavor=w.get("norm", "euclid"),
-        topology=w.get("topology", "norm"),
-    )
+def _read(where: str, key: str, spec: Param, value, seen: dict):
+    """One parameter checked against its spec; ``seen`` holds those read before it."""
+    lo, hi = (b(seen) if callable(b) else b for b in (spec.lo, spec.hi))
+    if spec.type == "workspace" and isinstance(value, dict):
+        w = _read_all(f"{where}: '{key}'", WORKSPACE, value, seen)
+        return Workspace(w["d"], w["norm"], w["topology"])
+    listed = spec.type in ("ints", "rationals")
+    item = spec.type[:-1] if listed else spec.type
+    want, read = _TYPES[item] if item in _TYPES else (
+        f"one of {list(spec.choices)}", lambda v: v if v in spec.choices else None)
+    values = value if listed else [value]
+    out = [None if isinstance(v, bool) else read(v) for v in values] \
+        if isinstance(values, list) else []
+    if out and all(v is not None and (lo is None or lo <= v) and (hi is None or v < hi)
+                   for v in out):
+        return out if listed else out[0]
+    if lo is not None:
+        want += f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+    want = f"a non-empty list, each {want}" if listed else want
+    raise ConfigError(f"{where}: '{key}' must be {want}, got {value!r}")
+
+
+def _read_all(where: str, table: dict[str, Param], given: dict, outer: dict) -> dict:
+    undeclared = sorted(set(given) - set(table), key=str)
+    if undeclared:
+        raise ConfigError(f"{where}: undeclared parameter {undeclared[0]!r}; "
+                          f"declared: {', '.join(table)}")
+    out: dict = {}
+    for key, spec in table.items():
+        seen = {**outer, **out}
+        default = spec.default(seen) if callable(spec.default) else spec.default
+        out[key] = _read(where, key, spec, given.get(key, default), seen)
+    return out
+
+
+# largest sign table the orthogonality check builds, in entries
+ORTHOGONALITY_CAP = 1 << 22
+# largest trial the lemma check builds: parts x mesh cells
+LEMMA_CAP = 1 << 22
+
+
+def _limit(cap: int) -> int:
+    """An exponent past which any power of two or more exceeds ``cap``."""
+    return max(cap.bit_length() + 1, 64)
+
+
+def _cells(p: dict) -> int:
+    return 1 << min(p["L"], _limit(p["cap"]))
+
+
+# kind -> what its check would build: (noun, cap, factor, base, exponent) for
+# factor * base**exponent items, or None; the size is checked before any work
+SIZES = {
+    "walsh-orthogonality": lambda p: (
+        "sign-table entries", ORTHOGONALITY_CAP, p["max_index"], 2, p["level"]),
+    "lemma-bound": lambda p: (
+        "trial entries", LEMMA_CAP, max(p["k"], p["kmax"]), 2, max(p["meshes"])),
+    # the finest level splits each of the 2**L cells into 2**level atoms
+    "convexity-decay": lambda p: ("atoms", p["cap"], 1, 2, p["L"] + max(p["levels"])),
+    # k+1 values on each interval atom, one on the atomic part
+    "necessity-gap": lambda p: ("selections", p["cap"], 1, p["k"] + 1, _cells(p)),
+    # actions: zero, then k mixed points per cell; strategies are constant
+    # on cells here, on atoms in an exhaustive equilibrium search
+    "game-nonexistence": lambda p: ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
+                                    _cells(p) + (p["gamma"] > 0)),
+    "game-equilibrium": lambda p: p["mode"] == MODE_EXHAUSTIVE and (
+        "profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
+        _cells(p) * p["refinement"] + (p["gamma"] > 0)),
+}
+
+
+def read_check(kind: str, check: dict) -> dict:
+    """A check's parameters read against ``PARAMS[kind]``, then size-checked.
+
+    Raises ``ConfigError`` for an undeclared key or a value out of type or
+    bounds, and ``CapacityError`` for a size past its cap.  Exponents past
+    ``_limit`` are clipped, so no huge integer is built; the count is then a
+    lower bound, and the message says so.
+    """
+    params = _read_all(kind, PARAMS[kind], {k: v for k, v in check.items() if k != "kind"}, {})
+    size = kind in SIZES and SIZES[kind](params)
+    if size:
+        noun, cap, factor, base, exp = size
+        count = factor * base ** min(exp, _limit(cap))
+        if count > cap:
+            at_least = "at least " if exp > _limit(cap) else ""
+            raise CapacityError(count, cap, f"{kind}: {at_least}{count} {noun} exceed "
+                                            f"cap {cap}")
+    return params
 
 
 # -- check runners ------------------------------------------------------------
 
-# largest sign table the orthogonality check builds, in entries
-ORTHOGONALITY_CAP = 1 << 22
-
 
 def check_walsh_orthogonality(params: dict, seed: int) -> dict:
-    level = _int(params, "walsh-orthogonality", "level", 8, 0)
-    max_index = _int(params, "walsh-orthogonality", "max_index", 16, 1)
-    ncells = 1 << level
-    if max_index * ncells > ORTHOGONALITY_CAP:
-        raise CapacityError(max_index * ncells, ORTHOGONALITY_CAP,
-                            f"sign table of {max_index} x {ncells} entries exceeds "
-                            f"cap {ORTHOGONALITY_CAP}")
+    level, max_index = params["level"], params["max_index"]
     gram = walsh_gram(max_index, level)
-    expect = ncells * np.eye(max_index, dtype=np.int64)
+    expect = (1 << level) * np.eye(max_index, dtype=np.int64)
     failures = [[int(m), int(n), int(gram[m, n])] for m, n in np.argwhere(gram != expect)]
-    return {
-        "level": level,
-        "max_index": max_index,
-        "failures": failures,
-        "verdict": not failures,
-    }
+    return {"level": level, "max_index": max_index, "failures": failures,
+            "verdict": not failures}
 
 
 def check_counterexample_integrals(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    N = params.get("N", 2)
-    L = params.get("L", 5)
-    tol = params.get("tol", 1e-12)
-    gammas = [_fraction(g) for g in params.get("gammas", ["0", "1/4"])]
+    k, N, L, tol = params["k"], params["N"], params["L"], params["tol"]
     rows = []
     ok = True
-    for gamma in gammas:
+    for gamma in params["gammas"]:
         b = build_counterexample(k, gamma, N, L)
         scale = float(1 - gamma)
         e1_norm = norm(b.e_list[0], "euclid")
@@ -114,9 +280,7 @@ def check_counterexample_integrals(params: dict, seed: int) -> dict:
             float(np.max(np.abs(b.e_list[j - 1] - scale * basis_vector(j - 1, b.d)))) <= tol
             for j in range(1, k + 1)
         )
-        zero_ok = True
-        if gamma > 0:
-            zero_ok = not np.any(b.f_list[0].eval_at(gamma / 2))
+        zero_ok = gamma == 0 or not np.any(b.f_list[0].eval_at(gamma / 2))
         ok = ok and norm_ok and basis_ok and zero_ok
         rows.append({
             "gamma": f"{gamma.numerator}/{gamma.denominator}",
@@ -129,21 +293,15 @@ def check_counterexample_integrals(params: dict, seed: int) -> dict:
 
 
 def check_necessity_gap(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 2)
-    L = params.get("L", 3)
-    cap = params.get("cap", 100_000)
-    b = build_counterexample(k, gamma, N, L)
-    ws = _ws(params, b.d)
+    k, L, cap, ws = params["k"], params["L"], params["cap"], params["workspace"]
+    b = build_counterexample(k, params["gamma"], params["N"], L)
     t_alg = SigmaPartition.singletons(b.model.space)
     cloud = aumann_integral_set(b.corr, t_alg, cap=cap, mode="enumerate")
     mid = b.e_mean()
     gap = cloud.nearest_distance(mid, ws)
     present = cloud.contains(mid, MEMBERSHIP_TOL, ws)
     return {
-        "k": k,
-        "L": L,
+        "k": k, "L": L,
         "selections": (k + 1) ** len(b.model.space.ids),
         "cloud_size": len(cloud),
         "cloud_meta": cloud_metadata(b.corr, t_alg, cap, "enumerate"),
@@ -174,14 +332,8 @@ def _canonical_selections(bundle) -> list[Selection]:
 
 
 def check_lyapunov_exactness(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 2)
-    L = params.get("L", 2)
-    refinement = params.get("refinement", k + 1)
-    cap = params.get("cap", 200_000)
-    tol = params.get("tol", 1e-12)
-    b = build_counterexample(k, gamma, N, L, refinement=refinement)
+    k, L, refinement, tol = params["k"], params["L"], params["refinement"], params["tol"]
+    b = build_counterexample(k, params["gamma"], params["N"], L, refinement=refinement)
     t_alg = SigmaPartition.singletons(b.model.space)
     sels = _canonical_selections(b)
     weights = [Fraction(1, k + 1)] * (k + 1)
@@ -197,13 +349,11 @@ def check_lyapunov_exactness(params: dict, seed: int) -> dict:
     err = max(
         float(np.max(np.abs(a - t))) for a, t in zip(eg, target)
     )
-    cs = conditional_set(b.corr, t_alg, b.f_alg, cap=cap)
+    cs = conditional_set(b.corr, t_alg, b.f_alg, cap=params["cap"])
     member = cs.contains_function(np.array(eg))
     integral_err = float(np.max(np.abs(integrate_selection(g) - b.e_mean())))
     return {
-        "k": k,
-        "L": L,
-        "refinement": refinement,
+        "k": k, "L": L, "refinement": refinement,
         "mix_error": err,
         "integral_error": integral_err,
         "conditional_set_size": cs.size,
@@ -213,38 +363,38 @@ def check_lyapunov_exactness(params: dict, seed: int) -> dict:
 
 
 def check_convexity_decay(params: dict, seed: int) -> dict:
-    k = params.get("k", 1)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 1)
-    L = params.get("L", 4)
-    levels = params.get("levels", [1, 2, 3, 4, 5, 6])
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("convexity-decay: 'levels' must be a non-empty list")
-    samples = params.get("samples", 128)
-    cap = params.get("cap", 2_000_000)
-    final_tol = params.get("final_tol", 1e-3)
-    b0 = build_counterexample(k, gamma, N, L)
-    ws = _ws(params, b0.d)
+    k, gamma, N, L = params["k"], params["gamma"], params["N"], params["L"]
     series = []
     gaps = []
-    for m in levels:
+    for m in params["levels"]:
         b = build_counterexample(k, gamma, N, L, refinement=1 << m)
         t_alg = SigmaPartition.singletons(b.model.space)
-        cloud = aumann_integral_set(b.corr, t_alg, cap=cap, mode="minkowski")
-        gap = convexity_gap(cloud, samples=samples, metric=ws, seed=seed)
+        cloud = aumann_integral_set(b.corr, t_alg, cap=params["cap"], mode="minkowski")
+        gap = convexity_gap(cloud, samples=params["samples"], metric=params["workspace"],
+                            seed=seed)
         gaps.append(gap)
         series.append({"level": m, "gap": gap, "cloud_size": len(cloud)})
     monotone = all(g2 <= g1 + 1e-15 for g1, g2 in zip(gaps, gaps[1:]))
     return {
-        "k": k,
-        "N": N,
-        "L": L,
+        "k": k, "N": N, "L": L,
         "series": series,
         "monotone": monotone,
         "final_gap": gaps[-1],
-        "verdict": monotone and gaps[-1] < final_tol,
+        "verdict": monotone and gaps[-1] < params["final_tol"],
         "csv": {"gaps": [("level", "gap")] + [(s["level"], s["gap"]) for s in series]},
     }
+
+
+def _random_merge(rng: np.random.Generator, parts: list, least: int) -> SigmaPartition:
+    """The parts merged into a random number (at least ``least``) of blocks."""
+    n = len(parts)
+    m = int(rng.integers(least, n + 1))
+    assign = rng.integers(0, m, n)
+    assign[rng.permutation(n)[:m]] = np.arange(m)  # no empty blocks
+    blocks: dict[int, set] = {}
+    for part, idx in zip(parts, assign):
+        blocks.setdefault(int(idx), set()).update(part)
+    return SigmaPartition(list(blocks.values()))
 
 
 def _random_nested_instance(rng: np.random.Generator, d: int = 3):
@@ -253,21 +403,8 @@ def _random_nested_instance(rng: np.random.Generator, d: int = 3):
     space = DiscreteSpace.uniform(natoms)
     ids = list(space.ids)
     # group atoms into F blocks, then merge F blocks into G blocks
-    nf = int(rng.integers(2, natoms + 1))
-    assign_f = rng.integers(0, nf, natoms)
-    assign_f[rng.permutation(natoms)[:nf]] = np.arange(nf)  # no empty blocks
-    f_blocks: dict[int, set] = {}
-    for a, gidx in zip(ids, assign_f):
-        f_blocks.setdefault(int(gidx), set()).add(a)
-    f_alg = SigmaPartition(list(f_blocks.values()))
-    nf = len(f_alg.blocks)
-    ng = int(rng.integers(1, nf + 1))
-    assign_g = rng.integers(0, ng, nf)
-    assign_g[rng.permutation(nf)[:ng]] = np.arange(ng)
-    g_blocks: dict[int, set] = {}
-    for fb, gidx in zip(f_alg.blocks, assign_g):
-        g_blocks.setdefault(int(gidx), set()).update(fb)
-    g_alg = SigmaPartition(list(g_blocks.values()))
+    f_alg = _random_merge(rng, [{a} for a in ids], 2)
+    g_alg = _random_merge(rng, list(f_alg.blocks), 1)
     values = rng.normal(size=(natoms, 3, d))
     vmap = {a: [values[i, j] for j in range(3)] for i, a in enumerate(ids)}
     corr = Correspondence(space, vmap)
@@ -277,8 +414,7 @@ def _random_nested_instance(rng: np.random.Generator, d: int = 3):
 
 
 def check_tower_barycenter(params: dict, seed: int) -> dict:
-    instances = params.get("instances", 200)
-    tol = params.get("tol", 1e-12)
+    instances, tol = params["instances"], params["tol"]
     rng = np.random.default_rng(seed)
     worst_tower = 0.0
     worst_bary = 0.0
@@ -286,10 +422,7 @@ def check_tower_barycenter(params: dict, seed: int) -> dict:
         space, sel, f_alg, g_alg = _random_nested_instance(rng)
         ef = conditional_expectation(sel, f_alg)
         # push E(f|F) back to a selection-like map for the outer expectation
-        lifted = {}
-        for blk, v in zip(f_alg.blocks, ef):
-            for a in blk:
-                lifted[a] = v
+        lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
         eg_direct = conditional_expectation(sel, g_alg)
         # tower: average the lifted F-expectation over G blocks
         for gi, gb in enumerate(g_alg.blocks):
@@ -310,14 +443,9 @@ def check_tower_barycenter(params: dict, seed: int) -> dict:
 
 
 def check_uhc_decay(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 4)
-    L = params.get("L", 3)
-    cap = params.get("cap", 100_000)
-    final_tol = params.get("final_tol", 1e-6)
+    k, gamma, N, L = params["k"], params["gamma"], params["N"], params["L"]
+    cap, ws = params["cap"], params["workspace"]
     limit = build_counterexample(k, gamma, N, L)
-    ws = _ws(params, limit.d)
     t_alg = SigmaPartition.singletons(limit.model.space)
     limit_cloud = aumann_integral_set(limit.corr, t_alg, cap=cap)
     series = []
@@ -330,13 +458,11 @@ def check_uhc_decay(params: dict, seed: int) -> dict:
         series.append({"truncation": m, "semidistance": sig})
     monotone = all(s2 <= s1 + 1e-15 for s1, s2 in zip(sigmas, sigmas[1:]))
     return {
-        "k": k,
-        "N": N,
-        "L": L,
+        "k": k, "N": N, "L": L,
         "series": series,
         "monotone": monotone,
         "final": sigmas[-1],
-        "verdict": monotone and sigmas[-1] < final_tol,
+        "verdict": monotone and sigmas[-1] < params["final_tol"],
         "csv": {
             "semidistance": [("truncation", "semidistance")]
             + [(s["truncation"], s["semidistance"]) for s in series]
@@ -345,29 +471,19 @@ def check_uhc_decay(params: dict, seed: int) -> dict:
 
 
 def check_game_equilibrium(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 2)
-    L = params.get("L", 3)
-    refinement = params.get("refinement", k + 1)
-    tol = params.get("tol", 1e-9)
-    max_iter = params.get("max_iter", 50)
-    mode = params.get("mode", "br_iterate")
+    k, gamma, N, L = params["k"], params["gamma"], params["N"], params["L"]
+    refinement, tol, mode = params["refinement"], params["tol"], params["mode"]
     game = build_counterexample_game(
         k, gamma, N, L, refinement=refinement,
-        externality=params.get("externality", "integral"),
-        flavor=params.get("workspace", {}).get("norm", "euclid"),
+        externality=params["externality"],
+        flavor=params["workspace"].norm_flavor,
     )
-    if mode == "exhaustive":
-        profile, rep = find_equilibrium(
-            game, mode="exhaustive", cap=params.get("cap", 20_000_000), tol=tol
-        )
-    else:
-        profile, rep = find_equilibrium(game, max_iter=max_iter, tol=tol)
+    profile, rep = find_equilibrium(game, mode=mode, max_iter=params["max_iter"], tol=tol,
+                                    cap=params["cap"])
     # exhaustive search may return any minimum-residual equilibrium, whose
     # partition is only forced to be independent up to the truncation level
     vrep = verify_equilibrium_partition(
-        game, profile, max_walsh_index=N if mode == "exhaustive" else None
+        game, profile, max_walsh_index=N if mode == MODE_EXHAUSTIVE else None
     )
     e_mean = game.payoff.bundle.e_mean()
     agg_err = norm(np.asarray(rep.aggregate) - e_mean, game.payoff.flavor)
@@ -375,13 +491,9 @@ def check_game_equilibrium(params: dict, seed: int) -> dict:
     exp_str = f"{expected_mass.numerator}/{expected_mass.denominator}"
     masses_ok = vrep.partition_masses == [exp_str] * (k + 1)
     indep_ok = vrep.applicable and all(r[4] for r in vrep.independence_table)
-    full = vrep.to_json()
-    full["iterations"] = rep.iterations
-    full["trace"] = rep.trace
+    full = {**vrep.to_json(), "iterations": rep.iterations, "trace": rep.trace}
     return {
-        "k": k,
-        "L": L,
-        "refinement": refinement,
+        "k": k, "L": L, "refinement": refinement,
         "residual": rep.residual,
         "iterations": rep.iterations,
         "aggregate_error": agg_err,
@@ -400,24 +512,15 @@ def check_game_equilibrium(params: dict, seed: int) -> dict:
 
 
 def check_game_nonexistence(params: dict, seed: int) -> dict:
-    k = params.get("k", 2)
-    gamma = _fraction(params.get("gamma", 0))
-    N = params.get("N", 2)
-    L = params.get("L", 2)
-    refinement = params.get("refinement", 4)
-    cap = params.get("cap", 20_000_000)
-    game = build_counterexample_game(k, gamma, N, L, refinement=refinement)
-    game = LargeGame(
-        f_alg=game.f_alg, t_alg=game.f_alg, actions=game.actions,
-        payoff=game.payoff, externality=game.externality,
-    )
-    profile, rep = find_equilibrium(game, mode="exhaustive", cap=cap)
+    k, L, refinement = params["k"], params["L"], params["refinement"]
+    game = build_counterexample_game(k, params["gamma"], params["N"], L,
+                                     refinement=refinement)
+    game = replace(game, t_alg=game.f_alg)
+    profile, rep = find_equilibrium(game, mode=MODE_EXHAUSTIVE, cap=params["cap"])
     profiles = game.nact ** len(game.t_alg.blocks)
     block_play = [profile.play[game.space.position(min(b))] for b in game.t_alg.blocks]
     return {
-        "k": k,
-        "L": L,
-        "refinement": refinement,
+        "k": k, "L": L, "refinement": refinement,
         "profiles_scanned": profiles,
         "rho_star": rep.residual,
         "min_aggregate_distance": rep.min_aggregate_distance,
@@ -426,27 +529,8 @@ def check_game_nonexistence(params: dict, seed: int) -> dict:
     }
 
 
-# largest trial the lemma check builds: parts x mesh cells
-LEMMA_CAP = 1 << 22
-
-
 def check_lemma_bound(params: dict, seed: int) -> dict:
-    k = _int(params, "lemma-bound", "k", 2, 1)
-    meshes = params.get("meshes", [3, 4, 5, 6, 7, 8])
-    trials = _int(params, "lemma-bound", "trials", 1000, 0)
-    kmax = _int(params, "lemma-bound", "kmax", 4, 1)
-    if not isinstance(meshes, list) or not meshes or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in meshes
-    ):
-        raise ConfigError("lemma-bound: 'meshes' must be a non-empty list of "
-                          f"integers >= 0, got {meshes!r}")
-    # exponents past the cap's bit length are clipped: the count stays a
-    # lower bound that exceeds the cap, and no huge integer is built
-    entries = max(k, kmax) << min(max(meshes), LEMMA_CAP.bit_length())
-    if entries > LEMMA_CAP:
-        raise CapacityError(entries, LEMMA_CAP,
-                            f"lemma-bound: {max(k, kmax)} parts on a mesh of "
-                            f"2**{max(meshes)} cells exceed cap {LEMMA_CAP}")
+    k, trials, kmax = params["k"], params["trials"], params["kmax"]
     rng = np.random.default_rng(seed)
 
     def draws(s):
@@ -458,7 +542,7 @@ def check_lemma_bound(params: dict, seed: int) -> dict:
 
     rows = []
     ok = True
-    for s in meshes:
+    for s in params["meshes"]:
         d0 = Fraction(1, 1 << s)
         canonical = lemma_bound_check(case1_indicator_parts(k, s), d0)
         totals, holds = lemma_bound_trials(draws(s), d0)
@@ -486,15 +570,12 @@ def check_lemma_bound(params: dict, seed: int) -> dict:
 
 
 def check_rcd_mixture(params: dict, seed: int) -> dict:
-    resolution = params.get("resolution", 4)
-    d = params.get("d", 2)
+    resolution, d = params["resolution"], params["d"]
     # two blocks, two values per atom, refinement fine enough for 1/resolution
     model = DyadicModel(Fraction(0), 1, refinement=resolution)
     space = model.space
-    v0 = np.zeros(d)
-    v1 = basis_vector(0, d)
-    vmap = {a: [v0, v1] for a in space.ids}
-    corr = Correspondence(space, vmap)
+    v0, v1 = np.zeros(d), basis_vector(0, d)
+    corr = Correspondence(space, {a: [v0, v1] for a in space.ids})
     f_alg = model.cell_partition
     t_alg = SigmaPartition.singletons(space)
     sel0 = Selection(corr, f_alg, {a: v0 for a in space.ids})
@@ -506,37 +587,19 @@ def check_rcd_mixture(params: dict, seed: int) -> dict:
     for num in range(resolution + 1):
         alpha = Fraction(num, resolution)
         mixed = kernel_mix(k0, k1, alpha)
-        if alpha == 1:
-            g = sel0
-        elif alpha == 0:
-            g = sel1
-        else:
-            g = lyapunov_mix([sel0, sel1], [alpha, 1 - alpha], f_alg, t_alg)
-        kg = rcd_of_selection(g, f_alg)
-        exact = kg.equals_exactly(mixed)
+        g = sel0 if alpha == 1 else sel1 if alpha == 0 else \
+            lyapunov_mix([sel0, sel1], [alpha, 1 - alpha], f_alg, t_alg)
+        exact = rcd_of_selection(g, f_alg).equals_exactly(mixed)
         all_exact = all_exact and exact
         realized.append({"alpha": f"{alpha.numerator}/{alpha.denominator}",
                          "exact": exact})
-    return {
-        "resolution": resolution,
-        "mixtures": realized,
-        "verdict": all_exact,
-    }
+    return {"resolution": resolution, "mixtures": realized, "verdict": all_exact}
 
 
-CHECKS = {
-    "walsh-orthogonality": check_walsh_orthogonality,
-    "counterexample-integrals": check_counterexample_integrals,
-    "necessity-gap": check_necessity_gap,
-    "lyapunov-exactness": check_lyapunov_exactness,
-    "convexity-decay": check_convexity_decay,
-    "tower-barycenter": check_tower_barycenter,
-    "uhc-decay": check_uhc_decay,
-    "game-equilibrium": check_game_equilibrium,
-    "game-nonexistence": check_game_nonexistence,
-    "lemma-bound": check_lemma_bound,
-    "rcd-mixture": check_rcd_mixture,
-}
+# kind -> runner: the runner of kind "a-b" is check_a_b; determinism runs
+# scenarios itself, in run_scenario_dict
+CHECKS = {kind: globals()["check_" + kind.replace("-", "_")]
+          for kind in PARAMS if kind != "determinism"}
 
 
 def _jsonable(obj):
@@ -561,7 +624,12 @@ def render_report(report: dict) -> str:
 
 
 def run_scenario_dict(config: dict) -> dict:
-    """Execute a validated scenario dict; returns the report dict."""
+    """Execute a scenario dict; returns the report dict.
+
+    Every check is read against the parameter table before any of them runs.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError(f"a scenario must be an object, got {config!r}")
     if config.get("schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema {config.get('schema')!r}; expected {SCHEMA_VERSION}"
@@ -569,26 +637,27 @@ def run_scenario_dict(config: dict) -> dict:
     name = config.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario needs a non-empty string 'name'")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
+    seed = _read("scenario", "seed", SEED, config.get("seed", 0), {})
     checks_cfg = config.get("checks")
     if not isinstance(checks_cfg, list) or not checks_cfg:
         raise ConfigError("scenario needs a non-empty 'checks' list")
-    results = []
+    checks = []
     for i, chk in enumerate(checks_cfg):
         if not isinstance(chk, dict):
             raise ConfigError(f"checks[{i}]: expected an object, got {chk!r}")
         kind = chk.get("kind")
-        if kind == "determinism":
-            results.append(_run_determinism(chk, seed))
-            continue
-        if kind not in CHECKS:
+        if not isinstance(kind, str) or kind not in PARAMS:
             raise ConfigError(f"checks[{i}]: unknown kind {kind!r}")
-        res = CHECKS[kind](chk, seed)
+        checks.append((kind, read_check(kind, chk)))
+    results = []
+    for kind, params in checks:
+        if kind == "determinism":
+            results.append(_run_determinism(params, seed))
+            continue
+        res = CHECKS[kind](params, seed)
         res["kind"] = kind
         results.append(res)
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "name": name,
         "seed": seed,
@@ -596,14 +665,11 @@ def run_scenario_dict(config: dict) -> dict:
         "checks": results,
         "pass": all(r["verdict"] for r in results),
     }
-    return report
 
 
-def _run_determinism(chk: dict, seed: int) -> dict:
-    target = chk.get("target")
+def _run_determinism(params: dict, seed: int) -> dict:
+    target = params["target"]
     cfg = load_bundled(target) if isinstance(target, str) else target
-    if not isinstance(cfg, dict):
-        raise ConfigError("determinism check needs a 'target' scenario")
     first = render_report(run_scenario_dict(cfg))
     second = render_report(run_scenario_dict(cfg))
     return {
@@ -628,27 +694,17 @@ def extract_csv_tables(report: dict) -> dict[str, str]:
 
 def strip_csv(report: dict) -> dict:
     """Report copy without the embedded csv payloads (files carry those)."""
-    out = dict(report)
-    out["checks"] = []
-    for res in report.get("checks", []):
-        r = {kk: v for kk, v in res.items() if kk != "csv"}
-        out["checks"].append(r)
-    return out
+    checks = [{kk: v for kk, v in res.items() if kk != "csv"}
+              for res in report.get("checks", [])]
+    return {**report, "checks": checks}
 
 
 def load_bundled(name: str) -> dict:
-    from importlib import resources
-
-    base = resources.files("corrint") / "scenarios"
-    path = base / f"{name}.json"
-    if not path.is_file():
-        available = sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
-        raise ConfigError(f"no bundled scenario {name!r}; available: {available}")
-    return json.loads(path.read_text())
+    if name not in bundled_names():
+        raise ConfigError(f"no bundled scenario {name!r}; available: {bundled_names()}")
+    return json.loads((resources.files("corrint") / "scenarios" / f"{name}.json").read_text())
 
 
 def bundled_names() -> list[str]:
-    from importlib import resources
-
     base = resources.files("corrint") / "scenarios"
     return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))

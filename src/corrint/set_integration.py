@@ -109,16 +109,6 @@ class PointCloudSet:
     def contains(self, v, tol: float = MEMBERSHIP_TOL, metric=None) -> bool:
         return self.nearest_distance(v, metric) <= tol
 
-    def to_json(self, meta: dict | None = None) -> dict:
-        doc = {"points": [[float(x) for x in p] for p in self.points]}
-        if meta:
-            doc["meta"] = meta
-        return doc
-
-    def to_csv(self) -> str:
-        lines = [",".join(repr(float(x)) for x in p) for p in self.points]
-        return "\n".join(lines) + "\n"
-
 
 def cloud_metadata(
     corr: Correspondence, alg: SigmaPartition, cap: int, mode: str

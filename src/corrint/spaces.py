@@ -14,7 +14,6 @@ subinterval midpoint (atoms of the atomic part sit at gamma/2).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -88,24 +87,6 @@ class DiscreteSpace:
     def atom_set(self) -> frozenset[int]:
         return frozenset(self.ids)
 
-    def to_json(self) -> dict:
-        return {
-            "atoms": [
-                {"id": i, "mass": f"{m.numerator}/{m.denominator}"}
-                for i, m in zip(self.ids, self.masses)
-            ],
-            **({"label": self.label} if self.label else {}),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DiscreteSpace":
-        atoms = data["atoms"]
-        return cls(
-            tuple(a["id"] for a in atoms),
-            tuple(Fraction(a["mass"]) for a in atoms),
-            data.get("label"),
-        )
-
 
 def _canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
     bs = [frozenset(b) for b in blocks]
@@ -151,10 +132,6 @@ class SigmaPartition:
 
     def to_json(self) -> list[list[int]]:
         return [sorted(b) for b in self.blocks]
-
-    @classmethod
-    def from_json(cls, data) -> "SigmaPartition":
-        return cls([set(b) for b in data])
 
 
 def _check_universe(space: DiscreteSpace, *parts: SigmaPartition) -> None:
@@ -386,9 +363,3 @@ class DyadicModel:
             out.update(self.cell_atoms(c))
         return frozenset(out)
 
-
-def space_to_json_str(space: DiscreteSpace, alg: SigmaPartition | None = None) -> str:
-    doc = space.to_json()
-    if alg is not None:
-        doc["blocks"] = alg.to_json()
-    return json.dumps(doc, sort_keys=True)

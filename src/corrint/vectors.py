@@ -24,12 +24,12 @@ from .errors import PreconditionError
 NORM_SUM = "sum"       # l1
 NORM_EUCLID = "euclid"  # l2
 NORM_MAX = "max"       # l-infinity
-_FLAVORS = (NORM_SUM, NORM_EUCLID, NORM_MAX)
+NORM_FLAVORS = (NORM_SUM, NORM_EUCLID, NORM_MAX)
 
 TOPOLOGY_NORM = "norm"
 TOPOLOGY_WEAK = "weak"            # rho_w diagnostics (primal reading)
 TOPOLOGY_WEAK_STAR = "weak_star"  # d_w diagnostics (dual reading)
-_TOPOLOGIES = (TOPOLOGY_NORM, TOPOLOGY_WEAK, TOPOLOGY_WEAK_STAR)
+TOPOLOGIES = (TOPOLOGY_NORM, TOPOLOGY_WEAK, TOPOLOGY_WEAK_STAR)
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class Workspace:
     def __post_init__(self):
         if self.d < 1:
             raise PreconditionError(f"truncation dimension must be >= 1, got {self.d}")
-        if self.norm_flavor not in _FLAVORS:
+        if self.norm_flavor not in NORM_FLAVORS:
             raise PreconditionError(f"unknown norm flavor {self.norm_flavor!r}")
-        if self.topology not in _TOPOLOGIES:
+        if self.topology not in TOPOLOGIES:
             raise PreconditionError(f"unknown topology tag {self.topology!r}")
 
     def check(self, v: np.ndarray) -> np.ndarray:

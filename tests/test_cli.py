@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrint.cli import main
+from corrint.scenarios import PARAMS
+from corrint.vectors import NORM_FLAVORS, TOPOLOGIES
 
 
 def run_cli(args):
@@ -66,6 +76,25 @@ def test_unknown_kind_exit_2(tmp_path):
     ["oops"],
     [{"kind": "convexity-decay", "levels": []}],
     [{"kind": "lyapunov-exactness", "gamma": "1/0"}],
+    # values of the wrong type or out of bounds
+    [{"kind": "necessity-gap", "k": "two"}],
+    [{"kind": "convexity-decay", "samples": "x"}],
+    [{"kind": "tower-barycenter", "instances": "a"}],
+    [{"kind": "game-nonexistence", "L": "3"}],
+    [{"kind": "necessity-gap", "cap": "x"}],
+    [{"kind": "convexity-decay", "levels": ["a"]}],
+    [{"kind": "tower-barycenter", "tol": "x"}],
+    [{"kind": "game-equilibrium", "max_iter": -1}],
+    [{"kind": "rcd-mixture", "resolution": "4"}],
+    [{"kind": "rcd-mixture", "d": 0}],
+    [{"kind": "necessity-gap", "workspace": []}],
+    [{"kind": "necessity-gap", "workspace": {"d": "x"}}],
+    # a metric dimension other than the counterexample's k(N+1) = 6
+    [{"kind": "necessity-gap", "workspace": {"d": 3, "norm": "sum"}}],
+    [{"kind": "necessity-gap", "workspace": {"d": 7}}],
+    # a misspelled choice or key, which no longer runs on defaults
+    [{"kind": "game-equilibrium", "mode": "exhastive"}],
+    [{"kind": "tower-barycenter", "instancse": 5}],
 ])
 def test_malformed_check_exit_2(tmp_path, checks):
     cfg = tmp_path / "cfg.json"
@@ -104,6 +133,7 @@ def test_malformed_walsh_check_exit_2(tmp_path, check):
     {"kind": "lemma-bound", "meshes": [10 ** 9]},
     {"kind": "lemma-bound", "meshes": [21], "kmax": 4},
     {"kind": "walsh-orthogonality", "level": 70},
+    {"kind": "convexity-decay", "levels": [1, 40]},
 ])
 def test_oversized_walsh_check_exit_3(tmp_path, check):
     cfg = tmp_path / "cfg.json"
@@ -231,3 +261,127 @@ def test_convexity_demo_small(capsys):
     chk = json.loads(out)["checks"][0]
     assert len(chk["series"]) == 3
     assert chk["monotone"] is True
+
+
+def test_game_equilibrium_flags_override_config(tmp_path, capsys):
+    cfg = tmp_path / "game.json"
+    cfg.write_text(json.dumps({"L": 4}))
+    code = main(["game-equilibrium", "--config", str(cfg), "--L", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["checks"][0]["L"] == 3
+
+
+def test_game_equilibrium_coincide_defaults(capsys):
+    # --coincide switches to the non-existence certificate at its own L=2
+    code = main(["game-equilibrium", "--coincide"])
+    chk = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 0
+    assert chk["kind"] == "game-nonexistence"
+    assert chk["L"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["convexity-demo", "--levels", "x"],
+    ["lemma-bound", "--meshes", "x"],
+])
+def test_bad_range_flag_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+# -- fuzzed configs -------------------------------------------------------------
+
+_SMALL = st.integers(-2, 4)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(_SMALL, max_size=2), st.dictionaries(st.text(max_size=2), _SMALL, max_size=2),
+)
+_RATIONAL = st.one_of(_SMALL, st.sampled_from(["1/4", "1/3", "3/4", "1/0", "x", "-1/2"]))
+
+
+def _good(spec):
+    """Small values of a parameter's own type."""
+    if spec.type == "ints":
+        return st.lists(_SMALL, max_size=3)
+    if spec.type == "rationals":
+        return st.lists(_RATIONAL, max_size=3)
+    if spec.type == "rational":
+        return _RATIONAL
+    if spec.type == "choice":
+        return st.sampled_from(spec.choices)
+    if spec.type == "workspace":
+        return st.fixed_dictionaries({}, optional={
+            "d": _SMALL,
+            "norm": st.sampled_from(NORM_FLAVORS),
+            "topology": st.sampled_from(TOPOLOGIES),
+        })
+    return _SMALL
+
+
+def _bad(spec):
+    """Junk of other types, wrong list shapes and undeclared workspace keys."""
+    out = st.one_of(_JUNK, st.lists(st.lists(_SMALL, max_size=2), min_size=1, max_size=2))
+    if spec.type == "workspace":
+        out |= st.fixed_dictionaries({"dd": _SMALL}, optional={"d": _JUNK, "norm": _JUNK})
+    return out
+
+
+def _check(kind, value, undeclared):
+    # cap is always drawn small: a Minkowski fold step may build 64 x cap
+    # rows, so at the default cap a small-int cloud check can take gigabytes
+    table = PARAMS[kind]
+    required = {"cap": value(table["cap"])} if "cap" in table else {}
+    optional = {key: value(spec) for key, spec in table.items() if key != "cap"}
+    if undeclared:
+        optional["undeclared"] = _SMALL
+    return st.fixed_dictionaries({"kind": st.just(kind), **required}, optional=optional)
+
+
+def _mixed(spec):
+    return st.one_of(_good(spec), _bad(spec))
+
+
+# half the checks are well typed, so that many reach their runner
+_CHECKS = st.one_of(
+    [_check(kind, _good, False) for kind in PARAMS if kind != "determinism"]
+    + [_check(kind, _mixed, True) for kind in PARAMS if kind != "determinism"]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(check=_CHECKS, seed=st.one_of(_SMALL, _SMALL, _JUNK))
+def test_fuzzed_configs_keep_exit_codes(check, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": seed, "checks": [check]}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+    else:
+        assert json.loads(out.getvalue())["pass"] is (code == 0)
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("corrint ") and "my-scenario.json" not in line]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # the documented examples run as written, so they cannot drift from the table
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 7
+    t0 = time.perf_counter()
+    for argv in lines:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert time.perf_counter() - t0 < 5.0

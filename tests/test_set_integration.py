@@ -601,14 +601,6 @@ def test_aumann_set_equals_exact_fraction_enumeration():
             assert gaps.min(axis=1).max() <= 1e-12
 
 
-def test_cloud_serialization():
-    cloud = PointCloudSet(np.array([[1.0, 2.0], [0.0, 0.5]]))
-    doc = cloud.to_json(meta={"cap": 10})
-    assert doc["meta"]["cap"] == 10
-    csv = cloud.to_csv()
-    assert csv.splitlines()[0] == "0.0,0.5"
-
-
 def test_metric_selection_weak_topology():
     ws = Workspace(d=2, norm_flavor="euclid", topology="weak")
     v = basis_vector(1, 2)  # second coordinate: weight 1/4 in the weak metric

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from corrint.spaces import (
     is_nowhere_equivalent,
     is_refinement,
     restrict,
-    space_to_json_str,
 )
 
 
@@ -168,17 +166,6 @@ def test_nowhere_equivalence_implies_supplement():
     for n in (2, 3, 6):
         sup = build_independent_supplement(space, f, n)
         assert all(space.mass(p) == Fraction(1, n) for p in sup.parts)
-
-
-def test_json_roundtrip(uniform4):
-    f = SigmaPartition([{0, 1}, {2, 3}])
-    text = space_to_json_str(uniform4, f)
-    doc = json.loads(text)
-    assert doc["atoms"][0] == {"id": 0, "mass": "1/4"}
-    assert doc["blocks"] == [[0, 1], [2, 3]]
-    back = DiscreteSpace.from_json(doc)
-    assert back == uniform4
-    assert SigmaPartition.from_json(doc["blocks"]) == f
 
 
 def test_dyadic_model_layout():
