@@ -7,7 +7,11 @@ loop's order.  So both agree with their loop forms bit for bit at every
 size and dimension.  The game kernels share one batched payoff
 formula, ``_payoffs``, which keeps the loop form's operation order and
 evaluates ``sin`` through libm (``math.sin``), so a table at one externality
-and an exhaustive scan over many agree with a per-element loop exactly.
+agrees with a per-element loop exactly.  The exhaustive scan evaluates it
+once per distinct externality theta, reduces it to rows of block regrets
+that it keeps across chunks of profiles, and reads each profile's residual
+from them; the maximum is exact in any order, so the scan agrees with the
+loop too.
 The loop forms live in the test suite as oracles.
 """
 from __future__ import annotations
@@ -25,8 +29,8 @@ MODE_WSUM = 1   # weighted l1:  sum_m w_m |dx_m|
 MODE_EUCLID = 2
 MODE_MAX = 3
 
-# target size in bytes of one chunk temporary: a (profiles, atoms, actions)
-# payoff block of the scan, a stack of lemma trials, a slice of a sign table
+# target size in bytes of one chunk temporary: a share of the scan's
+# working set, a stack of lemma trials, a slice of a sign table
 _CHUNK_BYTES = 1 << 16
 
 _libm_sin = np.frompyfunc(math.sin, 1, 1)
@@ -209,36 +213,115 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
 
     Returns (min residual, best profile digits, min aggregate distance to
     e_mean over all profiles).  Deterministic: mixed-radix order with the
-    last block fastest, first minimum wins.  Profiles are evaluated in
-    chunks whose payoff temporaries stay near ``_CHUNK_BYTES``.
+    last block fastest, first minimum wins.
+
+    A profile moves the payoffs only through theta = beta * ||aggregate -
+    e_mean||, and many profiles share one theta.  So each chunk of profiles
+    sorts its theta values and takes, once per distinct theta, the
+    block-regret row R[theta, b, a]: the maximum over the atoms t of block b
+    of max_a' P[theta, t, a'] - P[theta, t, a].  A profile's residual is the
+    maximum over b of R[theta, b, digit_b].  A row comes from a cache kept
+    across chunks, or else from ``_payoffs`` reduced by
+    ``np.maximum.reduceat``, and is then cached while the cache has room; it
+    never evicts.  ``_payoffs`` is elementwise in theta and the maximum is
+    exact in any order, so residuals, the winner and the distance equal a
+    per-profile evaluation bit for bit.
+
+    Memory is bounded in ``_CHUNK_BYTES``: a quarter for a chunk's (blocks,
+    profiles) digit table, half for a table of regret rows, a quarter for a
+    ``_payoffs`` block and at most eight for the cache, which grows with the
+    rows it holds.  This holds however many theta are distinct, as long as
+    one theta's payoff block and regret row fit their shares.
+
+    Raises ``PreconditionError`` unless beta is finite and > 0, which keeps
+    every theta >= +0 and so makes equal keys mean equal payoffs, and
+    unless every block has an atom.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise PreconditionError(f"beta must be finite and > 0, got {beta!r}")
     nblocks = block_mass.shape[0]
-    d = actions.shape[1]
+    if nblocks == 0 or np.any(block_len < 1):
+        raise PreconditionError("the scan needs at least one block, each with an atom")
     total = nact ** nblocks
     radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
     atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
-    atom_block = np.repeat(np.arange(nblocks), block_len)
+    starts = np.cumsum(block_len) - block_len
     phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
-    chunk = max(1, _CHUNK_BYTES // (8 * atoms.shape[0] * nact))
+    # contrib[m, b, a]: coordinate m of block b's mass times action a
+    contrib = np.ascontiguousarray((block_mass[:, None, None] * actions).transpose(2, 0, 1))
+    # profiles per chunk, rows per regret table, theta per _payoffs call and
+    # rows in the cache, from the shares of _CHUNK_BYTES above
+    row_bytes = 8 * nblocks * nact
+    chunk = max(1, _CHUNK_BYTES // (32 * nblocks))
+    tab = max(1, _CHUNK_BYTES // (2 * row_bytes))
+    width = max(1, _CHUNK_BYTES // (32 * atoms.shape[0] * nact))
+    limit = max(1, 8 * _CHUNK_BYTES // row_bytes)
+    # cache[r] is the regret row of theta keys[r], and keys[sorter] is
+    # sorted; the one placeholder row, under a NaN key that equals no
+    # theta, stands until the first row is stored
+    cache = np.empty((1, nblocks, nact))
+    keys = np.full(1, np.nan)
+    sorter = np.zeros(1, dtype=np.int64)
+    used = 0
     best_res = math.inf
     best_prof = np.zeros(nblocks, dtype=np.int64)
     min_aggdist = math.inf
     for lo in range(0, total, chunk):
-        digits = (np.arange(lo, min(lo + chunk, total))[:, None] // radix) % nact
-        agg = np.zeros((digits.shape[0], d))
-        for b in range(nblocks):
-            agg += block_mass[b] * actions[digits[:, b]]
-        dx = agg - e_mean
-        acc = np.zeros(digits.shape[0])
-        for m in range(d):
-            acc += dx[:, m] * dx[:, m]
-        aggdist = np.sqrt(acc)
-        min_aggdist = min(min_aggdist, float(aggdist.min()))
-        pay = _payoffs(beta * aggdist, phi, gamma, na, p2, dn, am, k)
-        chosen = np.take_along_axis(pay, digits[:, atom_block, None], axis=2)[:, :, 0]
-        worst = (pay.max(axis=2) - chosen).max(axis=1)
+        digits = np.arange(lo, min(lo + chunk, total)) // radix[:, None]
+        digits %= nact
+        n = digits.shape[1]
+        # the squared distance coordinate by coordinate, in the loop's order,
+        # then in place the distance and theta = beta * distance
+        theta = np.zeros(n)
+        for m in range(contrib.shape[0]):
+            x = np.zeros(n)
+            for b in range(nblocks):
+                x += contrib[m, b][digits[b]]
+            x -= e_mean[m]
+            x *= x
+            theta += x
+        np.sqrt(theta, out=theta)
+        min_aggdist = min(min_aggdist, float(theta.min()))
+        theta *= beta
+        # profiles grouped by theta: group[i] numbers the distinct value of
+        # the i-th profile in sorted order, and first[g] is where run g starts
+        order = np.argsort(theta)
+        theta = theta[order]
+        fresh = np.empty(n, dtype=bool)
+        fresh[0] = True
+        np.not_equal(theta[1:], theta[:-1], out=fresh[1:])
+        group = np.cumsum(fresh) - 1
+        first = np.append(np.flatnonzero(fresh), n)
+        thetas = theta[first[:-1]]
+        worst = np.empty(n)
+        for j in range(0, thetas.shape[0], tab):
+            some = thetas[j:j + tab]
+            at = np.searchsorted(keys, some, sorter=sorter)
+            row = sorter[np.minimum(at, keys.shape[0] - 1)]
+            table = cache[row]
+            miss = np.flatnonzero(keys[row] != some)
+            for q in range(0, miss.shape[0], width):
+                idx = miss[q:q + width]
+                regret = _payoffs(some[idx], phi, gamma, na, p2, dn, am, k)
+                np.subtract(regret.max(axis=2, keepdims=True), regret, out=regret)
+                table[idx] = np.maximum.reduceat(regret, starts, axis=1)
+            new = miss[:limit - used]
+            if new.shape[0]:
+                # in place: no view of either array outlives a statement
+                cache.resize((used + new.shape[0], nblocks, nact), refcheck=False)
+                keys.resize(used + new.shape[0], refcheck=False)
+                cache[used:] = table[new]
+                keys[used:] = some[new]
+                used += new.shape[0]
+                sorter = np.argsort(keys)
+            span = slice(first[j], first[min(j + tab, thetas.shape[0])])
+            rows, g = order[span], group[span] - j
+            res = table[g, 0, digits[0, rows]]
+            for b in range(1, nblocks):
+                np.maximum(res, table[g, b, digits[b, rows]], out=res)
+            worst[rows] = res
         i = int(np.argmin(worst))
         if worst[i] < best_res:
             best_res = float(worst[i])
-            best_prof = digits[i].copy()
+            best_prof = digits[:, i].copy()
     return best_res, best_prof, min_aggdist

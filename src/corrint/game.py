@@ -357,14 +357,13 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
     if game.externality == EXTERNALITY_INTEGRAL:
         theta = pay.beta * norm(np.asarray(aggregate) - e_mean, pay.flavor)
         return _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, k)
-    table = np.empty((len(space.ids), game.nact))
+    # each atom's row at its own block's theta, from one table over all of them
+    thetas = np.array([pay.beta * norm(np.asarray(b) - e_mean, pay.flavor) for b in aggregate])
+    block = np.empty(len(space.ids), dtype=np.int64)
     for bi, blk in enumerate(game.f_alg.blocks):
-        theta = pay.beta * norm(np.asarray(aggregate[bi]) - e_mean, pay.flavor)
-        sub = _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, k)
-        for atom in blk:
-            ti = space.position(atom)
-            table[ti] = sub[ti]
-    return table
+        block[[space.position(a) for a in blk]] = bi
+    tables = _kernels._payoffs(thetas, phi, gamma_f, na, p2, dn, am, k)
+    return tables[block, np.arange(block.shape[0])]
 
 
 def best_response(game: LargeGame, t: int, b, tie_tol: float = TIE_TOL) -> list[int]:

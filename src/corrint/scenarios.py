@@ -203,6 +203,8 @@ def _read_all(where: str, table: dict[str, Param], given: dict, outer: dict) -> 
 ORTHOGONALITY_CAP = 1 << 22
 # largest trial the lemma check builds: parts x mesh cells
 LEMMA_CAP = 1 << 22
+# largest model a check without an enumeration cap builds, in float entries
+MODEL_CAP = 1 << 24
 
 
 def _limit(cap: int) -> int:
@@ -214,24 +216,38 @@ def _cells(p: dict) -> int:
     return 1 << min(p["L"], _limit(p["cap"]))
 
 
-# kind -> what its check would build: (noun, cap, factor, base, exponent) for
-# factor * base**exponent items, or None; the size is checked before any work
+def _values(p: dict, refinement: int = 1) -> tuple:
+    """The counterexample's correspondence: k+1 values in k(N+1) coordinates
+    on each of the 2**L cells' ``refinement`` atoms."""
+    return "atom values", MODEL_CAP, (p["k"] + 1) * _dim(p) * refinement, 2, p["L"]
+
+
+# kind -> what its check would build: (noun, cap, factor, base, exponent)
+# for factor * base**exponent items, each checked before any work
 SIZES = {
-    "walsh-orthogonality": lambda p: (
-        "sign-table entries", ORTHOGONALITY_CAP, p["max_index"], 2, p["level"]),
-    "lemma-bound": lambda p: (
-        "trial entries", LEMMA_CAP, max(p["k"], p["kmax"]), 2, max(p["meshes"])),
+    "walsh-orthogonality": lambda p: [(
+        "sign-table entries", ORTHOGONALITY_CAP, p["max_index"], 2, p["level"])],
+    "lemma-bound": lambda p: [(
+        "trial entries", LEMMA_CAP, max(p["k"], p["kmax"]), 2, max(p["meshes"]))],
     # the finest level splits each of the 2**L cells into 2**level atoms
-    "convexity-decay": lambda p: ("atoms", p["cap"], 1, 2, p["L"] + max(p["levels"])),
+    "convexity-decay": lambda p: [("atoms", p["cap"], 1, 2, p["L"] + max(p["levels"]))],
     # k+1 values on each interval atom, one on the atomic part
-    "necessity-gap": lambda p: ("selections", p["cap"], 1, p["k"] + 1, _cells(p)),
+    "necessity-gap": lambda p: [("selections", p["cap"], 1, p["k"] + 1, _cells(p))],
     # actions: zero, then k mixed points per cell; strategies are constant
     # on cells here, on atoms in an exhaustive equilibrium search
-    "game-nonexistence": lambda p: ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
-                                    _cells(p) + (p["gamma"] > 0)),
-    "game-equilibrium": lambda p: p["mode"] == MODE_EXHAUSTIVE and (
-        "profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
-        _cells(p) * p["refinement"] + (p["gamma"] > 0)),
+    "game-nonexistence": lambda p: [
+        ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p), _cells(p) + (p["gamma"] > 0)),
+        _values(p, p["refinement"])],
+    "game-equilibrium": lambda p: ([
+        ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
+         _cells(p) * p["refinement"] + (p["gamma"] > 0))
+    ] if p["mode"] == MODE_EXHAUSTIVE else []) + [_values(p, p["refinement"])],
+    # the other checks of the counterexample, against one model cap
+    "counterexample-integrals": lambda p: [_values(p)],
+    "uhc-decay": lambda p: [_values(p)],
+    "lyapunov-exactness": lambda p: [_values(p, p["refinement"])],
+    # two cells of `resolution` atoms, each with two values in d coordinates
+    "rcd-mixture": lambda p: [("atom values", MODEL_CAP, 2 * p["resolution"] * p["d"], 2, 1)],
 }
 
 
@@ -244,9 +260,7 @@ def read_check(kind: str, check: dict) -> dict:
     lower bound, and the message says so.
     """
     params = _read_all(kind, PARAMS[kind], {k: v for k, v in check.items() if k != "kind"}, {})
-    size = kind in SIZES and SIZES[kind](params)
-    if size:
-        noun, cap, factor, base, exp = size
+    for noun, cap, factor, base, exp in SIZES[kind](params) if kind in SIZES else ():
         count = factor * base ** min(exp, _limit(cap))
         if count > cap:
             at_least = "at least " if exp > _limit(cap) else ""

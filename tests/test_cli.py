@@ -134,6 +134,12 @@ def test_malformed_walsh_check_exit_2(tmp_path, check):
     {"kind": "lemma-bound", "meshes": [21], "kmax": 4},
     {"kind": "walsh-orthogonality", "level": 70},
     {"kind": "convexity-decay", "levels": [1, 40]},
+    {"kind": "uhc-decay", "L": 40},
+    {"kind": "rcd-mixture", "d": 1000000000000},
+    {"kind": "counterexample-integrals", "L": 40},
+    {"kind": "lyapunov-exactness", "refinement": 10 ** 8},
+    {"kind": "game-equilibrium", "L": 40},
+    {"kind": "game-nonexistence", "refinement": 10 ** 8},
 ])
 def test_oversized_walsh_check_exit_3(tmp_path, check):
     cfg = tmp_path / "cfg.json"

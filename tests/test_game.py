@@ -19,6 +19,7 @@ from corrint.game import (
     build_counterexample_game,
     case1_indicator_parts,
     _lemma_holds,
+    _payoffs_at_aggregate,
     find_equilibrium,
     lemma_bound_check,
     lemma_bound_trials,
@@ -374,6 +375,38 @@ def test_conditional_externality_aggregate_shape():
     assert len(agg) == len(g.f_alg.blocks)
     res, _ = residual_of(g, prof)
     assert res >= 0.0
+
+
+def _payoffs_at_aggregate_per_block(game, aggregate):
+    """The conditional-externality table, one full payoff table per F-block."""
+    pay = game.payoff
+    space = game.space
+    phi, gamma_f, na, p2, dn, am = game.ctables
+    e_mean = pay.bundle.e_mean()
+    table = np.empty((len(space.ids), game.nact))
+    for bi, blk in enumerate(game.f_alg.blocks):
+        theta = pay.beta * norm(np.asarray(aggregate[bi]) - e_mean, pay.flavor)
+        sub = _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, pay.k)
+        for atom in blk:
+            ti = space.position(atom)
+            table[ti] = sub[ti]
+    return table
+
+
+@pytest.mark.parametrize("gamma", ["0", "1/4"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_conditional_externality_table_equals_per_block_oracle(k, gamma):
+    g = build_counterexample_game(k, gamma, 2, 2, refinement=k + 1,
+                                  externality=EXTERNALITY_CONDITIONAL)
+    natoms = len(g.space.ids)
+    rng = np.random.default_rng(71)
+    plays = [[0] * natoms, list(balanced_profile(g).play)]
+    plays += [rng.integers(0, g.nact, natoms).tolist() for _ in range(4)]
+    for play in plays:
+        agg = aggregate_of(g, StrategyProfile(tuple(play)))
+        want = _payoffs_at_aggregate_per_block(g, agg)
+        got = _payoffs_at_aggregate(g, agg)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lemma_bound_canonical_case():

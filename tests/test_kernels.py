@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,47 @@ def _exhaustive_scan(nact, block_mass, block_start, block_len,
                 break
             digits[pos] = 0
             pos -= 1
+    return best_res, best_prof, min_aggdist
+
+
+def _exhaustive_scan_batched(nact, block_mass, block_start, block_len,
+                             actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+    """Scan every block-constant profile; return the minimum-residual one.
+
+    Returns (min residual, best profile digits, min aggregate distance to
+    e_mean over all profiles).  Deterministic: mixed-radix order with the
+    last block fastest, first minimum wins.  Profiles are evaluated in
+    chunks whose payoff temporaries stay near ``_CHUNK_BYTES``.
+    """
+    nblocks = block_mass.shape[0]
+    d = actions.shape[1]
+    total = nact ** nblocks
+    radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
+    atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
+    atom_block = np.repeat(np.arange(nblocks), block_len)
+    phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
+    chunk = max(1, _kernels._CHUNK_BYTES // (8 * atoms.shape[0] * nact))
+    best_res = math.inf
+    best_prof = np.zeros(nblocks, dtype=np.int64)
+    min_aggdist = math.inf
+    for lo in range(0, total, chunk):
+        digits = (np.arange(lo, min(lo + chunk, total))[:, None] // radix) % nact
+        agg = np.zeros((digits.shape[0], d))
+        for b in range(nblocks):
+            agg += block_mass[b] * actions[digits[:, b]]
+        dx = agg - e_mean
+        acc = np.zeros(digits.shape[0])
+        for m in range(d):
+            acc += dx[:, m] * dx[:, m]
+        aggdist = np.sqrt(acc)
+        min_aggdist = min(min_aggdist, float(aggdist.min()))
+        pay = _kernels._payoffs(beta * aggdist, phi, gamma, na, p2, dn, am, k)
+        chosen = np.take_along_axis(pay, digits[:, atom_block, None], axis=2)[:, :, 0]
+        worst = (pay.max(axis=2) - chosen).max(axis=1)
+        i = int(np.argmin(worst))
+        if worst[i] < best_res:
+            best_res = float(worst[i])
+            best_prof = digits[i].copy()
     return best_res, best_prof, min_aggdist
 
 
@@ -353,6 +395,85 @@ def test_exhaustive_scan_chunking_does_not_move_the_winner(monkeypatch):
     single = _kernels.exhaustive_scan(*args)
     assert whole[0] == single[0] and whole[2] == single[2]
     assert np.array_equal(whole[1], single[1])
+
+
+def _duplicated_actions(g):
+    # every action twice: each minimum ties with the profiles that swap in
+    # copies, which come later in scan order
+    return LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=np.concatenate([g.actions, g.actions]),
+                     payoff=g.payoff, externality=g.externality)
+
+
+def _random_aggregates(args, seed):
+    # random block masses and action points: every profile gets its own
+    # aggregate and theta, while the payoff tables stay the game's
+    rng = np.random.default_rng(seed)
+    nblocks = args[1].shape[0]
+    masses = rng.uniform(0.5, 1.5, nblocks) / nblocks
+    return (args[0], masses, *args[2:4], rng.normal(size=args[4].shape), *args[5:])
+
+
+# scan arguments: the cases above, crafted ties and all-distinct theta
+ORACLE_CASES = {
+    **{name: (lambda make=make: _scan_arguments(make())) for name, make in SCAN_CASES.items()},
+    "duplicated-actions": lambda: _scan_arguments(
+        _duplicated_actions(build_counterexample_game(1, 0, 1, 1, refinement=2))),
+    "random-aggregates": lambda: _random_aggregates(_scan_arguments(SCAN_CASES["coarse"]()), 65),
+    "random-aggregates-gamma-quarter": lambda: _random_aggregates(
+        _scan_arguments(SCAN_CASES["gamma-quarter"]()), 66),
+}
+
+
+def _hex(scan):
+    res, prof, dist = scan
+    return float(res).hex(), np.asarray(prof).tolist(), float(dist).hex()
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_exhaustive_scan_equals_batched_oracle(monkeypatch, case, budget):
+    # the theta table against the per-profile batched kernel it replaced,
+    # at the default chunk budget and at one profile and one theta a chunk
+    args = ORACLE_CASES[case]()
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+    assert _hex(_kernels.exhaustive_scan(*args)) == _hex(_exhaustive_scan_batched(*args))
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.0, -0.25, math.nan, math.inf])
+def test_exhaustive_scan_refuses_beta_outside_positive_reals(beta):
+    # theta = beta * distance is keyed as a float: it must be >= +0
+    args = _scan_arguments(build_counterexample_game(1, 0, 1, 2))
+    with pytest.raises(PreconditionError):
+        _kernels.exhaustive_scan(*args[:6], beta, *args[7:])
+
+
+def test_exhaustive_scan_memory_bounded_when_every_theta_differs(monkeypatch):
+    # 13**4 profiles, each with its own theta, so the regret cache fills to
+    # its cap of 8 budgets and never hits: traced memory stays within
+    # 16 x _CHUNK_BYTES, and no payoff block exceeds one budget
+    args = _random_aggregates(_scan_arguments(_coarse_strategies(
+        build_counterexample_game(3, 0, 2, 2, refinement=4))), 67)
+    natoms, nact = args[7].shape[0], args[0]
+    tracemalloc.start()
+    try:
+        scan = _kernels.exhaustive_scan(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * _kernels._CHUNK_BYTES
+    assert _hex(scan) == _hex(_exhaustive_scan_batched(*args))
+    seen = []
+    payoffs = _kernels._payoffs
+
+    def spy(thetas, *rest):
+        seen.append(thetas.shape[0])
+        return payoffs(thetas, *rest)
+
+    monkeypatch.setattr(_kernels, "_payoffs", spy)
+    _kernels.exhaustive_scan(*args)
+    assert max(seen) <= max(1, _kernels._CHUNK_BYTES // (8 * natoms * nact))
+    assert sum(seen) == 13 ** 4  # every theta distinct, each evaluated once
 
 
 def test_fresh_process_report_bytes_match_in_process():
