@@ -23,7 +23,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     CorrintError,
-    DegenerateBlockError,
     DivisibilityError,
     NoSelectionError,
     PreconditionError,

@@ -13,6 +13,7 @@ whose value at an interval atom is {0, f_1(cell), ..., f_k(cell)}.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -205,10 +206,7 @@ def block_choice_sets(
 
 
 def selection_count(corr: Correspondence, alg: SigmaPartition) -> int:
-    count = 1
-    for cs in block_choice_sets(corr, alg):
-        count *= len(cs)
-    return count
+    return math.prod(len(cs) for cs in block_choice_sets(corr, alg))
 
 
 def enumerate_selections(corr: Correspondence, alg: SigmaPartition, cap: int):
@@ -223,9 +221,7 @@ def enumerate_selections(corr: Correspondence, alg: SigmaPartition, cap: int):
             raise NoSelectionError(
                 f"no common value on block {sorted(b)}; selections do not exist"
             )
-    count = 1
-    for cs in sets:
-        count *= len(cs)
+    count = math.prod(len(cs) for cs in sets)
     if count > cap:
         raise CapacityError(count, cap)
 

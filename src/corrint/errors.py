@@ -33,9 +33,5 @@ class NoSelectionError(CorrintError):
     """A correspondence admits no measurable selection for the given algebra."""
 
 
-class DegenerateBlockError(CorrintError):
-    """A conditional expectation hit a zero-mass block."""
-
-
 class ConfigError(CorrintError):
     """A scenario or game configuration failed to parse or validate."""

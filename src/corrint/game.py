@@ -34,6 +34,7 @@ from .correspondences import CounterexampleBundle, build_counterexample
 from .errors import CapacityError, PreconditionError, StructureError
 from .spaces import (
     SigmaPartition,
+    block_averages,
     independence_product_check,
     is_refinement,
 )
@@ -322,21 +323,10 @@ def payoff_G(game: LargeGame, t: int, a, b) -> float:
 def aggregate_of(game: LargeGame, profile: StrategyProfile):
     """Integral aggregate (one vector) or conditional aggregate (per block)."""
     space = game.space
-    acts = game.actions
+    rows = game.actions[list(profile.play)]
     if game.externality == EXTERNALITY_INTEGRAL:
-        total = np.zeros(acts.shape[1])
-        for m, p in zip(space.masses, profile.play):
-            total += float(m) * acts[p]
-        return total
-    out = []
-    lookup = dict(zip(space.ids, profile.play))
-    for blk in game.f_alg.blocks:
-        bmass = space.mass(blk)
-        acc = np.zeros(acts.shape[1])
-        for a in sorted(blk):
-            acc += float(space.mass_of(a) / bmass) * acts[lookup[a]]
-        out.append(acc)
-    return out
+        return block_averages(space, SigmaPartition.trivial(space), rows)[0]
+    return block_averages(space, game.f_alg, rows)
 
 
 def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .correspondences import Selection, _vec_key
-from .errors import DegenerateBlockError, PreconditionError, StructureError
+from .errors import PreconditionError, StructureError
 from .spaces import SigmaPartition
 
 
@@ -104,10 +104,7 @@ def rcd_of_selection(sel: Selection, g_alg: SigmaPartition) -> TransitionKernel:
     per_block = []
     for b in g_alg.blocks:
         bmass = space.mass(b)
-        if bmass == 0:
-            raise DegenerateBlockError(f"block {sorted(b)} has zero mass")
-        dist = [(sel.at(a), space.mass_of(a) / bmass) for a in sorted(b)]
-        per_block.append(dist)
+        per_block.append([(sel.at(a), space.mass_of(a) / bmass) for a in sorted(b)])
     return TransitionKernel(g_alg, per_block)
 
 

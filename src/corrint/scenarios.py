@@ -48,7 +48,7 @@ from .set_integration import (
     integrate_selection,
     lyapunov_mix,
 )
-from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
+from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_averages
 from .vectors import (
     NORM_EUCLID,
     NORM_FLAVORS,
@@ -439,12 +439,9 @@ def check_tower_barycenter(params: dict, seed: int) -> dict:
         lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
         eg_direct = conditional_expectation(sel, g_alg)
         # tower: average the lifted F-expectation over G blocks
-        for gi, gb in enumerate(g_alg.blocks):
-            acc = np.zeros(sel.corr.dim)
-            gmass = space.mass(gb)
-            for a in sorted(gb):
-                acc += float(space.mass_of(a) / gmass) * lifted[a]
-            worst_tower = max(worst_tower, float(np.max(np.abs(acc - eg_direct[gi]))))
+        tower = block_averages(space, g_alg, [lifted[a] for a in space.ids])
+        for acc, direct in zip(tower, eg_direct):
+            worst_tower = max(worst_tower, float(np.max(np.abs(acc - direct))))
         kern = rcd_of_selection(sel, g_alg)
         for bc, direct in zip(kern.barycenters(), eg_direct):
             worst_bary = max(worst_bary, float(np.max(np.abs(bc - direct))))

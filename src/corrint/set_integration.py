@@ -17,35 +17,28 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .correspondences import Correspondence, Selection, block_choice_sets
+from .correspondences import Correspondence, Selection, _compositions, block_choice_sets
 from .errors import (
     CapacityError,
-    DegenerateBlockError,
     DivisibilityError,
     PreconditionError,
     StructureError,
 )
-from .spaces import DiscreteSpace, SigmaPartition, is_refinement
+from .spaces import DiscreteSpace, SigmaPartition, block_averages, is_refinement
 from .vectors import NORM_EUCLID, Workspace, norm_mode
 
 DEDUP_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
 
-def _metric_of(metric) -> tuple[int, np.ndarray]:
-    """Resolve a Workspace, a flavor string, or None into a kernel metric."""
+def _mode_for(metric, d: int) -> tuple[int, np.ndarray]:
+    """Kernel (mode, weights) of a Workspace, or of the Euclidean norm on
+    R^d when ``metric`` is None."""
     if metric is None:
-        return None  # caller substitutes dimension-aware default
+        return norm_mode(NORM_EUCLID, d)
     if isinstance(metric, Workspace):
         return metric.metric_mode()
     raise PreconditionError(f"metric must be a Workspace or None, got {metric!r}")
-
-
-def _mode_for(metric, d: int) -> tuple[int, np.ndarray]:
-    resolved = _metric_of(metric)
-    if resolved is None:
-        return norm_mode(NORM_EUCLID, d)
-    return resolved
 
 
 def dedup_points(points: np.ndarray) -> np.ndarray:
@@ -130,42 +123,24 @@ def cloud_metadata(
 
 
 def integrate_selection(sel: Selection) -> np.ndarray:
-    """Mass-weighted sum of the selection, atoms in ascending id order."""
+    """Mass-weighted sum of the selection: E(f) over the trivial algebra."""
     space = sel.corr.space
-    total = np.zeros(sel.corr.dim)
-    for m, v in zip(space.masses, sel.choice):
-        total += float(m) * v
-    return total
+    return block_averages(space, SigmaPartition.trivial(space), sel.choice)[0]
 
 
 def conditional_expectation(sel: Selection, g_alg: SigmaPartition) -> list[np.ndarray]:
-    """Per-block averages of the selection, blocks in canonical order.
-
-    The weight of an atom inside its block is the exact rational
-    mass(t)/mass(B), converted once to float.
-    """
-    space = sel.corr.space
-    if g_alg.atom_set != space.atom_set:
-        raise StructureError("conditioning algebra does not cover the space")
-    out = []
-    for b in g_alg.blocks:
-        bmass = space.mass(b)
-        if bmass == 0:
-            raise DegenerateBlockError(f"block {sorted(b)} has zero mass")
-        acc = np.zeros(sel.corr.dim)
-        for a in sorted(b):
-            acc += float(space.mass_of(a) / bmass) * sel.at(a)
-        out.append(acc)
-    return out
+    """Per-block averages of the selection, blocks in canonical order
+    (see :func:`~corrint.spaces.block_averages`)."""
+    return block_averages(sel.corr.space, g_alg, sel.choice)
 
 
 def _block_contributions(
-    space: DiscreteSpace, alg: SigmaPartition, sets, scale: Fraction
+    space: DiscreteSpace, alg: SigmaPartition, sets
 ) -> list[np.ndarray]:
-    """Per-block arrays of scaled admissible contributions mass(B)/scale * v."""
+    """Per-block arrays of mass-weighted admissible contributions mass(B) * v."""
     out = []
     for b, cs in zip(alg.blocks, sets):
-        w = float(space.mass(b) / scale)
+        w = float(space.mass(b))
         out.append(np.array([w * v for v in cs]))
     return out
 
@@ -203,20 +178,8 @@ def _minkowski_fold(contribs: list[np.ndarray], cap: int, d: int) -> np.ndarray:
 
 def _multiset_sums(options: np.ndarray, r: int) -> np.ndarray:
     """All sums of r choices (with repetition) from the option rows."""
-    p = options.shape[0]
-    counts = _count_vectors(r, p)
-    return counts.astype(float) @ options
-
-
-def _count_vectors(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for head in range(total + 1):
-        rest = _count_vectors(total - head, parts - 1)
-        head_col = np.full((rest.shape[0], 1), head, dtype=np.int64)
-        rows.append(np.hstack([head_col, rest]))
-    return np.vstack(rows)
+    counts = np.array(list(_compositions(r, options.shape[0])), dtype=float)
+    return counts @ options
 
 
 def aumann_integral_set(
@@ -241,7 +204,7 @@ def aumann_integral_set(
     count = math.prod(len(cs) for cs in sets)
     if mode == "enumerate" and count > cap:
         raise CapacityError(count, cap)
-    contribs = _block_contributions(corr.space, alg, sets, Fraction(1))
+    contribs = _block_contributions(corr.space, alg, sets)
     return PointCloudSet(_minkowski_fold(contribs, cap, corr.dim))
 
 
@@ -311,11 +274,9 @@ def conditional_set(
                 break
     block_sets = []
     for gb in g_alg.blocks:
-        gmass = space.mass(gb)
-        if gmass == 0:
-            raise DegenerateBlockError(f"block {sorted(gb)} has zero mass")
+        gnum = space.numerator(gb)
         contribs = [
-            np.array([float(space.mass(tb) / gmass) * v for v in cs])
+            np.array([(space.numerator(tb) / gnum) * v for v in cs])
             for tb, cs in inner_of[id(gb)]
         ]
         block_sets.append(_minkowski_fold(contribs, cap, corr.dim))
@@ -365,9 +326,10 @@ def lyapunov_mix(
     for fb in f_alg.blocks:
         inner = [tb for tb in t_alg.blocks if tb <= fb]
         inner.sort(key=min)
-        fmass = space.mass(fb)
-        sub_masses = [space.mass(tb) for tb in inner]
-        uniform = len(set(sub_masses)) == 1
+        # masses in units of 1/space.den: exact ints
+        fnum = space.numerator(fb)
+        sub_nums = [space.numerator(tb) for tb in inner]
+        uniform = len(set(sub_nums)) == 1
         rep = min(fb)
         if uniform and len(set(ws)) == 1:
             n = len(ws)
@@ -380,10 +342,10 @@ def lyapunov_mix(
                 for a in tb:
                     choice_map[a] = v
         else:
-            quotas = [w * fmass for w in ws]
+            quotas = [w * fnum for w in ws]
             gi = 0
-            acc = Fraction(0)
-            for tb, tm in zip(inner, sub_masses):
+            acc = 0
+            for tb, tm in zip(inner, sub_nums):
                 while gi < len(ws) and quotas[gi] == 0:
                     gi += 1
                 if gi >= len(ws):
@@ -396,7 +358,7 @@ def lyapunov_mix(
                     choice_map[a] = v
                 acc += tm
                 if acc == quotas[gi]:
-                    acc = Fraction(0)
+                    acc = 0
                     gi += 1
                 elif acc > quotas[gi]:
                     raise DivisibilityError(

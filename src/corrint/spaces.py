@@ -1,9 +1,12 @@
 """Finite probability spaces with exact rational masses.
 
 Sigma-algebras are partitions of the atom set (on a finite space every
-sigma-algebra is generated by one), and all mass arithmetic uses
-``fractions.Fraction`` so that independence checks are exact identities
-rather than toleranced comparisons.
+sigma-algebra is generated by one).  Masses are ``fractions.Fraction`` at
+the API; inside, a space keeps one integer numerator per atom over one
+common denominator, so a block's mass is an integer sum and independence
+checks are exact identities rather than toleranced comparisons.
+:func:`block_averages` is the one conditional average E(f|G) on a finite
+space: every block average in the package goes through it.
 
 Atomless spaces enter through :class:`DyadicModel`: the interval piece
 (gamma, 1] is modeled by 2**level uniform cells, each optionally refined
@@ -14,8 +17,11 @@ subinterval midpoint (atoms of the atomic part sit at gamma/2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DivisibilityError,
@@ -40,11 +46,17 @@ class DiscreteSpace:
     Freshly built spaces carry contiguous ids 0..n-1; spaces produced by
     :func:`restrict` keep their parent ids so that traces and independence
     statements read in the original labels.
+
+    ``den`` and ``numerators`` are derived once: the least common
+    denominator of the masses and, aligned with ``ids``, each mass times
+    ``den``, an int.
     """
 
     ids: tuple[int, ...]
     masses: tuple[Fraction, ...]
     label: str | None = None
+    den: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,8 +67,12 @@ class DiscreteSpace:
         for m in self.masses:
             if m <= 0:
                 raise StructureError(f"atom mass {m} is not strictly positive")
-        if sum(self.masses, Fraction(0)) != 1:
+        den = math.lcm(*(m.denominator for m in self.masses))
+        nums = tuple(m.numerator * (den // m.denominator) for m in self.masses)
+        if sum(nums) != den:
             raise StructureError("atom masses must sum exactly to 1")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
 
     @classmethod
@@ -80,8 +96,13 @@ class DiscreteSpace:
     def mass_of(self, atom: int) -> Fraction:
         return self.masses[self.position(atom)]
 
+    def numerator(self, atoms) -> int:
+        """Mass of the atom set times ``den``: a sum of ints."""
+        nums = self.numerators
+        return sum(nums[self.position(a)] for a in set(atoms))
+
     def mass(self, atoms) -> Fraction:
-        return sum((self.masses[self.position(a)] for a in set(atoms)), Fraction(0))
+        return Fraction(self.numerator(atoms), self.den)
 
     @property
     def atom_set(self) -> frozenset[int]:
@@ -140,6 +161,29 @@ def _check_universe(space: DiscreteSpace, *parts: SigmaPartition) -> None:
             raise StructureError(
                 "partition atom universe does not match the space"
             )
+
+
+def block_averages(space: DiscreteSpace, alg: SigmaPartition, values) -> list[np.ndarray]:
+    """E(f|alg): per block of ``alg`` in canonical order, the mass-weighted
+    average of the rows of ``values``, which are aligned with ``space.ids``.
+
+    Atom t of block B weighs n_t / N_B, its integer numerator over the
+    block's.  Python's int division is correctly rounded, so the weight is
+    ``float(mass(t) / mass(B))`` bit for bit.  A block's sum starts from
+    zeros and adds weight * row atom by atom in ascending id order; with
+    the trivial partition it is the integral of f.
+    """
+    _check_universe(space, alg)
+    nums = space.numerators
+    out = []
+    for b in alg.blocks:
+        pos = sorted(space.position(a) for a in b)
+        total = sum(nums[i] for i in pos)
+        acc = np.zeros(len(values[pos[0]]))
+        for i in pos:
+            acc += (nums[i] / total) * values[i]
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)

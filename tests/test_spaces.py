@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corrint.errors import (
@@ -11,6 +13,7 @@ from corrint.spaces import (
     DiscreteSpace,
     DyadicModel,
     SigmaPartition,
+    block_averages,
     build_independent_supplement,
     independence_product_check,
     is_nowhere_equivalent,
@@ -194,3 +197,112 @@ def test_dyadic_model_walsh_blocks():
         dn = m.walsh_block(n)
         for p in parts.parts:
             assert independence_product_check(m.space, p, dn)
+
+
+# -- oracle for block_averages: the conditional-average loops it replaced -----
+
+def _block_averages_fraction_loop(space, alg, values):
+    """E(f|alg) as conditional_expectation, the conditional aggregate and
+    the tower check each wrote it: Fraction block masses summed per call,
+    and float(mass(t) / mass(B)) * row added atom by atom in id order."""
+    out = []
+    for b in alg.blocks:
+        bmass = sum((space.mass_of(a) for a in b), Fraction(0))
+        acc = np.zeros(len(values[0]))
+        for a in sorted(b):
+            acc += float(space.mass_of(a) / bmass) * values[space.position(a)]
+        out.append(acc)
+    return out
+
+
+def _integral_fraction_loop(space, values):
+    """The integral as integrate_selection and the integral aggregate wrote
+    it: float(mass) * row, atoms in id order."""
+    total = np.zeros(len(values[0]))
+    for m, v in zip(space.masses, values):
+        total += float(m) * v
+    return total
+
+
+def _hex(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+def _random_masses(rng, n, max_weight):
+    weights = [int(w) for w in rng.integers(1, max_weight + 1, n)]
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def _random_partition(rng, atoms):
+    """Random partition of the atoms into 1..len(atoms) non-empty blocks."""
+    atoms = list(atoms)
+    m = int(rng.integers(1, len(atoms) + 1))
+    assign = rng.integers(0, m, len(atoms))
+    assign[rng.permutation(len(atoms))[:m]] = np.arange(m)  # no empty blocks
+    return SigmaPartition([
+        {a for a, j in zip(atoms, assign) if j == i} for i in range(m)
+    ])
+
+
+def _random_coarsening(rng, fine):
+    """Random partition whose blocks are unions of the fine blocks."""
+    merged = _random_partition(rng, range(len(fine.blocks)))
+    return SigmaPartition([
+        frozenset().union(*(fine.blocks[i] for i in b)) for b in merged.blocks
+    ])
+
+
+def _oracle_spaces(rng):
+    yield DiscreteSpace.from_masses(["1/3", "1/7", "11/21"])
+    yield DiscreteSpace.from_masses(["1/3", "1/3", "1/7", "4/21"])
+    yield DyadicModel(Fraction(1, 3), 2, refinement=3).space
+    yield DyadicModel(Fraction(1, 3), 3).space
+    for _ in range(12):
+        n = int(rng.integers(2, 14))
+        space = DiscreteSpace.from_masses(_random_masses(rng, n, 50))
+        yield space
+        # a restriction keeps its parent's ids, so ids and positions differ
+        keep = set(int(a) for a in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+        yield restrict(space, SigmaPartition.singletons(space), keep)[0]
+        # numerators past 2**53, where a float division would round twice
+        yield DiscreteSpace.from_masses(_random_masses(rng, n, 10 ** 18))
+
+
+def test_block_averages_equal_the_fraction_loops():
+    rng = np.random.default_rng(7)
+    for space in _oracle_spaces(rng):
+        d = int(rng.integers(1, 5))
+        rows = rng.normal(size=(len(space.ids), d)) * 10.0 ** rng.integers(-3, 4)
+        fine = _random_partition(rng, space.ids)
+        algs = [SigmaPartition.trivial(space), SigmaPartition.singletons(space),
+                fine, _random_coarsening(rng, fine)]
+        for alg in algs:
+            want = _hex(_block_averages_fraction_loop(space, alg, rows))
+            assert _hex(block_averages(space, alg, rows)) == want
+            # a list of rows, as selections and lifted maps hold them
+            assert _hex(block_averages(space, alg, list(rows))) == want
+        trivial = block_averages(space, algs[0], rows)[0]
+        assert _hex([trivial]) == _hex([_integral_fraction_loop(space, rows)])
+
+
+def test_integer_weights_equal_fraction_weights():
+    # int true division and float(Fraction) both round correctly
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(2, 9))
+        space = DiscreteSpace.from_masses(_random_masses(rng, n, 10 ** int(rng.integers(1, 19))))
+        assert space.den == math.lcm(*(m.denominator for m in space.masses))
+        assert sum(space.numerators) == space.den
+        for alg in (_random_partition(rng, space.ids), SigmaPartition.trivial(space)):
+            for b in alg.blocks:
+                big = space.numerator(b)
+                block_mass = sum((Fraction(space.mass_of(a)) for a in b), Fraction(0))
+                assert space.mass(b) == block_mass
+                for a in b:
+                    nt = space.numerators[space.position(a)]
+                    assert nt / big == float(Fraction(space.mass_of(a)) / block_mass)
+
+
+def test_block_averages_refuses_foreign_partition(uniform4):
+    with pytest.raises(StructureError):
+        block_averages(uniform4, SigmaPartition([{0, 1}, {2}]), np.ones((4, 2)))
