@@ -1,10 +1,13 @@
 """Hot numeric kernels, vectorized in numpy.
 
 The Walsh butterfly runs along the last axis, so a stack of rows is one
-call, and pairs its floating-point operations as the plain loop does; the
-nearest-distance search sums each distance coordinate by coordinate in the
-loop's order.  So both agree with their loop forms bit for bit at every
-size and dimension.  The game kernels share one batched payoff
+call, and pairs its floating-point operations as the plain loop does.  The
+nearest-distance search returns the directed Hausdorff distance, the maximum
+over targets of the distance to the nearest cloud row: it sums each
+distance coordinate by coordinate in the loop's order, and it scans a
+target only while that target's seed bound, itself such a distance, exceeds
+the maximum found so far.  So both agree with their loop forms bit for bit
+at every size and dimension.  The game kernels share one batched payoff
 formula, ``_payoffs``, which keeps the loop form's operation order and
 evaluates ``sin`` through libm (``math.sin``), so a table at one externality
 agrees with a per-element loop exactly.  The exhaustive scan evaluates it
@@ -98,26 +101,35 @@ def _lex_view(rows):
 
 
 def min_dists(targets, cloud, mode, weights):
-    """Distance from each target row to its nearest cloud row.
+    """Directed Hausdorff distance: the largest distance from a target row
+    to its nearest cloud row, as one float.
 
     An exact windowed search over the cloud in lexicographic order.  Each
     target first gets a bound b from a few seed rows: its lexicographic
     neighbours once its first coordinate is snapped to each adjacent value
-    of the cloud's first column.  Only rows with w0 |c0 - t0| <= b, found by
-    ``searchsorted`` on that column, are scanned.  No row outside the window
-    can come below b: every computed distance is at least its rounded first
-    term fl(w0 |fl(t0 - c0)|), because the other terms are >= 0 and
-    rounding is monotone, and the window's radius is rounded up so that
-    rounding can only add rows.  Distances are accumulated in the loop
-    form's order and, under MODE_EUCLID, minimized as squares with one
-    ``sqrt`` after (exact, as ``sqrt`` is correctly rounded and monotone),
-    so the result equals the loop form bit for bit at every dimension.  A
-    cloud passed as its own targets is at distance 0 without a scan.
+    of the cloud's first column.  Its nearest distance is then found among
+    the rows with w0 |c0 - t0| <= b, located by ``searchsorted`` on that
+    column.  No row outside the window can come below b: every computed
+    distance is at least its rounded first term fl(w0 |fl(t0 - c0)|),
+    because the other terms are >= 0 and rounding is monotone, and the
+    window's radius is rounded up so that rounding can only add rows.
+    Distances are accumulated in the loop form's order and, under
+    MODE_EUCLID, compared as squares with one ``sqrt`` after (exact, as
+    ``sqrt`` is correctly rounded and monotone).
 
-    Raises ``PreconditionError`` on NaN or infinite coordinates, on an empty
-    cloud, and on MODE_WSUM weights that are negative or not finite: the
-    window relies on the order of the first column and on terms >= 0.
-    Targets and cloud must be (n, d) arrays of one d >= 1.
+    Targets are scanned in descending order of their bounds, and the scan
+    stops at the first bound <= the running maximum.  That is exact: a
+    bound is a computed distance to a real row, summed in the loop's order,
+    so no target left unscanned lies farther than its bound, which is at
+    most the maximum already found; and the maximum is exact in any order.
+    So the result equals the maximum of the loop form bit for bit at every
+    dimension.  A cloud passed as its own targets is at distance 0 without a
+    scan.
+
+    Raises ``PreconditionError`` on NaN or infinite coordinates, on no
+    targets, on an empty cloud, and on MODE_WSUM weights that are negative
+    or not finite: the window relies on the order of the first column and
+    on terms >= 0.  Targets and cloud must be (n, d) arrays of one d >= 1.
     """
     targets = np.asarray(targets, dtype=float)
     cloud = np.asarray(cloud, dtype=float)
@@ -133,11 +145,11 @@ def min_dists(targets, cloud, mode, weights):
     if mode == MODE_WSUM and not (np.isfinite(w).all() and (w >= 0).all()):
         raise PreconditionError(f"weighted l1 needs finite weights >= 0, got {w!r}")
     if nt == 0:
-        return np.empty(0)
+        raise PreconditionError("the largest nearest distance of no targets is undefined")
     if n == 0:
         raise PreconditionError("an empty cloud has no nearest row")
     if targets is cloud or np.array_equal(targets, cloud):
-        return np.zeros(nt)
+        return 0.0
     if not _lex_sorted(cloud):
         cloud = cloud[np.lexsort(cloud.T[::-1])]
     cloud = np.ascontiguousarray(cloud)
@@ -169,10 +181,13 @@ def min_dists(targets, cloud, mode, weights):
     rho = np.nextafter(r, np.inf)
     lo = np.searchsorted(c0, t0 - rho, "left")
     hi = np.searchsorted(c0, t0 + rho, "right")
-    for i in range(nt):
+    top = -math.inf
+    for i in np.argsort(-best, kind="stable"):
+        if best[i] <= top:
+            break
         window = cols[:, lo[i]:hi[i]]
-        best[i] = _row_dists(targets[i], window, mode, w).min(initial=best[i])
-    return np.sqrt(best) if mode == MODE_EUCLID else best
+        top = max(top, float(_row_dists(targets[i], window, mode, w).min(initial=best[i])))
+    return math.sqrt(top) if mode == MODE_EUCLID else top
 
 
 def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):

@@ -95,9 +95,10 @@ class PointCloudSet:
         return self.points.shape[1]
 
     def nearest_distance(self, v, metric=None) -> float:
+        """Distance from v to its nearest point of the set."""
         mode, weights = _mode_for(metric, self.ambient_dim)
         target = np.asarray(v, dtype=float).reshape(1, -1)
-        return float(_kernels.min_dists(target, self.points, mode, weights)[0])
+        return _kernels.min_dists(target, self.points, mode, weights)
 
     def contains(self, v, tol: float = MEMBERSHIP_TOL, metric=None) -> bool:
         return self.nearest_distance(v, metric) <= tol
@@ -232,7 +233,11 @@ class ConditionalSet:
         return self.size
 
     def contains_function(self, func, tol: float = MEMBERSHIP_TOL, metric=None) -> bool:
-        """Membership via the product structure: per block, a set hit."""
+        """Membership via the product structure: per block, a set hit.
+
+        Each block's vector is one target of the nearest-distance search
+        against that block's set.
+        """
         func = np.asarray(func, dtype=float)
         if func.shape != (len(self.block_sets), self.block_sets[0].shape[1]):
             raise StructureError(
@@ -240,8 +245,7 @@ class ConditionalSet:
             )
         for target, bs in zip(func, self.block_sets):
             mode, weights = _mode_for(metric, bs.shape[1])
-            dist = float(_kernels.min_dists(target.reshape(1, -1), bs, mode, weights)[0])
-            if dist > tol:
+            if _kernels.min_dists(target.reshape(1, -1), bs, mode, weights) > tol:
                 return False
         return True
 
@@ -412,7 +416,7 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
     for u in dirs:
         scores = points @ u
         top = scores.max()
-        cand = points[scores >= top - 1e-12]
+        cand = points[np.flatnonzero(scores >= top - 1e-12)]
         order = np.lexsort(cand.T[::-1])
         v = cand[order[-1]]
         chosen.setdefault(v.tobytes(), v)
@@ -431,7 +435,10 @@ def convexity_gap(
 
     Probes are all pairwise midpoints of the cloud's support vertices plus
     ``samples`` deterministic low-discrepancy convex combinations of them;
-    the same seed reproduces the same probes bit for bit.
+    the same seed reproduces the same probes bit for bit.  The gap is the
+    directed Hausdorff distance from the probes to the cloud, one call of
+    the nearest-distance search, which scans only the probes that can
+    raise the maximum.
     """
     if len(cloud) == 0:
         raise PreconditionError("gap of an empty cloud is undefined")
@@ -452,16 +459,19 @@ def convexity_gap(
         w = w / w.sum()
         targets.append(w @ verts)
     mode, weights = _mode_for(metric, pts.shape[1])
-    dists = _kernels.min_dists(np.array(targets), pts, mode, weights)
-    return float(dists.max())
+    return _kernels.min_dists(np.array(targets), pts, mode, weights)
 
 
 def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> float:
-    """max over a of min over b of the pointwise distance (asymmetric)."""
+    """max over a of min over b of the pointwise distance (asymmetric).
+
+    One call of the nearest-distance search, which scans only the points of
+    a that can raise the maximum.
+    """
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("semidistance needs non-empty clouds")
     mode, weights = _mode_for(metric, a.ambient_dim)
-    return float(_kernels.min_dists(a.points, b.points, mode, weights).max())
+    return _kernels.min_dists(a.points, b.points, mode, weights)
 
 
 def function_semidistance(
@@ -475,6 +485,7 @@ def function_semidistance(
     same blocks, so the value is sum_j masses[j] * h(a_j, b_j), h the
     semidistance of one block's sets: float sums and products by weights
     >= 0 are monotone, so this equals the pairwise max-min bit for bit.
+    Each h is one call of the nearest-distance search.
     """
     nb = len(a.block_sets)
     if len(b.block_sets) != nb or len(masses) != nb:
@@ -487,7 +498,7 @@ def function_semidistance(
     mode, weights = _mode_for(metric, a.block_sets[0].shape[1])
     total = 0.0
     for m, xs, ys in zip(masses, a.block_sets, b.block_sets):
-        total += float(m) * float(_kernels.min_dists(xs, ys, mode, weights).max())
+        total += float(m) * _kernels.min_dists(xs, ys, mode, weights)
     return total
 
 

@@ -257,6 +257,37 @@ def _min_dists_cases(d, rng):
     yield cloud, cloud
 
 
+def _assert_min_dists_equal_loop(targets, cloud, mode, weights):
+    """Each target alone gives its loop entry, and all together the loop's
+    maximum, in bytes, so that -0.0 and 0.0 count as different."""
+    loop = _min_dists_loop(targets, cloud, mode, weights)
+    for i in range(targets.shape[0]):
+        alone = _kernels.min_dists(targets[i:i + 1], cloud, mode, weights)
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == loop[i].tobytes(), (i, mode, targets, cloud)
+    fast = _kernels.min_dists(targets, cloud, mode, weights)
+    assert type(fast) is float
+    assert np.float64(fast).tobytes() == loop.max().tobytes(), (mode, targets, cloud)
+
+
+def _window_scans(monkeypatch):
+    """Spy on ``_row_dists``: the list of the window scans it is called for.
+
+    The seed bounds come from calls with a column per target; a window scan
+    gets one target's coordinates as a 1-D row.
+    """
+    scans = []
+    row_dists = _kernels._row_dists
+
+    def spy(tcols, ccols, mode, weights):
+        if np.ndim(tcols) == 1:
+            scans.append(np.array(tcols))
+        return row_dists(tcols, ccols, mode, weights)
+
+    monkeypatch.setattr(_kernels, "_row_dists", spy)
+    return scans
+
+
 def test_min_dists_paths_agree_exactly():
     # d >= 8 catches a pairwise row sum (numpy's sum over an axis of 8 or
     # more), which adds in another order than the loop form
@@ -265,9 +296,7 @@ def test_min_dists_paths_agree_exactly():
         weights = 0.5 ** (np.arange(d) + 1.0)
         for targets, cloud in _min_dists_cases(d, rng):
             for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):
-                loop = _min_dists_loop(targets, cloud, mode, weights)
-                fast = _kernels.min_dists(targets, cloud, mode, weights)
-                assert np.array_equal(loop, fast), (d, mode, targets, cloud)
+                _assert_min_dists_equal_loop(targets, cloud, mode, weights)
 
 
 def test_min_dists_nearest_row_on_the_window_edge():
@@ -282,7 +311,75 @@ def test_min_dists_nearest_row_on_the_window_edge():
             cloud = sign * np.array([[0.5, y], [c, 0.0]])
             loop = _min_dists_loop(targets, cloud, MODE_WSUM, weights)
             assert loop[0] < _min_dists_loop(targets, cloud[:1], MODE_WSUM, weights)[0]
-            assert np.array_equal(loop, _kernels.min_dists(targets, cloud, MODE_WSUM, weights))
+            _assert_min_dists_equal_loop(targets, cloud, MODE_WSUM, weights)
+
+
+@pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
+def test_min_dists_targets_inside_the_cloud(monkeypatch, mode):
+    # every seed bound is 0, so the first target's scan settles the maximum
+    rng = np.random.default_rng(65)
+    cloud = rng.normal(size=(40, 3))
+    targets = cloud[rng.permutation(40)[:12]]
+    weights = np.array([0.5, 1.0, 2.0])
+    _assert_min_dists_equal_loop(targets, cloud, mode, weights)
+    scans = _window_scans(monkeypatch)
+    assert _kernels.min_dists(targets, cloud, mode, weights) == 0.0
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
+def test_min_dists_scans_only_the_far_target(monkeypatch, mode):
+    # near targets sit inside a grid and the far one well outside it: once
+    # the far target is scanned no near bound can reach its distance
+    g = np.arange(6) / 5.0
+    cloud = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(66)
+    targets = rng.uniform(0.0, 1.0, size=(9, 2))
+    targets[4] = (7.0, -3.0)
+    weights = np.array([0.75, 1.25])
+    _assert_min_dists_equal_loop(targets, cloud, mode, weights)
+    scans = _window_scans(monkeypatch)
+    _kernels.min_dists(targets, cloud, mode, weights)
+    assert len(scans) == 1 and np.array_equal(scans[0], targets[4])
+
+
+@pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
+def test_min_dists_tied_bounds(monkeypatch, mode):
+    # near and far share their seed rows (-0.1, 5) and (0.1, 5), hence one
+    # bound; near's nearest row (0.5, 0) lies inside its window, and far's
+    # nearest rows are the seed rows.  Scanned first, near leaves a maximum
+    # below the tied bound, so far must be scanned too; scanned first, far
+    # reaches the bound and stops the search.
+    cloud = np.array([[-0.1, 5.0], [0.1, 5.0], [0.5, 0.0]])
+    near, far = [0.0, 0.0], [0.0, 10.0]
+    weights = np.ones(2)
+    loop = _min_dists_loop(np.array([near, far]), cloud, mode, weights)
+    assert loop[0] < loop[1]
+    for targets, nscans in (([near, far], 2), ([far, near], 1), ([near, near, far, far], 3)):
+        targets = np.array(targets)
+        _assert_min_dists_equal_loop(targets, cloud, mode, weights)
+        scans = _window_scans(monkeypatch)
+        assert _kernels.min_dists(targets, cloud, mode, weights) == loop[1]
+        assert len(scans) == nscans
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("w0", [0.0, -0.0, 5e-324, 2.5e-320])
+def test_min_dists_zero_and_subnormal_first_weight(w0):
+    # w0 = 0 leaves the first column out of every distance, and a subnormal
+    # w0 overflows the window radius: both windows span the whole cloud
+    rng = np.random.default_rng(67)
+    cloud = rng.normal(size=(25, 3))
+    targets = np.concatenate([rng.normal(size=(6, 3)), cloud[:3] + [4.0, 0.0, 0.0]])
+    weights = np.array([w0, 1.0, 0.5])
+    _assert_min_dists_equal_loop(targets, cloud, MODE_WSUM, weights)
+
+
+def test_min_dists_refuses_no_targets():
+    cloud = np.random.default_rng(68).normal(size=(5, 2))
+    for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):
+        with pytest.raises(PreconditionError):
+            _kernels.min_dists(np.zeros((0, 2)), cloud, mode, np.ones(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -319,9 +416,7 @@ def test_min_dists_property_equals_loop_oracle(data, d, nt, nc, mode):
     if data.draw(st.booleans()):
         targets = np.concatenate([targets, cloud[::2]])
     weights = data.draw(arrays(float, d, elements=st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 2.0)))
-    loop = _min_dists_loop(targets, cloud, mode, weights)
-    # bytes, so that -0.0 and 0.0 count as different
-    assert loop.tobytes() == _kernels.min_dists(targets, cloud, mode, weights).tobytes()
+    _assert_min_dists_equal_loop(targets, cloud, mode, weights)
 
 
 def test_payoff_table_matches_pure_python():

@@ -77,8 +77,8 @@ def _pairwise_function_semidistance(fa, fb, masses, metric=None):
         for g in fb:
             dist = 0.0
             for j in range(fa.shape[1]):
-                dj = float(_kernels.min_dists(
-                    f[j].reshape(1, -1), g[j].reshape(1, -1), mode, weights)[0])
+                dj = _kernels.min_dists(
+                    f[j].reshape(1, -1), g[j].reshape(1, -1), mode, weights)
                 dist += w[j] * dj
             if dist < best:
                 best = dist

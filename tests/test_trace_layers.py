@@ -1,9 +1,12 @@
-"""The benchmark's tracer wraps corrint functions by name: each must exist.
+"""The benchmark's tracer wraps corrint functions by name: each must exist,
+and each workload must reach the layers the benchmark requires of it.
 
 ``perfbench/tracer.py`` lists in ``LAYERS`` the (module, attribute) pairs
-it wraps.  A function renamed or deleted in corrint would otherwise show up
-only as a failed ``perfbench/run.py --trace 1`` run.  The tracer is loaded
-read-only, without writing bytecode next to it.
+it wraps, and ``perfbench/run.py`` fails a traced run whose workload leaves
+a required layer or check kind unreached.  A function renamed, deleted or
+no longer called in corrint would otherwise show up only as a failed
+``perfbench/run.py --trace 1`` run.  The benchmark's modules are loaded
+read-only, without writing bytecode next to them.
 """
 import importlib
 import importlib.util
@@ -12,17 +15,20 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from corrint import scenarios
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracer():
-    # tracer.py imports its sibling ``workloads`` as a top-level module
+def _load(name):
+    # the benchmark's scripts import their siblings as top-level modules
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     try:
         spec = importlib.util.spec_from_file_location(
-            "perfbench_tracer", PERFBENCH / "tracer.py"
+            f"perfbench_{name}", PERFBENCH / f"{name}.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -32,7 +38,9 @@ def _load_tracer():
         sys.dont_write_bytecode = saved_flag
 
 
-LAYERS = _load_tracer().LAYERS
+RUN = _load("run")
+WORKER = _load("worker")
+LAYERS = RUN.tracer.LAYERS
 
 
 def test_tracer_lists_layers():
@@ -45,3 +53,23 @@ def test_traced_function_resolves_in_corrint(layer):
     for part in layer.attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("workload", RUN.workloads.WORKLOADS)
+def test_workload_reaches_its_required_layers(monkeypatch, workload):
+    # one traced pass over the seed-0 configs, read by the benchmark's own
+    # rule; the kernel micro-benchmarks are timed apart from the passes
+    monkeypatch.chdir(ROOT)  # bundled scenarios are read from the checkout
+    units, required = RUN.per_layer()
+    runner = WORKER.Runner(scenarios, RUN.workloads.generate(workload, 0))
+    tracer = RUN.tracer.Tracer()
+    tracer.install()
+    try:
+        timings = runner.run_pass()
+    finally:
+        tracer.uninstall()
+    assert not runner.failures
+    res = {"workload": workload, "missing": tracer.missing, "failed_ratio": 0.0,
+           "layers": WORKER._layer_metrics(tracer, [timings], [timings])}
+    layered = {name for name in required[workload] if not name.startswith("kernels.micro.")}
+    RUN._layer_values(res, units, layered)
