@@ -10,15 +10,18 @@ the maximum found so far.  So both agree with their loop forms bit for bit
 at every size and dimension.  The game kernels share one batched payoff
 formula, ``_payoffs``, which keeps the loop form's operation order and
 evaluates ``sin`` through libm (``math.sin``), so a table at one externality
-agrees with a per-element loop exactly.  The exhaustive scan evaluates it
-once per distinct externality theta, reduces it to rows of block regrets
-that it keeps across chunks of profiles, and reads each profile's residual
-from them; the maximum is exact in any order, so the scan agrees with the
-loop too.
+agrees with a per-element loop exactly.  The exhaustive scan builds each
+profile's aggregate from a partial sum over the leading blocks, one per
+run of profiles that differ only in the last block, added in the loop's
+order.  It evaluates the payoffs once per distinct externality theta,
+reduces them to rows of block regrets that it keeps across chunks of
+profiles, and reads each profile's residual from them; the maximum is
+exact in any order, so the scan agrees with the loop too.
 The loop forms live in the test suite as oracles.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -36,7 +39,23 @@ MODE_MAX = 3
 # working set, a stack of lemma trials, a slice of a sign table
 _CHUNK_BYTES = 1 << 16
 
+# elements in each iterator buffer under ``_small_buffers`` (numpy's
+# default is 8192): small beside a payoff block or a chunk's aggregate
+_UFUNC_BUFFER = 512
+
 _libm_sin = np.frompyfunc(math.sin, 1, 1)
+
+
+@contextlib.contextmanager
+def _small_buffers():
+    """numpy gives each broadcast operand of a ufunc an iterator buffer of
+    ``np.getbufsize()`` elements, or of the whole operation if smaller;
+    here they hold ``_UFUNC_BUFFER``.  Elementwise results do not depend on
+    it; a buffered sum would be split at the buffer, so no reduction runs
+    here.  ``errstate`` restores the size on exit."""
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
+        yield
 
 
 def fwht_f64(v):
@@ -194,21 +213,28 @@ def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):
     """Payoff of every (theta, player, action) triple, shape (ntheta, natoms, nact).
 
     Players with theta = 0 or phi <= gamma get u = 0, hence a zero
-    oscillating factor and exactly -p2.
+    oscillating factor and exactly -p2.  Beside its output it holds one
+    factor of the same shape, arrays of one entry per (theta, player), and
+    small iterator buffers (``_small_buffers``).
     """
     active = (thetas[:, None] != 0.0) & (phi[None, :] > gamma)
     u = np.divide(phi[None, :] - gamma, thetas[:, None],
                   out=np.zeros(active.shape), where=active)
     # the residue is taken in floats, where floor(u) is exact at any size
     rho = (np.floor(u) % (k + 1)).astype(np.int64)
-    sinv = np.abs(_libm_sin(u * math.pi).astype(float))
-    # in place where the loop form's operands allow: x * y == y * x exactly
-    hv = na + am[0, rho][:, :, None]
-    hv *= (thetas[:, None] * sinv)[:, :, None]
-    for i in range(1, k + 1):
-        hv *= dn[None, :, :, i - 1] + am[i, rho][:, :, None]
-    np.negative(hv, out=hv)
-    hv -= p2
+    wave = thetas[:, None] * np.abs(_libm_sin(u * math.pi).astype(float))
+    del active, u  # before the block-sized arrays
+    with _small_buffers():
+        # in place where the loop form's operands allow: x * y == y * x
+        # exactly; each factor is written into one reused buffer
+        hv = na + am[0, rho][:, :, None]
+        hv *= wave[:, :, None]
+        factor = np.empty_like(hv)
+        for i in range(1, k + 1):
+            np.add(dn[None, :, :, i - 1], am[i, rho][:, :, None], out=factor)
+            hv *= factor
+        np.negative(hv, out=hv)
+        hv -= p2
     return hv
 
 
@@ -220,6 +246,35 @@ def payoff_table(theta, phi, gamma, na, p2, dn, am, k):
     am[i, rho] the planar root-of-unity modulus table.
     """
     return _payoffs(np.array([float(theta)]), phi, gamma, na, p2, dn, am, k)[0]
+
+
+def _aggregate_distances(contrib, e_mean, lead):
+    """Distance to e_mean of the aggregate of every profile in a chunk of
+    runs, in scan order.
+
+    A run is nact consecutive profiles, which share every digit but the
+    last block's; ``lead[b, r]`` is the digit of block b in run r, for all
+    blocks but the last.  ``contrib[m, b, a]`` is coordinate m of block b's
+    mass times action a.  The leading blocks are summed once per run, as a
+    (d, runs) array, and the last block is added by broadcasting; so each
+    aggregate coordinate is summed from 0.0, block 0 first, as the
+    per-coordinate loop form sums it.  The squared gaps are then added
+    coordinate 0 first, one coordinate at a time over all the profiles,
+    since numpy promises no order for a reduction; every distance thus
+    equals the loop form's bit for bit.
+    """
+    d, nblocks, nact = contrib.shape
+    x = np.zeros((d, lead.shape[1]))
+    for b in range(nblocks - 1):
+        x += contrib[:, b, lead[b]]
+    with _small_buffers():
+        x = (x[:, :, None] + contrib[:, None, -1]).reshape(d, -1)
+        x -= e_mean[:, None]
+    x *= x
+    dist = x[0]
+    for m in range(1, d):
+        dist += x[m]
+    return np.sqrt(dist, out=dist)
 
 
 def exhaustive_scan(nact, block_mass, block_start, block_len,
@@ -238,15 +293,18 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     maximum over b of R[theta, b, digit_b].  A row comes from a cache kept
     across chunks, or else from ``_payoffs`` reduced by
     ``np.maximum.reduceat``, and is then cached while the cache has room; it
-    never evicts.  ``_payoffs`` is elementwise in theta and the maximum is
-    exact in any order, so residuals, the winner and the distance equal a
-    per-profile evaluation bit for bit.
+    never evicts.  A chunk is a whole number of runs of nact profiles, and
+    ``_aggregate_distances`` gives its distances.  ``_payoffs`` is
+    elementwise in theta and the maximum is exact in any order, so
+    residuals, the winner and the distance equal a per-profile evaluation
+    bit for bit.
 
-    Memory is bounded in ``_CHUNK_BYTES``: a quarter for a chunk's (blocks,
-    profiles) digit table, half for a table of regret rows, a quarter for a
+    Memory is bounded in ``_CHUNK_BYTES``: a quarter for each array of one
+    entry per profile of a chunk, four for the chunk's (coordinates,
+    profiles) aggregate, half for a table of regret rows, half for a
     ``_payoffs`` block and at most eight for the cache, which grows with the
     rows it holds.  This holds however many theta are distinct, as long as
-    one theta's payoff block and regret row fit their shares.
+    one run, one theta's payoff block and one regret row fit their shares.
 
     Raises ``PreconditionError`` unless beta is finite and > 0, which keeps
     every theta >= +0 and so makes equal keys mean equal payoffs, and
@@ -257,19 +315,20 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     nblocks = block_mass.shape[0]
     if nblocks == 0 or np.any(block_len < 1):
         raise PreconditionError("the scan needs at least one block, each with an atom")
-    total = nact ** nblocks
+    d = actions.shape[1]
+    runs_total = nact ** (nblocks - 1)
     radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
     atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
     starts = np.cumsum(block_len) - block_len
     phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
     # contrib[m, b, a]: coordinate m of block b's mass times action a
     contrib = np.ascontiguousarray((block_mass[:, None, None] * actions).transpose(2, 0, 1))
-    # profiles per chunk, rows per regret table, theta per _payoffs call and
+    # runs per chunk, rows per regret table, theta per _payoffs call and
     # rows in the cache, from the shares of _CHUNK_BYTES above
     row_bytes = 8 * nblocks * nact
-    chunk = max(1, _CHUNK_BYTES // (32 * nblocks))
+    runs = max(1, min(_CHUNK_BYTES // (32 * nact), _CHUNK_BYTES // (2 * d * nact)))
     tab = max(1, _CHUNK_BYTES // (2 * row_bytes))
-    width = max(1, _CHUNK_BYTES // (32 * atoms.shape[0] * nact))
+    width = max(1, _CHUNK_BYTES // (16 * atoms.shape[0] * nact))
     limit = max(1, 8 * _CHUNK_BYTES // row_bytes)
     # cache[r] is the regret row of theta keys[r], and keys[sorter] is
     # sorted; the one placeholder row, under a NaN key that equals no
@@ -281,31 +340,22 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     best_res = math.inf
     best_prof = np.zeros(nblocks, dtype=np.int64)
     min_aggdist = math.inf
-    for lo in range(0, total, chunk):
-        digits = np.arange(lo, min(lo + chunk, total)) // radix[:, None]
-        digits %= nact
-        n = digits.shape[1]
-        # the squared distance coordinate by coordinate, in the loop's order,
-        # then in place the distance and theta = beta * distance
-        theta = np.zeros(n)
-        for m in range(contrib.shape[0]):
-            x = np.zeros(n)
-            for b in range(nblocks):
-                x += contrib[m, b][digits[b]]
-            x -= e_mean[m]
-            x *= x
-            theta += x
-        np.sqrt(theta, out=theta)
+    for run in range(0, runs_total, runs):
+        count = min(runs, runs_total - run)
+        lead = np.arange(run, run + count) // radix[1:, None] % nact
+        theta = _aggregate_distances(contrib, e_mean, lead)
+        n = theta.shape[0]
         min_aggdist = min(min_aggdist, float(theta.min()))
         theta *= beta
         # profiles grouped by theta: group[i] numbers the distinct value of
-        # the i-th profile in sorted order, and first[g] is where run g starts
+        # the i-th profile in sorted order, and first[g] is where group g starts
         order = np.argsort(theta)
         theta = theta[order]
         fresh = np.empty(n, dtype=bool)
         fresh[0] = True
         np.not_equal(theta[1:], theta[:-1], out=fresh[1:])
-        group = np.cumsum(fresh) - 1
+        group = np.cumsum(fresh)
+        group -= 1
         first = np.append(np.flatnonzero(fresh), n)
         thetas = theta[first[:-1]]
         worst = np.empty(n)
@@ -330,13 +380,18 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
                 used += new.shape[0]
                 sorter = np.argsort(keys)
             span = slice(first[j], first[min(j + tab, thetas.shape[0])])
-            rows, g = order[span], group[span] - j
-            res = table[g, 0, digits[0, rows]]
-            for b in range(1, nblocks):
-                np.maximum(res, table[g, b, digits[b, rows]], out=res)
-            worst[rows] = res
-        i = int(np.argmin(worst))
-        if worst[i] < best_res:
-            best_res = float(worst[i])
-            best_prof = digits[:, i].copy()
+            # a profile's entries in the flat table: its theta's row, then
+            # block b's digit, from its run in the chunk or its last digit
+            base = (group[span] - j) * (nblocks * nact)
+            pos, last = np.divmod(order[span], nact)
+            flat = table.reshape(-1)
+            res = flat[base + last + (nblocks - 1) * nact]
+            for b in range(nblocks - 1):
+                np.maximum(res, flat[base + lead[b, pos] + b * nact], out=res)
+            worst[span] = res
+        # the first profile in scan order with the chunk's least residual
+        low = worst.min()
+        if low < best_res:
+            best_res = float(low)
+            best_prof = (run * nact + int(order[worst == low].min())) // radix % nact
     return best_res, best_prof, min_aggdist

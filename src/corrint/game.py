@@ -38,7 +38,7 @@ from .spaces import (
     independence_product_check,
     is_refinement,
 )
-from .vectors import NORM_EUCLID, norm, zero_vector
+from .vectors import NORM_EUCLID, norm, row_norms, zero_vector
 from .walsh import walsh_integer_spectrum
 
 EXTERNALITY_INTEGRAL = "integral"
@@ -107,7 +107,7 @@ class LargeGame:
         acts.setflags(write=False)
         object.__setattr__(self, "actions", acts)
         if isinstance(self.payoff, CounterexamplePayoff):
-            maxn = max(norm(a, self.payoff.flavor) for a in acts)
+            maxn = float(row_norms(acts, self.payoff.flavor).max())
             if self.payoff.M < maxn - 1e-12:
                 raise StructureError(
                     f"M = {self.payoff.M} below the action norm bound {maxn}"
@@ -131,6 +131,11 @@ class LargeGame:
     def ctables(self) -> tuple:
         """``_ctables`` of this game, built once: a frozen game never changes them."""
         return _ctables(self)
+
+    @functools.cached_property
+    def cell_mixes(self) -> tuple:
+        """``_cell_mixes`` of this game, built once."""
+        return _cell_mixes(self)
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ def build_counterexample_game(
     for extra in extra_actions:
         acts.append(np.asarray(extra, dtype=float))
     actions = np.array(acts)
-    maxn = max(norm(a, flavor) for a in actions)
+    maxn = float(row_norms(actions, flavor).max())
     if M is None:
         M = max(float(1 - Fraction(gamma)), maxn)
     beta = float(1 - Fraction(gamma)) / (4.0 * M)
@@ -257,34 +262,65 @@ def payoff_h(l, a, xs, theta: float, gamma=0, k: int | None = None,
     return val
 
 
+def _cell_mixes(game: LargeGame) -> tuple:
+    """(mixes, row): the k mixed points of every cell, and which to use.
+
+    ``mixes[c]`` is ``mixed_points(c)``, shape (k, d), for each of the
+    model's cells c, and a last block of zeros serves the atomic atom;
+    atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
+    """
+    pay = game.payoff
+    if not isinstance(pay, CounterexamplePayoff):
+        raise PreconditionError("mixed points exist only for the explicit payoff")
+    b = pay.bundle
+    model = b.model
+    mixes = np.zeros((model.ncells + 1, b.k, b.d))
+    for c in range(model.ncells):
+        mixes[c] = pay.mixed_points(c)
+    ids = model.space.ids
+    cells = (model.cell_of(a) for a in ids)
+    row = np.fromiter((model.ncells if c is None else c for c in cells),
+                      dtype=np.int64, count=len(ids))
+    mixes.setflags(write=False)
+    row.setflags(write=False)
+    return mixes, row
+
+
 def _ctables(game: LargeGame):
-    """Precomputed arrays for the explicit payoff over all (atom, action)."""
+    """Precomputed arrays for the explicit payoff over all (atom, action).
+
+    ``dn[t, a, i]`` is the norm of action a minus the i-th mixed point of
+    atom t's cell, and ``p2[t, a]`` is ``na[a]`` times those k gaps,
+    multiplied in the order i = 0..k-1.  Atoms of one cell share both rows,
+    so they are computed once per cell, by ``row_norms`` over (cell, action)
+    pairs in chunks whose (pairs, k, d) differences stay within
+    ``_kernels._CHUNK_BYTES``, and then gathered per atom: memory is that of
+    ``dn`` and ``p2``, once per cell and once per atom, plus one chunk.
+    Every entry equals the per-row ``norm`` loop bit for bit.
+    """
     pay = game.payoff
     if not isinstance(pay, CounterexamplePayoff):
         raise PreconditionError("tables exist only for the explicit payoff")
     b = pay.bundle
     model = b.model
-    space = model.space
-    natoms = len(space.ids)
     nact = game.nact
     k = b.k
     gamma_f = float(b.gamma)
-    phi = np.array([float(model.phi(a)) for a in space.ids])
-    na = np.array([norm(a, pay.flavor) for a in game.actions])
-    dn = np.zeros((natoms, nact, k))
-    p2 = np.zeros((natoms, nact))
-    zero_mix = np.zeros((k, b.d))
-    for ti, atom in enumerate(space.ids):
-        cell = model.cell_of(atom)
-        mixes = zero_mix if cell is None else pay.mixed_points(cell)
-        for ai in range(nact):
-            a = game.actions[ai]
-            prod = na[ai]
-            for i in range(k):
-                gap = norm(a - mixes[i], pay.flavor)
-                dn[ti, ai, i] = gap
-                prod *= gap
-            p2[ti, ai] = prod
+    ids = model.space.ids
+    phi = np.fromiter((float(model.phi(a)) for a in ids), dtype=float, count=len(ids))
+    na = row_norms(game.actions, pay.flavor)
+    mixes, row = game.cell_mixes
+    cell_dn = np.empty((mixes.shape[0], nact, k))
+    pairs = cell_dn.reshape(-1, k)
+    step = max(1, _kernels._CHUNK_BYTES // (8 * k * b.d))
+    for lo in range(0, pairs.shape[0], step):
+        q = np.arange(lo, min(lo + step, pairs.shape[0]))
+        gaps = game.actions[q % nact, None, :] - mixes[q // nact]
+        pairs[lo:lo + q.shape[0]] = row_norms(gaps, pay.flavor)
+    cell_p2 = np.tile(na, (mixes.shape[0], 1))
+    for i in range(k):
+        cell_p2 *= cell_dn[:, :, i]
+    dn, p2 = cell_dn[row], cell_p2[row]
     am = np.zeros((k + 1, k + 1))
     for i in range(k + 1):
         for r in range(k + 1):
@@ -348,7 +384,7 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
         theta = pay.beta * norm(np.asarray(aggregate) - e_mean, pay.flavor)
         return _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, k)
     # each atom's row at its own block's theta, from one table over all of them
-    thetas = np.array([pay.beta * norm(np.asarray(b) - e_mean, pay.flavor) for b in aggregate])
+    thetas = pay.beta * row_norms(np.asarray(aggregate) - e_mean, pay.flavor)
     block = np.empty(len(space.ids), dtype=np.int64)
     for bi, blk in enumerate(game.f_alg.blocks):
         block[[space.position(a) for a in blk]] = bi
@@ -383,30 +419,27 @@ def _canonical_tie_sets(game: LargeGame) -> list[list[int]] | None:
     """Per atom, the zero action plus its own cell's mixed points (ascending).
 
     These are exactly the candidate optimal actions of the explicit payoff;
-    None for generic payoffs.
+    None for generic payoffs.  A mixed point names the first action equal
+    to it in every coordinate (``np.array_equal``: -0.0 equals 0.0, NaN
+    equals nothing), found for a chunk of cells by one broadcast equality.
     """
     pay = game.payoff
     if not isinstance(pay, CounterexamplePayoff):
         return None
-    b = pay.bundle
-    model = b.model
+    mixes, row = game.cell_mixes
+    k, d = mixes.shape[1:]
     zero_idx = _zero_action_index(game)
-    out = []
-    for atom in model.space.ids:
-        cell = model.cell_of(atom)
-        if cell is None:
-            out.append([zero_idx])
-            continue
-        mix = pay.mixed_points(cell)
-        ids = [zero_idx]
-        for i in range(b.k):
-            target = mix[i]
-            for ai in range(game.nact):
-                if np.array_equal(game.actions[ai], target):
-                    ids.append(ai)
-                    break
-        out.append(sorted(set(ids)))
-    return out
+    if game.actions.shape[1] != d:  # no action has a mixed point's shape
+        return [[zero_idx] for _ in row]
+    # the atomic atom's zero mixed points name the zero action, the first
+    # action with every coordinate 0, or none if there is none: {zero_idx}
+    sets = []
+    step = max(1, _kernels._CHUNK_BYTES // (k * game.nact * d))
+    for lo in range(0, mixes.shape[0], step):
+        hit = (mixes[lo:lo + step, :, None, :] == game.actions).all(axis=-1)
+        first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), zero_idx)
+        sets.extend(sorted({zero_idx, *ids}) for ids in first.tolist())
+    return [list(sets[r]) for r in row.tolist()]
 
 
 def _block_positions(game: LargeGame) -> dict[int, int]:
@@ -630,6 +663,7 @@ def verify_equilibrium_partition(
 
     parts: list[set[int]] = [set() for _ in range(k + 1)]
     zero_idx = _zero_action_index(game)
+    mixes = game.cell_mixes[0]
     for atom, p in zip(space.ids, profile.play):
         cell = model.cell_of(atom)
         if cell is None:
@@ -642,10 +676,9 @@ def verify_equilibrium_partition(
         if p == zero_idx:
             parts[0].add(atom)
             continue
-        mix = pay.mixed_points(cell)
         hit = None
         for i in range(k):
-            if np.array_equal(action, mix[i]):
+            if np.array_equal(action, mixes[cell, i]):
                 hit = i + 1
                 break
         if hit is None:

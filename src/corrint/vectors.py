@@ -7,6 +7,10 @@ it, and symmetrically on the dual side.  Basis vectors are unit in every
 supported norm flavor, so normalizing denominators in series constructions
 are literal ones.
 
+Each norm flavor is written once, in ``row_norms``, a reduction over the
+last axis that gives every row the bits of its own 1-D norm; ``norm`` is
+its one-row case.
+
 Besides the three norm flavors, the module carries the two weighted-l1
 metrics used for weak and weak-star convergence diagnostics: both weigh the
 ``m``-th coordinate gap by ``2**-(m+1)`` (0-based indexing; the weight
@@ -81,15 +85,28 @@ def dual_pairing(m: int, v: np.ndarray) -> float:
     return float(v[m])
 
 
-def norm(v: np.ndarray, flavor: str = NORM_EUCLID) -> float:
-    v = np.asarray(v, dtype=float)
+def row_norms(x: np.ndarray, flavor: str = NORM_EUCLID) -> np.ndarray:
+    """Norm of every row of ``x``: a reduction over its last axis.
+
+    The terms are laid out in C order, so numpy sums each row as one
+    contiguous run, pairwise as it sums a lone 1-D array; row ``i`` thus
+    equals the norm of ``x[i]`` alone bit for bit, whatever the layout of
+    ``x``.  Rows of length 0 have norm 0 in every flavor.
+    """
+    x = np.asarray(x, dtype=float)
     if flavor == NORM_SUM:
-        return float(np.sum(np.abs(v)))
+        return np.sum(np.abs(x, order="C"), axis=-1)
     if flavor == NORM_EUCLID:
-        return float(np.sqrt(np.sum(v * v)))
+        return np.sqrt(np.sum(np.multiply(x, x, order="C"), axis=-1))
     if flavor == NORM_MAX:
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        # every |x| is >= +0, so a zero start changes no maximum
+        return np.max(np.abs(x), axis=-1, initial=0.0)
     raise PreconditionError(f"unknown norm flavor {flavor!r}")
+
+
+def norm(v: np.ndarray, flavor: str = NORM_EUCLID) -> float:
+    """Norm of one vector: the one-row case of ``row_norms``."""
+    return float(row_norms(v, flavor))
 
 
 def half_weights(d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from corrint.game import (
     best_response,
     build_counterexample_game,
     case1_indicator_parts,
+    _canonical_tie_sets,
+    _ctables,
     _lemma_holds,
     _payoffs_at_aggregate,
     find_equilibrium,
@@ -30,7 +33,8 @@ from corrint.game import (
     verify_equilibrium_partition,
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition
-from corrint.vectors import basis_vector, norm, zero_vector
+from corrint.scenarios import MODEL_CAP
+from corrint.vectors import NORM_FLAVORS, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_integer_spectrum, walsh_sign_on_cell
 
 
@@ -667,3 +671,154 @@ def test_game_requires_refining_algebras():
     with pytest.raises(PreconditionError):
         LargeGame(f_alg=g.f_alg, t_alg=SigmaPartition.trivial(g.space),
                   actions=g.actions, payoff=g.payoff)
+
+
+# -- the explicit payoff's tables against their per-row loop forms ------------
+
+def _ctables_loop(game):
+    """``_ctables`` as one ``norm`` call per (atom, action, mixed point).
+
+    ``norm`` itself is pinned to its loop form in test_vectors.py.
+    """
+    pay = game.payoff
+    b = pay.bundle
+    model = b.model
+    space = model.space
+    natoms, nact, k = len(space.ids), game.nact, b.k
+    phi = np.array([float(model.phi(a)) for a in space.ids])
+    na = np.array([norm(a, pay.flavor) for a in game.actions])
+    dn = np.zeros((natoms, nact, k))
+    p2 = np.zeros((natoms, nact))
+    zero_mix = np.zeros((k, b.d))
+    for ti, atom in enumerate(space.ids):
+        cell = model.cell_of(atom)
+        mixes = zero_mix if cell is None else pay.mixed_points(cell)
+        for ai in range(nact):
+            a = game.actions[ai]
+            prod = na[ai]
+            for i in range(k):
+                gap = norm(a - mixes[i], pay.flavor)
+                dn[ti, ai, i] = gap
+                prod *= gap
+            p2[ti, ai] = prod
+    am = np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for r in range(k + 1):
+            am[i, r] = root_of_unity_gap(i, r, k)
+    return phi, float(b.gamma), na, p2, dn, am
+
+
+def _canonical_tie_sets_loop(game):
+    """``_canonical_tie_sets`` as an ``np.array_equal`` search per mixed point."""
+    pay = game.payoff
+    b = pay.bundle
+    model = b.model
+    zero_idx = next((i for i, a in enumerate(game.actions) if not np.any(a)), 0)
+    out = []
+    for atom in model.space.ids:
+        cell = model.cell_of(atom)
+        if cell is None:
+            out.append([zero_idx])
+            continue
+        mix = pay.mixed_points(cell)
+        ids = [zero_idx]
+        for i in range(b.k):
+            for ai in range(game.nact):
+                if np.array_equal(game.actions[ai], mix[i]):
+                    ids.append(ai)
+                    break
+        out.append(sorted(set(ids)))
+    return out
+
+
+def _hexes(tables):
+    return [[float(x).hex() for x in np.ravel(t)] for t in tables]
+
+
+def _with_actions(g, actions):
+    return LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=actions,
+                     payoff=g.payoff, externality=g.externality)
+
+
+def _signed_zeros(g):
+    # every zero coordinate of every action negative: equal to +0.0 for
+    # np.array_equal, but a different float
+    return _with_actions(g, np.where(g.actions == 0.0, -0.0, g.actions))
+
+
+TABLE_GAMES = {
+    "k2": lambda flavor: build_counterexample_game(2, 0, 2, 2, refinement=3, flavor=flavor),
+    # the atomic atom takes zero mixed points
+    "gamma-quarter": lambda flavor: build_counterexample_game(
+        3, "1/4", 2, 2, refinement=2, flavor=flavor),
+    "conditional": lambda flavor: build_counterexample_game(
+        2, 0, 2, 2, refinement=3, flavor=flavor, externality=EXTERNALITY_CONDITIONAL),
+    # d = 48 rows, where numpy sums pairwise, and probe actions
+    "k16-probes": lambda flavor: build_counterexample_game(
+        16, 0, 2, 2, extra_actions=[np.linspace(-1, 1, 48), np.full(48, 1e-7)], flavor=flavor),
+    "signed-zeros": lambda flavor: _signed_zeros(
+        build_counterexample_game(2, "1/4", 1, 2, refinement=2, flavor=flavor)),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("flavor", NORM_FLAVORS)
+@pytest.mark.parametrize("case", sorted(TABLE_GAMES))
+def test_ctables_equal_the_per_row_loop(monkeypatch, case, flavor, budget):
+    # at the default chunk budget and at one (cell, action) pair a chunk
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+    g = TABLE_GAMES[case](flavor)
+    assert _hexes(_ctables(g)) == _hexes(_ctables_loop(g))
+
+
+def _dropped_mixed_points(g):
+    # no action for the first mixed point of any cell
+    return _with_actions(g, np.delete(g.actions, np.arange(1, g.nact, g.payoff.k), axis=0))
+
+
+TIE_GAMES = {
+    "k2": lambda: build_counterexample_game(2, 0, 2, 2, refinement=3),
+    "gamma-quarter": lambda: build_counterexample_game(3, "1/4", 2, 2, refinement=2),
+    "reversed": lambda: (lambda g: _with_actions(g, g.actions[::-1]))(
+        build_counterexample_game(2, 0, 2, 2)),
+    # every mixed point twice: the first copy names it
+    "duplicated": lambda: (lambda g: _with_actions(g, np.concatenate([g.actions, g.actions])))(
+        build_counterexample_game(2, 0, 1, 1, refinement=2)),
+    "signed-zeros": lambda: _signed_zeros(build_counterexample_game(2, "1/4", 1, 2)),
+    "dropped": lambda: _dropped_mixed_points(build_counterexample_game(2, 0, 2, 2)),
+    # no zero action, so the first action stands in for it
+    "no-zero-action": lambda: (lambda g: _with_actions(g, g.actions[1:]))(
+        build_counterexample_game(1, 0, 1, 2)),
+    # actions of another length equal no mixed point
+    "other-length": lambda: (lambda g: _with_actions(g, np.full((3, g.payoff.bundle.d + 1), 0.25)))(
+        build_counterexample_game(1, 0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("case", sorted(TIE_GAMES))
+def test_canonical_tie_sets_equal_the_array_equal_loop(monkeypatch, case, budget):
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+    g = TIE_GAMES[case]()
+    assert _canonical_tie_sets(g) == _canonical_tie_sets_loop(g)
+
+
+def test_ctables_memory_stays_with_the_tables():
+    # 4,096 atoms, 65 actions, k = 4 and d = 64: a model of 1.3 million
+    # atom values, a twelfth of MODEL_CAP.  dn takes 8.5 MB, while the full
+    # (atoms, actions, k, d) array of differences would take 545 MB
+    g = build_counterexample_game(4, 0, 15, 4, refinement=256)
+    b = g.payoff.bundle
+    natoms = len(g.space.ids)
+    assert (b.k + 1) * b.d * natoms <= MODEL_CAP
+    tracemalloc.start()
+    try:
+        tables = _ctables(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(np.asarray(t).nbytes for t in tables) + sum(a.nbytes for a in g.cell_mixes)
+    assert peak <= held + 4 * _kernels._CHUNK_BYTES
+    assert 8 * natoms * g.nact * b.k * b.d > 40 * peak

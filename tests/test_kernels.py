@@ -210,6 +210,37 @@ def _exhaustive_scan_batched(nact, block_mass, block_start, block_len,
     return best_res, best_prof, min_aggdist
 
 
+def _payoffs_allocating(thetas, phi, gamma, na, p2, dn, am, k):
+    """``_payoffs`` as it was before its factors shared one buffer."""
+    active = (thetas[:, None] != 0.0) & (phi[None, :] > gamma)
+    u = np.divide(phi[None, :] - gamma, thetas[:, None],
+                  out=np.zeros(active.shape), where=active)
+    rho = (np.floor(u) % (k + 1)).astype(np.int64)
+    sinv = np.abs(_kernels._libm_sin(u * math.pi).astype(float))
+    hv = na + am[0, rho][:, :, None]
+    hv *= (thetas[:, None] * sinv)[:, :, None]
+    for i in range(1, k + 1):
+        hv *= dn[None, :, :, i - 1] + am[i, rho][:, :, None]
+    np.negative(hv, out=hv)
+    hv -= p2
+    return hv
+
+
+def _aggregate_loop(contrib, e_mean, digits):
+    """Distance to e_mean of the aggregate of each profile of a (blocks,
+    profiles) digit table, one coordinate at a time over every block."""
+    n = digits.shape[1]
+    theta = np.zeros(n)
+    for m in range(contrib.shape[0]):
+        x = np.zeros(n)
+        for b in range(contrib.shape[1]):
+            x += contrib[m, b][digits[b]]
+        x -= e_mean[m]
+        x *= x
+        theta += x
+    return np.sqrt(theta)
+
+
 # -- tests --------------------------------------------------------------------
 
 def test_kernel_path_reported():
@@ -446,6 +477,96 @@ def test_payoff_table_residue_of_huge_ratio():
     assert np.array_equal(pure, _kernels.payoff_table(theta, phi, 0.0, na, p2, dn, am, 2))
 
 
+def _hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _random_tables(rng, natoms, nact, k):
+    phi = np.sort(rng.uniform(0, 1, natoms))
+    na = np.abs(rng.normal(size=nact))
+    p2 = np.abs(rng.normal(size=(natoms, nact)))
+    dn = np.abs(rng.normal(size=(natoms, nact, k)))
+    am = np.abs(rng.normal(size=(k + 1, k + 1)))
+    return phi, na, p2, dn, am
+
+
+def test_payoffs_equal_the_allocating_form():
+    rng = np.random.default_rng(64)
+    thetas = np.concatenate([[0.0, 1e-300], rng.uniform(0, 0.3, 40)])
+    for gamma in (0.0, 0.3):
+        for k in (1, 2, 5):
+            phi, na, p2, dn, am = _random_tables(rng, 7, 6, k)
+            args = (thetas, phi, gamma, na, p2, dn, am, k)
+            assert _hexes(_kernels._payoffs(*args)) == _hexes(_payoffs_allocating(*args))
+    for g in (build_counterexample_game(3, 0, 2, 2, refinement=4),
+              build_counterexample_game(2, "1/4", 2, 2, refinement=4)):
+        phi, gamma, na, p2, dn, am = g.ctables
+        args = (thetas, phi, gamma, na, p2, dn, am, g.payoff.k)
+        assert _hexes(_kernels._payoffs(*args)) == _hexes(_payoffs_allocating(*args))
+
+
+def test_payoffs_peak_within_two_and_a_half_outputs():
+    # 39 theta x 16 atoms x 13 actions, a block of the k3 game: numpy's
+    # iterator buffers for broadcast operands used to lift the peak to 4.3x
+    phi, gamma, na, p2, dn, am = build_counterexample_game(3, 0, 2, 2, refinement=4).ctables
+    thetas = np.linspace(0.01, 0.2, 39)
+    _kernels._payoffs(thetas, phi, gamma, na, p2, dn, am, 3)
+    tracemalloc.start()
+    try:
+        out = _kernels._payoffs(thetas, phi, gamma, na, p2, dn, am, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (39, 16, 13)
+    assert peak <= 2.5 * out.nbytes
+
+
+def test_small_buffers_restore_the_buffer_size():
+    with np.errstate():
+        np.setbufsize(4096)
+        with _kernels._small_buffers():
+            assert np.getbufsize() == _kernels._UFUNC_BUFFER
+        assert np.getbufsize() == 4096
+
+
+AGGREGATE_SHAPES = {
+    # (coordinates, blocks, actions)
+    "one-coordinate": (1, 3, 4),
+    "one-block": (9, 1, 13),
+    "pairwise-width": (48, 3, 7),
+    "five-blocks": (6, 5, 3),
+    # one profile in all: a single coordinate column, which numpy's
+    # reduction would sum pairwise
+    "one-action": (48, 3, 1),
+}
+
+
+@pytest.mark.parametrize("runs", [1, 2, 5, None])
+@pytest.mark.parametrize("shape", sorted(AGGREGATE_SHAPES))
+def test_aggregate_distances_equal_the_per_coordinate_loop(shape, runs):
+    # chunks of `runs` runs, the last one short where they do not divide
+    # the scan; None is the whole scan in one chunk
+    d, nblocks, nact = AGGREGATE_SHAPES[shape]
+    total = nact ** nblocks
+    radix = nact ** np.arange(nblocks - 1, -1, -1)
+    runs_total = total // nact
+    step = runs or runs_total
+    rng = np.random.default_rng(d * 100 + nblocks * 10 + nact)
+    for _ in range(8):
+        # terms of one magnitude, where the order of a sum shows in its
+        # last bits, and signed zeros
+        contrib = rng.normal(size=(d, nblocks, nact))
+        contrib[rng.random(contrib.shape) < 0.2] = -0.0
+        e_mean = rng.normal(size=d)
+        e_mean[0] = 0.0
+        want = _aggregate_loop(contrib, e_mean, np.arange(total) // radix[:, None] % nact)
+        got = []
+        for first in range(0, runs_total, step):
+            lead = np.arange(first, min(first + step, runs_total)) // radix[1:, None] % nact
+            got.append(_kernels._aggregate_distances(contrib, e_mean, lead))
+        assert _hexes(np.concatenate(got)) == _hexes(want)
+
+
 def _reversed_actions(g):
     return LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=g.actions[::-1],
                      payoff=g.payoff, externality=g.externality)
@@ -516,6 +637,10 @@ ORACLE_CASES = {
     "random-aggregates": lambda: _random_aggregates(_scan_arguments(SCAN_CASES["coarse"]()), 65),
     "random-aggregates-gamma-quarter": lambda: _random_aggregates(
         _scan_arguments(SCAN_CASES["gamma-quarter"]()), 66),
+    # one profile, of one action in every block, at d = 48
+    "one-action": lambda: (lambda g: _scan_arguments(LargeGame(
+        f_alg=g.f_alg, t_alg=g.t_alg, actions=np.full((1, g.payoff.bundle.d), 0.125),
+        payoff=g.payoff)))(build_counterexample_game(16, 0, 2, 2)),
 }
 
 

@@ -9,8 +9,19 @@ from corrint.vectors import (
     dual_pairing,
     norm,
     rho_w,
+    row_norms,
     zero_vector,
 )
+
+
+def _norm_loop(v, flavor):
+    """The norm of one vector, as ``norm`` computed it before ``row_norms``."""
+    v = np.asarray(v, dtype=float)
+    if flavor == "sum":
+        return float(np.sum(np.abs(v)))
+    if flavor == "euclid":
+        return float(np.sqrt(np.sum(v * v)))
+    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 def test_biorthogonality_exact():
@@ -85,3 +96,38 @@ def test_workspace_validation():
         Workspace(d=3, norm_flavor="nope")
     mode, weights = ws.metric_mode()
     assert weights[0] == 0.5 and weights[1] == 0.25
+
+
+def _rows(d, rng):
+    # magnitudes over ten decades, so that the summation order shows in the
+    # last bits, and signed zeros
+    x = rng.normal(size=(3, 5, d)) * 10.0 ** rng.integers(-5, 5, size=(3, 5, d))
+    x[0, 0] = -0.0
+    x[0, 1, ::2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
+@pytest.mark.parametrize("d", [0, 1, 8, 9, 48])
+def test_row_norms_equal_the_per_row_loop(d, flavor):
+    # numpy sums a lone vector of 8 or more entries pairwise: each row must
+    # be reduced the same way, whatever the layout of the stack
+    x = _rows(d, np.random.default_rng(40 + d))
+    layouts = [x, np.asfortranarray(x), x[:, ::-1], np.swapaxes(np.swapaxes(x, 0, 2).copy(), 0, 2)]
+    for stack in layouts:
+        got = row_norms(stack, flavor)
+        assert got.shape == stack.shape[:-1]
+        want = [_norm_loop(row, flavor).hex() for row in stack.reshape(15, d)]
+        assert [float(v).hex() for v in got.ravel()] == want
+        assert [norm(row, flavor).hex() for row in stack.reshape(15, d)] == want
+
+
+@pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
+def test_norm_of_an_empty_vector_is_zero(flavor):
+    assert norm(np.zeros(0), flavor) == 0.0
+    assert row_norms(np.zeros((4, 0)), flavor).tolist() == [0.0] * 4
+
+
+def test_row_norms_refuses_unknown_flavor():
+    with pytest.raises(PreconditionError):
+        row_norms(np.ones((2, 3)), "l7")
