@@ -40,7 +40,7 @@ MODE_MAX = 3
 _CHUNK_BYTES = 1 << 16
 
 # elements in each iterator buffer under ``_small_buffers`` (numpy's
-# default is 8192): small beside a payoff block or a chunk's aggregate
+# default is 8192): small beside a payoff block
 _UFUNC_BUFFER = 512
 
 _libm_sin = np.frompyfunc(math.sin, 1, 1)
@@ -267,9 +267,8 @@ def _aggregate_distances(contrib, e_mean, lead):
     x = np.zeros((d, lead.shape[1]))
     for b in range(nblocks - 1):
         x += contrib[:, b, lead[b]]
-    with _small_buffers():
-        x = (x[:, :, None] + contrib[:, None, -1]).reshape(d, -1)
-        x -= e_mean[:, None]
+    x = (x[:, :, None] + contrib[:, None, -1]).reshape(d, -1)
+    x -= e_mean[:, None]
     x *= x
     dist = x[0]
     for m in range(1, d):

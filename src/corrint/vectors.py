@@ -105,8 +105,10 @@ def row_norms(x: np.ndarray, flavor: str = NORM_EUCLID) -> np.ndarray:
 
 
 def norm(v: np.ndarray, flavor: str = NORM_EUCLID) -> float:
-    """Norm of one vector: the one-row case of ``row_norms``."""
-    return float(row_norms(v, flavor))
+    """Norm of a whole array, all its entries taken as one vector: the
+    one-row case of ``row_norms``.  The entries are read in memory order,
+    as a reduction over every axis reads them."""
+    return float(row_norms(np.ravel(v, order="K"), flavor))
 
 
 def half_weights(d: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from corrint.game import (
     verify_equilibrium_partition,
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition
-from corrint.scenarios import MODEL_CAP
+from corrint.scenarios import MODEL_CAP, run_scenario_dict
 from corrint.vectors import NORM_FLAVORS, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_integer_spectrum, walsh_sign_on_cell
 
@@ -411,6 +411,29 @@ def test_conditional_externality_table_equals_per_block_oracle(k, gamma):
         want = _payoffs_at_aggregate_per_block(g, agg)
         got = _payoffs_at_aggregate(g, agg)
         assert got.tobytes() == want.tobytes()
+
+
+# the norm of a whole array, as vectors.norm computed it before row_norms
+_OLD_NORM = {
+    "sum": lambda v: float(np.sum(np.abs(v))),
+    "euclid": lambda v: float(np.sqrt(np.sum(v * v))),
+    "max": lambda v: float(np.max(np.abs(v))),
+}
+
+
+@pytest.mark.parametrize("flavor", NORM_FLAVORS)
+def test_conditional_equilibrium_scenario_reports_the_aggregate_error(flavor):
+    # a conditional aggregate has one row per F-block; its error is the
+    # norm of all the rows taken as one vector
+    chk = {"kind": "game-equilibrium", "externality": "conditional", "k": 2, "gamma": "0",
+           "N": 2, "L": 3, "refinement": 3, "workspace": {"norm": flavor}}
+    rep = run_scenario_dict({"schema": 1, "name": "conditional", "checks": [chk]})["checks"][0]
+    g = build_counterexample_game(2, 0, 2, 3, refinement=3,
+                                  externality=EXTERNALITY_CONDITIONAL, flavor=flavor)
+    aggregate = np.asarray(rep["equilibrium_report"]["aggregate"])
+    assert aggregate.shape == (len(g.f_alg.blocks), len(g.payoff.bundle.e_mean()))
+    want = _OLD_NORM[flavor](aggregate - g.payoff.bundle.e_mean())
+    assert rep["aggregate_error"].hex() == want.hex()
 
 
 def test_lemma_bound_canonical_case():

@@ -9,37 +9,14 @@ no longer called in corrint would otherwise show up only as a failed
 read-only, without writing bytecode next to them.
 """
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
+from _perfbench import ROOT, load
 from corrint import scenarios
 
-ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load(name):
-    # the benchmark's scripts import their siblings as top-level modules
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location(
-            f"perfbench_{name}", PERFBENCH / f"{name}.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    finally:
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = saved_flag
-
-
-RUN = _load("run")
-WORKER = _load("worker")
+RUN = load("run")
+WORKER = load("worker")
 LAYERS = RUN.tracer.LAYERS
 
 

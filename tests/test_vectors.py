@@ -123,6 +123,18 @@ def test_row_norms_equal_the_per_row_loop(d, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
+@pytest.mark.parametrize("d", [0, 1, 8, 9, 48])
+def test_norm_of_a_whole_array_equals_the_old_norm(d, flavor):
+    # callers pass stacks too (a conditional aggregate has one row per
+    # block): norm takes all of their entries as one vector
+    x = _rows(d, np.random.default_rng(60 + d))
+    layouts = [x, np.asfortranarray(x), x[:, ::-1], np.swapaxes(np.swapaxes(x, 0, 2).copy(), 0, 2),
+               x[0], np.array(-3.0)]
+    for v in layouts:
+        assert norm(v, flavor).hex() == _norm_loop(v, flavor).hex()
+
+
+@pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
 def test_norm_of_an_empty_vector_is_zero(flavor):
     assert norm(np.zeros(0), flavor) == 0.0
     assert row_norms(np.zeros((4, 0)), flavor).tolist() == [0.0] * 4

@@ -13,34 +13,17 @@ the root of the checkout with
 and justify every regeneration in CHANGES.md.
 """
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from _perfbench import ROOT, load
 from corrint.scenarios import render_report, run_scenario_dict, strip_csv
 
-ROOT = Path(__file__).resolve().parent.parent
 PINNED = json.loads((Path(__file__).parent / "workload_sha256.json").read_text())
 SEED = 1
-
-
-def _load_workloads():
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    finally:
-        sys.dont_write_bytecode = saved
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load("workloads")
 
 
 def _configs(monkeypatch):
