@@ -30,24 +30,34 @@ from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
 
 
-def _freeze(v: np.ndarray) -> np.ndarray:
-    v = np.ascontiguousarray(v, dtype=float)
-    v.setflags(write=False)
-    return v
+def _stack_vectors(vectors: list, what: str) -> np.ndarray:
+    """One new float (n, d) array of the given vectors, in the given order.
+
+    Raises StructureError unless they are non-empty 1-D vectors of one length.
+    The stack is a copy, so the caller's arrays are never touched.
+    """
+    try:
+        stack = np.array(vectors, dtype=float)
+    except ValueError:
+        shapes = {np.shape(v) for v in vectors}
+        if len(shapes) > 1:
+            raise StructureError(f"{what} of mixed shapes {sorted(shapes)}") from None
+        raise
+    if stack.ndim != 2:
+        raise StructureError(f"{what} must be 1-D vectors, got shape {stack.shape[1:]}")
+    return stack
 
 
-def _vec_key(v: np.ndarray) -> bytes:
-    return np.ascontiguousarray(v, dtype=float).tobytes()
+def _row_keys(stack: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous (n, d) float stack.
 
-
-def _canonical_value_tuple(values) -> tuple[np.ndarray, ...]:
-    uniq: dict[bytes, np.ndarray] = {}
-    for v in values:
-        arr = _freeze(np.asarray(v, dtype=float))
-        if not np.all(np.isfinite(arr)):
-            raise StructureError("correspondence values must be finite")
-        uniq.setdefault(_vec_key(arr), arr)
-    return tuple(sorted(uniq.values(), key=lambda a: tuple(a.tolist())))
+    Two rows share a key iff they are equal bit for bit, so -0.0 and 0.0
+    differ and a NaN matches its own bits.
+    """
+    step = stack.shape[1] * stack.itemsize
+    if not step:
+        return [b""] * stack.shape[0]
+    return stack.view(np.dtype((np.void, step))).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class StepFunction:
     def __post_init__(self):
         gamma = Fraction(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy: the caller's stays writeable
         if vals.ndim != 2 or vals.shape[0] != (1 << self.level):
             raise StructureError(
                 f"need (2**{self.level}, d) cell values, got shape {vals.shape}"
@@ -98,38 +108,75 @@ class StepFunction:
 
 @dataclass(frozen=True, init=False)
 class Correspondence:
-    """Non-empty finite value sets over the atoms of a finite space."""
+    """Non-empty finite value sets over the atoms of a finite space.
+
+    ``values[i]`` is the value set at ``space.ids[i]``: a read-only (m, d)
+    slice of one stack, its rows distinct bit for bit (the first of equal
+    rows is kept, so -0.0 and 0.0 are two values) and in lexicographic
+    order, ties kept in input order.  Atoms given the same rows in the same
+    order share one slice.
+    """
 
     space: DiscreteSpace
-    values: tuple[tuple[np.ndarray, ...], ...]  # aligned with space.ids
+    values: tuple[np.ndarray, ...]  # aligned with space.ids
+    # per atom: the bytes of each row, and each row's value -> its index
+    _keys: tuple[tuple[bytes, ...], ...] = field(repr=False, compare=False)
+    _index: tuple[dict, ...] = field(repr=False, compare=False)
 
     def __init__(self, space: DiscreteSpace, value_map):
-        object.__setattr__(self, "space", space)
-        vals = []
+        given = []
         for a in space.ids:
             if a not in value_map:
                 raise StructureError(f"no value set for atom {a}")
-            tup = _canonical_value_tuple(value_map[a])
-            if not tup:
+            vs = list(value_map[a])
+            if not vs:
                 raise StructureError(f"empty value set at atom {a}")
-            vals.append(tup)
-        dims = {v.shape[0] for tup in vals for v in tup}
-        if len(dims) != 1:
-            raise StructureError(f"mixed value dimensions {sorted(dims)}")
-        object.__setattr__(self, "values", tuple(vals))
+            given.append(vs)
+        raw = _stack_vectors([v for vs in given for v in vs], "correspondence values")
+        if not np.isfinite(raw).all():
+            raise StructureError("correspondence values must be finite")
+        keys, rows = _row_keys(raw), raw.tolist()
+        # atoms given the same rows share one canonical set: its keys, its
+        # lookup and its slice of the stack
+        canon: dict[tuple, int] = {}  # an atom's given keys -> its set's number
+        set_keys, lookups, bounds, order, which = [], [], [0], [], []
+        start = 0
+        for vs in given:
+            stop = start + len(vs)
+            given_keys = tuple(keys[start:stop])
+            n = canon.get(given_keys)
+            if n is None:
+                first: dict[bytes, int] = {}
+                for i in range(start, stop):
+                    first.setdefault(keys[i], i)
+                kept = sorted(first.values(), key=rows.__getitem__)
+                lookup: dict[tuple, int] = {}
+                for j, i in enumerate(kept):
+                    lookup.setdefault(tuple(rows[i]), j)
+                n = canon[given_keys] = len(set_keys)
+                set_keys.append(tuple([keys[i] for i in kept]))
+                lookups.append(lookup)
+                order += kept
+                bounds.append(len(order))
+            which.append(n)
+            start = stop
+        stack = raw[order]
+        stack.setflags(write=False)
+        cuts = [stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", tuple(cuts[n] for n in which))
+        object.__setattr__(self, "_keys", tuple(set_keys[n] for n in which))
+        object.__setattr__(self, "_index", tuple(lookups[n] for n in which))
 
     @property
     def dim(self) -> int:
-        return self.values[0][0].shape[0]
+        return self.values[0].shape[1]
 
-    def value_set(self, atom: int) -> tuple[np.ndarray, ...]:
+    def value_set(self, atom: int) -> np.ndarray:
         return self.values[self.space.position(atom)]
 
     def to_json(self) -> dict:
-        return {
-            str(a): [[float(x) for x in v] for v in tup]
-            for a, tup in zip(self.space.ids, self.values)
-        }
+        return {str(a): vs.tolist() for a, vs in zip(self.space.ids, self.values)}
 
 
 @dataclass(frozen=True, init=False)
@@ -137,71 +184,81 @@ class Selection:
     """A measurable choice: one value per atom, constant on algebra blocks.
 
     Construction validates membership in the correspondence and block
-    constancy, so invalid selections cannot exist.
+    constancy, so invalid selections cannot exist.  ``choice`` is a
+    read-only (n, d) copy of the rows the caller gave, aligned with
+    ``corr.space.ids``; each equals in value (``np.array_equal``: -0.0
+    equals 0.0, NaN nothing) the row ``index[i]`` of its atom's value set.
+    Block constancy is decided bit for bit.
     """
 
     corr: Correspondence
     alg: SigmaPartition
-    choice: tuple[np.ndarray, ...]  # aligned with corr.space.ids
+    choice: np.ndarray  # (n, d), aligned with corr.space.ids
+    index: tuple[int, ...]
+    _key_of: dict[int, bytes] = field(repr=False, compare=False)  # atom -> choice bytes
 
     def __init__(self, corr: Correspondence, alg: SigmaPartition, choice_map):
         if alg.atom_set != corr.space.atom_set:
             raise StructureError("selection algebra does not cover the space")
-        choices = []
-        for a, vset in zip(corr.space.ids, corr.values):
+        ids = corr.space.ids
+        for a in ids:
             if a not in choice_map:
                 raise StructureError(f"no choice at atom {a}")
-            v = _freeze(np.asarray(choice_map[a], dtype=float))
-            if not any(np.array_equal(v, w) for w in vset):
+        choice = _stack_vectors([choice_map[a] for a in ids], "choices")
+        index = []
+        for a, row, lookup in zip(ids, choice.tolist(), corr._index):
+            j = lookup.get(tuple(row))
+            if j is None:
                 raise StructureError(f"choice at atom {a} is not a correspondence value")
-            choices.append(v)
+            index.append(j)
+        choice.setflags(write=False)
         object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "choice", tuple(choices))
+        object.__setattr__(self, "choice", choice)
+        object.__setattr__(self, "index", tuple(index))
+        object.__setattr__(self, "_key_of", dict(zip(ids, _row_keys(choice))))
         for b in alg.blocks:
-            keys = {_vec_key(self.at(a)) for a in b}
-            if len(keys) != 1:
+            if not self._constant_on(b):
                 raise StructureError(f"choice not constant on block {sorted(b)}")
+
+    def _constant_on(self, block) -> bool:
+        key_of = self._key_of
+        return len(block) == 1 or len({key_of[a] for a in block}) == 1
 
     def at(self, atom: int) -> np.ndarray:
         return self.choice[self.corr.space.position(atom)]
 
     def is_measurable_against(self, alg: SigmaPartition) -> bool:
-        return all(
-            len({_vec_key(self.at(a)) for a in b}) == 1 for b in alg.blocks
-        )
+        return all(self._constant_on(b) for b in alg.blocks)
 
 
 def check_measurable(corr: Correspondence, alg: SigmaPartition) -> bool:
     """True iff atoms within each block carry equal value sets."""
     if alg.atom_set != corr.space.atom_set:
         raise StructureError("algebra does not cover the correspondence's space")
-    for b in alg.blocks:
-        keys = {
-            tuple(_vec_key(v) for v in corr.value_set(a)) for a in b
-        }
-        if len(keys) != 1:
-            return False
-    return True
+    keys, position = corr._keys, corr.space.position
+    return all(len({keys[position(a)] for a in b}) == 1 for b in alg.blocks)
 
 
-def block_choice_sets(
-    corr: Correspondence, alg: SigmaPartition
-) -> list[tuple[np.ndarray, ...]]:
+def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndarray]:
     """Per-block admissible values: intersection of value sets over the block.
 
-    For an ``alg``-measurable correspondence this is the common value set.
+    Each is a read-only (m, d) array, rows in the value sets' order and
+    compared bit for bit; m is 0 where the sets share no value.  For an
+    ``alg``-measurable correspondence it is the common value set.
     """
     if alg.atom_set != corr.space.atom_set:
         raise StructureError("algebra does not cover the correspondence's space")
+    keys, position = corr._keys, corr.space.position
     out = []
     for b in alg.blocks:
-        atoms = sorted(b)
-        common = {_vec_key(v): v for v in corr.value_set(atoms[0])}
-        for a in atoms[1:]:
-            keys = {_vec_key(v) for v in corr.value_set(a)}
-            common = {kk: vv for kk, vv in common.items() if kk in keys}
-        out.append(tuple(sorted(common.values(), key=lambda v: tuple(v.tolist()))))
+        p0 = position(min(b))
+        shared = set(keys[p0]).intersection(*(keys[position(a)] for a in b))
+        vals = corr.values[p0]
+        if len(shared) < len(vals):
+            vals = vals[[j for j, k in enumerate(keys[p0]) if k in shared]]
+            vals.setflags(write=False)
+        out.append(vals)
     return out
 
 
@@ -217,7 +274,7 @@ def enumerate_selections(corr: Correspondence, alg: SigmaPartition, cap: int):
     """
     sets = block_choice_sets(corr, alg)
     for b, cs in zip(alg.blocks, sets):
-        if not cs:
+        if not len(cs):
             raise NoSelectionError(
                 f"no common value on block {sorted(b)}; selections do not exist"
             )

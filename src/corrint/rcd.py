@@ -9,56 +9,84 @@ compactification object exists.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .correspondences import Selection, _vec_key
+from .correspondences import Selection, _row_keys, _stack_vectors
 from .errors import PreconditionError, StructureError
 from .spaces import SigmaPartition
 
 
 @dataclass(frozen=True, init=False)
 class TransitionKernel:
-    """Blockwise finite distributions over vectors, weights exact rationals."""
+    """Blockwise finite distributions over vectors, weights exact rationals.
+
+    ``supports[j]`` is a read-only (m, d) slice of one stack: the distinct
+    points of block j, bit for bit, in lexicographic order (ties in input
+    order), each with its positive weight in ``weights[j]``.
+    """
 
     g_alg: SigmaPartition
-    supports: tuple[tuple[np.ndarray, ...], ...]   # per block, canonical order
+    supports: tuple[np.ndarray, ...]   # per block, canonical order
     weights: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, g_alg: SigmaPartition, per_block):
         """per_block: list aligned with g_alg.blocks of [(vector, weight), ...]."""
-        supports = []
-        weights = []
+        vectors, nums, dens, sizes = [], [], [], []
         for b, dist in zip(g_alg.blocks, per_block):
-            merged: dict[bytes, tuple[np.ndarray, Fraction]] = {}
+            n = len(nums)
             for v, w in dist:
-                w = Fraction(w)
-                if w < 0:
+                if not isinstance(w, Fraction):
+                    w = Fraction(w)
+                if w.numerator < 0:
                     raise StructureError(f"negative weight {w} in block {sorted(b)}")
-                arr = np.ascontiguousarray(v, dtype=float)
-                key = _vec_key(arr)
-                if key in merged:
-                    merged[key] = (merged[key][0], merged[key][1] + w)
-                elif w > 0:
-                    arr.setflags(write=False)
-                    merged[key] = (arr, w)
-            items = sorted(merged.values(), key=lambda it: tuple(it[0].tolist()))
-            total = sum((w for _, w in items), Fraction(0))
-            if total != 1:
+                vectors.append(v)
+                nums.append(w.numerator)
+                dens.append(w.denominator)
+            sizes.append(len(nums) - n)
+        # with no point at all, the first block's weights fail the sum check
+        raw = _stack_vectors(vectors, "kernel support points") if vectors \
+            else np.zeros((0, 0))
+        keys, rows = _row_keys(raw), raw.tolist()
+        order, bounds, weights = [], [0], []
+        start = 0
+        for b, n in zip(g_alg.blocks, sizes):
+            # exact sums: int numerators over the block's common denominator
+            stop = start + n
+            den = math.lcm(*dens[start:stop])
+            merged: dict[bytes, list] = {}  # key -> [first index, numerator]
+            for i in range(start, stop):
+                if not nums[i]:
+                    continue
+                num = nums[i] * (den // dens[i])
+                hit = merged.get(keys[i])
+                if hit is None:
+                    merged[keys[i]] = [i, num]
+                else:
+                    hit[1] += num
+            start = stop
+            items = sorted(merged.values(), key=lambda it: rows[it[0]])
+            total = sum(num for _, num in items)
+            if total != den:
                 raise StructureError(
-                    f"weights in block {sorted(b)} sum to {total}, not 1"
+                    f"weights in block {sorted(b)} sum to {Fraction(total, den)}, not 1"
                 )
-            supports.append(tuple(v for v, _ in items))
-            weights.append(tuple(w for _, w in items))
+            order += [i for i, _ in items]
+            bounds.append(len(order))
+            weights.append(tuple(Fraction(num, den) for _, num in items))
+        stack = raw[order]
+        stack.setflags(write=False)
         object.__setattr__(self, "g_alg", g_alg)
-        object.__setattr__(self, "supports", tuple(supports))
+        object.__setattr__(self, "supports", tuple(
+            stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
         object.__setattr__(self, "weights", tuple(weights))
 
     @property
     def dim(self) -> int:
-        return self.supports[0][0].shape[0]
+        return self.supports[0].shape[1]
 
     def barycenters(self) -> list[np.ndarray]:
         out = []
@@ -75,9 +103,7 @@ class TransitionKernel:
         for sa, wa, sb, wb in zip(
             self.supports, self.weights, other.supports, other.weights
         ):
-            if wa != wb or len(sa) != len(sb):
-                return False
-            if any(not np.array_equal(x, y) for x, y in zip(sa, sb)):
+            if wa != wb or not np.array_equal(sa, sb):
                 return False
         return True
 
@@ -85,7 +111,7 @@ class TransitionKernel:
         return [
             {
                 "block": sorted(b),
-                "support": [[float(x) for x in v] for v in sup],
+                "support": sup.tolist(),
                 "weights": [f"{w.numerator}/{w.denominator}" for w in ws],
             }
             for b, sup, ws in zip(self.g_alg.blocks, self.supports, self.weights)

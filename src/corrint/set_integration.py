@@ -139,11 +139,7 @@ def _block_contributions(
     space: DiscreteSpace, alg: SigmaPartition, sets
 ) -> list[np.ndarray]:
     """Per-block arrays of mass-weighted admissible contributions mass(B) * v."""
-    out = []
-    for b, cs in zip(alg.blocks, sets):
-        w = float(space.mass(b))
-        out.append(np.array([w * v for v in cs]))
-    return out
+    return [float(space.mass(b)) * cs for b, cs in zip(alg.blocks, sets)]
 
 
 def _minkowski_fold(contribs: list[np.ndarray], cap: int, d: int) -> np.ndarray:
@@ -200,7 +196,7 @@ def aumann_integral_set(
     if mode not in ("enumerate", "minkowski"):
         raise PreconditionError(f"unknown mode {mode!r}")
     sets = block_choice_sets(corr, alg)
-    if not all(sets):
+    if not all(len(cs) for cs in sets):
         return PointCloudSet(np.zeros((0, corr.dim)))
     count = math.prod(len(cs) for cs in sets)
     if mode == "enumerate" and count > cap:
@@ -268,7 +264,7 @@ def conditional_set(
     sets = block_choice_sets(corr, t_alg)
     inner_of = {id(gb): [] for gb in g_alg.blocks}
     for tb, cs in zip(t_alg.blocks, sets):
-        if not cs:
+        if not len(cs):
             raise PreconditionError(
                 f"no admissible value on block {sorted(tb)}"
             )
@@ -279,10 +275,7 @@ def conditional_set(
     block_sets = []
     for gb in g_alg.blocks:
         gnum = space.numerator(gb)
-        contribs = [
-            np.array([(space.numerator(tb) / gnum) * v for v in cs])
-            for tb, cs in inner_of[id(gb)]
-        ]
+        contribs = [(space.numerator(tb) / gnum) * cs for tb, cs in inner_of[id(gb)]]
         block_sets.append(_minkowski_fold(contribs, cap, corr.dim))
     return ConditionalSet(g_alg, tuple(block_sets))
 

@@ -3,9 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import (
+    block_choice_sets as oracle_block_choice_sets,
+    check_measurable as oracle_check_measurable,
+    constant_on,
+    correspondence_values,
+    outcome,
+    same_rows,
+    selection_choice,
+)
 from corrint.correspondences import (
     Correspondence,
     Selection,
+    StepFunction,
+    block_choice_sets,
     build_counterexample,
     build_psi,
     check_measurable,
@@ -183,3 +194,155 @@ def test_correspondence_json(simple_corr):
     doc = simple_corr.to_json()
     assert set(doc.keys()) == {"0", "1", "2", "3"}
     assert doc["0"][0] == [0.0, 0.0]
+
+
+# few coordinates, so that value sets repeat rows and hold -0.0 beside 0.0
+_COORDS = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+def _random_vector(rng, d, special=0.0):
+    v = rng.choice(_COORDS, size=d)
+    if rng.random() < special:
+        v[rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    return v if rng.random() < 0.8 else v.tolist()
+
+
+def _random_partition(rng, ids):
+    labels = rng.integers(0, len(ids), len(ids))
+    groups: dict[int, set] = {}
+    for a, lab in zip(ids, labels):
+        groups.setdefault(int(lab), set()).add(a)
+    return SigmaPartition(list(groups.values()))
+
+
+def _random_value_map(rng, space, d):
+    vmap = {}
+    for a in space.ids:
+        draw = rng.random()
+        if draw < 0.03:
+            continue  # a missing atom
+        size = 0 if draw < 0.06 else int(rng.integers(1, 6))
+        vmap[a] = [_random_vector(rng, d, special=0.03) for _ in range(size)]
+    return vmap
+
+
+def _random_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        space = DiscreteSpace.uniform(int(rng.integers(1, 7)))
+        d = int(rng.integers(1, 4))
+        yield rng, space, d, _random_value_map(rng, space, d)
+
+
+def test_correspondence_matches_the_per_vector_oracle():
+    built = 0
+    for rng, space, d, vmap in _random_instances(3, 400):
+        got = outcome(Correspondence, space, vmap)
+        want = outcome(correspondence_values, space, vmap)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1] is StructureError
+            continue
+        built += 1
+        corr, old = got[1], want[1]
+        assert len(corr.values) == len(old)
+        for vs, tup in zip(corr.values, old):
+            assert vs.shape == (len(tup), d) and not vs.flags.writeable
+            assert same_rows(vs, tup)
+        for _ in range(3):
+            alg = _random_partition(rng, space.ids)
+            assert check_measurable(corr, alg) == oracle_check_measurable(space, old, alg)
+            for cs, tup in zip(block_choice_sets(corr, alg),
+                               oracle_block_choice_sets(space, old, alg)):
+                assert cs.shape == (len(tup), d) and same_rows(cs, tup)
+    assert built > 200
+
+
+def _random_choice(rng, vset, d):
+    """A member row, a member with its zeros' signs flipped, or an arbitrary vector."""
+    draw = rng.random()
+    v = vset[int(rng.integers(len(vset)))]
+    if draw < 0.5:
+        return v
+    if draw < 0.7:
+        return np.where(v == 0, -np.copysign(0.0, v), v)
+    if draw < 0.75:
+        return np.zeros(d + 1)  # another length
+    return _random_vector(rng, d, special=0.2)
+
+
+def test_selection_matches_the_per_vector_oracle():
+    checked = built = 0
+    for rng, space, d, vmap in _random_instances(4, 400):
+        state, corr = outcome(Correspondence, space, vmap)
+        if state == "raised":
+            continue
+        old = correspondence_values(space, vmap)
+        for _ in range(4):
+            alg = _random_partition(rng, space.ids)
+            cmap = {}
+            for b in alg.blocks:
+                shared = _random_choice(rng, old[space.position(min(b))], d)
+                for a in b:
+                    pick = rng.random()
+                    if pick < 0.1:
+                        continue  # no choice at this atom
+                    cmap[a] = shared if pick < 0.8 else \
+                        _random_choice(rng, old[space.position(a)], d)
+            got = outcome(Selection, corr, alg, cmap)
+            want = outcome(selection_choice, space, old, alg, cmap)
+            assert got[0] == want[0]
+            checked += 1
+            if got[0] == "raised":
+                assert got[1] is want[1] is StructureError
+                continue
+            built += 1
+            sel, choices = got[1], want[1]
+            assert sel.choice.shape == (len(space.ids), d) and not sel.choice.flags.writeable
+            assert same_rows(sel.choice, choices)
+            for i, j in enumerate(sel.index):
+                assert np.array_equal(corr.values[i][j], sel.choice[i])
+            other = _random_partition(rng, space.ids)
+            choice_of = dict(zip(space.ids, choices))
+            assert sel.is_measurable_against(other) == all(
+                constant_on(choice_of, b) for b in other.blocks)
+    assert checked > 900 and built > 150
+
+
+def test_signed_zeros_are_two_values_and_equal_choices():
+    space = DiscreteSpace.uniform(2)
+    pz, nz = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+    corr = Correspondence(space, {0: [pz, nz, pz], 1: [nz]})
+    assert len(corr.values[0]) == 2 and np.signbit(corr.values[0][1, 0])
+    sel = Selection(corr, SigmaPartition.singletons(space), {0: nz, 1: pz})
+    assert np.signbit(sel.choice[0, 0]) and not np.signbit(sel.choice[1, 0])
+    assert sel.index == (0, 0)
+    # equal in value, not in bits: not constant on a block
+    with pytest.raises(StructureError):
+        Selection(corr, SigmaPartition.trivial(space), {0: nz, 1: pz})
+    nan = np.array([np.nan, 1.0])
+    with pytest.raises(StructureError):
+        Selection(corr, SigmaPartition.singletons(space), {0: nan, 1: pz})
+
+
+def test_correspondence_refuses_values_that_are_not_vectors():
+    space = DiscreteSpace.uniform(2)
+    with pytest.raises(StructureError):
+        Correspondence(space, {0: [np.zeros((2, 2))], 1: [np.zeros((2, 2))]})
+    with pytest.raises(StructureError):
+        Correspondence(space, {0: [np.zeros(2)], 1: [np.zeros((2, 2))]})
+    with pytest.raises(StructureError):
+        Correspondence(space, {0: [np.zeros(2)], 1: [np.zeros(3)]})
+    with pytest.raises(StructureError):
+        Correspondence(space, {0: [1.0], 1: [2.0]})
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    space = DiscreteSpace.uniform(2)
+    given = [np.array([1.0, 2.0]), np.array([0.0, 0.0])]
+    corr = Correspondence(space, {a: given for a in space.ids})
+    choice = np.array([1.0, 2.0])
+    Selection(corr, SigmaPartition.trivial(space), {a: choice for a in space.ids})
+    cells = np.zeros((2, 1))
+    StepFunction(Fraction(0), 1, cells)
+    assert all(v.flags.writeable for v in given + [choice, cells])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import kernel_blocks, outcome, same_rows
 from corrint.correspondences import Correspondence, Selection
 from corrint.errors import StructureError
 from corrint.rcd import (
@@ -160,3 +161,115 @@ def test_kernel_json():
     doc = kern.to_json()
     assert doc[0]["block"] == [0, 1]
     assert doc[0]["weights"] == ["2/3", "1/3"]
+
+
+# few coordinates, so that entries repeat and hold -0.0 beside 0.0
+_COORDS = np.array([0.0, -0.0, 1.0, np.nan])
+
+
+def _random_weights(rng, n):
+    """n weights summing to 1, some zero, as Fractions, ints or floats;
+    sometimes one negative, or a sum other than 1."""
+    nums = [int(x) for x in rng.integers(0, 4, n)]
+    if n and not any(nums):
+        nums[0] = 1
+    total = sum(nums)
+    ws = [Fraction(m, total) if total else Fraction(0) for m in nums]
+    draw = rng.random()
+    if n and draw < 0.05:
+        ws[int(rng.integers(n))] *= -1
+    elif n and draw < 0.1:
+        ws[int(rng.integers(n))] += Fraction(1, 7)
+    out = []
+    for w in ws:
+        form = rng.random()
+        if form < 0.2 and w.denominator == 1:
+            out.append(int(w))
+        elif form < 0.4 and w.denominator & (w.denominator - 1) == 0:
+            out.append(float(w))
+        else:
+            out.append(w)
+    return out
+
+
+def _random_kernel_input(rng):
+    n = int(rng.integers(1, 7))
+    space = DiscreteSpace.uniform(n)
+    labels = rng.integers(0, n, n)
+    groups: dict[int, set] = {}
+    for a, lab in zip(space.ids, labels):
+        groups.setdefault(int(lab), set()).add(a)
+    g_alg = SigmaPartition(list(groups.values()))
+    d = int(rng.integers(1, 4))
+    per_block = []
+    for _ in g_alg.blocks:
+        size = int(rng.integers(0, 6)) if rng.random() < 0.05 else int(rng.integers(1, 6))
+        vectors = [rng.choice(_COORDS, size=d) for _ in range(size)]
+        per_block.append(list(zip(vectors, _random_weights(rng, size))))
+    return g_alg, per_block
+
+
+def _same_kernel(kern, supports, weights):
+    return (
+        all(same_rows(s, t) for s, t in zip(kern.supports, supports))
+        and len(kern.supports) == len(supports)
+        and kern.weights == weights
+        and all(type(w) is Fraction for ws in kern.weights for w in ws)
+        and all(not s.flags.writeable for s in kern.supports)
+    )
+
+
+def test_kernel_matches_the_per_vector_oracle():
+    rng = np.random.default_rng(8)
+    built = 0
+    for _ in range(600):
+        g_alg, per_block = _random_kernel_input(rng)
+        got = outcome(TransitionKernel, g_alg, per_block)
+        want = outcome(kernel_blocks, g_alg, per_block)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1] is StructureError
+            continue
+        built += 1
+        kern = got[1]
+        assert _same_kernel(kern, *want[1])
+        alpha = Fraction(int(rng.integers(0, 5)), 4)
+        mixed = kernel_mix(kern, kern, alpha)
+        dist = [[(v, alpha * w) for v, w in zip(sup, ws)]
+                + [(v, (1 - alpha) * w) for v, w in zip(sup, ws)]
+                for sup, ws in zip(*want[1])]
+        assert _same_kernel(mixed, *kernel_blocks(g_alg, dist))
+        assert mixed.equals_exactly(kern) == all(
+            not np.isnan(s).any() for s in kern.supports)
+    assert built > 300
+
+
+def test_rcd_of_selection_matches_the_per_vector_oracle():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        space = DiscreteSpace.uniform(n)
+        vals = {a: rng.choice(_COORDS[:3], size=2) for a in space.ids}
+        _, sel = _single_valued(space, vals)
+        cut = int(rng.integers(1, n + 1))
+        g_alg = SigmaPartition([b for b in (set(range(cut)), set(range(cut, n))) if b])
+        dist = [[(vals[a], space.mass_of(a) / space.mass(b)) for a in sorted(b)]
+                for b in g_alg.blocks]
+        assert _same_kernel(rcd_of_selection(sel, g_alg), *kernel_blocks(g_alg, dist))
+
+
+def test_kernel_refuses_support_points_of_different_lengths():
+    space = DiscreteSpace.uniform(2)
+    g_alg = SigmaPartition.trivial(space)
+    half = Fraction(1, 2)
+    with pytest.raises(StructureError):
+        TransitionKernel(g_alg, [[(np.zeros(2), half), (np.ones(3), half)]])
+    with pytest.raises(StructureError):
+        TransitionKernel(g_alg, [[(np.zeros((2, 2)), Fraction(1))]])
+
+
+def test_kernel_leaves_the_callers_arrays_writeable():
+    space = DiscreteSpace.uniform(2)
+    v = np.array([1.0, 2.0])
+    kern = TransitionKernel(SigmaPartition.trivial(space), [[(v, Fraction(1))]])
+    assert v.flags.writeable and not kern.supports[0].flags.writeable

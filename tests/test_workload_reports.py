@@ -11,6 +11,11 @@ the root of the checkout with
     PYTHONPATH=src python -c "import hashlib, json, sys; sys.path.insert(0, 'perfbench'); import workloads; from corrint.scenarios import *; print(json.dumps({i['config']['name']: hashlib.sha256(render_report(strip_csv(run_scenario_dict(i['config']))).encode()).hexdigest() for w in workloads.WORKLOADS for i in workloads.generate(w, 1)}, indent=2, sort_keys=True))" > tests/workload_sha256.json
 
 and justify every regeneration in CHANGES.md.
+
+``workload_sha256_seed2.json`` pins the ``exact`` workload's configs at
+seed 2 the same way (regenerate with ``'exact'`` and ``2`` in place of the
+loop over workloads and ``1``), so that its random instances are checked on
+a second draw.
 """
 import hashlib
 import json
@@ -21,16 +26,18 @@ import pytest
 from _perfbench import ROOT, load
 from corrint.scenarios import render_report, run_scenario_dict, strip_csv
 
-PINNED = json.loads((Path(__file__).parent / "workload_sha256.json").read_text())
+HERE = Path(__file__).parent
+PINNED = json.loads((HERE / "workload_sha256.json").read_text())
+PINNED_EXACT_SEED2 = json.loads((HERE / "workload_sha256_seed2.json").read_text())
 SEED = 1
 WORKLOADS = load("workloads")
 
 
-def _configs(monkeypatch):
+def _configs(monkeypatch, workloads=WORKLOADS.WORKLOADS, seed=SEED):
     monkeypatch.chdir(ROOT)  # bundled scenarios are read from the checkout
     return {item["config"]["name"]: item["config"]
-            for workload in WORKLOADS.WORKLOADS
-            for item in WORKLOADS.generate(workload, SEED)}
+            for workload in workloads
+            for item in WORKLOADS.generate(workload, seed)}
 
 
 def test_every_workload_config_is_pinned(monkeypatch):
@@ -41,3 +48,14 @@ def test_every_workload_config_is_pinned(monkeypatch):
 def test_workload_report_bytes_are_pinned(monkeypatch, name):
     text = render_report(strip_csv(run_scenario_dict(_configs(monkeypatch)[name])))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+
+
+def test_every_exact_config_is_pinned_at_seed_2(monkeypatch):
+    assert sorted(_configs(monkeypatch, ("exact",), 2)) == sorted(PINNED_EXACT_SEED2)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT_SEED2))
+def test_exact_report_bytes_are_pinned_at_seed_2(monkeypatch, name):
+    config = _configs(monkeypatch, ("exact",), 2)[name]
+    text = render_report(strip_csv(run_scenario_dict(config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXACT_SEED2[name]
