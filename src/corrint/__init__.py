@@ -14,17 +14,12 @@ from .correspondences import (
     StepFunction,
     build_counterexample,
     build_psi,
-    check_measurable,
-    dyadic_convexify,
-    enumerate_selections,
-    selection_count,
 )
 from .errors import (
     CapacityError,
     ConfigError,
     CorrintError,
     DivisibilityError,
-    NoSelectionError,
     PreconditionError,
     StructureError,
 )
@@ -33,16 +28,13 @@ from .game import (
     GenericPayoff,
     LargeGame,
     StrategyProfile,
-    best_response,
     build_counterexample_game,
     case1_indicator_parts,
     find_equilibrium,
     lemma_bound_check,
-    payoff_G,
-    payoff_h,
     verify_equilibrium_partition,
 )
-from .rcd import TransitionKernel, kernel_distance, kernel_mix, rcd_of_selection
+from .rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from .set_integration import (
     ConditionalSet,
     PointCloudSet,
@@ -53,34 +45,23 @@ from .set_integration import (
     hausdorff_semidistance,
     integrate_selection,
     lyapunov_mix,
-    uhc_diagnostic,
 )
 from .spaces import (
     DiscreteSpace,
     DyadicModel,
     SigmaPartition,
-    SupplementPartition,
-    build_independent_supplement,
-    independence_product_check,
     is_nowhere_equivalent,
     is_refinement,
-    restrict,
 )
 from .vectors import (
     Workspace,
     basis_vector,
-    d_w,
-    dual_pairing,
     norm,
-    rho_w,
     zero_vector,
 )
 from .walsh import (
-    walsh_eval,
     walsh_integral,
-    walsh_inverse,
     walsh_set,
-    walsh_transform,
 )
 
 __version__ = "0.1.0"

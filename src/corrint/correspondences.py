@@ -12,19 +12,12 @@ whose value at an interval atom is {0, f_1(cell), ..., f_k(cell)}.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    NoSelectionError,
-    PreconditionError,
-    StructureError,
-)
+from .errors import PreconditionError, StructureError
 from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
 from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
@@ -232,14 +225,6 @@ class Selection:
         return all(self._constant_on(b) for b in alg.blocks)
 
 
-def check_measurable(corr: Correspondence, alg: SigmaPartition) -> bool:
-    """True iff atoms within each block carry equal value sets."""
-    if alg.atom_set != corr.space.atom_set:
-        raise StructureError("algebra does not cover the correspondence's space")
-    keys, position = corr._keys, corr.space.position
-    return all(len({keys[position(a)] for a in b}) == 1 for b in alg.blocks)
-
-
 def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndarray]:
     """Per-block admissible values: intersection of value sets over the block.
 
@@ -260,37 +245,6 @@ def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndar
             vals.setflags(write=False)
         out.append(vals)
     return out
-
-
-def selection_count(corr: Correspondence, alg: SigmaPartition) -> int:
-    return math.prod(len(cs) for cs in block_choice_sets(corr, alg))
-
-
-def enumerate_selections(corr: Correspondence, alg: SigmaPartition, cap: int):
-    """Yield every alg-measurable selection once, in lexicographic order.
-
-    Blocks run in canonical order and per-block choices in canonical vector
-    order; the last block varies fastest.
-    """
-    sets = block_choice_sets(corr, alg)
-    for b, cs in zip(alg.blocks, sets):
-        if not len(cs):
-            raise NoSelectionError(
-                f"no common value on block {sorted(b)}; selections do not exist"
-            )
-    count = math.prod(len(cs) for cs in sets)
-    if count > cap:
-        raise CapacityError(count, cap)
-
-    def _selection_from(combo):
-        cmap = {}
-        for b, v in zip(alg.blocks, combo):
-            for a in b:
-                cmap[a] = v
-        return Selection(corr, alg, cmap)
-
-    for combo in itertools.product(*sets):
-        yield _selection_from(combo)
 
 
 @dataclass(frozen=True)
@@ -393,27 +347,6 @@ def build_counterexample(
         model=model, f_list=tuple(f_list), e_list=e_list,
         corr=corr, f_alg=model.cell_partition,
     )
-
-
-def dyadic_convexify(corr: Correspondence, resolution: int) -> Correspondence:
-    """Replace each value set by its dyadic-weight mixtures at the resolution.
-
-    Every atom's set becomes { sum_i (c_i/resolution) v_i : c_i >= 0 integers
-    summing to resolution }, deduplicated.
-    """
-    if resolution < 1:
-        raise PreconditionError("resolution must be >= 1")
-    vmap = {}
-    for a, tup in zip(corr.space.ids, corr.values):
-        pts = []
-        p = len(tup)
-        for counts in _compositions(resolution, p):
-            v = np.zeros(corr.dim)
-            for c, vec in zip(counts, tup):
-                v += (c / resolution) * vec
-            pts.append(v)
-        vmap[a] = pts
-    return Correspondence(corr.space, vmap)
 
 
 def _compositions(total: int, parts: int):

@@ -29,9 +29,5 @@ class CapacityError(CorrintError):
         super().__init__(message or f"enumeration size {count} exceeds cap {cap}")
 
 
-class NoSelectionError(CorrintError):
-    """A correspondence admits no measurable selection for the given algebra."""
-
-
 class ConfigError(CorrintError):
     """A scenario or game configuration failed to parse or validate."""

@@ -32,12 +32,7 @@ import numpy as np
 from . import _kernels
 from .correspondences import CounterexampleBundle, build_counterexample
 from .errors import CapacityError, PreconditionError, StructureError
-from .spaces import (
-    SigmaPartition,
-    block_averages,
-    independence_product_check,
-    is_refinement,
-)
+from .spaces import SigmaPartition, block_averages, is_refinement
 from .vectors import NORM_EUCLID, norm, row_norms, zero_vector
 from .walsh import walsh_integer_spectrum
 
@@ -234,34 +229,6 @@ def build_counterexample_game(
     )
 
 
-def payoff_h(l, a, xs, theta: float, gamma=0, k: int | None = None,
-             flavor: str = NORM_EUCLID) -> float:
-    """The oscillating penalty h(l, a, x_1..x_k, theta); zero when theta = 0
-    or l lies in the atomic part [0, gamma]."""
-    gamma_f = float(Fraction(gamma))
-    lf = float(Fraction(l))
-    if k is None:
-        k = len(xs)
-    if len(xs) != k:
-        raise PreconditionError(f"need k = {k} profile points, got {len(xs)}")
-    if theta < 0:
-        raise PreconditionError(f"theta must be >= 0, got {theta}")
-    if theta == 0.0 or lf <= gamma_f:
-        return 0.0
-    a = np.asarray(a, dtype=float)
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    total = np.zeros_like(a)
-    for x in xs:
-        total = total + x
-    u = (lf - gamma_f) / theta
-    rho = int(math.floor(u))
-    val = theta * abs(math.sin(u * math.pi)) * (norm(a, flavor) + root_of_unity_gap(0, rho, k))
-    for i in range(1, k + 1):
-        mix_i = (xs[i - 1] + total) / (k + 1)
-        val *= norm(a - mix_i, flavor) + root_of_unity_gap(i, rho, k)
-    return val
-
-
 def _cell_mixes(game: LargeGame) -> tuple:
     """(mixes, row): the k mixed points of every cell, and which to use.
 
@@ -331,31 +298,6 @@ def _ctables(game: LargeGame):
     return phi, gamma_f, na, p2, dn, am
 
 
-def payoff_G(game: LargeGame, t: int, a, b) -> float:
-    """Payoff of player t taking action a against societal aggregate b."""
-    pay = game.payoff
-    if isinstance(pay, GenericPayoff):
-        return float(pay.fn(t, np.asarray(a, dtype=float), b))
-    bnd = pay.bundle
-    model = bnd.model
-    a = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    theta = pay.beta * norm(bv - bnd.e_mean(), pay.flavor)
-    cell = model.cell_of(t)
-    if cell is None:
-        xs = [zero_vector(bnd.d) for _ in range(bnd.k)]
-    else:
-        xs = [f.values[cell] for f in bnd.f_list]
-    h = payoff_h(model.phi(t), a, xs, theta, bnd.gamma, bnd.k, pay.flavor)
-    total = np.zeros(bnd.d)
-    for x in xs:
-        total = total + x
-    prod = norm(a, pay.flavor)
-    for i in range(bnd.k):
-        prod *= norm(a - (xs[i] + total) / (bnd.k + 1), pay.flavor)
-    return -h - prod
-
-
 def aggregate_of(game: LargeGame, profile: StrategyProfile):
     """Integral aggregate (one vector) or conditional aggregate (per block)."""
     space = game.space
@@ -375,7 +317,7 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
             b = aggregate if game.externality == EXTERNALITY_INTEGRAL \
                 else aggregate[game.f_alg.block_index_of(atom)]
             for ai in range(game.nact):
-                table[ti, ai] = payoff_G(game, atom, game.actions[ai], b)
+                table[ti, ai] = float(pay.fn(atom, game.actions[ai], b))
         return table
     phi, gamma_f, na, p2, dn, am = game.ctables
     e_mean = pay.bundle.e_mean()
@@ -390,13 +332,6 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
         block[[space.position(a) for a in blk]] = bi
     tables = _kernels._payoffs(thetas, phi, gamma_f, na, p2, dn, am, k)
     return tables[block, np.arange(block.shape[0])]
-
-
-def best_response(game: LargeGame, t: int, b, tie_tol: float = TIE_TOL) -> list[int]:
-    """All argmax action indices at the tie tolerance, ascending."""
-    vals = np.array([payoff_G(game, t, game.actions[ai], b) for ai in range(game.nact)])
-    top = vals.max()
-    return [int(i) for i in np.flatnonzero(vals >= top - tie_tol)]
 
 
 def residual_of(game: LargeGame, profile: StrategyProfile) -> tuple[float, object]:
@@ -449,25 +384,6 @@ def _block_positions(game: LargeGame) -> dict[int, int]:
         for p, a in enumerate(sorted(blk)):
             pos[a] = p
     return pos
-
-
-def balanced_profile(game: LargeGame) -> StrategyProfile:
-    """The constructive candidate equilibrium: round-robin over each block.
-
-    Atom at position p of its characteristic block plays the p-th canonical
-    candidate (zero action, then the cell's mixed points).  When k+1 divides
-    every block's atom count its aggregate is the mean of the e_i and the
-    induced parts form the balanced independent partition.
-    """
-    tie_sets = _canonical_tie_sets(game)
-    if tie_sets is None:
-        raise PreconditionError("balanced profile needs the explicit payoff")
-    positions = _block_positions(game)
-    play = []
-    for ti, atom in enumerate(game.space.ids):
-        cands = tie_sets[ti]
-        play.append(cands[positions[atom] % len(cands)])
-    return StrategyProfile(tuple(play))
 
 
 def find_equilibrium(

@@ -1,5 +1,5 @@
 """Regular conditional distributions of selections as finite transition
-kernels, their mixtures, and a test-family pseudometric.
+kernels and their mixtures.
 
 The kernel of a selection conditional on an algebra assigns to each block
 the empirical distribution of the selection's values there, weighted by
@@ -35,6 +35,10 @@ class TransitionKernel:
 
     def __init__(self, g_alg: SigmaPartition, per_block):
         """per_block: list aligned with g_alg.blocks of [(vector, weight), ...]."""
+        if len(per_block) != len(g_alg.blocks):
+            raise StructureError(
+                f"{len(per_block)} block distributions for {len(g_alg.blocks)} blocks"
+            )
         vectors, nums, dens, sizes = [], [], [], []
         for b, dist in zip(g_alg.blocks, per_block):
             n = len(nums)
@@ -150,57 +154,3 @@ def kernel_mix(
         per_block.append(dist)
     return TransitionKernel(k1.g_alg, per_block)
 
-
-def kernel_distance(
-    k1: TransitionKernel,
-    k2: TransitionKernel,
-    test_family_size: int | None = None,
-    clip_bound: float | None = None,
-    block_masses=None,
-) -> float:
-    """Max gap of the two kernels' double integrals over the finite test
-    family: block indicators times clipped coordinate functions, plus the
-    constant 1.
-
-    A pseudometric: it separates finitely supported kernels whenever the
-    coordinate functions do.  The coordinate count can be truncated via
-    ``test_family_size``; the clip bound defaults to covering every support
-    point; ``block_masses`` weighs each block's contribution (1 when
-    omitted).  Distance 0 with structurally distinct kernels is a
-    separation failure the caller can detect via ``equals_exactly``.
-    """
-    if k1.g_alg.blocks != k2.g_alg.blocks:
-        raise StructureError("kernels live on different block structures")
-    d = k1.dim
-    ncoords = d if test_family_size is None else max(0, min(d, test_family_size))
-    if ncoords == 0:
-        return 0.0
-    if clip_bound is None:
-        hi = 0.0
-        for kern in (k1, k2):
-            for sup in kern.supports:
-                for v in sup:
-                    hi = max(hi, float(np.max(np.abs(v))) if v.size else 0.0)
-        clip_bound = hi if hi > 0 else 1.0
-    nblocks = len(k1.g_alg.blocks)
-    if block_masses is None:
-        masses = np.ones(nblocks)
-    else:
-        masses = np.array([float(Fraction(m)) for m in block_masses])
-        if masses.shape[0] != nblocks:
-            raise StructureError("one mass per block required")
-
-    def block_integrals(kern: TransitionKernel) -> np.ndarray:
-        # rows: blocks; cols: clipped coordinates. Entry = sum_x w(x) clip(x_m).
-        rows = []
-        for sup, ws in zip(kern.supports, kern.weights):
-            acc = np.zeros(ncoords)
-            for v, w in zip(sup, ws):
-                acc += float(w) * np.clip(v[:ncoords], -clip_bound, clip_bound)
-            rows.append(acc)
-        return np.array(rows)
-
-    # the constant-1 test function integrates to 1 under both kernels,
-    # contributing 0; the indicator-times-coordinate functions remain
-    diffs = np.abs(block_integrals(k1) - block_integrals(k2)) * masses[:, None]
-    return float(diffs.max())

@@ -293,9 +293,10 @@ def lyapunov_mix(
     whose mass fractions equal the weights (round-robin when the sub-blocks
     are uniform and the weights equal, exact consecutive filling otherwise);
     the part assigned to weight j plays selection j's block value.  The
-    parts hit every f_alg block in exact proportion, i.e. they form an
-    independent-supplement-style assignment, so E(g|G) mixes exactly for
-    every sub-algebra G of f_alg.
+    parts hit every f_alg block in exact proportion, i.e. they are
+    independent of f_alg, so E(g|G) mixes exactly for every sub-algebra G
+    of f_alg.  This is the package's one equal-mass splitter: with n equal
+    weights its parts are an n-part independent supplement of f_alg.
     """
     if not selections:
         raise PreconditionError("need at least one selection")
@@ -466,61 +467,3 @@ def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> f
     mode, weights = _mode_for(metric, a.ambient_dim)
     return _kernels.min_dists(a.points, b.points, mode, weights)
 
-
-def function_semidistance(
-    a: ConditionalSet, b: ConditionalSet, masses, metric=None
-) -> float:
-    """Hausdorff semidistance between two conditional sets.
-
-    The distance between two functions is the block-mass-weighted sum of
-    per-block vector distances (the L1 reading; with one block of mass 1 it
-    reduces to the plain vector metric).  Both sets are products over the
-    same blocks, so the value is sum_j masses[j] * h(a_j, b_j), h the
-    semidistance of one block's sets: float sums and products by weights
-    >= 0 are monotone, so this equals the pairwise max-min bit for bit.
-    Each h is one call of the nearest-distance search.
-    """
-    nb = len(a.block_sets)
-    if len(b.block_sets) != nb or len(masses) != nb:
-        raise StructureError(
-            f"block counts differ: {nb} and {len(b.block_sets)} sets, "
-            f"{len(masses)} masses"
-        )
-    if a.size == 0 or b.size == 0:
-        raise PreconditionError("semidistance needs non-empty function sets")
-    mode, weights = _mode_for(metric, a.block_sets[0].shape[1])
-    total = 0.0
-    for m, xs, ys in zip(masses, a.block_sets, b.block_sets):
-        total += float(m) * _kernels.min_dists(xs, ys, mode, weights)
-    return total
-
-
-def uhc_diagnostic(
-    family: list[Correspondence],
-    limit: Correspondence,
-    t_alg: SigmaPartition,
-    g_alg: SigmaPartition | None,
-    cap: int = 2_000_000,
-    metric=None,
-) -> list[float]:
-    """Semidistance of each family member's set to the limit's set.
-
-    Uses the conditional-expectation sets when a non-trivial conditioning
-    algebra is given, the integral sets otherwise; the caller asserts the
-    expected monotone decay.
-    """
-    trivial = g_alg is None or len(g_alg.blocks) == 1
-    if trivial:
-        limit_cloud = aumann_integral_set(limit, t_alg, cap)
-        out = []
-        for fy in family:
-            cloud = aumann_integral_set(fy, t_alg, cap)
-            out.append(hausdorff_semidistance(cloud, limit_cloud, metric))
-        return out
-    limit_set = conditional_set(limit, t_alg, g_alg, cap)
-    masses = [limit.space.mass(b) for b in g_alg.blocks]
-    out = []
-    for fy in family:
-        cs = conditional_set(fy, t_alg, g_alg, cap)
-        out.append(function_semidistance(cs, limit_set, masses, metric))
-    return out

@@ -23,11 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DivisibilityError,
-    PreconditionError,
-    StructureError,
-)
+from .errors import PreconditionError, StructureError
 from .walsh import walsh_set
 
 
@@ -43,9 +39,9 @@ def _as_fraction(x) -> Fraction:
 class DiscreteSpace:
     """Finite atomic probability space: ordered atoms with rational masses.
 
-    Freshly built spaces carry contiguous ids 0..n-1; spaces produced by
-    :func:`restrict` keep their parent ids so that traces and independence
-    statements read in the original labels.
+    ``uniform`` and ``from_masses`` number the atoms 0..n-1; the
+    constructor takes any unique ascending ids, and lookups go by id, not
+    by position.
 
     ``den`` and ``numerators`` are derived once: the least common
     denominator of the masses and, aligned with ``ids``, each mass times
@@ -186,18 +182,6 @@ def block_averages(space: DiscreteSpace, alg: SigmaPartition, values) -> list[np
     return out
 
 
-@dataclass(frozen=True)
-class SupplementPartition:
-    """Equal-mass partition whose parts are each independent of a base algebra."""
-
-    parts: tuple[frozenset[int], ...]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2 or len(self.parts) != self.n:
-            raise StructureError("supplement needs n >= 2 parts")
-
-
 def is_refinement(fine: SigmaPartition, coarse: SigmaPartition) -> bool:
     """True iff every fine block is contained in some coarse block."""
     if fine.atom_set != coarse.atom_set:
@@ -220,98 +204,6 @@ def is_nowhere_equivalent(t_alg: SigmaPartition, f_alg: SigmaPartition) -> bool:
                 fine_count[id(cb)] += 1
                 break
     return all(c >= 2 for c in fine_count.values())
-
-
-def independence_product_check(
-    space: DiscreteSpace, s, d, total_mass=Fraction(1)
-) -> bool:
-    """Exact independence of two events inside a universe of given mass."""
-    s = set(s)
-    d = set(d)
-    total = _as_fraction(total_mass)
-    return space.mass(s & d) * total == space.mass(s) * space.mass(d)
-
-
-def _equal_mass_groups(space, atoms: list[int], n: int, quota: Fraction,
-                       block_desc: str) -> list[list[int]]:
-    """Deterministically group atoms into n consecutive-fill groups of equal mass."""
-    groups: list[list[int]] = [[] for _ in range(n)]
-    acc = Fraction(0)
-    g = 0
-    for a in atoms:
-        if g >= n:
-            raise DivisibilityError(
-                f"block {block_desc} cannot be split into {n} equal-mass parts"
-            )
-        groups[g].append(a)
-        acc += space.mass_of(a)
-        if acc == quota:
-            acc = Fraction(0)
-            g += 1
-        elif acc > quota:
-            raise DivisibilityError(
-                f"block {block_desc} cannot be split into {n} equal-mass parts "
-                f"(atom masses do not tile the quota {quota})"
-            )
-    if g != n:
-        raise DivisibilityError(
-            f"block {block_desc} cannot be split into {n} equal-mass parts"
-        )
-    return groups
-
-
-def build_independent_supplement(
-    space: DiscreteSpace, f_alg: SigmaPartition, n: int
-) -> SupplementPartition:
-    """Partition the space into n parts of mass 1/n, each independent of f_alg.
-
-    Within every base block the atoms are assigned round-robin in canonical
-    order when they have equal masses (the dyadic case), and by consecutive
-    exact filling otherwise; either way part j receives exactly 1/n of every
-    block's mass.
-    """
-    if n < 2:
-        raise PreconditionError("supplement needs n >= 2")
-    _check_universe(space, f_alg)
-    parts: list[set[int]] = [set() for _ in range(n)]
-    for b in f_alg.blocks:
-        atoms = sorted(b)
-        masses = {space.mass_of(a) for a in atoms}
-        if len(masses) == 1:
-            if len(atoms) % n:
-                raise DivisibilityError(
-                    f"block {sorted(b)} has {len(atoms)} atoms, not divisible by {n}"
-                )
-            for pos, a in enumerate(atoms):
-                parts[pos % n].add(a)
-        else:
-            quota = space.mass(b) / n
-            for j, grp in enumerate(
-                _equal_mass_groups(space, atoms, n, quota, str(sorted(b)))
-            ):
-                parts[j].update(grp)
-    return SupplementPartition(tuple(frozenset(p) for p in parts), n)
-
-
-def restrict(
-    space: DiscreteSpace, alg: SigmaPartition, d
-) -> tuple[DiscreteSpace, SigmaPartition]:
-    """Restricted space on d with rescaled masses, and the traced partition.
-
-    Atom ids are preserved (not relabeled), so repeated restriction composes
-    literally: restricting to d1 then d2 equals restricting to d1 & d2.
-    """
-    _check_universe(space, alg)
-    d = set(d)
-    if not d <= space.atom_set:
-        raise StructureError("restriction set contains atoms outside the space")
-    total = space.mass(d)
-    if total == 0 or not d:
-        raise PreconditionError("cannot restrict to a set of zero mass")
-    ids = tuple(sorted(d))
-    masses = tuple(space.mass_of(a) / total for a in ids)
-    traced = [b & d for b in alg.blocks if b & d]
-    return DiscreteSpace(ids, masses, space.label), SigmaPartition(traced)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ Each norm flavor is written once, in ``row_norms``, a reduction over the
 last axis that gives every row the bits of its own 1-D norm; ``norm`` is
 its one-row case.
 
-Besides the three norm flavors, the module carries the two weighted-l1
-metrics used for weak and weak-star convergence diagnostics: both weigh the
-``m``-th coordinate gap by ``2**-(m+1)`` (0-based indexing; the weight
+Besides the three norm flavors, a workspace may read distances in the
+weak or weak-star topology.  Both use one weighted-l1 metric, which weighs
+the ``m``-th coordinate gap by ``2**-(m+1)`` (0-based indexing; the weight
 convention only scales absolute metric values, never convergence verdicts).
 """
 from __future__ import annotations
@@ -31,8 +31,8 @@ NORM_MAX = "max"       # l-infinity
 NORM_FLAVORS = (NORM_SUM, NORM_EUCLID, NORM_MAX)
 
 TOPOLOGY_NORM = "norm"
-TOPOLOGY_WEAK = "weak"            # rho_w diagnostics (primal reading)
-TOPOLOGY_WEAK_STAR = "weak_star"  # d_w diagnostics (dual reading)
+TOPOLOGY_WEAK = "weak"            # half-weighted l1 (primal reading)
+TOPOLOGY_WEAK_STAR = "weak_star"  # the same metric (dual reading)
 TOPOLOGIES = (TOPOLOGY_NORM, TOPOLOGY_WEAK, TOPOLOGY_WEAK_STAR)
 
 
@@ -77,14 +77,6 @@ def basis_vector(n: int, d: int) -> np.ndarray:
     return v
 
 
-def dual_pairing(m: int, v: np.ndarray) -> float:
-    """Value of the m-th biorthogonal functional on v (its m-th coordinate)."""
-    v = np.asarray(v, dtype=float)
-    if not 0 <= m < v.shape[0]:
-        raise IndexError(f"dual index {m} outside truncation of dimension {v.shape[0]}")
-    return float(v[m])
-
-
 def row_norms(x: np.ndarray, flavor: str = NORM_EUCLID) -> np.ndarray:
     """Norm of every row of ``x``: a reduction over its last axis.
 
@@ -114,18 +106,6 @@ def norm(v: np.ndarray, flavor: str = NORM_EUCLID) -> float:
 def half_weights(d: int) -> np.ndarray:
     """Coordinate weights 2**-(m+1), m = 0..d-1."""
     return 0.5 ** (np.arange(d, dtype=float) + 1.0)
-
-
-def rho_w(v: np.ndarray, w: np.ndarray) -> float:
-    """Weak-convergence metric: weighted l1 gap against the dual basis."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(np.sum(half_weights(v.shape[0]) * np.abs(v - w)))
-
-
-def d_w(v: np.ndarray, w: np.ndarray) -> float:
-    """Weak-star metric on the dual side; same arithmetic at truncation."""
-    return rho_w(v, w)
 
 
 def norm_mode(flavor: str, d: int) -> tuple[int, np.ndarray]:

@@ -4,10 +4,11 @@ Index convention: for n >= 1 with binary digits n = n_0 + 2 n_1 + ... +
 2**(a-1) n_{a-1} (leading digit set) and a point l with fractional binary
 digits l = l_0/2 + l_1/4 + ..., the n-th function takes the value
 (-1)**(n_0 l_0 + n_1 l_1 + ... + n_{a-1} l_{a-1}); the 0-th function is
-identically 1.  Dyadic rationals use their terminating expansion, and cell
-membership follows half-open cells [p/2**L, (p+1)/2**L), which makes point
-evaluation agree with cell signs on cell representatives (boundary points
-carry no mass at desk scale).
+identically 1.  For n < 2**L the function is constant on every half-open
+level-L cell [p/2**L, (p+1)/2**L), so the package works with cell signs
+only: ``walsh_sign_on_cell`` is the one evaluation, and
+``walsh_integer_spectrum`` the one transform (boundary points carry no
+mass at desk scale).
 """
 from __future__ import annotations
 
@@ -33,25 +34,6 @@ def walsh_sign_on_cell(n: int, cell: int, level: int) -> int:
     acc = 0
     for j in range(n.bit_length()):
         acc += ((n >> j) & 1) & ((cell >> (level - 1 - j)) & 1)
-    return -1 if acc & 1 else 1
-
-
-def walsh_eval(n: int, l) -> int:
-    """Evaluate W_n at l in [0,1]; returns +1 or -1."""
-    if n < 0:
-        raise PreconditionError(f"Walsh index must be >= 0, got {n}")
-    lf = Fraction(l)
-    if not 0 <= lf <= 1:
-        raise PreconditionError(f"argument {l} outside [0,1]")
-    if n == 0:
-        return 1
-    acc = 0
-    frac = lf - int(lf)  # l = 1 uses the terminating expansion: all digits 0
-    for j in range(n.bit_length()):
-        frac *= 2
-        digit = int(frac)
-        frac -= digit
-        acc += ((n >> j) & 1) & digit
     return -1 if acc & 1 else 1
 
 
@@ -126,32 +108,6 @@ def walsh_gram(max_index: int, level: int) -> np.ndarray:
         )
         gram += signs @ signs.T
     return gram
-
-
-def walsh_transform(step_values) -> np.ndarray:
-    """Coefficients <f, W_n>, n = 0..2**L-1, of a level-L step function.
-
-    Input is the cell-value list (length a power of two).  The butterfly
-    recursion produces the Hadamard transform in natural order; the Walsh
-    indexing used here differs from it by a bit reversal.
-    """
-    v = np.asarray(step_values, dtype=float)
-    size = v.shape[0]
-    if size == 0 or size & (size - 1):
-        raise PreconditionError(f"input length {size} is not a power of two")
-    level = size.bit_length() - 1
-    out = _kernels.fwht_f64(v)
-    return out[_bit_reverse_permutation(level)] / size
-
-
-def walsh_inverse(coeffs) -> np.ndarray:
-    """Cell values of sum_n c_n W_n from the coefficient list."""
-    c = np.asarray(coeffs, dtype=float)
-    size = c.shape[0]
-    if size == 0 or size & (size - 1):
-        raise PreconditionError(f"input length {size} is not a power of two")
-    level = size.bit_length() - 1
-    return _kernels.fwht_f64(c[_bit_reverse_permutation(level)])
 
 
 def walsh_integer_spectrum(step_values) -> np.ndarray:

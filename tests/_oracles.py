@@ -1,20 +1,175 @@
-"""Reference implementations of the one-vector-at-a-time construction logic.
+"""Reference implementations that tests compare the package against.
 
+Two kinds live here.  The first are references the package no longer
+needs itself: point evaluation of the Walsh functions, the scalar payoffs
+h and G of the explicit game, the enumeration of measurable selections,
+the round-robin candidate profile and the dyadic convexification.  Tests
+use them as the reference for cell signs, payoff tables and Aumann sets,
+or to build inputs.
+
+The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
-vectors into one array and key each row once.  The functions here are the
-per-vector forms they replaced, kept so that tests can compare the two on
-small instances: every value set made canonical through a bytes dict and a
-sort of ``tuple(v.tolist())``, membership by ``np.array_equal``, block
-constancy and value-set intersection by bytes keys, and kernel entries
-merged by bytes keys with ``Fraction`` sums.  Each raises ``StructureError``
-where the constructor it mirrors did.  Unlike the old code, they copy every
-vector before freezing it, so the caller's arrays stay writeable.
+vectors into one array and key each row once.  The functions after the
+first kind are the per-vector forms they replaced, kept so that tests can
+compare the two on small instances: every value set made canonical
+through a bytes dict and a sort of ``tuple(v.tolist())``, membership by
+``np.array_equal``, block constancy and value-set intersection by bytes
+keys, and kernel entries merged by bytes keys with ``Fraction`` sums.
+Each raises ``StructureError`` where the constructor it mirrors did.
+Unlike the old code, they copy every vector before freezing it, so the
+caller's arrays stay writeable.
 """
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from corrint.errors import StructureError
+from corrint.correspondences import Correspondence, Selection, _compositions
+from corrint.correspondences import block_choice_sets as package_block_choice_sets
+from corrint.errors import CapacityError, PreconditionError, StructureError
+from corrint.game import (
+    GenericPayoff,
+    StrategyProfile,
+    _block_positions,
+    _canonical_tie_sets,
+    root_of_unity_gap,
+)
+from corrint.vectors import NORM_EUCLID, norm, zero_vector
+
+
+def walsh_eval(n: int, l) -> int:
+    """Evaluate W_n at l in [0,1]; returns +1 or -1.
+
+    Dyadic rationals use their terminating expansion, so on a level-L cell
+    with n < 2**L it agrees with ``walsh_sign_on_cell`` at every point.
+    """
+    if n < 0:
+        raise PreconditionError(f"Walsh index must be >= 0, got {n}")
+    lf = Fraction(l)
+    if not 0 <= lf <= 1:
+        raise PreconditionError(f"argument {l} outside [0,1]")
+    if n == 0:
+        return 1
+    acc = 0
+    frac = lf - int(lf)  # l = 1 uses the terminating expansion: all digits 0
+    for j in range(n.bit_length()):
+        frac *= 2
+        digit = int(frac)
+        frac -= digit
+        acc += ((n >> j) & 1) & digit
+    return -1 if acc & 1 else 1
+
+
+def payoff_h(l, a, xs, theta: float, gamma=0, k: int | None = None,
+             flavor: str = NORM_EUCLID) -> float:
+    """The oscillating penalty h(l, a, x_1..x_k, theta); zero when theta = 0
+    or l lies in the atomic part [0, gamma]."""
+    gamma_f = float(Fraction(gamma))
+    lf = float(Fraction(l))
+    if k is None:
+        k = len(xs)
+    if len(xs) != k:
+        raise PreconditionError(f"need k = {k} profile points, got {len(xs)}")
+    if theta < 0:
+        raise PreconditionError(f"theta must be >= 0, got {theta}")
+    if theta == 0.0 or lf <= gamma_f:
+        return 0.0
+    a = np.asarray(a, dtype=float)
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    total = np.zeros_like(a)
+    for x in xs:
+        total = total + x
+    u = (lf - gamma_f) / theta
+    rho = int(math.floor(u))
+    val = theta * abs(math.sin(u * math.pi)) * (norm(a, flavor) + root_of_unity_gap(0, rho, k))
+    for i in range(1, k + 1):
+        mix_i = (xs[i - 1] + total) / (k + 1)
+        val *= norm(a - mix_i, flavor) + root_of_unity_gap(i, rho, k)
+    return val
+
+
+def payoff_G(game, t: int, a, b) -> float:
+    """Payoff of player t taking action a against societal aggregate b."""
+    pay = game.payoff
+    if isinstance(pay, GenericPayoff):
+        return float(pay.fn(t, np.asarray(a, dtype=float), b))
+    bnd = pay.bundle
+    model = bnd.model
+    a = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    theta = pay.beta * norm(bv - bnd.e_mean(), pay.flavor)
+    cell = model.cell_of(t)
+    if cell is None:
+        xs = [zero_vector(bnd.d) for _ in range(bnd.k)]
+    else:
+        xs = [f.values[cell] for f in bnd.f_list]
+    h = payoff_h(model.phi(t), a, xs, theta, bnd.gamma, bnd.k, pay.flavor)
+    total = np.zeros(bnd.d)
+    for x in xs:
+        total = total + x
+    prod = norm(a, pay.flavor)
+    for i in range(bnd.k):
+        prod *= norm(a - (xs[i] + total) / (bnd.k + 1), pay.flavor)
+    return -h - prod
+
+
+def balanced_profile(game) -> StrategyProfile:
+    """The constructive candidate equilibrium: round-robin over each block.
+
+    Atom at position p of its characteristic block plays the p-th canonical
+    candidate (zero action, then the cell's mixed points).  When k+1 divides
+    every block's atom count its aggregate is the mean of the e_i and the
+    induced parts form the balanced independent partition.
+    """
+    tie_sets = _canonical_tie_sets(game)
+    if tie_sets is None:
+        raise PreconditionError("balanced profile needs the explicit payoff")
+    positions = _block_positions(game)
+    play = []
+    for ti, atom in enumerate(game.space.ids):
+        cands = tie_sets[ti]
+        play.append(cands[positions[atom] % len(cands)])
+    return StrategyProfile(tuple(play))
+
+
+def enumerate_selections(corr, alg, cap: int):
+    """Yield every alg-measurable selection once, in lexicographic order.
+
+    Blocks run in canonical order and per-block choices in canonical vector
+    order; the last block varies fastest.  A block with no common value
+    leaves nothing to yield.
+    """
+    sets = package_block_choice_sets(corr, alg)
+    count = math.prod(len(cs) for cs in sets)
+    if count > cap:
+        raise CapacityError(count, cap)
+    for combo in itertools.product(*sets):
+        cmap = {}
+        for b, v in zip(alg.blocks, combo):
+            for a in b:
+                cmap[a] = v
+        yield Selection(corr, alg, cmap)
+
+
+def dyadic_convexify(corr, resolution: int):
+    """Replace each value set by its dyadic-weight mixtures at the resolution.
+
+    Every atom's set becomes { sum_i (c_i/resolution) v_i : c_i >= 0 integers
+    summing to resolution }, deduplicated.
+    """
+    if resolution < 1:
+        raise PreconditionError("resolution must be >= 1")
+    vmap = {}
+    for a, tup in zip(corr.space.ids, corr.values):
+        pts = []
+        for counts in _compositions(resolution, len(tup)):
+            v = np.zeros(corr.dim)
+            for c, vec in zip(counts, tup):
+                v += (c / resolution) * vec
+            pts.append(v)
+        vmap[a] = pts
+    return Correspondence(corr.space, vmap)
 
 
 def _freeze(v) -> np.ndarray:

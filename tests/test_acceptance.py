@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from _oracles import enumerate_selections
 from corrint.correspondences import (
     Correspondence,
     Selection,
     build_counterexample,
-    enumerate_selections,
 )
 from corrint.game import (
     LargeGame,
@@ -31,7 +31,7 @@ from corrint.set_integration import (
     hausdorff_semidistance,
     lyapunov_mix,
 )
-from corrint.spaces import DiscreteSpace, SigmaPartition
+from corrint.spaces import DiscreteSpace, SigmaPartition, is_nowhere_equivalent
 from corrint.vectors import Workspace, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_sign_on_cell
 
@@ -301,4 +301,33 @@ def test_c12_determinism():
         ok = ok and first == second
     el = time.perf_counter() - t0
     _report(12, "scenario determinism", ok, el, "4 scenarios, byte-compared")
+    assert ok
+
+
+def _verdict(name, **params):
+    """The verdict of a bundled one-check scenario, with params replaced."""
+    cfg = load_bundled(name)
+    cfg["checks"][0].update(params)
+    (check,) = run_scenario_dict(cfg)["checks"]
+    return check["verdict"]
+
+
+def test_c13_nowhere_equivalence_iff_equilibrium():
+    # the paper's "iff": the game has an equilibrium exactly when the
+    # players' algebra is nowhere equivalent to the characteristic one
+    t0 = time.perf_counter()
+    rows = []  # (case, nowhere equivalent, equilibrium found)
+    for gamma in ("0", "1/4"):
+        # at gamma = 1/4 the atomic atom is one block of both algebras
+        game = build_counterexample_game(2, Fraction(gamma), 2, 3, refinement=3)
+        rows.append((f"gamma={gamma}", is_nowhere_equivalent(game.t_alg, game.f_alg),
+                     _verdict("game-equilibrium", gamma=gamma)))
+    # the game-nonexistence check runs this game with t_alg = f_alg
+    game = build_counterexample_game(2, 0, 2, 2, refinement=4)
+    rows.append(("t_alg=f_alg", is_nowhere_equivalent(game.f_alg, game.f_alg),
+                 not _verdict("game-nonexistence")))
+    ok = [row[1:] for row in rows] == [(True, True), (False, False), (False, False)]
+    el = time.perf_counter() - t0
+    _report(13, "nowhere equivalence iff", ok, el,
+            " ".join(f"{case}:{ne}/{eq}" for case, ne, eq in rows))
     assert ok

@@ -6,17 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import balanced_profile, payoff_G, payoff_h
 from corrint import _kernels
 from corrint.correspondences import build_counterexample
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import (
     EXTERNALITY_CONDITIONAL,
-    balanced_profile,
+    TIE_TOL,
     GenericPayoff,
     LargeGame,
     StrategyProfile,
     aggregate_of,
-    best_response,
     build_counterexample_game,
     case1_indicator_parts,
     _canonical_tie_sets,
@@ -26,8 +26,6 @@ from corrint.game import (
     find_equilibrium,
     lemma_bound_check,
     lemma_bound_trials,
-    payoff_G,
-    payoff_h,
     residual_of,
     root_of_unity_gap,
     verify_equilibrium_partition,
@@ -114,13 +112,61 @@ def test_payoff_G_zero_cases(small_game):
         assert payoff_G(g, t, a, bb) <= 0.0
 
 
+def _payoff_G_table(game, aggregate):
+    """The (atoms, actions) payoff table from the scalar payoff, atom by atom;
+    under the conditional externality each atom reads its own block's entry."""
+    rows = []
+    for t in game.space.ids:
+        b = aggregate if game.externality != EXTERNALITY_CONDITIONAL \
+            else aggregate[game.f_alg.block_index_of(t)]
+        rows.append([payoff_G(game, t, a, b) for a in game.actions])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("flavor", NORM_FLAVORS)
+@pytest.mark.parametrize("externality", ["integral", EXTERNALITY_CONDITIONAL])
+def test_payoff_table_matches_payoff_G_oracle(flavor, externality):
+    rng = np.random.default_rng(54)
+    for k, gamma in ((2, 0), (2, Fraction(1, 4)), (1, Fraction(1, 3))):
+        g = build_counterexample_game(k, gamma, 2, 2, refinement=k + 1,
+                                      flavor=flavor, externality=externality)
+        natoms = len(g.space.ids)
+        plays = [[0] * natoms, list(balanced_profile(g).play)]
+        plays += [rng.integers(0, g.nact, natoms).tolist() for _ in range(3)]
+        for play in plays:
+            agg = aggregate_of(g, StrategyProfile(tuple(play)))
+            want = _payoff_G_table(g, agg)
+            got = _payoffs_at_aggregate(g, agg)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_generic_payoff_table_calls_the_payoff():
+    space = DiscreteSpace.uniform(4)
+    f_alg = SigmaPartition([{0, 1}, {2, 3}])
+    pay = GenericPayoff(lambda t, a, agg: float(np.sin(t + 3 * a[0]) - np.sum(agg)))
+    for externality in ("integral", EXTERNALITY_CONDITIONAL):
+        game = LargeGame(f_alg=f_alg, t_alg=SigmaPartition.singletons(space),
+                         actions=np.array([[0.0], [0.5], [2.0]]), payoff=pay,
+                         externality=externality, player_space=space)
+        agg = aggregate_of(game, StrategyProfile((0, 1, 2, 1)))
+        assert _payoffs_at_aggregate(game, agg).tobytes() == \
+            _payoff_G_table(game, agg).tobytes()
+
+
+def _best_response(game, t, b):
+    """Player t's argmax actions against aggregate b at the tie tolerance,
+    ascending, read from the payoff table the equilibrium search uses."""
+    vals = _payoffs_at_aggregate(game, b)[game.space.position(t)]
+    return [int(i) for i in np.flatnonzero(vals >= vals.max() - TIE_TOL)]
+
+
 def test_best_response_atomic_part_plays_zero():
     g = build_counterexample_game(2, Fraction(1, 4), 2, 2, refinement=3)
     t2 = g.payoff.bundle.model.atomic_atom
     rng = np.random.default_rng(53)
     for _ in range(10):
         b = rng.normal(size=g.payoff.bundle.d)
-        assert best_response(g, t2, b) == [0]
+        assert _best_response(g, t2, b) == [0]
 
 
 def test_best_response_case2_ties(small_game):
@@ -128,7 +174,7 @@ def test_best_response_case2_ties(small_game):
     b = g.payoff.bundle
     t = g.space.ids[0]
     cell = b.model.cell_of(t)
-    br = best_response(g, t, b.e_mean())
+    br = _best_response(g, t, b.e_mean())
     mix = g.payoff.mixed_points(cell)
     expected = {0}
     for i in range(b.k):
@@ -147,7 +193,7 @@ def test_best_response_case1_residue_zero(small_game):
     dist_needed = 1.01 / g.payoff.beta
     b = e_mean + dist_needed * basis_vector(0, bnd.d)
     for t in g.space.ids:
-        assert best_response(g, t, b) == [0]
+        assert _best_response(g, t, b) == [0]
 
 
 def test_single_player_game_exhaustive():

@@ -6,12 +6,7 @@ import pytest
 from _oracles import kernel_blocks, outcome, same_rows
 from corrint.correspondences import Correspondence, Selection
 from corrint.errors import StructureError
-from corrint.rcd import (
-    TransitionKernel,
-    kernel_distance,
-    kernel_mix,
-    rcd_of_selection,
-)
+from corrint.rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from corrint.set_integration import conditional_expectation, lyapunov_mix
 from corrint.spaces import DiscreteSpace, SigmaPartition
 from corrint.vectors import basis_vector, zero_vector
@@ -106,42 +101,17 @@ def test_mixture_realized_by_refined_selection():
     assert got.equals_exactly(target)
 
 
-def test_kernel_distance_properties():
-    space = DiscreteSpace.uniform(2)
-    g_alg = SigmaPartition.trivial(space)
-    v = basis_vector(0, 2)
-    w = basis_vector(1, 2)
-    k1 = TransitionKernel(g_alg, [[(v, Fraction(1))]])
-    k2 = TransitionKernel(g_alg, [[(w, Fraction(1))]])
-    assert kernel_distance(k1, k1) == 0.0
-    assert kernel_distance(k1, k2) >= 1.0  # coordinate test function separates
-    rng = np.random.default_rng(42)
-    kernels = []
-    for _ in range(6):
-        pts = rng.normal(size=(2, 2))
-        kernels.append(TransitionKernel(
-            g_alg, [[(pts[0], Fraction(1, 2)), (pts[1], Fraction(1, 2))]]
-        ))
-    for a in kernels:
-        for b in kernels:
-            assert abs(kernel_distance(a, b) - kernel_distance(b, a)) <= 1e-15
-            for c in kernels:
-                assert kernel_distance(a, c) <= \
-                    kernel_distance(a, b) + kernel_distance(b, c) + 1e-12
+def test_kernel_refuses_fewer_distributions_than_blocks():
+    g_alg = SigmaPartition([{0}, {1}])
+    with pytest.raises(StructureError):
+        TransitionKernel(g_alg, [[(np.zeros(2), Fraction(1))]])
 
 
-def test_kernel_distance_separation_failure_is_detectable():
-    # a kernel family the truncated test set cannot separate: identical
-    # barycenters and identical clipped-coordinate integrals
-    space = DiscreteSpace.uniform(2)
-    g_alg = SigmaPartition.trivial(space)
-    v = basis_vector(0, 2)
-    k1 = TransitionKernel(g_alg, [[(v, Fraction(1, 2)), (-v, Fraction(1, 2))]])
-    k2 = TransitionKernel(g_alg, [[(2 * v, Fraction(1, 4)), (-2 * v, Fraction(1, 4)),
-                                   (zero_vector(2), Fraction(1, 2))]])
-    dist = kernel_distance(k1, k2)
-    assert dist == 0.0
-    assert not k1.equals_exactly(k2)  # the flagged separation failure
+def test_kernel_refuses_more_distributions_than_blocks():
+    g_alg = SigmaPartition.trivial(DiscreteSpace.uniform(2))
+    point = [(np.zeros(2), Fraction(1))]
+    with pytest.raises(StructureError):
+        TransitionKernel(g_alg, [point, point])
 
 
 def test_kernel_weight_validation():

@@ -7,50 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _oracles import dyadic_convexify, enumerate_selections
 from corrint.correspondences import (
     Correspondence,
     Selection,
     block_choice_sets,
     build_counterexample,
-    dyadic_convexify,
-    enumerate_selections,
 )
-from corrint import _kernels
-from corrint.errors import (
-    CapacityError,
-    DivisibilityError,
-    PreconditionError,
-    StructureError,
-)
+from corrint.errors import CapacityError, DivisibilityError, PreconditionError
 from corrint.set_integration import (
     DEDUP_TOL,
-    ConditionalSet,
     PointCloudSet,
-    _mode_for,
     aumann_integral_set,
     conditional_expectation,
     conditional_set,
     convexity_gap,
     dedup_points,
-    function_semidistance,
     hausdorff_semidistance,
     integrate_selection,
     lyapunov_mix,
-    uhc_diagnostic,
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition
-from corrint.vectors import (
-    NORM_EUCLID,
-    NORM_MAX,
-    NORM_SUM,
-    Workspace,
-    basis_vector,
-    norm,
-    zero_vector,
-)
+from corrint.vectors import Workspace, basis_vector, norm, zero_vector
 
 
-# -- oracles: the materialized product and the pairwise semidistance ----------
+# -- oracles: the materialized product ----------------------------------------
 
 def _product_functions(cs):
     """All functions of a conditional set, shape (count, nblocks, d), in
@@ -65,25 +46,6 @@ def _product_functions(cs):
         idx = np.tile(np.repeat(np.arange(counts[j]), rep), tile)
         funcs[:, j, :] = bs[idx]
     return funcs
-
-
-def _pairwise_function_semidistance(fa, fb, masses, metric=None):
-    """max over f in fa of min over g in fb of sum_j masses[j] * d(f_j, g_j)."""
-    w = np.array([float(m) for m in masses])
-    mode, weights = _mode_for(metric, fa.shape[2])
-    worst = 0.0
-    for f in fa:
-        best = np.inf
-        for g in fb:
-            dist = 0.0
-            for j in range(fa.shape[1]):
-                dj = _kernels.min_dists(
-                    f[j].reshape(1, -1), g[j].reshape(1, -1), mode, weights)
-                dist += w[j] * dj
-            if dist < best:
-                best = dist
-        worst = max(worst, best)
-    return worst
 
 
 def _coarse_dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -299,35 +261,16 @@ def _random_nested_instance(rng, d):
     return space, t_alg, SigmaPartition(g_blocks), corr(), corr()
 
 
-@pytest.mark.parametrize("flavor", [NORM_EUCLID, NORM_SUM, NORM_MAX])
-def test_function_semidistance_matches_pairwise_oracle(flavor):
-    rng = np.random.default_rng({NORM_EUCLID: 41, NORM_SUM: 42, NORM_MAX: 43}[flavor])
+def test_conditional_set_is_the_product_of_its_blocks():
+    rng = np.random.default_rng(41)
     for trial in range(36):
         d = 1 + trial % 3
         space, t_alg, g_alg, ca, cb = _random_nested_instance(rng, d)
-        sa = conditional_set(ca, t_alg, g_alg, cap=10 ** 4)
-        sb = conditional_set(cb, t_alg, g_alg, cap=10 ** 4)
-        assert len(sa) == sa.size == _product_functions(sa).shape[0]
-        masses = [space.mass(b) for b in g_alg.blocks]
-        ws = Workspace(d=d, norm_flavor=flavor)
-        for x, y in ((sa, sb), (sb, sa), (sa, sa)):
-            got = function_semidistance(x, y, masses, ws)
-            want = _pairwise_function_semidistance(
-                _product_functions(x), _product_functions(y), masses, ws)
-            assert got == want
-
-
-def test_function_semidistance_refuses_mismatched_blocks():
-    b = build_counterexample(2, 0, 1, 2)
-    singles = SigmaPartition.singletons(b.model.space)
-    trivial = SigmaPartition.trivial(b.model.space)
-    fine = conditional_set(b.corr, singles, b.f_alg, cap=10 ** 4)
-    coarse = conditional_set(b.corr, singles, trivial, cap=10 ** 4)
-    masses = [b.model.space.mass(blk) for blk in b.f_alg.blocks]
-    with pytest.raises(StructureError):
-        function_semidistance(fine, coarse, masses)
-    with pytest.raises(StructureError):
-        function_semidistance(fine, fine, masses[:-1])
+        for corr in (ca, cb):
+            cs = conditional_set(corr, t_alg, g_alg, cap=10 ** 4)
+            funcs = _product_functions(cs)
+            assert len(cs) == cs.size == funcs.shape[0]
+            assert all(cs.contains_function(f, 0.0) for f in funcs)
 
 
 def test_conditional_set_single_valued():
@@ -459,10 +402,18 @@ def test_hausdorff_examples():
     assert hausdorff_semidistance(a, z) == 1.0
 
 
+def _uhc_series(family, limit, t_alg, cap):
+    """Semidistance of each member's integral set to the limit's, as the
+    uhc-decay check computes it."""
+    limit_cloud = aumann_integral_set(limit, t_alg, cap)
+    return [hausdorff_semidistance(aumann_integral_set(fy, t_alg, cap), limit_cloud)
+            for fy in family]
+
+
 def test_uhc_constant_family_zero():
     b = build_counterexample(2, 0, 1, 2)
     singles = SigmaPartition.singletons(b.model.space)
-    out = uhc_diagnostic([b.corr, b.corr], b.corr, singles, None, cap=10 ** 4)
+    out = _uhc_series([b.corr, b.corr], b.corr, singles, cap=10 ** 4)
     assert out == [0.0, 0.0]
 
 
@@ -474,19 +425,10 @@ def test_uhc_shrinking_family():
         _const_corr(space, [zero_vector(2), v / n]) for n in (1, 2, 4, 8)
     ]
     singles = SigmaPartition.singletons(space)
-    sig = uhc_diagnostic(family, limit, singles, None, cap=100)
+    sig = _uhc_series(family, limit, singles, cap=100)
     for n, s in zip((1, 2, 4, 8), sig):
         assert s <= 1.0 / n + 1e-12
     assert all(b <= a for a, b in zip(sig, sig[1:]))
-
-
-def test_uhc_conditional_route():
-    b = build_counterexample(2, 0, 1, 2)
-    singles = SigmaPartition.singletons(b.model.space)
-    fam = [build_counterexample(2, 0, m, 2, d=b.d).corr for m in (0, 1)]
-    sig = uhc_diagnostic(fam, b.corr, singles, b.f_alg, cap=10 ** 4)
-    assert sig[1] == 0.0
-    assert sig[0] >= sig[1]
 
 
 def test_convexified_cloud_approaches_hull_and_mix_attains():

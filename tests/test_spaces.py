@@ -9,22 +9,38 @@ from corrint.errors import (
     PreconditionError,
     StructureError,
 )
+from corrint.correspondences import Correspondence, Selection
+from corrint.set_integration import lyapunov_mix
 from corrint.spaces import (
     DiscreteSpace,
     DyadicModel,
     SigmaPartition,
     block_averages,
-    build_independent_supplement,
-    independence_product_check,
     is_nowhere_equivalent,
     is_refinement,
-    restrict,
 )
 
 
 @pytest.fixture
 def uniform4():
     return DiscreteSpace.uniform(4)
+
+
+def _mix_parts(space, f_alg, n, t_alg=None):
+    """The parts of a ``lyapunov_mix`` of n constant selections with equal
+    weights, t_alg the singletons unless given: part j is where the mix
+    plays selection j's value, the j-th basis vector."""
+    t_alg = t_alg or SigmaPartition.singletons(space)
+    basis = np.eye(n)
+    corr = Correspondence(space, {a: list(basis) for a in space.ids})
+    sels = [Selection(corr, f_alg, {a: e for a in space.ids}) for e in basis]
+    mix = lyapunov_mix(sels, [Fraction(1, n)] * n, f_alg, t_alg)
+    return [frozenset(a for a in space.ids if mix.at(a)[j] == 1) for j in range(n)]
+
+
+def _independent(space, s, d) -> bool:
+    """Exact independence of two events: mass(s & d) = mass(s) mass(d)."""
+    return space.mass(set(s) & set(d)) == space.mass(s) * space.mass(d)
 
 
 def test_space_invariants():
@@ -37,8 +53,8 @@ def test_space_invariants():
 
 
 def test_atom_lookups_follow_ids(uniform4):
-    # a restricted space keeps its parent's ids, so id and position differ
-    sub, _ = restrict(uniform4, SigmaPartition.singletons(uniform4), {1, 3})
+    # ids need not be contiguous, so id and position differ
+    sub = DiscreteSpace((1, 3), (Fraction(1, 2), Fraction(1, 2)))
     assert sub.position(3) == 1
     assert sub.mass_of(3) == Fraction(1, 2)
     assert sub.mass([1, 3, 3]) == 1
@@ -93,18 +109,17 @@ def test_nowhere_equivalence_monotone_under_refinement():
 
 def test_supplement_examples(uniform4):
     trivial = SigmaPartition.trivial(uniform4)
-    sup = build_independent_supplement(uniform4, trivial, 2)
-    assert [sorted(p) for p in sup.parts] == [[0, 2], [1, 3]]
+    assert [sorted(p) for p in _mix_parts(uniform4, trivial, 2)] == [[0, 2], [1, 3]]
     f = SigmaPartition([{0, 1}, {2, 3}])
-    sup2 = build_independent_supplement(uniform4, f, 2)
-    assert [sorted(p) for p in sup2.parts] == [[0, 2], [1, 3]]
-    for part in sup2.parts:
+    parts = _mix_parts(uniform4, f, 2)
+    assert [sorted(p) for p in parts] == [[0, 2], [1, 3]]
+    for part in parts:
         assert uniform4.mass(part) == Fraction(1, 2)
         for b in f.blocks:
             assert uniform4.mass(part & b) == uniform4.mass(b) / 2
     three = DiscreteSpace.uniform(3)
     with pytest.raises(DivisibilityError):
-        build_independent_supplement(three, SigmaPartition.trivial(three), 2)
+        _mix_parts(three, SigmaPartition.trivial(three), 2)
 
 
 def test_supplement_independence_is_exact():
@@ -112,10 +127,9 @@ def test_supplement_independence_is_exact():
     space = DiscreteSpace.uniform(24)
     f = SigmaPartition([set(range(i, i + 6)) for i in range(0, 24, 6)])
     for n in (2, 3, 6):
-        sup = build_independent_supplement(space, f, n)
-        for part in sup.parts:
+        for part in _mix_parts(space, f, n):
             for b in f.blocks:
-                assert independence_product_check(space, part, b)
+                assert _independent(space, part, b)
 
 
 def test_supplement_nonuniform_masses():
@@ -124,40 +138,10 @@ def test_supplement_nonuniform_masses():
          Fraction(1, 8), Fraction(1, 8)]
     )
     f = SigmaPartition([{0, 2, 3}, {1, 4, 5}])  # each block mass 1/2
-    sup = build_independent_supplement(space, f, 2)
-    for part in sup.parts:
+    for part in _mix_parts(space, f, 2):
         assert space.mass(part) == Fraction(1, 2)
         for b in f.blocks:
             assert space.mass(part & b) == Fraction(1, 4)
-
-
-def test_independence_product_check_examples(uniform4):
-    s = {0, 1}
-    assert not independence_product_check(uniform4, s, s)  # non-trivial self
-    assert independence_product_check(uniform4, uniform4.atom_set, {1, 2})
-    assert independence_product_check(uniform4, {0, 2}, {0, 1})
-
-
-def test_restrict_examples(uniform4):
-    f = SigmaPartition([{0, 1}, {2, 3}])
-    rs, ra = restrict(uniform4, f, uniform4.atom_set)
-    assert rs.masses == uniform4.masses and ra.blocks == f.blocks
-    rs2, _ = restrict(uniform4, f, {0, 1})
-    assert rs2.masses == (Fraction(1, 2), Fraction(1, 2))
-    _, traced = restrict(uniform4, f, {1, 2, 3})
-    assert [sorted(b) for b in traced.blocks] == [[1], [2, 3]]
-    with pytest.raises(PreconditionError):
-        restrict(uniform4, f, set())
-
-
-def test_restrict_composes(uniform4):
-    f = SigmaPartition([{0, 1}, {2, 3}])
-    s1, a1 = restrict(uniform4, f, {0, 1, 2})
-    s12, a12 = restrict(s1, a1, {0, 2})
-    s_direct, a_direct = restrict(uniform4, f, {0, 2})
-    assert s12.ids == s_direct.ids
-    assert s12.masses == s_direct.masses
-    assert a12.blocks == a_direct.blocks
 
 
 def test_nowhere_equivalence_implies_supplement():
@@ -167,8 +151,8 @@ def test_nowhere_equivalence_implies_supplement():
     t = SigmaPartition.singletons(space)
     assert is_nowhere_equivalent(t, f)
     for n in (2, 3, 6):
-        sup = build_independent_supplement(space, f, n)
-        assert all(space.mass(p) == Fraction(1, n) for p in sup.parts)
+        parts = _mix_parts(space, f, n, t)
+        assert all(space.mass(p) == Fraction(1, n) for p in parts)
 
 
 def test_dyadic_model_layout():
@@ -192,11 +176,11 @@ def test_dyadic_model_walsh_blocks():
     d1 = m.walsh_block(1)
     assert m.space.mass(d1) == Fraction(1, 2)
     # independence of a round-robin split against every Walsh block
-    parts = build_independent_supplement(m.space, m.cell_partition, 2)
+    parts = _mix_parts(m.space, m.cell_partition, 2)
     for n in range(1, 8):
         dn = m.walsh_block(n)
-        for p in parts.parts:
-            assert independence_product_check(m.space, p, dn)
+        for p in parts:
+            assert _independent(m.space, p, dn)
 
 
 # -- oracle for block_averages: the conditional-average loops it replaced -----
@@ -261,9 +245,10 @@ def _oracle_spaces(rng):
         n = int(rng.integers(2, 14))
         space = DiscreteSpace.from_masses(_random_masses(rng, n, 50))
         yield space
-        # a restriction keeps its parent's ids, so ids and positions differ
-        keep = set(int(a) for a in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
-        yield restrict(space, SigmaPartition.singletons(space), keep)[0]
+        # a subset of the atoms with rescaled masses: ids and positions differ
+        keep = sorted(int(a) for a in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+        total = space.mass(keep)
+        yield DiscreteSpace(tuple(keep), tuple(space.mass_of(a) / total for a in keep))
         # numerators past 2**53, where a float division would round twice
         yield DiscreteSpace.from_masses(_random_masses(rng, n, 10 ** 18))
 

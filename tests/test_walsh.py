@@ -3,18 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import walsh_eval
 from corrint import _kernels
 from corrint.errors import PreconditionError
 from corrint.walsh import (
     _bit_reverse_permutation,
     walsh_gram,
-    walsh_eval,
     walsh_integer_spectrum,
     walsh_integral,
-    walsh_inverse,
     walsh_set,
     walsh_sign_on_cell,
-    walsh_transform,
 )
 
 
@@ -89,33 +87,34 @@ def test_sign_sets_generate_dyadic_partition():
 
 
 def test_transform_examples():
-    ones = walsh_transform(np.ones(16))
-    assert ones[0] == 1.0 and not np.any(ones[1:])
+    ones = walsh_integer_spectrum(np.ones(16, dtype=np.int64))
+    assert ones[0] == 16 and not np.any(ones[1:])
     level = 2
-    w3 = np.array([walsh_sign_on_cell(3, c, level) for c in range(4)], dtype=float)
-    coeffs = walsh_transform(w3)
-    expect = np.zeros(4)
-    expect[3] = 1.0
-    assert np.array_equal(coeffs, expect)
+    w3 = np.array([walsh_sign_on_cell(3, c, level) for c in range(4)])
+    expect = np.zeros(4, dtype=np.int64)
+    expect[3] = 4
+    assert np.array_equal(walsh_integer_spectrum(w3), expect)
     with pytest.raises(PreconditionError):
-        walsh_transform(np.ones(6))
+        walsh_integer_spectrum(np.ones(6, dtype=np.int64))
 
 
 def test_transform_roundtrip_and_parseval():
+    # the sign table is symmetric with square size * I, so applying the
+    # transform twice gives size * g, and the squares sum exactly
     rng = np.random.default_rng(12)
     for size in (8, 32, 256):
-        f = rng.normal(size=size)
-        coeffs = walsh_transform(f)
-        back = walsh_inverse(coeffs)
-        assert np.max(np.abs(back - f)) <= 1e-12
-        assert abs(np.sum(coeffs ** 2) - np.mean(f ** 2)) <= 1e-12
+        g = rng.integers(-50, 51, size=size)
+        spec = walsh_integer_spectrum(g)
+        assert np.array_equal(walsh_integer_spectrum(spec), size * g)
+        assert int(np.sum(spec ** 2)) == size * int(np.sum(g ** 2))
 
 
 def test_integer_spectrum_matches_float_transform():
+    # the float butterfly in the Walsh order, scaled to the coefficients <g, W_n>
     rng = np.random.default_rng(13)
     g = rng.integers(-1, 2, size=64).astype(np.int64)
     spec = walsh_integer_spectrum(g)
-    coeffs = walsh_transform(g.astype(float))
+    coeffs = _kernels.fwht_f64(g.astype(float))[_bit_reverse_permutation(6)] / 64
     assert np.max(np.abs(spec / 64.0 - coeffs)) <= 1e-14
 
 
