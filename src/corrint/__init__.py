@@ -25,7 +25,6 @@ from .errors import (
 )
 from .game import (
     EquilibriumReport,
-    GenericPayoff,
     LargeGame,
     StrategyProfile,
     build_counterexample_game,

@@ -16,7 +16,8 @@ floor((l-gamma)/theta) mod (k+1): the zero action on residue 0, the
 residue's mixed point otherwise.  At the mean aggregate every one of the
 k+1 candidate actions is optimal, and the canonical tie-break (round-robin
 across each block's atoms) realizes the balanced partition whose parts are
-independent of the characteristic algebra.
+independent of the characteristic algebra.  It is the only game here:
+``LargeGame`` refuses any other payoff.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -72,26 +72,15 @@ class CounterexamplePayoff:
 
 
 @dataclass(frozen=True)
-class GenericPayoff:
-    """Caller-supplied evaluation contract payoff(t, action, aggregate)."""
-
-    fn: Callable[[int, np.ndarray, object], float]
-
-
-@dataclass(frozen=True)
 class LargeGame:
-    """Finite player space, characteristic algebra, actions, payoff.
-
-    Explicit-payoff games take their player space from the bundle's model;
-    generic games must supply ``player_space``.
-    """
+    """The explicit game on its bundle's model space: strategy algebra
+    ``t_alg`` refining characteristic algebra ``f_alg``, actions, payoff."""
 
     f_alg: SigmaPartition
     t_alg: SigmaPartition
     actions: np.ndarray          # (nact, d)
-    payoff: CounterexamplePayoff | GenericPayoff
+    payoff: CounterexamplePayoff
     externality: str = EXTERNALITY_INTEGRAL
-    player_space: object = None
 
     def __post_init__(self):
         if self.externality not in (EXTERNALITY_INTEGRAL, EXTERNALITY_CONDITIONAL):
@@ -101,22 +90,17 @@ class LargeGame:
             raise StructureError("need a non-empty (nact, d) action array")
         acts.setflags(write=False)
         object.__setattr__(self, "actions", acts)
-        if isinstance(self.payoff, CounterexamplePayoff):
-            maxn = float(row_norms(acts, self.payoff.flavor).max())
-            if self.payoff.M < maxn - 1e-12:
-                raise StructureError(
-                    f"M = {self.payoff.M} below the action norm bound {maxn}"
-                )
-        elif self.player_space is None:
-            raise StructureError("generic games need an explicit player_space")
+        if not isinstance(self.payoff, CounterexamplePayoff):
+            raise StructureError(f"need a CounterexamplePayoff, got {self.payoff!r}")
+        maxn = float(row_norms(acts, self.payoff.flavor).max())
+        if self.payoff.M < maxn - 1e-12:
+            raise StructureError(f"M = {self.payoff.M} below the action norm bound {maxn}")
         if not is_refinement(self.t_alg, self.f_alg):
             raise PreconditionError("t_alg must refine f_alg")
 
     @property
     def space(self):
-        if isinstance(self.payoff, CounterexamplePayoff):
-            return self.payoff.bundle.model.space
-        return self.player_space
+        return self.payoff.bundle.model.space
 
     @property
     def nact(self) -> int:
@@ -131,6 +115,24 @@ class LargeGame:
     def cell_mixes(self) -> tuple:
         """``_cell_mixes`` of this game, built once."""
         return _cell_mixes(self)
+
+    @functools.cached_property
+    def round_robin(self) -> tuple:
+        """(cands, rr), built once: the (atoms, nact) bool mask whose row t
+        marks atom t's canonical tie set, and the action ``rr[t]`` atom t
+        plays on a full tie, the member of its set at its position within
+        its characteristic block (ascending ids) modulo the set's size."""
+        sets = _canonical_tie_sets(self)
+        cands = np.zeros((len(sets), self.nact), dtype=bool)
+        rr = np.empty(len(sets), dtype=np.int64)
+        for blk in self.f_alg.blocks:
+            for p, atom in enumerate(sorted(blk)):
+                t = self.space.position(atom)
+                cands[t, sets[t]] = True
+                rr[t] = sets[t][p % len(sets[t])]
+        cands.setflags(write=False)
+        rr.setflags(write=False)
+        return cands, rr
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,6 @@ class EquilibriumReport:
     min_aggregate_distance: float | None = None
     partition_masses: list | None = None
     independence_table: list | None = None
-    lemma_bound: tuple | None = None
     applicable: bool = True
     note: str = ""
 
@@ -175,12 +176,6 @@ class EquilibriumReport:
                 {"part": i, "walsh_index": n, "lhs": lhs, "rhs": rhs, "pass": ok}
                 for (i, n, lhs, rhs, ok) in self.independence_table
             ]
-        if self.lemma_bound is not None:
-            doc["lemma_bound"] = {
-                "sum": self.lemma_bound[0],
-                "bound": self.lemma_bound[1],
-                "pass": self.lemma_bound[2],
-            }
         if self.note:
             doc["note"] = self.note
         return doc
@@ -195,14 +190,12 @@ def build_counterexample_game(
     extra_actions=(),
     externality: str = EXTERNALITY_INTEGRAL,
     flavor: str = NORM_EUCLID,
-    M: float | None = None,
-    t_alg: SigmaPartition | None = None,
 ) -> LargeGame:
-    """The explicit game over a dyadic model.
+    """The explicit game over a dyadic model, with singleton strategies.
 
     Actions: the zero vector first, then the mixed points of every cell in
-    (cell, i) order, then any extra probe points.  M defaults to the larger
-    of 1-gamma and the action norm bound, which keeps beta <= 1/4.
+    (cell, i) order, then any extra probe points.  M is the larger of
+    1-gamma and the action norm bound, which keeps beta <= 1/4.
     """
     bundle = build_counterexample(k, gamma, N, L, refinement)
     model = bundle.model
@@ -215,14 +208,12 @@ def build_counterexample_game(
     for extra in extra_actions:
         acts.append(np.asarray(extra, dtype=float))
     actions = np.array(acts)
-    maxn = float(row_norms(actions, flavor).max())
-    if M is None:
-        M = max(float(1 - Fraction(gamma)), maxn)
+    M = max(float(1 - Fraction(gamma)), float(row_norms(actions, flavor).max()))
     beta = float(1 - Fraction(gamma)) / (4.0 * M)
     payoff = CounterexamplePayoff(bundle=bundle, M=M, beta=beta, flavor=flavor)
     return LargeGame(
         f_alg=bundle.f_alg,
-        t_alg=t_alg if t_alg is not None else SigmaPartition.singletons(model.space),
+        t_alg=SigmaPartition.singletons(model.space),
         actions=actions,
         payoff=payoff,
         externality=externality,
@@ -237,8 +228,6 @@ def _cell_mixes(game: LargeGame) -> tuple:
     atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
     """
     pay = game.payoff
-    if not isinstance(pay, CounterexamplePayoff):
-        raise PreconditionError("mixed points exist only for the explicit payoff")
     b = pay.bundle
     model = b.model
     mixes = np.zeros((model.ncells + 1, b.k, b.d))
@@ -266,8 +255,6 @@ def _ctables(game: LargeGame):
     Every entry equals the per-row ``norm`` loop bit for bit.
     """
     pay = game.payoff
-    if not isinstance(pay, CounterexamplePayoff):
-        raise PreconditionError("tables exist only for the explicit payoff")
     b = pay.bundle
     model = b.model
     nact = game.nact
@@ -311,14 +298,6 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
     """(natoms, nact) payoff table at a fixed aggregate."""
     pay = game.payoff
     space = game.space
-    if isinstance(pay, GenericPayoff):
-        table = np.empty((len(space.ids), game.nact))
-        for ti, atom in enumerate(space.ids):
-            b = aggregate if game.externality == EXTERNALITY_INTEGRAL \
-                else aggregate[game.f_alg.block_index_of(atom)]
-            for ai in range(game.nact):
-                table[ti, ai] = float(pay.fn(atom, game.actions[ai], b))
-        return table
     phi, gamma_f, na, p2, dn, am = game.ctables
     e_mean = pay.bundle.e_mean()
     k = pay.k
@@ -350,17 +329,14 @@ def _zero_action_index(game: LargeGame) -> int:
     return 0
 
 
-def _canonical_tie_sets(game: LargeGame) -> list[list[int]] | None:
+def _canonical_tie_sets(game: LargeGame) -> list[list[int]]:
     """Per atom, the zero action plus its own cell's mixed points (ascending).
 
-    These are exactly the candidate optimal actions of the explicit payoff;
-    None for generic payoffs.  A mixed point names the first action equal
-    to it in every coordinate (``np.array_equal``: -0.0 equals 0.0, NaN
-    equals nothing), found for a chunk of cells by one broadcast equality.
+    These are exactly the candidate optimal actions of the explicit payoff.
+    A mixed point names the first action equal to it in every coordinate
+    (``np.array_equal``: -0.0 equals 0.0, NaN equals nothing), found for a
+    chunk of cells by one broadcast equality.
     """
-    pay = game.payoff
-    if not isinstance(pay, CounterexamplePayoff):
-        return None
     mixes, row = game.cell_mixes
     k, d = mixes.shape[1:]
     zero_idx = _zero_action_index(game)
@@ -377,13 +353,13 @@ def _canonical_tie_sets(game: LargeGame) -> list[list[int]] | None:
     return [list(sets[r]) for r in row.tolist()]
 
 
-def _block_positions(game: LargeGame) -> dict[int, int]:
-    """Atom -> position within its characteristic block (canonical order)."""
-    pos = {}
-    for blk in game.f_alg.blocks:
-        for p, a in enumerate(sorted(blk)):
-            pos[a] = p
-    return pos
+def _best_responses(game: LargeGame, table: np.ndarray) -> np.ndarray:
+    """Every player's response to an (atoms, nact) payoff table, in one
+    pass: round-robin on a full tie, else the first tie (``find_equilibrium``)."""
+    cands, rr = game.round_robin
+    ties = table >= table.max(axis=1, keepdims=True) - TIE_TOL
+    full = (ties.sum(axis=1) > 1) & ~(cands & ~ties).any(axis=1)
+    return np.where(full, rr, ties.argmax(axis=1))
 
 
 def find_equilibrium(
@@ -393,41 +369,31 @@ def find_equilibrium(
     tol: float = 1e-9,
     cap: int = 20_000_000,
     start: StrategyProfile | None = None,
-    tie_tol: float = TIE_TOL,
-    damping: float = 0.0,
 ) -> tuple[StrategyProfile, EquilibriumReport]:
     """Search for a pure equilibrium.
 
-    br_iterate: undamped best-response iteration from the all-zero-action
-    profile (or ``start``), per-player argmax with deterministic
-    tie-breaking: lowest index, except that a full tie across a player's
-    canonical candidate set resolves round-robin by the player's position
-    inside its characteristic block, which realizes the balanced partition.
-    ``damping`` in [0, 1) smooths the aggregate the responses are computed
-    against (generic games may need it; the explicit game's contraction
-    makes 0 the right default).  Non-convergence returns the best profile
-    seen with its residual rather than raising.
+    br_iterate: best-response iteration from the all-zero-action profile
+    (or ``start``), every player responding at once to the current
+    profile's own aggregate (``_best_responses``): the lowest-index action
+    within ``TIE_TOL`` of its best payoff, except that a tie of several
+    actions covering its canonical candidate set resolves round-robin by
+    its position inside its characteristic block, which realizes the
+    balanced partition.  Non-convergence returns the best profile seen with
+    its residual rather than raising.
 
     exhaustive: scans every t_alg-measurable profile (capacity-checked) and
     returns the minimum-residual one, plus the minimum aggregate distance
     to the mean of the e_i encountered anywhere in the scan.
     """
-    space = game.space
-    natoms = len(space.ids)
     if mode == MODE_EXHAUSTIVE:
         return _find_exhaustive(game, cap, tol)
     if mode != MODE_BR_ITERATE:
         raise PreconditionError(f"unknown mode {mode!r}")
-    if not 0.0 <= damping < 1.0:
-        raise PreconditionError(f"damping must lie in [0, 1), got {damping}")
 
-    tie_sets = _canonical_tie_sets(game)
-    positions = _block_positions(game)
     profile = start if start is not None else \
-        StrategyProfile(tuple([_zero_action_index(game)] * natoms))
+        StrategyProfile(tuple([_zero_action_index(game)] * len(game.space.ids)))
     trace = []
     best = None
-    smoothed = None
     it = 0
     for it in range(max_iter + 1):
         res, agg = residual_of(game, profile)
@@ -436,28 +402,8 @@ def find_equilibrium(
             best = (res, profile, agg)
         if res <= tol or it == max_iter:
             break
-        if damping == 0.0 or smoothed is None:
-            smoothed = agg
-        elif game.externality == EXTERNALITY_INTEGRAL:
-            smoothed = damping * np.asarray(smoothed) + (1 - damping) * np.asarray(agg)
-        else:
-            smoothed = [
-                damping * np.asarray(s) + (1 - damping) * np.asarray(a)
-                for s, a in zip(smoothed, agg)
-            ]
-        table = _payoffs_at_aggregate(game, smoothed)
-        new_play = []
-        for ti, atom in enumerate(space.ids):
-            vals = table[ti]
-            top = vals.max()
-            ties = [int(i) for i in np.flatnonzero(vals >= top - tie_tol)]
-            if len(ties) > 1 and tie_sets is not None \
-                    and set(tie_sets[ti]) <= set(ties):
-                cands = tie_sets[ti]
-                new_play.append(cands[positions[atom] % len(cands)])
-            else:
-                new_play.append(ties[0])
-        profile = StrategyProfile(tuple(new_play))
+        play = _best_responses(game, _payoffs_at_aggregate(game, agg))
+        profile = StrategyProfile(tuple(play.tolist()))
     res, profile, agg = best
     report = _report_for(game, res, agg, iterations=it, trace=trace, tol=tol)
     return profile, report
@@ -467,17 +413,15 @@ def _report_for(game, res, agg, iterations, trace, tol,
                 min_aggdist=None) -> EquilibriumReport:
     pay = game.payoff
     case = "off-mean"
-    agg_json = None
     if game.externality == EXTERNALITY_INTEGRAL:
         agg_json = [float(x) for x in np.asarray(agg)]
-    else:
-        agg_json = [[float(x) for x in v] for v in agg]
-    if isinstance(pay, CounterexamplePayoff) and game.externality == EXTERNALITY_INTEGRAL:
         dist = norm(np.asarray(agg) - pay.bundle.e_mean(), pay.flavor)
         if dist <= 1e-12:
             case = "exact-mean"
         elif dist <= tol:
             case = "tol-approximate"
+    else:
+        agg_json = [[float(x) for x in v] for v in agg]
     return EquilibriumReport(
         residual=res,
         aggregate=agg_json,
@@ -527,8 +471,7 @@ def _find_exhaustive(game: LargeGame, cap: int, tol: float):
     blocks = game.t_alg.blocks
     if game.nact ** len(blocks) > cap:
         raise CapacityError(game.nact ** len(blocks), cap)
-    if isinstance(game.payoff, CounterexamplePayoff) \
-            and game.externality == EXTERNALITY_INTEGRAL:
+    if game.externality == EXTERNALITY_INTEGRAL:
         _, prof_digits, min_aggdist = _kernels.exhaustive_scan(*_scan_arguments(game))
         play = [0] * len(space.ids)
         for bi, blk in enumerate(blocks):
@@ -539,7 +482,8 @@ def _find_exhaustive(game: LargeGame, cap: int, tol: float):
         report = _report_for(game, res, agg, iterations=0, trace=[res],
                              tol=tol, min_aggdist=float(min_aggdist))
         return profile, report
-    # generic fallback: direct scan in the kernel's order, first minimum wins
+    # conditional externality: a direct scan in the kernel's order (the last
+    # block varies fastest), where the first minimum wins
     best = None
     lookup = {a: bi for bi, blk in enumerate(blocks) for a in blk}
     for digits in itertools.product(range(game.nact), repeat=len(blocks)):
@@ -567,10 +511,7 @@ def verify_equilibrium_partition(
     playing any other action (or not zero on the atomic part) is flagged
     not applicable instead of checked.
     """
-    pay = game.payoff
-    if not isinstance(pay, CounterexamplePayoff):
-        raise PreconditionError("partition verification needs the explicit game")
-    b = pay.bundle
+    b = game.payoff.bundle
     model = b.model
     space = model.space
     k = b.k

@@ -310,7 +310,7 @@ def check_necessity_gap(params: dict, seed: int) -> dict:
     k, L, cap, ws = params["k"], params["L"], params["cap"], params["workspace"]
     b = build_counterexample(k, params["gamma"], params["N"], L)
     t_alg = SigmaPartition.singletons(b.model.space)
-    cloud = aumann_integral_set(b.corr, t_alg, cap=cap, mode="enumerate")
+    cloud = aumann_integral_set(b.corr, t_alg, cap=cap)
     mid = b.e_mean()
     gap = cloud.nearest_distance(mid, ws)
     present = cloud.contains(mid, MEMBERSHIP_TOL, ws)
@@ -318,6 +318,7 @@ def check_necessity_gap(params: dict, seed: int) -> dict:
         "k": k, "L": L,
         "selections": (k + 1) ** len(b.model.space.ids),
         "cloud_size": len(cloud),
+        # SIZES refused the config unless every selection fits within cap
         "cloud_meta": cloud_metadata(b.corr, t_alg, cap, "enumerate"),
         "midpoint_gap": gap,
         "midpoint_present": present,
@@ -383,7 +384,7 @@ def check_convexity_decay(params: dict, seed: int) -> dict:
     for m in params["levels"]:
         b = build_counterexample(k, gamma, N, L, refinement=1 << m)
         t_alg = SigmaPartition.singletons(b.model.space)
-        cloud = aumann_integral_set(b.corr, t_alg, cap=params["cap"], mode="minkowski")
+        cloud = aumann_integral_set(b.corr, t_alg, cap=params["cap"])
         gap = convexity_gap(cloud, samples=params["samples"], metric=params["workspace"],
                             seed=seed)
         gaps.append(gap)

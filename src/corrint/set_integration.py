@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .spaces import DiscreteSpace, SigmaPartition, block_averages, is_refinement
+from .spaces import SigmaPartition, block_averages, is_refinement
 from .vectors import NORM_EUCLID, Workspace, norm_mode
 
 DEDUP_TOL = 1e-12
@@ -135,13 +135,6 @@ def conditional_expectation(sel: Selection, g_alg: SigmaPartition) -> list[np.nd
     return block_averages(sel.corr.space, g_alg, sel.choice)
 
 
-def _block_contributions(
-    space: DiscreteSpace, alg: SigmaPartition, sets
-) -> list[np.ndarray]:
-    """Per-block arrays of mass-weighted admissible contributions mass(B) * v."""
-    return [float(space.mass(b)) * cs for b, cs in zip(alg.blocks, sets)]
-
-
 def _minkowski_fold(contribs: list[np.ndarray], cap: int, d: int) -> np.ndarray:
     """Exact Minkowski accumulation with dedup pruning after every block.
 
@@ -183,25 +176,17 @@ def aumann_integral_set(
     corr: Correspondence,
     alg: SigmaPartition,
     cap: int = 2_000_000,
-    mode: str = "minkowski",
 ) -> PointCloudSet:
     """The exact finite set of integrals of alg-measurable selections.
 
-    The set is accumulated block by block with dedup pruning, which is exact
-    because value sets are finite; ``cap`` bounds the accumulated set.
-    ``mode`` is a capacity policy only: ``'enumerate'`` also refuses when
-    the selection product exceeds ``cap``, and the CapacityError reports
-    its exact count.
+    The set is accumulated block by block, from the mass-weighted choices
+    mass(B) * v of each block B, with dedup pruning, which is exact because
+    value sets are finite; ``cap`` bounds the accumulated set.
     """
-    if mode not in ("enumerate", "minkowski"):
-        raise PreconditionError(f"unknown mode {mode!r}")
     sets = block_choice_sets(corr, alg)
     if not all(len(cs) for cs in sets):
         return PointCloudSet(np.zeros((0, corr.dim)))
-    count = math.prod(len(cs) for cs in sets)
-    if mode == "enumerate" and count > cap:
-        raise CapacityError(count, cap)
-    contribs = _block_contributions(corr.space, alg, sets)
+    contribs = [float(corr.space.mass(b)) * cs for b, cs in zip(alg.blocks, sets)]
     return PointCloudSet(_minkowski_fold(contribs, cap, corr.dim))
 
 

@@ -50,7 +50,6 @@ class DiscreteSpace:
 
     ids: tuple[int, ...]
     masses: tuple[Fraction, ...]
-    label: str | None = None
     den: int = field(init=False, repr=False, compare=False)
     numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -72,15 +71,15 @@ class DiscreteSpace:
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
 
     @classmethod
-    def uniform(cls, n: int, label: str | None = None) -> "DiscreteSpace":
+    def uniform(cls, n: int) -> "DiscreteSpace":
         if n < 1:
             raise StructureError("need at least one atom")
-        return cls(tuple(range(n)), tuple([Fraction(1, n)] * n), label)
+        return cls(tuple(range(n)), tuple([Fraction(1, n)] * n))
 
     @classmethod
-    def from_masses(cls, masses, label: str | None = None) -> "DiscreteSpace":
+    def from_masses(cls, masses) -> "DiscreteSpace":
         ms = tuple(_as_fraction(m) for m in masses)
-        return cls(tuple(range(len(ms))), ms, label)
+        return cls(tuple(range(len(ms))), ms)
 
     def position(self, atom: int) -> int:
         """Index of the atom in ``ids`` (and ``masses``)."""

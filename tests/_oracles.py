@@ -2,10 +2,10 @@
 
 Two kinds live here.  The first are references the package no longer
 needs itself: point evaluation of the Walsh functions, the scalar payoffs
-h and G of the explicit game, the enumeration of measurable selections,
-the round-robin candidate profile and the dyadic convexification.  Tests
-use them as the reference for cell signs, payoff tables and Aumann sets,
-or to build inputs.
+h and G of the explicit game, the round-robin candidate profile, the
+per-atom best-response loop, the enumeration of measurable selections and
+the dyadic convexification.  Tests use them as the reference for cell
+signs, payoff tables, best responses and Aumann sets, or to build inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
@@ -28,13 +28,7 @@ import numpy as np
 from corrint.correspondences import Correspondence, Selection, _compositions
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import CapacityError, PreconditionError, StructureError
-from corrint.game import (
-    GenericPayoff,
-    StrategyProfile,
-    _block_positions,
-    _canonical_tie_sets,
-    root_of_unity_gap,
-)
+from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
 
@@ -92,8 +86,6 @@ def payoff_h(l, a, xs, theta: float, gamma=0, k: int | None = None,
 def payoff_G(game, t: int, a, b) -> float:
     """Payoff of player t taking action a against societal aggregate b."""
     pay = game.payoff
-    if isinstance(pay, GenericPayoff):
-        return float(pay.fn(t, np.asarray(a, dtype=float), b))
     bnd = pay.bundle
     model = bnd.model
     a = np.asarray(a, dtype=float)
@@ -114,6 +106,11 @@ def payoff_G(game, t: int, a, b) -> float:
     return -h - prod
 
 
+def _block_positions(game) -> dict[int, int]:
+    """Atom -> position within its characteristic block (ascending ids)."""
+    return {a: p for blk in game.f_alg.blocks for p, a in enumerate(sorted(blk))}
+
+
 def balanced_profile(game) -> StrategyProfile:
     """The constructive candidate equilibrium: round-robin over each block.
 
@@ -123,14 +120,35 @@ def balanced_profile(game) -> StrategyProfile:
     induced parts form the balanced independent partition.
     """
     tie_sets = _canonical_tie_sets(game)
-    if tie_sets is None:
-        raise PreconditionError("balanced profile needs the explicit payoff")
     positions = _block_positions(game)
     play = []
     for ti, atom in enumerate(game.space.ids):
         cands = tie_sets[ti]
         play.append(cands[positions[atom] % len(cands)])
     return StrategyProfile(tuple(play))
+
+
+def best_response_loop(game, table) -> tuple[int, ...]:
+    """Every player's response to an (atoms, actions) payoff table, atom by atom.
+
+    The ties are the actions within ``TIE_TOL`` of the atom's best payoff.
+    More than one tie with the canonical candidate set among them plays
+    round-robin by the atom's position in its characteristic block;
+    anything else plays the first tie.
+    """
+    tie_sets = _canonical_tie_sets(game)
+    positions = _block_positions(game)
+    play = []
+    for ti, atom in enumerate(game.space.ids):
+        vals = table[ti]
+        top = vals.max()
+        ties = [int(i) for i in np.flatnonzero(vals >= top - TIE_TOL)]
+        if len(ties) > 1 and set(tie_sets[ti]) <= set(ties):
+            cands = tie_sets[ti]
+            play.append(cands[positions[atom] % len(cands)])
+        else:
+            play.append(ties[0])
+    return tuple(play)
 
 
 def enumerate_selections(corr, alg, cap: int):

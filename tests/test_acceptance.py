@@ -79,7 +79,7 @@ def test_c03_necessity_shadow():
     t0 = time.perf_counter()
     b = build_counterexample(2, 0, 2, 3)
     t_alg = SigmaPartition.singletons(b.model.space)
-    cloud = aumann_integral_set(b.corr, t_alg, cap=10_000, mode="enumerate")
+    cloud = aumann_integral_set(b.corr, t_alg, cap=10_000)
     mid = b.e_mean()
     delta_star = cloud.nearest_distance(mid)
     ok = (not cloud.contains(mid, 1e-9)) and delta_star > 1e-9 \
@@ -129,7 +129,7 @@ def test_c05_convexification_decay():
     for m in range(1, 7):
         b = build_counterexample(k, 0, N, L, refinement=1 << m)
         t_alg = SigmaPartition.singletons(b.model.space)
-        cloud = aumann_integral_set(b.corr, t_alg, cap=2_000_000, mode="minkowski")
+        cloud = aumann_integral_set(b.corr, t_alg, cap=2_000_000)
         gaps.append(convexity_gap(cloud, samples=128, metric=ws, seed=0))
     monotone = all(b2 <= b1 + 1e-15 for b1, b2 in zip(gaps, gaps[1:]))
     ok = monotone and gaps[-1] < 1e-3

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,19 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import balanced_profile, payoff_G, payoff_h
+from _oracles import balanced_profile, best_response_loop, payoff_G, payoff_h
 from corrint import _kernels
 from corrint.correspondences import build_counterexample
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import (
     EXTERNALITY_CONDITIONAL,
     TIE_TOL,
-    GenericPayoff,
     LargeGame,
     StrategyProfile,
     aggregate_of,
     build_counterexample_game,
     case1_indicator_parts,
+    _best_responses,
     _canonical_tie_sets,
     _ctables,
     _lemma_holds,
@@ -30,7 +31,7 @@ from corrint.game import (
     root_of_unity_gap,
     verify_equilibrium_partition,
 )
-from corrint.spaces import DiscreteSpace, SigmaPartition
+from corrint.spaces import SigmaPartition
 from corrint.scenarios import MODEL_CAP, run_scenario_dict
 from corrint.vectors import NORM_FLAVORS, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_integer_spectrum, walsh_sign_on_cell
@@ -140,19 +141,6 @@ def test_payoff_table_matches_payoff_G_oracle(flavor, externality):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def test_generic_payoff_table_calls_the_payoff():
-    space = DiscreteSpace.uniform(4)
-    f_alg = SigmaPartition([{0, 1}, {2, 3}])
-    pay = GenericPayoff(lambda t, a, agg: float(np.sin(t + 3 * a[0]) - np.sum(agg)))
-    for externality in ("integral", EXTERNALITY_CONDITIONAL):
-        game = LargeGame(f_alg=f_alg, t_alg=SigmaPartition.singletons(space),
-                         actions=np.array([[0.0], [0.5], [2.0]]), payoff=pay,
-                         externality=externality, player_space=space)
-        agg = aggregate_of(game, StrategyProfile((0, 1, 2, 1)))
-        assert _payoffs_at_aggregate(game, agg).tobytes() == \
-            _payoff_G_table(game, agg).tobytes()
-
-
 def _best_response(game, t, b):
     """Player t's argmax actions against aggregate b at the tie tolerance,
     ascending, read from the payoff table the equilibrium search uses."""
@@ -196,50 +184,6 @@ def test_best_response_case1_residue_zero(small_game):
         assert _best_response(g, t, b) == [0]
 
 
-def test_single_player_game_exhaustive():
-    space = DiscreteSpace.uniform(1)
-    actions = np.array([[0.0], [1.0], [2.0]])
-    pay = GenericPayoff(lambda t, a, agg: -abs(a[0] - 1.7))
-    game = LargeGame(
-        f_alg=SigmaPartition.trivial(space),
-        t_alg=SigmaPartition.singletons(space),
-        actions=actions,
-        payoff=pay,
-        player_space=space,
-    )
-    prof, rep = find_equilibrium(game, mode="exhaustive", cap=100)
-    assert prof.play == (2,)
-    assert rep.residual == 0.0
-
-
-def test_generic_exhaustive_returns_first_tied_profile_in_scan_order():
-    # masses 1/4 and 3/4 make the aggregate a0/4 + 3*a1/4 name the profile;
-    # exactly (0, 2) and (1, 0) are equilibria.  Scan order runs the last
-    # block fastest, so (0, 2) at position 2 precedes (1, 0) at position 3;
-    # with the first block fastest (1, 0) would come first
-    space = DiscreteSpace((0, 1), (Fraction(1, 4), Fraction(3, 4)))
-    equilibria = {(0, 2), (1, 0)}
-
-    def pay(t, a, agg):
-        code = round(4 * agg[0])
-        played = (code % 3, code // 3)
-        if played in equilibria:
-            return 0.0
-        return float(a[0] != played[t])
-
-    game = LargeGame(
-        f_alg=SigmaPartition.trivial(space),
-        t_alg=SigmaPartition.singletons(space),
-        actions=np.array([[0.0], [1.0], [2.0]]),
-        payoff=GenericPayoff(pay),
-        player_space=space,
-    )
-    prof, rep = find_equilibrium(game, mode="exhaustive", cap=100)
-    assert prof.play == (0, 2)
-    assert rep.residual == 0.0
-    assert rep.min_aggregate_distance is None
-
-
 def test_br_iteration_reaches_balanced_equilibrium():
     g = build_counterexample_game(2, 0, 2, 3, refinement=3)
     prof, rep = find_equilibrium(g, max_iter=50, tol=1e-9)
@@ -255,6 +199,41 @@ def test_br_iteration_reports_progress_without_convergence():
     prof, rep = find_equilibrium(g, max_iter=0, tol=1e-15)
     assert rep.residual > 0  # no exception on non-convergence
     assert len(rep.trace) == 1
+
+
+def _first_minimum_in_scan_order(game):
+    """The direct scan written out: every t-block profile, the last block
+    varying fastest, and the first one of least residual."""
+    blocks = game.t_alg.blocks
+    block_of = {a: bi for bi, blk in enumerate(blocks) for a in blk}
+    best, ties = None, []
+    for digits in itertools.product(range(game.nact), repeat=len(blocks)):
+        play = tuple(digits[block_of[a]] for a in game.space.ids)
+        res = residual_of(game, StrategyProfile(play))[0]
+        if best is None or res < best[0]:
+            best, ties = (res, play), []
+        if res == best[0]:
+            ties.append(play)
+    return best, ties
+
+
+@pytest.mark.parametrize("gamma, first_fastest_differs", [("0", False), ("1/4", True)])
+def test_conditional_exhaustive_returns_first_tied_profile_in_scan_order(
+        gamma, first_fastest_differs):
+    # the conditional externality runs the direct scan.  Each game has two
+    # profiles tied at the least residual; at gamma = 0 (81 profiles) they
+    # differ in one block, at gamma = 1/4 (243 profiles) in two, and there
+    # a scan with the first block fastest would return the other one
+    g = build_counterexample_game(1, gamma, 1, 1, refinement=2,
+                                  externality=EXTERNALITY_CONDITIONAL)
+    (res, play), ties = _first_minimum_in_scan_order(g)
+    assert len(ties) == 2 and ties[0] == play
+    assert (min(ties, key=lambda p: p[::-1]) != play) == first_fastest_differs
+    prof, rep = find_equilibrium(g, mode="exhaustive", cap=1000)
+    assert prof.play == play
+    assert rep.residual == res > 0
+    assert rep.trace == [res] and rep.iterations == 0
+    assert rep.min_aggregate_distance is None
 
 
 def test_exhaustive_certified_equilibrium_residual_exactly_zero():
@@ -390,31 +369,6 @@ def test_case1_contraction_step():
         new_dist = norm(new_agg - e_mean, "euclid")
         assert new_dist <= (4 * k / (k + 1)) * d0 + 1e-12
     assert checked >= 10
-
-
-def test_generic_game_damped_iteration():
-    # mismatch responses flip between the extremes undamped; the damped
-    # aggregate walks into the interior fixed point, which is a true
-    # equilibrium of the game
-    space = DiscreteSpace.uniform(1)
-    actions = np.array([[0.0], [0.5], [1.0]])
-
-    def pay(t, a, agg):
-        return -abs(a[0] - (1.0 - agg[0]))
-
-    game = LargeGame(
-        f_alg=SigmaPartition.trivial(space),
-        t_alg=SigmaPartition.singletons(space),
-        actions=actions,
-        payoff=GenericPayoff(pay),
-        player_space=space,
-    )
-    _, undamped = find_equilibrium(game, max_iter=30, tol=1e-9)
-    assert undamped.residual == 1.0  # two-cycle between the extremes
-    _, damped = find_equilibrium(game, max_iter=30, tol=1e-9, damping=0.5)
-    assert damped.residual == 0.0
-    with pytest.raises(PreconditionError):
-        find_equilibrium(game, damping=1.0)
 
 
 def test_conditional_externality_aggregate_shape():
@@ -872,6 +826,112 @@ def test_canonical_tie_sets_equal_the_array_equal_loop(monkeypatch, case, budget
         monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
     g = TIE_GAMES[case]()
     assert _canonical_tie_sets(g) == _canonical_tie_sets_loop(g)
+
+
+def _aggregate_at_mean(g):
+    e_mean = g.payoff.bundle.e_mean()
+    if g.externality == EXTERNALITY_CONDITIONAL:
+        return [e_mean] * len(g.f_alg.blocks)
+    return e_mean
+
+
+def _response_tables(g, rng):
+    """Payoff tables with no tie, partial ties and full candidate ties.
+
+    Tables at the mean aggregate (theta = 0: every candidate ties) and at
+    random profiles' aggregates, then those tables with random actions of
+    random rows lifted to within 0, 0.5, 0.999, 1, 1.001 or 2 ``TIE_TOL``
+    of the row's best, and random small-integer tables.
+    """
+    natoms = len(g.space.ids)
+    tables = [_payoffs_at_aggregate(g, _aggregate_at_mean(g))]
+    for _ in range(3):
+        play = tuple(rng.integers(0, g.nact, natoms).tolist())
+        tables.append(_payoffs_at_aggregate(g, aggregate_of(g, StrategyProfile(play))))
+    cands = g.round_robin[0]
+    gaps = np.array([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]) * TIE_TOL
+    for base in tables[1:]:
+        for _ in range(4):
+            t = base.copy()
+            top = t.max(axis=1, keepdims=True)
+            lift = rng.random(t.shape) < 0.3
+            lift |= cands & (rng.random((natoms, 1)) < 0.5)
+            t = np.where(lift, top - rng.choice(gaps, size=t.shape), t)
+            tables.append(t)
+    tables += [rng.integers(0, 3, (natoms, g.nact)).astype(float) for _ in range(4)]
+    return tables
+
+
+BR_GAMES = {
+    **{case: TIE_GAMES[case] for case in sorted(TIE_GAMES) if case != "other-length"},
+    "gamma-quarter-k2": lambda: build_counterexample_game(2, "1/4", 2, 2, refinement=3),
+    "conditional": lambda: build_counterexample_game(2, 0, 2, 2, refinement=3,
+                                                     externality=EXTERNALITY_CONDITIONAL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BR_GAMES))
+def test_best_responses_equal_the_per_atom_loop(case):
+    g = BR_GAMES[case]()
+    rng = np.random.default_rng(81)
+    cands = g.round_robin[0]
+    kinds = set()
+    for table in _response_tables(g, rng):
+        got = _best_responses(g, table)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(best_response_loop(g, table))
+        ties = table >= table.max(axis=1, keepdims=True) - TIE_TOL
+        full = (ties.sum(axis=1) > 1) & (ties >= cands).all(axis=1)
+        kinds |= {"full" if f else "partial" if n > 1 else "none"
+                  for f, n in zip(full, ties.sum(axis=1))}
+    assert kinds == {"none", "partial", "full"}
+
+
+@pytest.mark.parametrize("case", sorted(BR_GAMES))
+def test_balanced_profile_is_the_round_robin_play(case):
+    g = BR_GAMES[case]()
+    cands, rr = g.round_robin
+    assert balanced_profile(g).play == tuple(rr.tolist())
+    assert [np.flatnonzero(row).tolist() for row in cands] == _canonical_tie_sets(g)
+    assert not cands.flags.writeable and not rr.flags.writeable
+
+
+def _br_iterate_loop(g, max_iter, tol, start=None):
+    """Best-response iteration with the per-atom loop: (profile, trace)."""
+    profile = start or StrategyProfile(tuple([0] * len(g.space.ids)))
+    trace, best = [], None
+    for it in range(max_iter + 1):
+        res, agg = residual_of(g, profile)
+        trace.append(res)
+        if best is None or res < best[0]:
+            best = (res, profile)
+        if res <= tol or it == max_iter:
+            break
+        profile = StrategyProfile(best_response_loop(g, _payoffs_at_aggregate(g, agg)))
+    return best[1], trace
+
+
+@pytest.mark.parametrize("game", [
+    lambda: build_counterexample_game(2, 0, 2, 3, refinement=3),
+    # these two do not converge: the iteration cycles
+    lambda: build_counterexample_game(2, "1/4", 2, 2, refinement=3),
+    lambda: build_counterexample_game(2, 0, 2, 3, refinement=3, flavor="max",
+                                      externality=EXTERNALITY_CONDITIONAL),
+])
+def test_br_iteration_equals_the_per_atom_loop(game):
+    g = game()
+    prof, rep = find_equilibrium(g, max_iter=30, tol=1e-9)
+    want_prof, want_trace = _br_iterate_loop(g, 30, 1e-9)
+    assert prof == want_prof
+    assert rep.trace == want_trace
+    assert rep.iterations == len(want_trace) - 1
+
+
+def test_game_refuses_a_payoff_that_is_not_the_explicit_one():
+    g = build_counterexample_game(1, 0, 1, 1)
+    with pytest.raises(StructureError):
+        LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=g.actions,
+                  payoff=lambda t, a, agg: 0.0)
 
 
 def test_ctables_memory_stays_with_the_tables():

@@ -9,6 +9,12 @@ checkout with
 
 and justify every regeneration in CHANGES.md: which reports moved and why
 the new bytes are right.
+
+No bundled scenario runs the game with the conditional externality, so
+``conditional_sha256.json`` pins the reports of the ``CONDITIONAL`` checks
+below the same way.  Regenerate it with
+
+    PYTHONPATH=src:tests python -c "import hashlib, json; from test_report_bytes import CONDITIONAL, _scenario, render_report, run_scenario_dict, strip_csv; print(json.dumps({n: hashlib.sha256(render_report(strip_csv(run_scenario_dict(_scenario(n)))).encode()).hexdigest() for n in CONDITIONAL}, indent=2, sort_keys=True), file=open('tests/conditional_sha256.json', 'w'))"
 """
 import hashlib
 import json
@@ -24,7 +30,18 @@ from corrint.scenarios import (
     strip_csv,
 )
 
-PINNED = json.loads((Path(__file__).parent / "report_sha256.json").read_text())
+HERE = Path(__file__).parent
+PINNED = json.loads((HERE / "report_sha256.json").read_text())
+PINNED_CONDITIONAL = json.loads((HERE / "conditional_sha256.json").read_text())
+CONDITIONAL = {
+    **{f"br-{flavor}": {"workspace": {"norm": flavor}} for flavor in ("euclid", "sum", "max")},
+    "exhaustive-k1-N1-L1-r2": {"mode": "exhaustive", "k": 1, "N": 1, "L": 1, "refinement": 2},
+}
+
+
+def _scenario(name: str) -> dict:
+    check = {"kind": "game-equilibrium", "externality": "conditional", **CONDITIONAL[name]}
+    return {"schema": 1, "name": f"conditional-{name}", "seed": 0, "checks": [check]}
 
 
 def test_every_bundled_scenario_is_pinned():
@@ -35,3 +52,13 @@ def test_every_bundled_scenario_is_pinned():
 def test_bundled_report_bytes_are_pinned(name):
     text = render_report(strip_csv(run_scenario_dict(load_bundled(name))))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+
+
+def test_every_conditional_check_is_pinned():
+    assert sorted(PINNED_CONDITIONAL) == sorted(CONDITIONAL)
+
+
+@pytest.mark.parametrize("name", sorted(CONDITIONAL))
+def test_conditional_report_bytes_are_pinned(name):
+    text = render_report(strip_csv(run_scenario_dict(_scenario(name))))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CONDITIONAL[name]

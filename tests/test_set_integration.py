@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from corrint.correspondences import (
     block_choice_sets,
     build_counterexample,
 )
-from corrint.errors import CapacityError, DivisibilityError, PreconditionError
+from corrint.errors import CapacityError, ConfigError, DivisibilityError, PreconditionError
+from corrint.scenarios import read_check
 from corrint.set_integration import (
     DEDUP_TOL,
     PointCloudSet,
@@ -184,15 +186,35 @@ def test_aumann_single_atom_is_value_set():
 
 
 def test_aumann_capacity_and_modes_agree():
+    # the fold refuses a cloud past its cap; within it, it holds exactly the
+    # integrals of the 3**8 selections, enumerated one by one
     b = build_counterexample(2, 0, 1, 2, refinement=2)
     singles = SigmaPartition.singletons(b.model.space)
-    with pytest.raises(CapacityError) as exc:
-        aumann_integral_set(b.corr, singles, cap=100, mode="enumerate")
-    assert exc.value.count == 3 ** 8
-    enum = aumann_integral_set(b.corr, singles, cap=10 ** 5, mode="enumerate")
-    mink = aumann_integral_set(b.corr, singles, cap=10 ** 5, mode="minkowski")
-    assert len(enum) == len(mink)
-    assert np.max(np.abs(enum.points - mink.points)) <= 1e-12
+    fold = aumann_integral_set(b.corr, singles, cap=10 ** 5)
+    with pytest.raises(CapacityError):
+        aumann_integral_set(b.corr, singles, cap=len(fold) - 1)
+    selections = list(enumerate_selections(b.corr, singles, cap=10 ** 5))
+    assert len(selections) == 3 ** 8
+    enum = dedup_points(np.array([integrate_selection(s) for s in selections]))
+    assert enum.shape == fold.points.shape
+    assert np.max(np.abs(enum - fold.points)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(k=st.integers(1, 3), gamma=st.sampled_from(["0", "1/4", "1/2"]),
+       N=st.integers(0, 3), extra=st.integers(0, 2), cap=st.integers(0, 300_000))
+def test_necessity_gap_sizes_keep_every_selection_within_cap(k, gamma, N, extra, cap):
+    # the check's cloud has no enumeration refusal of its own: SIZES refuses
+    # any config whose selections exceed cap before the check runs
+    L = N.bit_length() + extra
+    check = {"k": k, "gamma": gamma, "N": N, "L": L, "cap": cap}
+    try:
+        read_check("necessity-gap", check)
+    except (CapacityError, ConfigError):
+        return
+    b = build_counterexample(k, gamma, N, L)
+    sets = block_choice_sets(b.corr, SigmaPartition.singletons(b.model.space))
+    assert math.prod(len(s) for s in sets) <= cap
 
 
 def test_aumann_oracle_agreement_with_direct_enumeration():
@@ -387,7 +409,7 @@ def test_convexity_gap_monotone_under_refinement():
     for m in (1, 2, 3):
         b = build_counterexample(1, 0, 1, 2, refinement=1 << m)
         singles = SigmaPartition.singletons(b.model.space)
-        cloud = aumann_integral_set(b.corr, singles, cap=10 ** 5, mode="minkowski")
+        cloud = aumann_integral_set(b.corr, singles, cap=10 ** 5)
         gaps.append(convexity_gap(cloud, samples=64, seed=1))
     assert gaps[1] <= gaps[0] + 1e-15
     assert gaps[2] <= gaps[1] + 1e-15
@@ -440,7 +462,7 @@ def test_convexified_cloud_approaches_hull_and_mix_attains():
     dists = []
     for r in (1, 2, 4):
         conv = dyadic_convexify(b.corr, r)
-        cloud_r = aumann_integral_set(conv, singles, cap=10 ** 6, mode="minkowski")
+        cloud_r = aumann_integral_set(conv, singles, cap=10 ** 6)
         dists.append(convexity_gap(cloud_r, samples=64, seed=2))
     assert dists[1] <= dists[0] and dists[2] <= dists[1]
     zero = zero_vector(b.d)
@@ -515,14 +537,13 @@ def test_coarse_dedup_refuses_int64_overflow():
     assert dedup_points(pts / 1e4).shape == (3, 1)
     space = DiscreteSpace.uniform(2)
     corr = Correspondence(space, {a: [np.array([2e7]), np.array([4e7])] for a in space.ids})
-    for mode in ("enumerate", "minkowski"):
-        with pytest.raises(PreconditionError):
-            aumann_integral_set(corr, SigmaPartition.singletons(space), mode=mode)
+    with pytest.raises(PreconditionError):
+        aumann_integral_set(corr, SigmaPartition.singletons(space))
 
 
 def test_aumann_set_equals_exact_fraction_enumeration():
     # non-dyadic masses put float fuzz on equal rational sums; the cloud
-    # must hold exactly one row per distinct exact integral, in both modes
+    # must hold exactly one row per distinct exact integral
     rng = np.random.default_rng(7)
     for _ in range(400):
         n = int(rng.integers(2, 6))
@@ -535,12 +556,11 @@ def test_aumann_set_equals_exact_fraction_enumeration():
         })
         singles = SigmaPartition.singletons(space)
         want = np.array(sorted(_exact_integrals(corr, singles)), dtype=float)
-        for mode in ("enumerate", "minkowski"):
-            got = aumann_integral_set(corr, singles, cap=10 ** 4, mode=mode).points
-            assert got.shape == want.shape
-            gaps = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
-            assert gaps.min(axis=0).max() <= 1e-12
-            assert gaps.min(axis=1).max() <= 1e-12
+        got = aumann_integral_set(corr, singles, cap=10 ** 4).points
+        assert got.shape == want.shape
+        gaps = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+        assert gaps.min(axis=0).max() <= 1e-12
+        assert gaps.min(axis=1).max() <= 1e-12
 
 
 def test_metric_selection_weak_topology():
