@@ -13,7 +13,8 @@ evaluates ``sin`` through libm (``math.sin``), so a table at one externality
 agrees with a per-element loop exactly.  The exhaustive scan builds each
 profile's aggregate from a partial sum over the leading blocks, one per
 run of profiles that differ only in the last block, added in the loop's
-order.  It evaluates the payoffs once per distinct externality theta,
+order, and measures it with ``vectors.row_norms`` under the payoff's norm
+flavor.  It evaluates the payoffs once per distinct externality theta,
 reduces them to rows of block regrets that it keeps across chunks of
 profiles, and reads each profile's residual from them; the maximum is
 exact in any order, so the scan agrees with the loop too.
@@ -26,6 +27,7 @@ import math
 
 import numpy as np
 
+from . import vectors
 from .errors import PreconditionError
 
 KERNEL_PATH = "numpy"
@@ -212,17 +214,18 @@ def min_dists(targets, cloud, mode, weights):
 def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):
     """Payoff of every (theta, player, action) triple, shape (ntheta, natoms, nact).
 
+    ``thetas`` is (ntheta,), or (ntheta, natoms) for one per player.
     Players with theta = 0 or phi <= gamma get u = 0, hence a zero
     oscillating factor and exactly -p2.  Beside its output it holds one
     factor of the same shape, arrays of one entry per (theta, player), and
     small iterator buffers (``_small_buffers``).
     """
-    active = (thetas[:, None] != 0.0) & (phi[None, :] > gamma)
-    u = np.divide(phi[None, :] - gamma, thetas[:, None],
-                  out=np.zeros(active.shape), where=active)
+    th = thetas[:, None] if thetas.ndim == 1 else thetas
+    active = (th != 0.0) & (phi > gamma)
+    u = np.divide(phi - gamma, th, out=np.zeros(active.shape), where=active)
     # the residue is taken in floats, where floor(u) is exact at any size
     rho = (np.floor(u) % (k + 1)).astype(np.int64)
-    wave = thetas[:, None] * np.abs(_libm_sin(u * math.pi).astype(float))
+    wave = th * np.abs(_libm_sin(u * math.pi).astype(float))
     del active, u  # before the block-sized arrays
     with _small_buffers():
         # in place where the loop form's operands allow: x * y == y * x
@@ -239,29 +242,25 @@ def _payoffs(thetas, phi, gamma, na, p2, dn, am, k):
 
 
 def payoff_table(theta, phi, gamma, na, p2, dn, am, k):
-    """Payoff of every (player, action) pair at scalar externality theta.
+    """Payoff of every (player, action) pair at theta, scalar or per player.
 
     p2[t, a] is the theta-independent product term, dn[t, a, i-1] the norm
     gap to the i-th mixed point of t's cell, na[a] the action norm, and
     am[i, rho] the planar root-of-unity modulus table.
     """
-    return _payoffs(np.array([float(theta)]), phi, gamma, na, p2, dn, am, k)[0]
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), phi.shape)
+    return _payoffs(theta[None], phi, gamma, na, p2, dn, am, k)[0]
 
 
-def _aggregate_distances(contrib, e_mean, lead):
-    """Distance to e_mean of the aggregate of every profile in a chunk of
-    runs, in scan order.
+def _aggregate_norms(contrib, e_mean, lead, flavor):
+    """Norm under ``flavor`` of the aggregate minus e_mean of every profile
+    in a chunk of runs (nact profiles that differ only in the last block's
+    digit; ``lead[b, r]`` is block b's digit in run r), in scan order.
 
-    A run is nact consecutive profiles, which share every digit but the
-    last block's; ``lead[b, r]`` is the digit of block b in run r, for all
-    blocks but the last.  ``contrib[m, b, a]`` is coordinate m of block b's
-    mass times action a.  The leading blocks are summed once per run, as a
-    (d, runs) array, and the last block is added by broadcasting; so each
-    aggregate coordinate is summed from 0.0, block 0 first, as the
-    per-coordinate loop form sums it.  The squared gaps are then added
-    coordinate 0 first, one coordinate at a time over all the profiles,
-    since numpy promises no order for a reduction; every distance thus
-    equals the loop form's bit for bit.
+    ``contrib[m, b, a]`` is coordinate m of block b's weight times action
+    a.  The leading blocks are summed once per run, as a (d, runs) array,
+    and the last one added by broadcasting, so each aggregate is summed from
+    zeros, block 0 first, as ``spaces.block_averages`` sums it.
     """
     d, nblocks, nact = contrib.shape
     x = np.zeros((d, lead.shape[1]))
@@ -269,20 +268,17 @@ def _aggregate_distances(contrib, e_mean, lead):
         x += contrib[:, b, lead[b]]
     x = (x[:, :, None] + contrib[:, None, -1]).reshape(d, -1)
     x -= e_mean[:, None]
-    x *= x
-    dist = x[0]
-    for m in range(1, d):
-        dist += x[m]
-    return np.sqrt(dist, out=dist)
+    return vectors.row_norms(x.T, flavor)
 
 
-def exhaustive_scan(nact, block_mass, block_start, block_len,
-                    actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
+                    beta, flavor, phi, gamma, na, p2, dn, am, k, bound=-math.inf):
     """Scan every block-constant profile; return the minimum-residual one.
 
-    Returns (min residual, best profile digits, min aggregate distance to
-    e_mean over all profiles).  Deterministic: mixed-radix order with the
-    last block fastest, first minimum wins.
+    Returns (residual, profile digits, least aggregate distance to e_mean,
+    in the norm ``flavor``, over the profiles scanned).  Deterministic:
+    mixed-radix order with the last block fastest, first minimum wins; or,
+    if one is at most ``bound``, the first such, where the scan stops.
 
     A profile moves the payoffs only through theta = beta * ||aggregate -
     e_mean||, and many profiles share one theta.  So each chunk of profiles
@@ -293,17 +289,17 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     across chunks, or else from ``_payoffs`` reduced by
     ``np.maximum.reduceat``, and is then cached while the cache has room; it
     never evicts.  A chunk is a whole number of runs of nact profiles, and
-    ``_aggregate_distances`` gives its distances.  ``_payoffs`` is
-    elementwise in theta and the maximum is exact in any order, so
-    residuals, the winner and the distance equal a per-profile evaluation
-    bit for bit.
+    ``_aggregate_norms`` gives its distances.  ``_payoffs`` is elementwise
+    in theta and the maximum is exact in any order, so residuals, the winner
+    and the distance equal a per-profile evaluation bit for bit.
 
     Memory is bounded in ``_CHUNK_BYTES``: a quarter for each array of one
-    entry per profile of a chunk, four for the chunk's (coordinates,
-    profiles) aggregate, half for a table of regret rows, half for a
-    ``_payoffs`` block and at most eight for the cache, which grows with the
-    rows it holds.  This holds however many theta are distinct, as long as
-    one run, one theta's payoff block and one regret row fit their shares.
+    entry per profile of a chunk, two for the chunk's (coordinates,
+    profiles) aggregate and two for the copy that ``row_norms`` takes of
+    it, half for a table of regret rows, half for a ``_payoffs`` block and
+    at most eight for the cache, which grows with the rows it holds.  This
+    holds however many theta are distinct, as long as one run, one theta's
+    payoff block and one regret row fit their shares.
 
     Raises ``PreconditionError`` unless beta is finite and > 0, which keeps
     every theta >= +0 and so makes equal keys mean equal payoffs, and
@@ -325,7 +321,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     # runs per chunk, rows per regret table, theta per _payoffs call and
     # rows in the cache, from the shares of _CHUNK_BYTES above
     row_bytes = 8 * nblocks * nact
-    runs = max(1, min(_CHUNK_BYTES // (32 * nact), _CHUNK_BYTES // (2 * d * nact)))
+    runs = max(1, min(_CHUNK_BYTES // (32 * nact), _CHUNK_BYTES // (4 * d * nact)))
     tab = max(1, _CHUNK_BYTES // (2 * row_bytes))
     width = max(1, _CHUNK_BYTES // (16 * atoms.shape[0] * nact))
     limit = max(1, 8 * _CHUNK_BYTES // row_bytes)
@@ -342,7 +338,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
     for run in range(0, runs_total, runs):
         count = min(runs, runs_total - run)
         lead = np.arange(run, run + count) // radix[1:, None] % nact
-        theta = _aggregate_distances(contrib, e_mean, lead)
+        theta = _aggregate_norms(contrib, e_mean, lead, flavor)
         n = theta.shape[0]
         min_aggdist = min(min_aggdist, float(theta.min()))
         theta *= beta
@@ -388,9 +384,13 @@ def exhaustive_scan(nact, block_mass, block_start, block_len,
             for b in range(nblocks - 1):
                 np.maximum(res, flat[base + lead[b, pos] + b * nact], out=res)
             worst[span] = res
-        # the first profile in scan order with the chunk's least residual
+        # the first profile in scan order at the chunk's least, or the bound
         low = worst.min()
         if low < best_res:
-            best_res = float(low)
-            best_prof = (run * nact + int(order[worst == low].min())) // radix % nact
+            hit = np.flatnonzero(worst <= max(low, bound))
+            win = hit[np.argmin(order[hit])]
+            best_res = float(worst[win])
+            best_prof = (run * nact + int(order[win])) // radix % nact
+            if best_res <= bound:
+                break
     return best_res, best_prof, min_aggdist

@@ -22,7 +22,6 @@ independent of the characteristic algebra.  It is the only game here:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,15 +133,28 @@ class LargeGame:
         rr.setflags(write=False)
         return cands, rr
 
+    @functools.cached_property
+    def aggregate_alg(self) -> SigmaPartition:
+        """The algebra the aggregate averages over: trivial (the integral) or F."""
+        if self.externality == EXTERNALITY_INTEGRAL:
+            return SigmaPartition.trivial(self.space)
+        return self.f_alg
+
+    @functools.cached_property
+    def aggregate_block(self) -> np.ndarray:
+        """Each atom's block of ``aggregate_alg``, by position; read-only."""
+        block = np.empty(len(self.space.ids), dtype=np.int64)
+        for bi, blk in enumerate(self.aggregate_alg.blocks):
+            block[[self.space.position(a) for a in blk]] = bi
+        block.setflags(write=False)
+        return block
+
 
 @dataclass(frozen=True)
 class StrategyProfile:
     """One action index per atom, aligned with the space's id order."""
 
     play: tuple[int, ...]
-
-    def to_json(self) -> list[int]:
-        return list(self.play)
 
 
 @dataclass
@@ -202,11 +214,8 @@ def build_counterexample_game(
     acts = [zero_vector(bundle.d)]
     for c in range(model.ncells):
         psi = np.array([f.values[c] for f in bundle.f_list])
-        total = psi.sum(axis=0)
-        for i in range(k):
-            acts.append((psi[i] + total) / (k + 1))
-    for extra in extra_actions:
-        acts.append(np.asarray(extra, dtype=float))
+        acts.extend((psi + psi.sum(axis=0)) / (k + 1))
+    acts.extend(np.asarray(extra, dtype=float) for extra in extra_actions)
     actions = np.array(acts)
     M = max(float(1 - Fraction(gamma)), float(row_norms(actions, flavor).max()))
     beta = float(1 - Fraction(gamma)) / (4.0 * M)
@@ -285,48 +294,34 @@ def _ctables(game: LargeGame):
     return phi, gamma_f, na, p2, dn, am
 
 
-def aggregate_of(game: LargeGame, profile: StrategyProfile):
-    """Integral aggregate (one vector) or conditional aggregate (per block)."""
-    space = game.space
+def aggregate_of(game: LargeGame, profile: StrategyProfile) -> np.ndarray:
+    """The profile's block averages over ``aggregate_alg``, one row per block."""
     rows = game.actions[list(profile.play)]
-    if game.externality == EXTERNALITY_INTEGRAL:
-        return block_averages(space, SigmaPartition.trivial(space), rows)[0]
-    return block_averages(space, game.f_alg, rows)
+    return np.array(block_averages(game.space, game.aggregate_alg, rows))
 
 
 def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
-    """(natoms, nact) payoff table at a fixed aggregate."""
+    """(natoms, nact) payoff table at a fixed aggregate, one row per block
+    of ``aggregate_alg`` (a lone vector for the one-block algebra): each
+    atom plays at its own block's theta."""
     pay = game.payoff
-    space = game.space
-    phi, gamma_f, na, p2, dn, am = game.ctables
-    e_mean = pay.bundle.e_mean()
-    k = pay.k
-    if game.externality == EXTERNALITY_INTEGRAL:
-        theta = pay.beta * norm(np.asarray(aggregate) - e_mean, pay.flavor)
-        return _kernels.payoff_table(theta, phi, gamma_f, na, p2, dn, am, k)
-    # each atom's row at its own block's theta, from one table over all of them
-    thetas = pay.beta * row_norms(np.asarray(aggregate) - e_mean, pay.flavor)
-    block = np.empty(len(space.ids), dtype=np.int64)
-    for bi, blk in enumerate(game.f_alg.blocks):
-        block[[space.position(a) for a in blk]] = bi
-    tables = _kernels._payoffs(thetas, phi, gamma_f, na, p2, dn, am, k)
-    return tables[block, np.arange(block.shape[0])]
+    gaps = np.reshape(aggregate, (len(game.aggregate_alg.blocks), -1)) - pay.bundle.e_mean()
+    thetas = pay.beta * row_norms(gaps, pay.flavor)
+    return _kernels.payoff_table(thetas[game.aggregate_block], *game.ctables, pay.k)
 
 
-def residual_of(game: LargeGame, profile: StrategyProfile) -> tuple[float, object]:
-    """Max regret over players at the profile's own aggregate."""
+def residual_of(game: LargeGame, profile: StrategyProfile) -> tuple:
+    """Max regret over players at the profile's own aggregate: (residual,
+    that aggregate, the payoff table there)."""
     agg = aggregate_of(game, profile)
     table = _payoffs_at_aggregate(game, agg)
-    tops = table.max(axis=1)
     chosen = table[np.arange(table.shape[0]), list(profile.play)]
-    return float((tops - chosen).max()), agg
+    return float((table.max(axis=1) - chosen).max()), agg, table
 
 
 def _zero_action_index(game: LargeGame) -> int:
-    for i, a in enumerate(game.actions):
-        if not np.any(a):
-            return i
-    return 0
+    """The first action with every coordinate 0, or 0 if there is none."""
+    return int(np.argmin(game.actions.any(axis=1)))
 
 
 def _canonical_tie_sets(game: LargeGame) -> list[list[int]]:
@@ -381,9 +376,11 @@ def find_equilibrium(
     balanced partition.  Non-convergence returns the best profile seen with
     its residual rather than raising.
 
-    exhaustive: scans every t_alg-measurable profile (capacity-checked) and
-    returns the minimum-residual one, plus the minimum aggregate distance
-    to the mean of the e_i encountered anywhere in the scan.
+    exhaustive: scans every t_alg-measurable profile, one aggregate block at
+    a time (``cap`` bounds the sum over blocks of nact ** (t-blocks
+    inside)), and returns the first minimum-residual one, plus, under the
+    integral externality, the minimum aggregate distance to the mean of the
+    e_i encountered anywhere in the scan.
     """
     if mode == MODE_EXHAUSTIVE:
         return _find_exhaustive(game, cap, tol)
@@ -396,13 +393,13 @@ def find_equilibrium(
     best = None
     it = 0
     for it in range(max_iter + 1):
-        res, agg = residual_of(game, profile)
+        res, agg, table = residual_of(game, profile)
         trace.append(res)
         if best is None or res < best[0]:
             best = (res, profile, agg)
         if res <= tol or it == max_iter:
             break
-        play = _best_responses(game, _payoffs_at_aggregate(game, agg))
+        play = _best_responses(game, table)
         profile = StrategyProfile(tuple(play.tolist()))
     res, profile, agg = best
     report = _report_for(game, res, agg, iterations=it, trace=trace, tol=tol)
@@ -414,14 +411,15 @@ def _report_for(game, res, agg, iterations, trace, tol,
     pay = game.payoff
     case = "off-mean"
     if game.externality == EXTERNALITY_INTEGRAL:
-        agg_json = [float(x) for x in np.asarray(agg)]
-        dist = norm(np.asarray(agg) - pay.bundle.e_mean(), pay.flavor)
+        agg_json = [float(x) for x in agg[0]]
+        dist = norm(agg[0] - pay.bundle.e_mean(), pay.flavor)
         if dist <= 1e-12:
             case = "exact-mean"
         elif dist <= tol:
             case = "tol-approximate"
     else:
         agg_json = [[float(x) for x in v] for v in agg]
+        min_aggdist = None
     return EquilibriumReport(
         residual=res,
         aggregate=agg_json,
@@ -432,67 +430,50 @@ def _report_for(game, res, agg, iterations, trace, tol,
     )
 
 
-def _scan_arguments(game: LargeGame) -> tuple:
-    """Positional arguments of ``_kernels.exhaustive_scan`` for an explicit
-    game with integral externality; atoms are reordered so that each
-    t-block is contiguous."""
+def _scan_arguments(game: LargeGame, cap: float) -> list[tuple]:
+    """(t-blocks, ``_kernels.exhaustive_scan`` arguments) per block A of
+    ``aggregate_alg``: its t-blocks B in ``t_alg`` order, each weighing
+    n_B / N_A as ``block_averages`` weighs an atom.  Raises ``CapacityError``
+    first past ``cap`` profiles: the sum over A of nact ** (t-blocks in A)."""
     space = game.space
+    groups = [[] for _ in game.aggregate_alg.blocks]
+    for blk in game.t_alg.blocks:
+        groups[game.aggregate_block[space.position(min(blk))]].append(blk)
+    count = sum(game.nact ** len(group) for group in groups)
+    if count > cap:
+        raise CapacityError(count, cap)
     pay = game.payoff
     phi, gamma_f, na, p2, dn, am = game.ctables
-    starts, lens, bmass = [], [], []
-    order = []
-    for blk in game.t_alg.blocks:
-        idxs = [space.position(a) for a in sorted(blk)]
-        starts.append(len(order))
-        lens.append(len(idxs))
-        order.extend(idxs)
-        bmass.append(float(space.mass(blk)))
-    perm = np.array(order)
-    return (
-        game.nact,
-        np.array(bmass),
-        np.array(starts, dtype=np.int64),
-        np.array(lens, dtype=np.int64),
-        game.actions,
-        pay.bundle.e_mean(),
-        pay.beta,
-        phi[perm],
-        gamma_f,
-        na,
-        np.ascontiguousarray(p2[perm]),
-        np.ascontiguousarray(dn[perm]),
-        am,
-        pay.k,
-    )
+    out = []
+    for blk_a, group in zip(game.aggregate_alg.blocks, groups):
+        total = space.numerator(blk_a)
+        lens = np.array([len(b) for b in group], dtype=np.int64)
+        perm = np.array([space.position(a) for b in group for a in sorted(b)])
+        out.append((group, (
+            game.nact, np.array([space.numerator(b) / total for b in group]),
+            np.cumsum(lens) - lens, lens, game.actions, pay.bundle.e_mean(), pay.beta,
+            pay.flavor, phi[perm], gamma_f, na, p2[perm], dn[perm], am, pay.k)))
+    return out
 
 
 def _find_exhaustive(game: LargeGame, cap: int, tol: float):
-    space = game.space
-    blocks = game.t_alg.blocks
-    if game.nact ** len(blocks) > cap:
-        raise CapacityError(game.nact ** len(blocks), cap)
-    if game.externality == EXTERNALITY_INTEGRAL:
-        _, prof_digits, min_aggdist = _kernels.exhaustive_scan(*_scan_arguments(game))
-        play = [0] * len(space.ids)
-        for bi, blk in enumerate(blocks):
-            for a in blk:
-                play[space.position(a)] = int(prof_digits[bi])
-        profile = StrategyProfile(tuple(play))
-        res, agg = residual_of(game, profile)
-        report = _report_for(game, res, agg, iterations=0, trace=[res],
-                             tol=tol, min_aggdist=float(min_aggdist))
-        return profile, report
-    # conditional externality: a direct scan in the kernel's order (the last
-    # block varies fastest), where the first minimum wins
-    best = None
-    lookup = {a: bi for bi, blk in enumerate(blocks) for a in blk}
-    for digits in itertools.product(range(game.nact), repeat=len(blocks)):
-        profile = StrategyProfile(tuple(digits[lookup[a]] for a in space.ids))
-        res, agg = residual_of(game, profile)
-        if best is None or res < best[0]:
-            best = (res, profile, agg)
-    res, profile, agg = best
-    report = _report_for(game, res, agg, iterations=0, trace=[res], tol=tol)
+    """The first profile of least residual, the last t-block fastest.  A
+    residual is the maximum of each aggregate block's own, so the least, m,
+    is the maximum of the blocks' least ones, and the first profile at m
+    plays in each block its first digits whose residual is at most m."""
+    scans = _scan_arguments(game, cap)
+    found = [_kernels.exhaustive_scan(*args) for _, args in scans]
+    least = max(res for res, _, _ in found)
+    play = np.empty(len(game.space.ids), dtype=np.int64)
+    for (group, args), (res, digits, _) in zip(scans, found):
+        if res < least:
+            digits = _kernels.exhaustive_scan(*args, bound=least)[1]
+        for blk, digit in zip(group, digits.tolist()):
+            play[[game.space.position(a) for a in blk]] = digit
+    profile = StrategyProfile(tuple(play.tolist()))
+    res, agg, _ = residual_of(game, profile)
+    report = _report_for(game, res, agg, iterations=0, trace=[res], tol=tol,
+                         min_aggdist=min(dist for _, _, dist in found))
     return profile, report
 
 
@@ -515,34 +496,25 @@ def verify_equilibrium_partition(
     model = b.model
     space = model.space
     k = b.k
-    res, agg = residual_of(game, profile)
+    res, agg, _ = residual_of(game, profile)
     report = _report_for(game, res, agg, iterations=0, trace=[res], tol=1e-9)
 
-    parts: list[set[int]] = [set() for _ in range(k + 1)]
+    # part i > 0 plays its cell's i-th mixed point (the first equal to its
+    # action, as ``np.array_equal`` compares), part 0 the zero action
     zero_idx = _zero_action_index(game)
-    mixes = game.cell_mixes[0]
-    for atom, p in zip(space.ids, profile.play):
-        cell = model.cell_of(atom)
-        if cell is None:
-            if p != zero_idx:
-                report.applicable = False
-                report.note = "atomic-part player does not play the zero action"
-                return report
-            continue
-        action = game.actions[p]
-        if p == zero_idx:
-            parts[0].add(atom)
-            continue
-        hit = None
-        for i in range(k):
-            if np.array_equal(action, mixes[cell, i]):
-                hit = i + 1
-                break
-        if hit is None:
-            report.applicable = False
-            report.note = f"player {atom} plays outside the candidate set"
-            return report
-        parts[hit].add(atom)
+    mixes, row = game.cell_mixes
+    play = np.array(profile.play)
+    same = (game.actions[play][:, None, :] == mixes[row]).all(axis=-1)
+    part = np.where(play == zero_idx, 0, np.where(same.any(axis=1), same.argmax(axis=1) + 1, -1))
+    atomic = row == model.ncells
+    bad = np.flatnonzero(np.where(atomic, play != zero_idx, part < 0))
+    if bad.size:
+        report.applicable = False
+        report.note = "atomic-part player does not play the zero action" if atomic[bad[0]] \
+            else f"player {space.ids[bad[0]]} plays outside the candidate set"
+        return report
+    parts = [{a for a, q in zip(space.ids, np.where(atomic, -1, part).tolist()) if q == i}
+             for i in range(k + 1)]
 
     interval_mass = 1 - b.gamma
     masses = [space.mass(p) if p else Fraction(0) for p in parts]

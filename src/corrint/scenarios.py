@@ -222,8 +222,8 @@ def _values(p: dict, refinement: int = 1) -> tuple:
     return "atom values", MODEL_CAP, (p["k"] + 1) * _dim(p) * refinement, 2, p["L"]
 
 
-# kind -> what its check would build: (noun, cap, factor, base, exponent)
-# for factor * base**exponent items, each checked before any work
+# kind -> (noun, cap, factor, base, exponent[, addend]): its check would build
+# factor * base**exponent + addend items, each checked before any work
 SIZES = {
     "walsh-orthogonality": lambda p: [(
         "sign-table entries", ORTHOGONALITY_CAP, p["max_index"], 2, p["level"])],
@@ -238,9 +238,14 @@ SIZES = {
     "game-nonexistence": lambda p: [
         ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p), _cells(p) + (p["gamma"] > 0)),
         _values(p, p["refinement"])],
+    # which scans nact ** (atoms inside) per block of the aggregate: the
+    # space, or each cell and the atomic atom under the conditional externality
     "game-equilibrium": lambda p: ([
         ("profiles", p["cap"], 1, 1 + p["k"] * _cells(p),
          _cells(p) * p["refinement"] + (p["gamma"] > 0))
+        if p["externality"] == EXTERNALITY_INTEGRAL else
+        ("profiles", p["cap"], _cells(p), 1 + p["k"] * _cells(p), p["refinement"],
+         (p["gamma"] > 0) * (1 + p["k"] * _cells(p)))
     ] if p["mode"] == MODE_EXHAUSTIVE else []) + [_values(p, p["refinement"])],
     # the other checks of the counterexample, against one model cap
     "counterexample-integrals": lambda p: [_values(p)],
@@ -260,8 +265,8 @@ def read_check(kind: str, check: dict) -> dict:
     lower bound, and the message says so.
     """
     params = _read_all(kind, PARAMS[kind], {k: v for k, v in check.items() if k != "kind"}, {})
-    for noun, cap, factor, base, exp in SIZES[kind](params) if kind in SIZES else ():
-        count = factor * base ** min(exp, _limit(cap))
+    for noun, cap, factor, base, exp, *addend in SIZES[kind](params) if kind in SIZES else ():
+        count = factor * base ** min(exp, _limit(cap)) + sum(addend)
         if count > cap:
             at_least = "at least " if exp > _limit(cap) else ""
             raise CapacityError(count, cap, f"{kind}: {at_least}{count} {noun} exceed "

@@ -77,19 +77,41 @@ def basis_vector(n: int, d: int) -> np.ndarray:
     return v
 
 
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of terms >= +0 in numpy's order for a lone
+    1-D array (below 8 terms in turn; up to 128, eight running sums of every
+    eighth term, then the rest; past 128, two halves), one coordinate at a
+    time over all rows, so a stack of short rows costs a few array passes."""
+    n = terms.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[..., :half]) + _pairwise_sum(terms[..., half:])
+    cols, out, rest = [terms[..., m] for m in range(n)], np.zeros(terms.shape[:-1]), n % 8
+    if n >= 8:
+        s = cols[:8]
+        for i in range(8, n - rest, 8):
+            s = [a + b for a, b in zip(s, cols[i:i + 8])]
+        out, half = s[0] + s[1], s[4] + s[5]
+        out += s[2] + s[3]
+        half += s[6] + s[7]
+        out += half
+    for col in cols[n - rest:]:
+        out += col
+    return out
+
+
 def row_norms(x: np.ndarray, flavor: str = NORM_EUCLID) -> np.ndarray:
     """Norm of every row of ``x``: a reduction over its last axis.
 
-    The terms are laid out in C order, so numpy sums each row as one
-    contiguous run, pairwise as it sums a lone 1-D array; row ``i`` thus
-    equals the norm of ``x[i]`` alone bit for bit, whatever the layout of
-    ``x``.  Rows of length 0 have norm 0 in every flavor.
+    ``_pairwise_sum`` adds each row's terms in one fixed order, so row
+    ``i`` equals the norm of ``x[i]`` alone bit for bit, whatever the
+    layout of ``x``.  Rows of length 0 have norm 0 in every flavor.
     """
     x = np.asarray(x, dtype=float)
     if flavor == NORM_SUM:
-        return np.sum(np.abs(x, order="C"), axis=-1)
+        return _pairwise_sum(np.abs(x))
     if flavor == NORM_EUCLID:
-        return np.sqrt(np.sum(np.multiply(x, x, order="C"), axis=-1))
+        return np.sqrt(_pairwise_sum(x * x))
     if flavor == NORM_MAX:
         # every |x| is >= +0, so a zero start changes no maximum
         return np.max(np.abs(x), axis=-1, initial=0.0)

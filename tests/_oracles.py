@@ -3,8 +3,8 @@
 Two kinds live here.  The first are references the package no longer
 needs itself: point evaluation of the Walsh functions, the scalar payoffs
 h and G of the explicit game, the round-robin candidate profile, the
-per-atom best-response loop, the enumeration of measurable selections and
-the dyadic convexification.  Tests use them as the reference for cell
+per-atom best-response loop, the per-atom partition of a profile, the
+enumeration of measurable selections and the dyadic convexification.  Tests use them as the reference for cell
 signs, payoff tables, best responses and Aumann sets, or to build inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
@@ -149,6 +149,32 @@ def best_response_loop(game, table) -> tuple[int, ...]:
         else:
             play.append(ties[0])
     return tuple(play)
+
+
+def partition_loop(game, profile):
+    """(parts, note): the atoms of each part of a profile, as
+    ``verify_equilibrium_partition`` read them one atom at a time, or
+    (None, the reason) when the profile is not applicable."""
+    model = game.payoff.bundle.model
+    k = game.payoff.k
+    parts = [set() for _ in range(k + 1)]
+    zero_idx = int(np.argmin(game.actions.any(axis=1)))
+    mixes = game.cell_mixes[0]
+    for atom, p in zip(model.space.ids, profile.play):
+        cell = model.cell_of(atom)
+        if cell is None:
+            if p != zero_idx:
+                return None, "atomic-part player does not play the zero action"
+            continue
+        if p == zero_idx:
+            parts[0].add(atom)
+            continue
+        hit = next((i + 1 for i in range(k) if np.array_equal(game.actions[p], mixes[cell, i])),
+                   None)
+        if hit is None:
+            return None, f"player {atom} plays outside the candidate set"
+        parts[hit].add(atom)
+    return parts, ""
 
 
 def enumerate_selections(corr, alg, cap: int):

@@ -197,6 +197,24 @@ def test_verdict_failure_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("gamma, profiles", [("0", 8 * 17 ** 3), ("1/4", 8 * 17 ** 3 + 17)])
+def test_conditional_exhaustive_default_exit_1(tmp_path, capsys, gamma, profiles):
+    # the cap counts each cell's 17**3 block profiles (and the atomic
+    # atom's 17), not the 17**24 or 17**25 profiles of the whole space
+    check = {"kind": "game-equilibrium", "externality": "conditional", "mode": "exhaustive",
+             "gamma": gamma}
+    cfg = tmp_path / "cfg.json"
+    for cap, exit_code in ((profiles, 1), (profiles - 1, 3)):
+        cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": 0,
+                                   "checks": [{**check, "cap": cap}]}))
+        assert main(["run", str(cfg)]) == exit_code
+        out, err = capsys.readouterr()
+        if exit_code == 1:
+            assert json.loads(out)["pass"] is False
+        else:
+            assert out == "" and f"{profiles} profiles exceed cap" in err
+
+
 def test_reports_are_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -1,13 +1,14 @@
 import cmath
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracles import balanced_profile, best_response_loop, payoff_G, payoff_h
+from _oracles import balanced_profile, best_response_loop, partition_loop, payoff_G, payoff_h
 from corrint import _kernels
 from corrint.correspondences import build_counterexample
 from corrint.errors import CapacityError, PreconditionError, StructureError
@@ -203,37 +204,84 @@ def test_br_iteration_reports_progress_without_convergence():
 
 def _first_minimum_in_scan_order(game):
     """The direct scan written out: every t-block profile, the last block
-    varying fastest, and the first one of least residual."""
+    varying fastest, and the first one of least residual; also the least
+    norm of an aggregate minus the mean of the e_i."""
     blocks = game.t_alg.blocks
     block_of = {a: bi for bi, blk in enumerate(blocks) for a in blk}
-    best, ties = None, []
+    e_mean = game.payoff.bundle.e_mean()
+    best, ties, dist = None, [], math.inf
     for digits in itertools.product(range(game.nact), repeat=len(blocks)):
         play = tuple(digits[block_of[a]] for a in game.space.ids)
-        res = residual_of(game, StrategyProfile(play))[0]
+        res, agg, _ = residual_of(game, StrategyProfile(play))
+        dist = min(dist, norm(agg - e_mean, game.payoff.flavor))
         if best is None or res < best[0]:
             best, ties = (res, play), []
         if res == best[0]:
             ties.append(play)
-    return best, ties
+    return best, ties, dist
 
 
-@pytest.mark.parametrize("gamma, first_fastest_differs", [("0", False), ("1/4", True)])
-def test_conditional_exhaustive_returns_first_tied_profile_in_scan_order(
-        gamma, first_fastest_differs):
-    # the conditional externality runs the direct scan.  Each game has two
-    # profiles tied at the least residual; at gamma = 0 (81 profiles) they
-    # differ in one block, at gamma = 1/4 (243 profiles) in two, and there
-    # a scan with the first block fastest would return the other one
-    g = build_counterexample_game(1, gamma, 1, 1, refinement=2,
-                                  externality=EXTERNALITY_CONDITIONAL)
-    (res, play), ties = _first_minimum_in_scan_order(g)
-    assert len(ties) == 2 and ties[0] == play
-    assert (min(ties, key=lambda p: p[::-1]) != play) == first_fastest_differs
-    prof, rep = find_equilibrium(g, mode="exhaustive", cap=1000)
+def _scan_order_games():
+    """(externality, flavor, k, gamma, N, L, refinement) of games of at most
+    2,187 profiles, under every norm and at gamma 0 and 1/4."""
+    games = []
+    for flavor in NORM_FLAVORS:
+        for gamma in ("0", "1/4"):
+            games += [("integral", flavor, 2, gamma, 1, 1, 1),
+                      ("integral", flavor, 1, gamma, 1, 1, 2),
+                      (EXTERNALITY_CONDITIONAL, flavor, 1, gamma, 1, 1, 2)]
+        games += [("integral", flavor, 1, "0", 1, 1, 3),
+                  (EXTERNALITY_CONDITIONAL, flavor, 1, "0", 1, 1, 3)]
+    return games + [(EXTERNALITY_CONDITIONAL, "sum", 1, "1/4", 1, 1, 3)]
+
+
+# games whose two profiles tie at the least residual: whether a scan with
+# the first block fastest would return the other one.  At gamma = 0 (81
+# profiles) they differ in one block, at gamma = 1/4 (243 profiles) in two
+TIED = {(EXTERNALITY_CONDITIONAL, "euclid", 1, "0", 1, 1, 2): False,
+        (EXTERNALITY_CONDITIONAL, "euclid", 1, "1/4", 1, 1, 2): True}
+
+
+@pytest.mark.parametrize("case", _scan_order_games(),
+                         ids=lambda c: "{}-{}-k{}-g{}-N{}-L{}-r{}".format(*c))
+def test_exhaustive_returns_first_minimum_in_scan_order(case):
+    # the exhaustive search scans each aggregate block on its own through
+    # the kernel; it must return the direct scan's profile and residual bit
+    # for bit.  In four of these conditional games (refinement 2 at gamma 0
+    # and 1/4 under euclid, refinement 2 at gamma 1/4 and 3 at gamma 0 under
+    # max) a block's own first minimizer is not the direct scan's choice.
+    # Under sum and max, an integral scan measuring theta in euclid returns
+    # a profile that does not minimize the residual
+    externality, flavor, k, gamma, N, L, refinement = case
+    g = build_counterexample_game(k, gamma, N, L, refinement=refinement, flavor=flavor,
+                                  externality=externality)
+    (res, play), ties, dist = _first_minimum_in_scan_order(g)
+    prof, rep = find_equilibrium(g, mode="exhaustive", cap=10 ** 4)
     assert prof.play == play
-    assert rep.residual == res > 0
+    assert rep.residual.hex() == res.hex()
     assert rep.trace == [res] and rep.iterations == 0
-    assert rep.min_aggregate_distance is None
+    if externality == EXTERNALITY_CONDITIONAL:
+        assert rep.min_aggregate_distance is None
+    else:
+        assert rep.min_aggregate_distance.hex() == dist.hex()
+    if case in TIED:
+        assert len(ties) == 2 and ties[0] == play and res > 0
+        assert (min(ties, key=lambda p: p[::-1]) != play) == TIED[case]
+
+
+def test_conditional_exhaustive_scans_block_by_block():
+    # 5**8 = 390,625 profiles, but 4 cells of 5**2 block profiles each, and
+    # the cap counts those 100.  The direct scan over all profiles, a
+    # minute's work, returns this profile and residual
+    g = build_counterexample_game(1, 0, 1, 2, refinement=2,
+                                  externality=EXTERNALITY_CONDITIONAL)
+    t0 = time.perf_counter()
+    prof, rep = find_equilibrium(g, mode="exhaustive", cap=100)
+    assert time.perf_counter() - t0 < 0.5
+    assert prof.play == (0, 1, 1, 0, 0, 0, 3, 3)
+    assert rep.residual.hex() == "0x1.09d1c941ecc11p-4"
+    with pytest.raises(CapacityError):
+        find_equilibrium(g, mode="exhaustive", cap=99)
 
 
 def test_exhaustive_certified_equilibrium_residual_exactly_zero():
@@ -342,6 +390,42 @@ def test_verify_partition_not_applicable_outside_candidates():
     assert not v.applicable
 
 
+def _partition_cases():
+    """(game, profile) pairs: balanced, all-zero, random and candidate-mixing
+    plays, the atomic atom off the zero action, probe and duplicated actions."""
+    rng = np.random.default_rng(91)
+    cases = []
+    for g in (build_counterexample_game(2, 0, 2, 2, refinement=3),
+              build_counterexample_game(2, "1/4", 2, 2, refinement=3),
+              build_counterexample_game(1, "1/4", 1, 2, refinement=2,
+                                        extra_actions=[np.full(2, 0.3)])):
+        natoms = len(g.space.ids)
+        cands, rr = g.round_robin
+        plays = [rr.tolist(), [0] * natoms, rng.integers(0, g.nact, natoms).tolist()]
+        plays += [[int(rng.choice(np.flatnonzero(row))) for row in cands] for _ in range(3)]
+        plays.append([g.nact - 1] + rr.tolist()[1:])
+        copies = LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, payoff=g.payoff,
+                           actions=np.concatenate([g.actions, g.actions]))
+        for play in plays:
+            cases.append((g, play))
+            cases.append((copies, [p + g.nact * (t % 2) for t, p in enumerate(play)]))
+    return cases
+
+
+def test_partition_equals_the_per_atom_loop():
+    notes = set()
+    for g, play in _partition_cases():
+        profile = StrategyProfile(tuple(play))
+        parts, note = partition_loop(g, profile)
+        v = verify_equilibrium_partition(g, profile)
+        assert (v.applicable, v.note) == (parts is not None, note)
+        if parts is not None:
+            masses = [g.space.mass(p) if p else Fraction(0) for p in parts]
+            assert v.partition_masses == [f"{m.numerator}/{m.denominator}" for m in masses]
+        notes.add(note.split(" ")[0])
+    assert notes == {"", "atomic-part", "player"}
+
+
 def test_case1_contraction_step():
     # one best-response update from a far aggregate contracts the distance
     # by the 4k/(k+1)*beta factor whenever the mesh stays above atom width
@@ -377,7 +461,7 @@ def test_conditional_externality_aggregate_shape():
     prof = StrategyProfile(tuple([0] * len(g.space.ids)))
     agg = aggregate_of(g, prof)
     assert len(agg) == len(g.f_alg.blocks)
-    res, _ = residual_of(g, prof)
+    res, _, _ = residual_of(g, prof)
     assert res >= 0.0
 
 
@@ -901,7 +985,7 @@ def _br_iterate_loop(g, max_iter, tol, start=None):
     profile = start or StrategyProfile(tuple([0] * len(g.space.ids)))
     trace, best = [], None
     for it in range(max_iter + 1):
-        res, agg = residual_of(g, profile)
+        res, agg, _ = residual_of(g, profile)
         trace.append(res)
         if best is None or res < best[0]:
             best = (res, profile)

@@ -13,6 +13,7 @@ from corrint import _kernels
 from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
 from corrint.errors import PreconditionError
 from corrint.game import LargeGame, _scan_arguments, build_counterexample_game
+from corrint.vectors import NORM_FLAVORS, norm, row_norms
 
 
 # -- loop-form oracles: the element-by-element definitions of the kernels ------
@@ -92,12 +93,12 @@ def _payoff_table(theta, phi, gamma, na, p2, dn, am, k):
 
 
 def _exhaustive_scan(nact, block_mass, block_start, block_len,
-                     actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+                     actions, e_mean, beta, flavor, phi, gamma, na, p2, dn, am, k):
     """Scan every block-constant profile; return the minimum-residual one.
 
     Returns (min residual, best profile digits, min aggregate distance to
-    e_mean over all profiles).  Deterministic: mixed-radix order, first
-    strict improvement wins.
+    e_mean over all profiles, under the norm ``flavor``).  Deterministic:
+    mixed-radix order, first strict improvement wins.
     """
     nblocks = block_mass.shape[0]
     d = actions.shape[1]
@@ -116,11 +117,7 @@ def _exhaustive_scan(nact, block_mass, block_start, block_len,
             ab = digits[b]
             for m in range(d):
                 agg[m] += block_mass[b] * actions[ab, m]
-        acc = 0.0
-        for m in range(d):
-            dx = agg[m] - e_mean[m]
-            acc += dx * dx
-        aggdist = math.sqrt(acc)
+        aggdist = norm(agg - e_mean, flavor)
         if aggdist < min_aggdist:
             min_aggdist = aggdist
         theta = beta * aggdist
@@ -169,14 +166,16 @@ def _exhaustive_scan(nact, block_mass, block_start, block_len,
     return best_res, best_prof, min_aggdist
 
 
-def _exhaustive_scan_batched(nact, block_mass, block_start, block_len,
-                             actions, e_mean, beta, phi, gamma, na, p2, dn, am, k):
+def _exhaustive_scan_batched(nact, block_mass, block_start, block_len, actions, e_mean,
+                             beta, flavor, phi, gamma, na, p2, dn, am, k, bound=-math.inf):
     """Scan every block-constant profile; return the minimum-residual one.
 
     Returns (min residual, best profile digits, min aggregate distance to
-    e_mean over all profiles).  Deterministic: mixed-radix order with the
-    last block fastest, first minimum wins.  Profiles are evaluated in
-    chunks whose payoff temporaries stay near ``_CHUNK_BYTES``.
+    e_mean over all profiles, under the norm ``flavor``).  Deterministic:
+    mixed-radix order with the last block fastest, first minimum wins, or
+    the first profile whose residual is at most ``bound`` if there is one.
+    Profiles are evaluated in chunks whose payoff temporaries stay near
+    ``_CHUNK_BYTES``.
     """
     nblocks = block_mass.shape[0]
     d = actions.shape[1]
@@ -186,28 +185,21 @@ def _exhaustive_scan_batched(nact, block_mass, block_start, block_len,
     atom_block = np.repeat(np.arange(nblocks), block_len)
     phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
     chunk = max(1, _kernels._CHUNK_BYTES // (8 * atoms.shape[0] * nact))
-    best_res = math.inf
-    best_prof = np.zeros(nblocks, dtype=np.int64)
+    residuals = []
     min_aggdist = math.inf
     for lo in range(0, total, chunk):
         digits = (np.arange(lo, min(lo + chunk, total))[:, None] // radix) % nact
         agg = np.zeros((digits.shape[0], d))
         for b in range(nblocks):
             agg += block_mass[b] * actions[digits[:, b]]
-        dx = agg - e_mean
-        acc = np.zeros(digits.shape[0])
-        for m in range(d):
-            acc += dx[:, m] * dx[:, m]
-        aggdist = np.sqrt(acc)
+        aggdist = row_norms(agg - e_mean, flavor)
         min_aggdist = min(min_aggdist, float(aggdist.min()))
         pay = _kernels._payoffs(beta * aggdist, phi, gamma, na, p2, dn, am, k)
         chosen = np.take_along_axis(pay, digits[:, atom_block, None], axis=2)[:, :, 0]
-        worst = (pay.max(axis=2) - chosen).max(axis=1)
-        i = int(np.argmin(worst))
-        if worst[i] < best_res:
-            best_res = float(worst[i])
-            best_prof = digits[i].copy()
-    return best_res, best_prof, min_aggdist
+        residuals.append((pay.max(axis=2) - chosen).max(axis=1))
+    residuals = np.concatenate(residuals)
+    i = int(np.flatnonzero(residuals <= max(residuals.min(), bound))[0])
+    return float(residuals[i]), i // radix % nact, min_aggdist
 
 
 def _payoffs_allocating(thetas, phi, gamma, na, p2, dn, am, k):
@@ -226,19 +218,16 @@ def _payoffs_allocating(thetas, phi, gamma, na, p2, dn, am, k):
     return hv
 
 
-def _aggregate_loop(contrib, e_mean, digits):
-    """Distance to e_mean of the aggregate of each profile of a (blocks,
-    profiles) digit table, one coordinate at a time over every block."""
-    n = digits.shape[1]
-    theta = np.zeros(n)
-    for m in range(contrib.shape[0]):
-        x = np.zeros(n)
-        for b in range(contrib.shape[1]):
-            x += contrib[m, b][digits[b]]
-        x -= e_mean[m]
-        x *= x
-        theta += x
-    return np.sqrt(theta)
+def _aggregate_loop(contrib, e_mean, digits, flavor):
+    """Norm of the aggregate minus e_mean of each profile of a (blocks,
+    profiles) digit table, summed block by block and measured alone."""
+    out = []
+    for profile in digits.T:
+        x = np.zeros(contrib.shape[0])
+        for b, a in enumerate(profile):
+            x += contrib[:, b, a]
+        out.append(norm(x - e_mean, flavor))
+    return np.array(out)
 
 
 # -- tests --------------------------------------------------------------------
@@ -463,6 +452,12 @@ def test_payoff_table_matches_pure_python():
             pure = _payoff_table(theta, phi, gamma, na, p2, dn, am, k)
             active = _kernels.payoff_table(theta, phi, gamma, na, p2, dn, am, k)
             assert np.array_equal(pure, active)
+        # one theta per player: each row as at its own scalar theta
+        thetas = np.array([0.0, 0.17, 1.3, 0.02, 0.17, 0.6])
+        per_player = _kernels.payoff_table(thetas, phi, gamma, na, p2, dn, am, k)
+        for t, theta in enumerate(thetas):
+            pure = _payoff_table(theta, phi, gamma, na, p2, dn, am, k)
+            assert np.array_equal(per_player[t], pure[t])
 
 
 def test_payoff_table_residue_of_huge_ratio():
@@ -535,8 +530,7 @@ AGGREGATE_SHAPES = {
     "one-block": (9, 1, 13),
     "pairwise-width": (48, 3, 7),
     "five-blocks": (6, 5, 3),
-    # one profile in all: a single coordinate column, which numpy's
-    # reduction would sum pairwise
+    # one profile in all, whose 48 coordinates row_norms sums pairwise
     "one-action": (48, 3, 1),
 }
 
@@ -552,19 +546,26 @@ def test_aggregate_distances_equal_the_per_coordinate_loop(shape, runs):
     runs_total = total // nact
     step = runs or runs_total
     rng = np.random.default_rng(d * 100 + nblocks * 10 + nact)
-    for _ in range(8):
+    for flavor in NORM_FLAVORS * 3:
         # terms of one magnitude, where the order of a sum shows in its
         # last bits, and signed zeros
         contrib = rng.normal(size=(d, nblocks, nact))
         contrib[rng.random(contrib.shape) < 0.2] = -0.0
         e_mean = rng.normal(size=d)
         e_mean[0] = 0.0
-        want = _aggregate_loop(contrib, e_mean, np.arange(total) // radix[:, None] % nact)
+        digits = np.arange(total) // radix[:, None] % nact
+        want = _aggregate_loop(contrib, e_mean, digits, flavor)
         got = []
         for first in range(0, runs_total, step):
             lead = np.arange(first, min(first + step, runs_total)) // radix[1:, None] % nact
-            got.append(_kernels._aggregate_distances(contrib, e_mean, lead))
+            got.append(_kernels._aggregate_norms(contrib, e_mean, lead, flavor))
         assert _hexes(np.concatenate(got)) == _hexes(want)
+
+
+def _scan_args(g):
+    """The kernel's arguments for a game of one aggregate block."""
+    ((_, args),) = _scan_arguments(g, math.inf)
+    return args
 
 
 def _reversed_actions(g):
@@ -590,12 +591,17 @@ SCAN_CASES = {
     # t-blocks of several atoms: the non-existence set-up
     "coarse": lambda: _coarse_strategies(build_counterexample_game(1, 0, 1, 2, refinement=2)),
     "k2-coarse": lambda: _coarse_strategies(build_counterexample_game(2, 0, 1, 1, refinement=3)),
+    # theta under the other norms, which the payoff's own flavor sets
+    "singletons-sum": lambda: build_counterexample_game(1, 0, 1, 2, flavor="sum"),
+    "gamma-quarter-max": lambda: build_counterexample_game(1, "1/4", 1, 2, flavor="max"),
+    "k2-coarse-sum": lambda: _coarse_strategies(
+        build_counterexample_game(2, 0, 1, 1, refinement=3, flavor="sum")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_exhaustive_scan_matches_loop_oracle(case):
-    args = _scan_arguments(SCAN_CASES[case]())
+    args = _scan_args(SCAN_CASES[case]())
     res0, prof0, dist0 = _exhaustive_scan(*args)
     res1, prof1, dist1 = _kernels.exhaustive_scan(*args)
     assert res0 == res1
@@ -605,7 +611,7 @@ def test_exhaustive_scan_matches_loop_oracle(case):
 
 def test_exhaustive_scan_chunking_does_not_move_the_winner(monkeypatch):
     # chunk boundaries at every profile must give the same first minimum
-    args = _scan_arguments(build_counterexample_game(1, 0, 1, 2))
+    args = _scan_args(build_counterexample_game(1, 0, 1, 2))
     whole = _kernels.exhaustive_scan(*args)
     monkeypatch.setattr(_kernels, "_CHUNK_BYTES", 1)
     single = _kernels.exhaustive_scan(*args)
@@ -631,14 +637,14 @@ def _random_aggregates(args, seed):
 
 # scan arguments: the cases above, crafted ties and all-distinct theta
 ORACLE_CASES = {
-    **{name: (lambda make=make: _scan_arguments(make())) for name, make in SCAN_CASES.items()},
-    "duplicated-actions": lambda: _scan_arguments(
+    **{name: (lambda make=make: _scan_args(make())) for name, make in SCAN_CASES.items()},
+    "duplicated-actions": lambda: _scan_args(
         _duplicated_actions(build_counterexample_game(1, 0, 1, 1, refinement=2))),
-    "random-aggregates": lambda: _random_aggregates(_scan_arguments(SCAN_CASES["coarse"]()), 65),
+    "random-aggregates": lambda: _random_aggregates(_scan_args(SCAN_CASES["coarse"]()), 65),
     "random-aggregates-gamma-quarter": lambda: _random_aggregates(
-        _scan_arguments(SCAN_CASES["gamma-quarter"]()), 66),
+        _scan_args(SCAN_CASES["gamma-quarter"]()), 66),
     # one profile, of one action in every block, at d = 48
-    "one-action": lambda: (lambda g: _scan_arguments(LargeGame(
+    "one-action": lambda: (lambda g: _scan_args(LargeGame(
         f_alg=g.f_alg, t_alg=g.t_alg, actions=np.full((1, g.payoff.bundle.d), 0.125),
         payoff=g.payoff)))(build_counterexample_game(16, 0, 2, 2)),
 }
@@ -660,10 +666,24 @@ def test_exhaustive_scan_equals_batched_oracle(monkeypatch, case, budget):
     assert _hex(_kernels.exhaustive_scan(*args)) == _hex(_exhaustive_scan_batched(*args))
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("case", ["singletons", "singletons-sum", "random-aggregates"])
+def test_exhaustive_scan_stops_at_the_first_profile_within_the_bound(monkeypatch, case, budget):
+    # the residual and profile only: a scan that stops early has seen a
+    # chunk-dependent share of the distances
+    args = ORACLE_CASES[case]()
+    least = _exhaustive_scan_batched(*args)[0]
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
+    for bound in (least, 2 * least + 1e-3, 0.05, 0.5, math.inf):
+        want = _exhaustive_scan_batched(*args, bound=bound)
+        assert _hex(_kernels.exhaustive_scan(*args, bound=bound))[:2] == _hex(want)[:2]
+
+
 @pytest.mark.parametrize("beta", [0.0, -0.0, -0.25, math.nan, math.inf])
 def test_exhaustive_scan_refuses_beta_outside_positive_reals(beta):
     # theta = beta * distance is keyed as a float: it must be >= +0
-    args = _scan_arguments(build_counterexample_game(1, 0, 1, 2))
+    args = _scan_args(build_counterexample_game(1, 0, 1, 2))
     with pytest.raises(PreconditionError):
         _kernels.exhaustive_scan(*args[:6], beta, *args[7:])
 
@@ -672,9 +692,9 @@ def test_exhaustive_scan_memory_bounded_when_every_theta_differs(monkeypatch):
     # 13**4 profiles, each with its own theta, so the regret cache fills to
     # its cap of 8 budgets and never hits: traced memory stays within
     # 16 x _CHUNK_BYTES, and no payoff block exceeds one budget
-    args = _random_aggregates(_scan_arguments(_coarse_strategies(
+    args = _random_aggregates(_scan_args(_coarse_strategies(
         build_counterexample_game(3, 0, 2, 2, refinement=4))), 67)
-    natoms, nact = args[7].shape[0], args[0]
+    natoms, nact = args[8].shape[0], args[0]
     tracemalloc.start()
     try:
         scan = _kernels.exhaustive_scan(*args)

@@ -111,10 +111,11 @@ def _rows(d, rng):
 
 
 @pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
-@pytest.mark.parametrize("d", [0, 1, 8, 9, 48])
+@pytest.mark.parametrize("d", [0, 1, 8, 9, 48, 130, 300])
 def test_row_norms_equal_the_per_row_loop(d, flavor):
-    # numpy sums a lone vector of 8 or more entries pairwise: each row must
-    # be reduced the same way, whatever the layout of the stack
+    # numpy sums a lone vector of 8 or more entries pairwise, and past 128
+    # in halves: each row must be reduced the same way, whatever the layout
+    # of the stack
     x = _rows(d, np.random.default_rng(40 + d))
     layouts = [x, np.asfortranarray(x), x[:, ::-1], np.swapaxes(np.swapaxes(x, 0, 2).copy(), 0, 2)]
     for stack in layouts:
@@ -126,7 +127,7 @@ def test_row_norms_equal_the_per_row_loop(d, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["sum", "euclid", "max"])
-@pytest.mark.parametrize("d", [0, 1, 8, 9, 48])
+@pytest.mark.parametrize("d", [0, 1, 8, 9, 48, 130, 300])
 def test_norm_of_a_whole_array_equals_the_old_norm(d, flavor):
     # callers pass stacks too (a conditional aggregate has one row per
     # block): norm takes all of their entries as one vector
