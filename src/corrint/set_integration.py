@@ -2,14 +2,21 @@
 convexity / hemicontinuity diagnostics.
 
 All set computations are exact Minkowski accumulations over finite value
-sets; every point cloud is deduplicated by ``dedup_points`` on the
-``DEDUP_TOL`` grid (collapsing float fuzz of equal rational combinations)
-and membership questions use ``MEMBERSHIP_TOL``.  Nothing here samples: the
-only randomness-flavored ingredient, the gap prober's weight sequence, is a
-deterministic low-discrepancy stream.
+sets.  A fold of lattice data, the usual case, merges equal sums on exact
+integer keys: every finite double is a dyadic rational, so each block's
+mass-weighted values are integers over one common denominator, and
+``DEDUP_TOL`` decides nothing.  Only off-lattice input (values or sums
+whose keys would leave int64) and arbitrary float rows given to
+``PointCloudSet`` are keyed on the ``DEDUP_TOL`` grid, which collapses
+float fuzz of equal rational combinations and refuses coordinates past
+its int64 range.  A fold's output is already distinct and ordered, so it
+is not deduplicated twice.  Membership questions use ``MEMBERSHIP_TOL``.
+Nothing here samples: the only randomness-flavored ingredient, the gap
+prober's weight sequence, is a deterministic low-discrepancy stream.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,51 +48,79 @@ def _mode_for(metric, d: int) -> tuple[int, np.ndarray]:
     raise PreconditionError(f"metric must be a Workspace or None, got {metric!r}")
 
 
-def dedup_points(points: np.ndarray) -> np.ndarray:
-    """One row per cell of the ``DEDUP_TOL`` grid, in lexicographic key order.
+def dedup_points(keys: np.ndarray) -> np.ndarray:
+    """Indices of the first row of each distinct key, in lexicographic key order.
 
-    A row's key is its coordinates divided by ``DEDUP_TOL`` and rounded to
-    integers.  Rows with equal keys merge, and the first of them in input
-    order is kept.  So float fuzz of equal rational combinations merges
-    unless it straddles a cell boundary at (j + 1/2) ``DEDUP_TOL``, and rows
-    more than ``DEDUP_TOL`` apart in some coordinate never merge.
-    The output's keys are distinct, so a second call returns it unchanged.
-
-    Refuses points whose keys leave the int64 range, where the cast would
-    wrap and merge distinct points.
+    ``keys`` is an (n, c) int64 array, its first column most significant.
+    Of the rows sharing a key, the first in input order is kept: one stable
+    sort, of one column where the keys are packed.  Indexing the keys with
+    the result gives distinct rows, so a second call returns ``arange`` of
+    them.
     """
-    pts = np.ascontiguousarray(points, dtype=float)
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = np.lexsort(keys.T[::-1])
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = True
+    for col in keys.T:
+        k = col.take(order)
+        keep[1:] |= k[1:] != k[:-1]
+    return order[keep]
+
+
+def grid_keys(points: np.ndarray) -> np.ndarray:
+    """Keys of float rows on the ``DEDUP_TOL`` grid: coordinates divided by
+    ``DEDUP_TOL`` and rounded to int64.
+
+    Under these keys float fuzz of equal rational combinations merges
+    unless it straddles a cell boundary at (j + 1/2) ``DEDUP_TOL``, and rows
+    more than ``DEDUP_TOL`` apart in some coordinate never merge.  Refuses
+    points whose keys leave the int64 range (|x| past about 9.2e6), where
+    the cast would wrap and merge distinct points.
+    """
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise StructureError(f"expected (n, d) points, got shape {pts.shape}")
-    if pts.shape[0] == 0:
-        return pts
     q = pts / DEDUP_TOL
     np.round(q, out=q)
     # reductions only, so the check adds no array of the points' size
-    if not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
+    if q.size and not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
         raise PreconditionError(
             f"coordinates from {float(pts.min())!r} to {float(pts.max())!r} do not fit "
             f"the int64 dedup grid of step {DEDUP_TOL!r}"
         )
-    q = q.astype(np.int64)
-    order = np.lexsort(q.T[::-1])
-    q = q[order]
-    keep = np.empty(q.shape[0], dtype=bool)
-    keep[0] = True
-    np.any(q[1:] != q[:-1], axis=1, out=keep[1:])
-    return pts[order[keep]]
+    return q.astype(np.int64)
 
 
 @dataclass(frozen=True, init=False)
 class PointCloudSet:
-    """Finite set of vectors, deduplicated by ``dedup_points`` and in its order."""
+    """Finite set of distinct vectors in lexicographic order.
+
+    Built from arbitrary float rows, it keeps the first row of each
+    ``DEDUP_TOL`` grid cell (``grid_keys``), so coordinates must stay within
+    the grid's int64 range.  ``aumann_integral_set`` builds it from a fold's
+    output, whose rows are already one per exact sum and in order, and
+    deduplicates nothing twice.
+    """
 
     points: np.ndarray
 
     def __init__(self, points):
-        pts = dedup_points(points)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        pts = np.asarray(points, dtype=float)
+        self._freeze(pts[dedup_points(grid_keys(pts))])
+
+    @classmethod
+    def _canonical(cls, rows: np.ndarray) -> "PointCloudSet":
+        """The set of rows that are distinct and ordered already, taken as given."""
+        cloud = object.__new__(cls)
+        cloud._freeze(rows)
+        return cloud
+
+    def _freeze(self, rows: np.ndarray) -> None:
+        rows.setflags(write=False)
+        object.__setattr__(self, "points", rows)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -135,41 +170,141 @@ def conditional_expectation(sel: Selection, g_alg: SigmaPartition) -> list[np.nd
     return block_averages(sel.corr.space, g_alg, sel.choice)
 
 
-def _minkowski_fold(contribs: list[np.ndarray], cap: int, d: int) -> np.ndarray:
-    """Exact Minkowski accumulation with dedup pruning after every block.
+def _lattice_keys(vals: np.ndarray, starts: list[int], nums: list[int]) -> np.ndarray | None:
+    """Exact int64 keys n_B * v * 2**e of the blocks' stacked value rows.
 
-    Consecutive blocks with bit-identical contribution sets are folded as a
-    single multiset sum (compositions of the run length), which keeps the
-    refined-uniform case polynomial instead of exponential.
+    Block B's rows start at ``starts[B]`` and its mass numerator is
+    ``nums[B]``.  Every finite double is a dyadic rational, and e is the
+    least exponent that makes all values integers, so the key of a sum of
+    choices is the sum of their keys, and two sums of mass-weighted values
+    are equal exactly when their keys are.  None where a value is not
+    finite or a sum of keys over all blocks could leave int64: such input
+    is folded on ``grid_keys``.
     """
+    if not np.isfinite(vals).all() or max(nums) >= 2 ** 62:
+        return None
+    mant, expo = np.frexp(vals[vals != 0])
+    ints = (mant * 2.0 ** 53).astype(np.int64)  # exact, as |mant| < 1
+    low_bit = np.frexp((ints & -ints).astype(float))[1] - 1
+    e = max(0, int((53 - expo - low_bit).max(initial=0)))
+    if e > 1000:
+        return None
+    scale = 2.0 ** e
+    # the float bound errs by far less than the factor 2 left below 2**63
+    bound = np.array(nums, dtype=float) @ np.maximum.reduceat(np.abs(vals), starts, axis=0)
+    if not bound.max() * scale < 2.0 ** 62:
+        return None
+    sizes = np.diff(starts, append=vals.shape[0])
+    return (vals * scale).astype(np.int64) * np.repeat(np.array(nums, dtype=np.int64), sizes)[:, None]
+
+
+def _packed_key_maker(acc_keys: np.ndarray, step_keys: np.ndarray):
+    """Keys of one fold step's sums on exact keys: ``key_of`` for ``_fold_step``.
+
+    The keys of the sums are packed by mixed radix into one int64: digit m
+    is coordinate m less its least value in the step, the first coordinate
+    most significant and each radix the coordinate's range in the step
+    plus one.  Packing is linear, so each side is packed once and a chunk's
+    keys are an outer sum of two vectors, in the order of the exact keys.
+    Where the product of the radices leaves int64, the keys are columns.
+    """
+    lo_a, lo_s = acc_keys.min(axis=0), step_keys.min(axis=0)
+    # sums of keys stay within 2**62 (``_lattice_keys``), so no range wraps
+    ranges = (acc_keys.max(axis=0) + step_keys.max(axis=0)) - (lo_a + lo_s)
+    weights, size = [], 1
+    for r in reversed(ranges.tolist()):
+        weights.append(size)
+        size *= r + 1
+    if size > 2 ** 63:
+        d = acc_keys.shape[1]
+        return lambda r: (acc_keys[r, None, :] + step_keys[None]).reshape(-1, d)
+    w = np.array(weights[::-1], dtype=np.int64)
+    packed_a, packed_s = (acc_keys - lo_a) @ w, (step_keys - lo_s) @ w
+    return lambda r: (packed_a[r, None] + packed_s[None, :]).reshape(-1, 1)
+
+
+def _grid_key_maker(acc: np.ndarray, step: np.ndarray):
+    """Keys of one fold step's sums off the lattice: ``grid_keys`` of the
+    float sums, as ``key_of`` for ``_fold_step``."""
+    d = acc.shape[1]
+    return lambda r: grid_keys((acc[r, None, :] + step[None]).reshape(-1, d))
+
+
+def _fold_step(key_of, na: int, ns: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(accumulated row, step row) of each kept sum of one fold step, in key order.
+
+    ``key_of(r)`` keys the sums of the accumulated rows in slice ``r`` with
+    every step row, accumulated-row major.  Chunks of accumulated rows hold
+    at most max(cap, ns) sums each; a chunk's kept sums merge into the
+    running set with earlier rows winning ties, so each key keeps its first
+    sum in input order, and the set is refused as soon as it passes ``cap``.
+    """
+    chunk = max(cap, ns) // ns
+    kept_keys = kept = None
+    for lo in range(0, na, chunk):
+        keys = key_of(slice(lo, lo + chunk))
+        flat = np.arange(lo * ns, lo * ns + keys.shape[0])
+        if kept is not None:
+            keys, flat = np.concatenate([kept_keys, keys]), np.concatenate([kept, flat])
+        idx = dedup_points(keys)
+        if idx.shape[0] > cap:
+            raise CapacityError(idx.shape[0], cap)
+        kept = flat.take(idx)
+        if lo + chunk < na:
+            kept_keys = keys.take(idx, axis=0)
+    ia = kept // ns  # a division by one scalar is far faster than divmod
+    return ia, kept - ia * ns
+
+
+def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
+                    d: int) -> np.ndarray:
+    """Exact Minkowski sum over blocks B of the weighted choices w_B * v.
+
+    Block by block, every accumulated row is added to every choice of the
+    block; of the sums equal in key the first in that order is kept, and
+    the kept rows are in key order.  Keys are ``_lattice_keys``, or off the
+    lattice ``grid_keys`` of the float sums.  Consecutive blocks with
+    identical choices are one step of multiset sums (compositions of the
+    run length), which keeps the refined-uniform case polynomial.  A step
+    of more than 64 * cap sums is refused before it is built.
+    """
+    sizes = [s.shape[0] for s in sets]
+    starts = [0, *itertools.accumulate(sizes)][:-1]
+    vals = np.concatenate(sets)
+    # rows of block B are w_B * v, the weight correctly rounded
+    contribs = vals * np.repeat([float(w) for w in weights], sizes)[:, None]
+    den = math.lcm(*(w.denominator for w in weights))
+    keys = _lattice_keys(vals, starts, [w.numerator * (den // w.denominator) for w in weights])
+    # a run needs equal rows, and equal keys should distinct sums round alike
+    blocks = [contribs[a:a + m].tobytes() + (b"" if keys is None else keys[a:a + m].tobytes())
+              for a, m in zip(starts, sizes)]
     acc = np.zeros((1, d))
-    i = 0
-    nb = len(contribs)
+    acc_keys = np.zeros((1, d), dtype=np.int64)
+    i, nb = 0, len(sets)
     while i < nb:
         run = 1
-        while i + run < nb and contribs[i + run].shape == contribs[i].shape \
-                and contribs[i + run].tobytes() == contribs[i].tobytes():
+        while i + run < nb and blocks[i + run] == blocks[i]:
             run += 1
-        block_set = contribs[i]
-        if run == 1:
-            step = block_set
-        else:
-            step = _multiset_sums(block_set, run)
-        total = acc.shape[0] * step.shape[0]
+        a, m = starts[i], sizes[i]
+        rows = m if run == 1 else math.comb(run + m - 1, m - 1)
+        total = acc.shape[0] * rows
         if total > max(cap, 1) * 64:
             raise CapacityError(total, cap)
-        acc = (acc[:, None, :] + step[None, :, :]).reshape(-1, d)
-        acc = dedup_points(acc)
-        if acc.shape[0] > cap:
-            raise CapacityError(acc.shape[0], cap)
+        step, step_keys = contribs[a:a + m], None if keys is None else keys[a:a + m]
+        if run > 1:
+            counts = np.array(list(_compositions(run, m)), dtype=np.int64)
+            step = counts.astype(float) @ step
+            step_keys = None if keys is None else counts @ step_keys
+        if keys is None:
+            key_of = _grid_key_maker(acc, step)
+        else:
+            key_of = _packed_key_maker(acc_keys, step_keys)
+        ia, js = _fold_step(key_of, acc.shape[0], rows, cap)
+        acc = acc.take(ia, axis=0) + step.take(js, axis=0)
         i += run
+        if keys is not None and i < nb:
+            acc_keys = acc_keys.take(ia, axis=0) + step_keys.take(js, axis=0)
     return acc
-
-
-def _multiset_sums(options: np.ndarray, r: int) -> np.ndarray:
-    """All sums of r choices (with repetition) from the option rows."""
-    counts = np.array(list(_compositions(r, options.shape[0])), dtype=float)
-    return counts @ options
 
 
 def aumann_integral_set(
@@ -179,15 +314,16 @@ def aumann_integral_set(
 ) -> PointCloudSet:
     """The exact finite set of integrals of alg-measurable selections.
 
-    The set is accumulated block by block, from the mass-weighted choices
-    mass(B) * v of each block B, with dedup pruning, which is exact because
-    value sets are finite; ``cap`` bounds the accumulated set.
+    The set is the Minkowski sum over blocks B of the mass-weighted choices
+    mass(B) * v, folded block by block with dedup pruning, which is exact
+    because value sets are finite; ``cap`` bounds the accumulated set.
     """
+    space = corr.space
     sets = block_choice_sets(corr, alg)
     if not all(len(cs) for cs in sets):
         return PointCloudSet(np.zeros((0, corr.dim)))
-    contribs = [float(corr.space.mass(b)) * cs for b, cs in zip(alg.blocks, sets)]
-    return PointCloudSet(_minkowski_fold(contribs, cap, corr.dim))
+    weights = [space.mass(b) for b in alg.blocks]
+    return PointCloudSet._canonical(_minkowski_fold(sets, weights, cap, corr.dim))
 
 
 @dataclass(frozen=True)
@@ -260,8 +396,9 @@ def conditional_set(
     block_sets = []
     for gb in g_alg.blocks:
         gnum = space.numerator(gb)
-        contribs = [(space.numerator(tb) / gnum) * cs for tb, cs in inner_of[id(gb)]]
-        block_sets.append(_minkowski_fold(contribs, cap, corr.dim))
+        weights = [Fraction(space.numerator(tb), gnum) for tb, _ in inner_of[id(gb)]]
+        sets = [cs for _, cs in inner_of[id(gb)]]
+        block_sets.append(_minkowski_fold(sets, weights, cap, corr.dim))
     return ConditionalSet(g_alg, tuple(block_sets))
 
 

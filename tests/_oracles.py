@@ -4,8 +4,10 @@ Two kinds live here.  The first are references the package no longer
 needs itself: point evaluation of the Walsh functions, the scalar payoffs
 h and G of the explicit game, the round-robin candidate profile, the
 per-atom best-response loop, the per-atom partition of a profile, the
-enumeration of measurable selections and the dyadic convexification.  Tests use them as the reference for cell
-signs, payoff tables, best responses and Aumann sets, or to build inputs.
+enumeration of measurable selections, the dyadic convexification and the
+Minkowski fold on the ``DEDUP_TOL`` grid.  Tests use them as the reference
+for cell signs, payoff tables, best responses and Aumann sets, or to build
+inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
@@ -29,6 +31,7 @@ from corrint.correspondences import Correspondence, Selection, _compositions
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
+from corrint.set_integration import DEDUP_TOL
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
 
@@ -214,6 +217,78 @@ def dyadic_convexify(corr, resolution: int):
             pts.append(v)
         vmap[a] = pts
     return Correspondence(corr.space, vmap)
+
+
+def grid_dedup(points) -> np.ndarray:
+    """One row per cell of the ``DEDUP_TOL`` grid, in lexicographic key order.
+
+    A row's key is its coordinates divided by ``DEDUP_TOL`` and rounded to
+    int64; of the rows sharing a key the first in input order is kept.
+    Refuses keys past the int64 range.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.shape[0] == 0:
+        return pts
+    q = np.round(pts / DEDUP_TOL)
+    if not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
+        raise PreconditionError("coordinates do not fit the int64 dedup grid")
+    q = q.astype(np.int64)
+    order = np.lexsort(q.T[::-1])
+    q = q[order]
+    keep = np.ones(q.shape[0], dtype=bool)
+    keep[1:] = np.any(q[1:] != q[:-1], axis=1)
+    return pts[order[keep]]
+
+
+def grid_fold(contribs, cap: int, d: int) -> np.ndarray:
+    """Minkowski sum of the blocks' weighted value sets, pruned by
+    ``grid_dedup`` after every step of the whole outer sum.
+
+    Consecutive bit-identical blocks are one step of multiset sums, and a
+    step or a pruned set past its cap raises ``CapacityError``, as in the
+    package's fold.
+    """
+    acc = np.zeros((1, d))
+    i = 0
+    while i < len(contribs):
+        run = 1
+        while i + run < len(contribs) and contribs[i + run].shape == contribs[i].shape \
+                and contribs[i + run].tobytes() == contribs[i].tobytes():
+            run += 1
+        step = contribs[i]
+        if run > 1:
+            counts = np.array(list(_compositions(run, step.shape[0])), dtype=float)
+            step = counts @ step
+        total = acc.shape[0] * step.shape[0]
+        if total > max(cap, 1) * 64:
+            raise CapacityError(total, cap)
+        acc = grid_dedup((acc[:, None, :] + step[None, :, :]).reshape(-1, d))
+        if acc.shape[0] > cap:
+            raise CapacityError(acc.shape[0], cap)
+        i += run
+    return acc
+
+
+def grid_aumann_points(corr, alg, cap: int) -> np.ndarray:
+    """The points of ``aumann_integral_set`` by ``grid_fold``."""
+    sets = package_block_choice_sets(corr, alg)
+    if not all(len(cs) for cs in sets):
+        return np.zeros((0, corr.dim))
+    contribs = [float(corr.space.mass(b)) * cs for b, cs in zip(alg.blocks, sets)]
+    return grid_fold(contribs, cap, corr.dim)
+
+
+def grid_conditional_blocks(corr, t_alg, g_alg, cap: int) -> list[np.ndarray]:
+    """The ``block_sets`` of ``conditional_set`` by ``grid_fold``."""
+    space = corr.space
+    sets = package_block_choice_sets(corr, t_alg)
+    out = []
+    for gb in g_alg.blocks:
+        inner = [(tb, cs) for tb, cs in zip(t_alg.blocks, sets) if tb <= gb]
+        gnum = space.numerator(gb)
+        contribs = [(space.numerator(tb) / gnum) * cs for tb, cs in inner]
+        out.append(grid_fold(contribs, cap, corr.dim))
+    return out
 
 
 def _freeze(v) -> np.ndarray:

@@ -172,6 +172,26 @@ def test_capacity_exit_3(tmp_path):
     assert "6561" in err
 
 
+def test_composition_blow_up_exits_3_before_enumerating(tmp_path):
+    # 256 identical blocks of 5 options are one run of C(260, 4) =
+    # 186,043,585 multiset sums, past 64 x cap: refused before the
+    # compositions are enumerated, which would not fit the 2.5 GB limit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "name": "x", "seed": 0,
+        "checks": [{"kind": "convexity-decay", "k": 4, "N": 0, "L": 4, "levels": [4]}],
+    }))
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000)); "
+             "from corrint.cli import main; sys.exit(main(['run', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", child, str(cfg)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "capacity error: enumeration size 186043585 exceeds cap 2000000"]
+
+
 def test_conditional_set_beyond_int64_exit_0(tmp_path):
     # 16 blocks of 35 averages each: 35**16 functions, past len()'s range
     cfg = tmp_path / "cfg.json"
@@ -354,8 +374,10 @@ def _bad(spec):
 
 
 def _check(kind, value, undeclared):
-    # cap is always drawn small: a Minkowski fold step may build 64 x cap
-    # rows, so at the default cap a small-int cloud check can take gigabytes
+    # cap is always drawn small: a Minkowski fold may take up to 64 x cap
+    # sums in one step, each run of identical blocks enumerated as Python
+    # tuples of compositions first, so at the default cap a small-int cloud
+    # check can take minutes and gigabytes
     table = PARAMS[kind]
     required = {"cap": value(table["cap"])} if "cap" in table else {}
     optional = {key: value(spec) for key, spec in table.items() if key != "cap"}

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import dyadic_convexify, enumerate_selections
+from _oracles import (
+    dyadic_convexify,
+    enumerate_selections,
+    grid_aumann_points,
+    grid_conditional_blocks,
+    outcome,
+)
+from corrint import set_integration
 from corrint.correspondences import (
     Correspondence,
     Selection,
@@ -25,6 +32,7 @@ from corrint.set_integration import (
     conditional_set,
     convexity_gap,
     dedup_points,
+    grid_keys,
     hausdorff_semidistance,
     integrate_selection,
     lyapunov_mix,
@@ -75,13 +83,17 @@ def _grid_oracle(points):
     return rows[np.lexsort(keys.T[::-1])]
 
 
-def _exact_integrals(corr, alg):
-    """The integrals of all alg-measurable selections, as exact Fraction tuples."""
-    masses = [corr.space.mass(b) for b in alg.blocks]
+def _exact_integrals(corr, alg, within=None):
+    """The averages over ``within`` (a union of alg's blocks, by default the
+    whole space) of all alg-measurable selections, as exact Fraction tuples."""
+    space = corr.space
+    within = space.atom_set if within is None else within
+    inner = [(space.mass(b) / space.mass(within), cs)
+             for b, cs in zip(alg.blocks, block_choice_sets(corr, alg)) if b <= within]
     out = set()
-    for pick in itertools.product(*block_choice_sets(corr, alg)):
+    for pick in itertools.product(*(cs for _, cs in inner)):
         out.add(tuple(
-            sum((m * Fraction(float(v[j])) for m, v in zip(masses, pick)), Fraction(0))
+            sum((m * Fraction(float(v[j])) for (m, _), v in zip(inner, pick)), Fraction(0))
             for j in range(corr.dim)
         ))
     return out
@@ -195,7 +207,7 @@ def test_aumann_capacity_and_modes_agree():
         aumann_integral_set(b.corr, singles, cap=len(fold) - 1)
     selections = list(enumerate_selections(b.corr, singles, cap=10 ** 5))
     assert len(selections) == 3 ** 8
-    enum = dedup_points(np.array([integrate_selection(s) for s in selections]))
+    enum = PointCloudSet(np.array([integrate_selection(s) for s in selections])).points
     assert enum.shape == fold.points.shape
     assert np.max(np.abs(enum - fold.points)) <= 1e-12
 
@@ -225,7 +237,7 @@ def test_aumann_oracle_agreement_with_direct_enumeration():
         integrate_selection(s)
         for s in enumerate_selections(b.corr, singles, cap=10 ** 4)
     ]
-    dd = dedup_points(np.array(direct))
+    dd = PointCloudSet(np.array(direct)).points
     assert dd.shape[0] == len(cloud)
     assert np.max(np.abs(dd - cloud.points)) <= 1e-12
 
@@ -248,7 +260,7 @@ def test_conditional_set_trivial_reduces_to_integral_set():
     cloud = aumann_integral_set(b.corr, singles, cap=10 ** 4)
     cs = conditional_set(b.corr, singles, trivial, cap=10 ** 4)
     assert len(cs) == len(cloud)
-    flat = dedup_points(cs.block_sets[0])
+    flat = PointCloudSet(cs.block_sets[0]).points
     assert np.max(np.abs(flat - cloud.points)) <= 1e-12
 
 
@@ -476,9 +488,16 @@ def test_convexified_cloud_approaches_hull_and_mix_attains():
     assert np.max(np.abs(mixed - target)) <= 1e-12
 
 
+def _grid_dedup(points):
+    """The rows ``dedup_points`` keeps of float rows keyed by ``grid_keys``:
+    the rows of their ``PointCloudSet``."""
+    pts = np.asarray(points, dtype=float)
+    return pts[dedup_points(grid_keys(pts))]
+
+
 def test_dedup_and_cloud_invariants():
     pts = np.array([[0.0, 0.0], [0.0, 5e-13], [1.0, 0.0], [1.0, 0.0]])
-    dd = dedup_points(pts)
+    dd = _grid_dedup(pts)
     assert dd.shape[0] == 2
     cloud = PointCloudSet(pts)
     assert len(cloud) == 2
@@ -490,7 +509,7 @@ def test_dedup_merges_rows_a_smaller_row_separates():
     # (1e-16, 0) is within tol of (0, 0) and shares its grid key, though
     # (0, 1) lies between them in float lexicographic order
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [1e-16, 0.0]])
-    assert np.array_equal(dedup_points(pts), pts[:2])
+    assert np.array_equal(_grid_dedup(pts), pts[:2])
     assert len(PointCloudSet(pts)) == 2
 
 
@@ -506,14 +525,14 @@ def test_dedup_matches_grid_oracle():
     for _ in range(600):
         n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
         pts = _fuzz_chain(rng, n, d)
-        got = dedup_points(pts)
+        got = _grid_dedup(pts)
         assert np.array_equal(got, _grid_oracle(pts))
-        assert np.array_equal(dedup_points(got), got)
+        assert np.array_equal(dedup_points(grid_keys(got)), np.arange(got.shape[0]))
     for n in (7, 8, 9, 100, 1000, 1001):
         pts = np.zeros((n, 2))
         pts[:, 1] = np.arange(n) * (0.9 * DEDUP_TOL / n)
         pts[n // 2:, 0] += 2 * DEDUP_TOL * (n % 2)
-        assert np.array_equal(dedup_points(pts), _grid_oracle(pts))
+        assert np.array_equal(_grid_dedup(pts), _grid_oracle(pts))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -524,21 +543,22 @@ def test_dedup_property_equals_grid_oracle(data, n, d):
     base = data.draw(arrays(float, d, elements=st.sampled_from([0.0, -1.0, 0.5, 1e3])))
     pts = base + np.cumsum(offsets, axis=0)
     pts = pts[data.draw(st.permutations(range(n)))]
-    assert np.array_equal(dedup_points(pts), _grid_oracle(pts))
+    assert np.array_equal(_grid_dedup(pts), _grid_oracle(pts))
 
 
 def test_coarse_dedup_refuses_int64_overflow():
     # 1e7 / 1e-12 = 1e19 leaves int64: the cast would wrap and the three
     # distinct rows would come out as the single row 1e7
     pts = np.array([[1e7], [2e7], [3e7]])
-    for dedup in (_coarse_dedup, dedup_points, PointCloudSet):
+    for dedup in (_coarse_dedup, grid_keys, _grid_dedup, PointCloudSet):
         with pytest.raises(PreconditionError):
             dedup(pts)
-    assert dedup_points(pts / 1e4).shape == (3, 1)
+    assert _grid_dedup(pts / 1e4).shape == (3, 1)
+    # a fold of integer values merges on exact keys, which these fit
     space = DiscreteSpace.uniform(2)
     corr = Correspondence(space, {a: [np.array([2e7]), np.array([4e7])] for a in space.ids})
-    with pytest.raises(PreconditionError):
-        aumann_integral_set(corr, SigmaPartition.singletons(space))
+    cloud = aumann_integral_set(corr, SigmaPartition.singletons(space))
+    assert np.array_equal(cloud.points, [[2e7], [3e7], [4e7]])
 
 
 def test_aumann_set_equals_exact_fraction_enumeration():
@@ -570,3 +590,173 @@ def test_metric_selection_weak_topology():
     z = PointCloudSet(np.zeros((1, 2)))
     assert abs(hausdorff_semidistance(a, z, ws) - 0.25) <= 1e-15
     assert abs(norm(v, "euclid") - 1.0) <= 1e-15
+
+
+# -- the fold on exact keys against the grid fold and Fraction sums --------------
+
+def _record_keys(monkeypatch):
+    """Widths of the keys the fold hands ``dedup_points``, and the number of
+    ``grid_keys`` calls, recorded while the test runs."""
+    seen = {"widths": [], "rows": [], "grid": 0}
+    dedup, grid = set_integration.dedup_points, set_integration.grid_keys
+
+    def dedup_points(keys):
+        seen["widths"].append(keys.shape[1])
+        seen["rows"].append(keys.shape[0])
+        return dedup(keys)
+
+    def grid_keys(points):
+        seen["grid"] += 1
+        return grid(points)
+
+    monkeypatch.setattr(set_integration, "dedup_points", dedup_points)
+    monkeypatch.setattr(set_integration, "grid_keys", grid_keys)
+    return seen
+
+
+def _assert_fold_agrees(corr, t_alg, g_alg, cap):
+    """The keyed Aumann cloud over t_alg and conditional set over g_alg
+    equal the grid fold byte for byte and the Fraction sums in order."""
+    cloud = outcome(aumann_integral_set, corr, t_alg, cap)
+    grid = outcome(grid_aumann_points, corr, t_alg, cap)
+    assert cloud[0] == grid[0]
+    if cloud[0] == "raised":
+        assert cloud[1] is grid[1] is CapacityError
+        return
+    got = cloud[1].points
+    assert got.shape == grid[1].shape and got.tobytes() == grid[1].tobytes()
+    want = np.array(sorted(_exact_integrals(corr, t_alg)), dtype=float).reshape(-1, corr.dim)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    cs = outcome(conditional_set, corr, t_alg, g_alg, cap)
+    grid_blocks = outcome(grid_conditional_blocks, corr, t_alg, g_alg, cap)
+    assert cs[0] == grid_blocks[0]
+    if cs[0] == "raised":
+        assert cs[1] is grid_blocks[1] is CapacityError
+        return
+    for gb, bs, ref in zip(g_alg.blocks, cs[1].block_sets, grid_blocks[1]):
+        assert bs.shape == ref.shape and bs.tobytes() == ref.tobytes()
+        want = np.array(sorted(_exact_integrals(corr, t_alg, gb)), dtype=float)
+        assert bs.shape == want.shape
+        assert np.max(np.abs(bs - want)) <= 1e-12
+
+
+@st.composite
+def _lattice_instances(draw):
+    """Singleton T and a coarser G on 2-6 atoms whose masses have
+    denominators 3, 5, 6, 10 or 15 (equal masses half the time), and a
+    correspondence of 1-3 values per atom in quarter steps, an atom often
+    repeating its neighbour's values so that runs of equal blocks occur.
+
+    Equal sums differ by float fuzz only, far inside a grid cell: no sum
+    lies near a cell boundary, whose dyadic denominator would need 2**13."""
+    total = draw(st.sampled_from([3, 5, 6, 10, 15]))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([k for k in (2, 3, 5, 6) if total % k == 0 and k < total]
+                                 or [total]))
+        masses = [Fraction(1, n)] * n
+    else:
+        n = draw(st.integers(2, min(6, total)))
+        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=n - 1,
+                                    max_size=n - 1, unique=True)))
+        bounds = [0, *cuts, total]
+        masses = [Fraction(hi - lo, total) for lo, hi in zip(bounds, bounds[1:])]
+    space = DiscreteSpace.from_masses(masses)
+    d = draw(st.integers(1, 3))
+    value = arrays(float, d, elements=st.integers(-8, 8).map(lambda k: k / 4))
+    value_map, prev = {}, None
+    for a in space.ids:
+        if prev is None or not draw(st.booleans()):
+            prev = draw(st.lists(value, min_size=1, max_size=3))
+        value_map[a] = prev
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))
+    bounds = [0, *sorted(cuts), n]
+    g_alg = SigmaPartition([set(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
+    return Correspondence(space, value_map), SigmaPartition.singletons(space), g_alg
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(inst=_lattice_instances(), tight=st.booleans())
+def test_keyed_fold_equals_grid_fold_and_fraction_sums(inst, tight):
+    # a tight cap, the cloud's own size, keys steps in chunks and merges them
+    corr, t_alg, g_alg = inst
+    cap = len(aumann_integral_set(corr, t_alg, 10 ** 6)) if tight else 10 ** 6
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _record_keys(mp)
+        _assert_fold_agrees(corr, t_alg, g_alg, cap)
+    assert seen["grid"] == 0
+    assert set(seen["widths"]) <= {1}
+
+
+def test_fold_in_chunks_keeps_the_same_rows(monkeypatch):
+    # at cap 1071, the cloud's size, the last step's 216 x 6 sums are keyed
+    # in two chunks, neither more than 1071 sums
+    b = build_counterexample(2, 0, 2, 2, refinement=2)
+    singles = SigmaPartition.singletons(b.model.space)
+    seen = _record_keys(monkeypatch)
+    whole = aumann_integral_set(b.corr, singles, cap=10 ** 5).points
+    assert seen["rows"] == [6, 36, 216, 1296]
+    tight = aumann_integral_set(b.corr, singles, cap=len(whole)).points
+    assert tight.tobytes() == whole.tobytes()
+    # chunks of 1071 // 6 = 178 accumulated rows; the second merges the 893
+    # rows kept of the first with its 38 x 6 sums
+    assert seen["rows"][4:] == [6, 36, 216, 178 * 6, 893 + 38 * 6]
+    with pytest.raises(CapacityError):
+        aumann_integral_set(b.corr, singles, cap=len(whole) - 1)
+
+
+def test_fold_keys_columns_where_packing_overflows(monkeypatch):
+    # keys 0..600 in each of 8 coordinates fit int64, but packed they
+    # need 601**8 > 2**63 values: the sort takes the 8 columns
+    space = DiscreteSpace.uniform(2)
+    values = [np.zeros(8), np.full(8, 150.0), np.full(8, 300.0), np.arange(8) * 37.0]
+    corr = Correspondence(space, {a: values for a in space.ids})
+    singles = SigmaPartition.singletons(space)
+    seen = _record_keys(monkeypatch)
+    _assert_fold_agrees(corr, singles, SigmaPartition.trivial(space), 100)
+    assert 8 in seen["widths"] and seen["grid"] == 0
+    assert len(aumann_integral_set(corr, singles)) == 9
+
+
+def test_fold_off_the_lattice_keys_the_grid(monkeypatch):
+    # a normal draw times 1e-6 needs a scale near 2**73 to be an integer,
+    # which puts a normal draw's key past int64: the fold keys the float
+    # sums on the grid
+    rng = np.random.default_rng(5)
+    space = DiscreteSpace.from_masses([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+    corr = Correspondence(space, {a: list(rng.normal(size=(2, 2)) * [1.0, 1e-6])
+                                  for a in space.ids})
+    singles = SigmaPartition.singletons(space)
+    seen = _record_keys(monkeypatch)
+    _assert_fold_agrees(corr, singles, SigmaPartition([{0, 1}, {2}]), 100)
+    assert seen["grid"] > 0 and set(seen["widths"]) == {2}
+
+
+def test_fold_keys_near_int64_are_exact_or_refused():
+    # two atoms of mass 1/2: values up to 2**60 sum to keys up to 2**61 and
+    # fold exactly; at 2**62 the keys' sums would reach 2**63, so the fold
+    # keys the grid, whose range refuses them instead of wrapping
+    space = DiscreteSpace.uniform(2)
+    singles = SigmaPartition.singletons(space)
+    fits = Correspondence(space, {a: [np.zeros(1), np.array([2.0 ** 60])] for a in space.ids})
+    assert np.array_equal(aumann_integral_set(fits, singles).points,
+                          [[0.0], [2.0 ** 59], [2.0 ** 60]])
+    past = Correspondence(space, {a: [np.zeros(1), np.array([2.0 ** 62])] for a in space.ids})
+    with pytest.raises(PreconditionError):
+        aumann_integral_set(past, singles)
+
+
+def test_fold_merges_equal_sums_the_grid_splits():
+    # 2/5 * -12 + 3/5 * -39 and 2/5 * -39 + 3/5 * -21 are both -28.2 / 2**13,
+    # which lies on a cell boundary of the grid (-3442382812.5 steps); their
+    # float fuzz falls on either side, so the grid fold keeps both
+    space = DiscreteSpace.from_masses([Fraction(2, 5), Fraction(3, 5)])
+    u = 2.0 ** -13
+    corr = Correspondence(space, {0: [np.array([-39 * u]), np.array([-12 * u])],
+                                  1: [np.array([-39 * u]), np.array([-21 * u])]})
+    singles = SigmaPartition.singletons(space)
+    want = np.array(sorted(_exact_integrals(corr, singles)), dtype=float)
+    got = aumann_integral_set(corr, singles).points
+    assert got.shape == want.shape == (3, 1)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert len(grid_aumann_points(corr, singles, 100)) == 4

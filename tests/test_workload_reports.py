@@ -16,6 +16,11 @@ and justify every regeneration in CHANGES.md.
 seed 2 the same way (regenerate with ``'exact'`` and ``2`` in place of the
 loop over workloads and ``1``), so that its random instances are checked on
 a second draw.
+
+The seed-0 ``clouds`` and ``exact`` configs are also run once with the
+fold's keys recorded: each of their folds must merge on packed exact keys,
+since a fall back to grid or column keys keeps every byte and only reads
+slower.
 """
 import hashlib
 import json
@@ -24,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from _perfbench import ROOT, load
+from corrint import set_integration
 from corrint.scenarios import render_report, run_scenario_dict, strip_csv
 
 HERE = Path(__file__).parent
@@ -59,3 +65,17 @@ def test_exact_report_bytes_are_pinned_at_seed_2(monkeypatch, name):
     config = _configs(monkeypatch, ("exact",), 2)[name]
     text = render_report(strip_csv(run_scenario_dict(config)))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXACT_SEED2[name]
+
+
+def test_every_workload_fold_merges_on_packed_exact_keys(monkeypatch):
+    configs = _configs(monkeypatch, ("clouds", "exact"), 0)
+    widths, grid = [], []
+    dedup, grid_keys = set_integration.dedup_points, set_integration.grid_keys
+    monkeypatch.setattr(set_integration, "dedup_points",
+                        lambda keys: widths.append(keys.shape[1]) or dedup(keys))
+    monkeypatch.setattr(set_integration, "grid_keys",
+                        lambda points: grid.append(len(points)) or grid_keys(points))
+    for config in configs.values():
+        run_scenario_dict(config)
+    assert widths and set(widths) == {1}
+    assert grid == []
