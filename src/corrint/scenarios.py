@@ -324,7 +324,7 @@ def check_necessity_gap(params: dict, seed: int) -> dict:
         "selections": (k + 1) ** len(b.model.space.ids),
         "cloud_size": len(cloud),
         # SIZES refused the config unless every selection fits within cap
-        "cloud_meta": cloud_metadata(b.corr, t_alg, cap, "enumerate"),
+        "cloud_meta": cloud_metadata(b.corr, t_alg, cap),
         "midpoint_gap": gap,
         "midpoint_present": present,
         "verdict": (not present) and gap > MEMBERSHIP_TOL,

@@ -2,17 +2,15 @@
 convexity / hemicontinuity diagnostics.
 
 All set computations are exact Minkowski accumulations over finite value
-sets.  A fold of lattice data, the usual case, merges equal sums on exact
-integer keys: every finite double is a dyadic rational, so each block's
-mass-weighted values are integers over one common denominator, and
-``DEDUP_TOL`` decides nothing.  Only off-lattice input (values or sums
-whose keys would leave int64) and arbitrary float rows given to
-``PointCloudSet`` are keyed on the ``DEDUP_TOL`` grid, which collapses
-float fuzz of equal rational combinations and refuses coordinates past
-its int64 range.  A fold's output is already distinct and ordered, so it
-is not deduplicated twice.  Membership questions use ``MEMBERSHIP_TOL``.
-Nothing here samples: the only randomness-flavored ingredient, the gap
-prober's weight sequence, is a deterministic low-discrepancy stream.
+sets.  Every finite double is a dyadic rational, so a fold keys each
+block's mass-weighted values as exact integers, one power-of-two scale per
+coordinate over the masses' common denominator: two sums are equal exactly
+when their keys are, and a fold whose keys could leave int64 is refused.
+Float rows given to ``PointCloudSet`` merge only where they are equal as
+numbers.  No tolerance decides a dedup; membership questions use
+``MEMBERSHIP_TOL``.  Nothing here samples: the only randomness-flavored
+ingredient, the gap prober's weight sequence, is a deterministic
+low-discrepancy stream.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ from .errors import (
 from .spaces import SigmaPartition, block_averages, is_refinement
 from .vectors import NORM_EUCLID, Workspace, norm_mode
 
-DEDUP_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -70,46 +67,38 @@ def dedup_points(keys: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def grid_keys(points: np.ndarray) -> np.ndarray:
-    """Keys of float rows on the ``DEDUP_TOL`` grid: coordinates divided by
-    ``DEDUP_TOL`` and rounded to int64.
+def float_keys(points: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 keys of finite float rows, one per coordinate.
 
-    Under these keys float fuzz of equal rational combinations merges
-    unless it straddles a cell boundary at (j + 1/2) ``DEDUP_TOL``, and rows
-    more than ``DEDUP_TOL`` apart in some coordinate never merge.  Refuses
-    points whose keys leave the int64 range (|x| past about 9.2e6), where
-    the cast would wrap and merge distinct points.
+    A key is the bits of ``x + 0.0`` with the magnitude bits flipped where
+    the sign bit is set, so equal values share a key (0.0 and -0.0
+    included) and key order is value order.  Refuses rows that are not
+    finite.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise StructureError(f"expected (n, d) points, got shape {pts.shape}")
-    q = pts / DEDUP_TOL
-    np.round(q, out=q)
-    # reductions only, so the check adds no array of the points' size
-    if q.size and not -2.0 ** 63 < q.min() <= q.max() < 2.0 ** 63:
-        raise PreconditionError(
-            f"coordinates from {float(pts.min())!r} to {float(pts.max())!r} do not fit "
-            f"the int64 dedup grid of step {DEDUP_TOL!r}"
-        )
-    return q.astype(np.int64)
+    if not np.isfinite(pts).all():
+        raise PreconditionError("point coordinates must be finite")
+    bits = (pts + 0.0).view(np.int64)
+    return bits ^ ((bits >> 63) & np.int64(2 ** 63 - 1))
 
 
 @dataclass(frozen=True, init=False)
 class PointCloudSet:
     """Finite set of distinct vectors in lexicographic order.
 
-    Built from arbitrary float rows, it keeps the first row of each
-    ``DEDUP_TOL`` grid cell (``grid_keys``), so coordinates must stay within
-    the grid's int64 range.  ``aumann_integral_set`` builds it from a fold's
-    output, whose rows are already one per exact sum and in order, and
-    deduplicates nothing twice.
+    Built from finite float rows, it keeps one row per distinct point
+    (``float_keys``): rows merge only where they are equal as numbers.
+    ``aumann_integral_set`` builds it from a fold's output, whose rows are
+    already one per exact sum and in order, and deduplicates nothing twice.
     """
 
     points: np.ndarray
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
-        self._freeze(pts[dedup_points(grid_keys(pts))])
+        self._freeze(pts[dedup_points(float_keys(pts))])
 
     @classmethod
     def _canonical(cls, rows: np.ndarray) -> "PointCloudSet":
@@ -139,11 +128,9 @@ class PointCloudSet:
         return self.nearest_distance(v, metric) <= tol
 
 
-def cloud_metadata(
-    corr: Correspondence, alg: SigmaPartition, cap: int, mode: str
-) -> dict:
+def cloud_metadata(corr: Correspondence, alg: SigmaPartition, cap: int) -> dict:
     """Provenance block for cloud exports: correspondence hash, algebra,
-    cap, and capacity mode."""
+    cap, and capacity mode (always ``"enumerate"``)."""
     import hashlib
     import json as _json
 
@@ -154,7 +141,7 @@ def cloud_metadata(
         "corr_sha256": digest,
         "blocks": alg.to_json(),
         "cap": cap,
-        "mode": mode,
+        "mode": "enumerate",
     }
 
 
@@ -170,32 +157,33 @@ def conditional_expectation(sel: Selection, g_alg: SigmaPartition) -> list[np.nd
     return block_averages(sel.corr.space, g_alg, sel.choice)
 
 
-def _lattice_keys(vals: np.ndarray, starts: list[int], nums: list[int]) -> np.ndarray | None:
-    """Exact int64 keys n_B * v * 2**e of the blocks' stacked value rows.
+def _lattice_keys(vals: np.ndarray, starts: list[int], nums: list[int]) -> np.ndarray:
+    """Exact int64 keys n_B * v_m * 2**e_m of the blocks' stacked value rows.
 
     Block B's rows start at ``starts[B]`` and its mass numerator is
-    ``nums[B]``.  Every finite double is a dyadic rational, and e is the
-    least exponent that makes all values integers, so the key of a sum of
-    choices is the sum of their keys, and two sums of mass-weighted values
-    are equal exactly when their keys are.  None where a value is not
-    finite or a sum of keys over all blocks could leave int64: such input
-    is folded on ``grid_keys``.
+    ``nums[B]``.  Every finite double is a dyadic rational, and e_m is the
+    least exponent that makes every value of coordinate m an integer.  Each
+    column has one positive scale, so the key of a sum of choices is the sum
+    of their keys, two sums of mass-weighted values are equal exactly when
+    their keys are, and key order is the lexicographic order of the sums.
+    Refuses input where a sum of keys over all blocks could leave int64.
     """
-    if not np.isfinite(vals).all() or max(nums) >= 2 ** 62:
-        return None
-    mant, expo = np.frexp(vals[vals != 0])
+    mant, expo = np.frexp(vals)
     ints = (mant * 2.0 ** 53).astype(np.int64)  # exact, as |mant| < 1
     low_bit = np.frexp((ints & -ints).astype(float))[1] - 1
-    e = max(0, int((53 - expo - low_bit).max(initial=0)))
-    if e > 1000:
-        return None
-    scale = 2.0 ** e
+    # bits after the binary point of each value; a zero has none
+    e = np.where(ints != 0, 53 - expo - low_bit, 0).max(axis=0, initial=0)
     # the float bound errs by far less than the factor 2 left below 2**63
-    bound = np.array(nums, dtype=float) @ np.maximum.reduceat(np.abs(vals), starts, axis=0)
-    if not bound.max() * scale < 2.0 ** 62:
-        return None
+    if max(nums) >= 2 ** 62 or not (
+        np.array(nums, dtype=float) @ np.maximum.reduceat(np.abs(vals), starts, axis=0)
+        < np.ldexp(1.0, 62 - e)
+    ).all():
+        raise PreconditionError(
+            f"exact fold keys leave int64: mass numerators up to {max(nums)}, "
+            f"values scaled by up to 2**{int(e.max())}"
+        )
     sizes = np.diff(starts, append=vals.shape[0])
-    return (vals * scale).astype(np.int64) * np.repeat(np.array(nums, dtype=np.int64), sizes)[:, None]
+    return np.ldexp(vals, e).astype(np.int64) * np.repeat(np.array(nums, dtype=np.int64), sizes)[:, None]
 
 
 def _packed_key_maker(acc_keys: np.ndarray, step_keys: np.ndarray):
@@ -221,13 +209,6 @@ def _packed_key_maker(acc_keys: np.ndarray, step_keys: np.ndarray):
     w = np.array(weights[::-1], dtype=np.int64)
     packed_a, packed_s = (acc_keys - lo_a) @ w, (step_keys - lo_s) @ w
     return lambda r: (packed_a[r, None] + packed_s[None, :]).reshape(-1, 1)
-
-
-def _grid_key_maker(acc: np.ndarray, step: np.ndarray):
-    """Keys of one fold step's sums off the lattice: ``grid_keys`` of the
-    float sums, as ``key_of`` for ``_fold_step``."""
-    d = acc.shape[1]
-    return lambda r: grid_keys((acc[r, None, :] + step[None]).reshape(-1, d))
 
 
 def _fold_step(key_of, na: int, ns: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,12 +242,14 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
     """Exact Minkowski sum over blocks B of the weighted choices w_B * v.
 
     Block by block, every accumulated row is added to every choice of the
-    block; of the sums equal in key the first in that order is kept, and
-    the kept rows are in key order.  Keys are ``_lattice_keys``, or off the
-    lattice ``grid_keys`` of the float sums.  Consecutive blocks with
+    block; of the sums equal in ``_lattice_keys`` the first in that order is
+    kept, and the kept rows are in key order.  Consecutive blocks with
     identical choices are one step of multiset sums (compositions of the
-    run length), which keeps the refined-uniform case polynomial.  A step
-    of more than 64 * cap sums is refused before it is built.
+    run length), which keeps the refined-uniform case polynomial.  A run
+    whose sums with the accumulated rows number more than 64 * cap is
+    refused before it is built; otherwise a step takes as many of its
+    blocks as have at most ``cap`` compositions, and the rest fold as
+    further steps.
     """
     sizes = [s.shape[0] for s in sets]
     starts = [0, *itertools.accumulate(sizes)][:-1]
@@ -276,33 +259,30 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
     den = math.lcm(*(w.denominator for w in weights))
     keys = _lattice_keys(vals, starts, [w.numerator * (den // w.denominator) for w in weights])
     # a run needs equal rows, and equal keys should distinct sums round alike
-    blocks = [contribs[a:a + m].tobytes() + (b"" if keys is None else keys[a:a + m].tobytes())
+    blocks = [contribs[a:a + m].tobytes() + keys[a:a + m].tobytes()
               for a, m in zip(starts, sizes)]
     acc = np.zeros((1, d))
     acc_keys = np.zeros((1, d), dtype=np.int64)
     i, nb = 0, len(sets)
     while i < nb:
+        a, m = starts[i], sizes[i]
         run = 1
         while i + run < nb and blocks[i + run] == blocks[i]:
             run += 1
-        a, m = starts[i], sizes[i]
-        rows = m if run == 1 else math.comb(run + m - 1, m - 1)
-        total = acc.shape[0] * rows
+        total = acc.shape[0] * math.comb(run + m - 1, m - 1)
         if total > max(cap, 1) * 64:
             raise CapacityError(total, cap)
-        step, step_keys = contribs[a:a + m], None if keys is None else keys[a:a + m]
+        while run > 1 and math.comb(run + m - 1, m - 1) > cap:
+            run -= 1
+        rows = math.comb(run + m - 1, m - 1)
+        step, step_keys = contribs[a:a + m], keys[a:a + m]
         if run > 1:
             counts = np.array(list(_compositions(run, m)), dtype=np.int64)
-            step = counts.astype(float) @ step
-            step_keys = None if keys is None else counts @ step_keys
-        if keys is None:
-            key_of = _grid_key_maker(acc, step)
-        else:
-            key_of = _packed_key_maker(acc_keys, step_keys)
-        ia, js = _fold_step(key_of, acc.shape[0], rows, cap)
+            step, step_keys = counts.astype(float) @ step, counts @ step_keys
+        ia, js = _fold_step(_packed_key_maker(acc_keys, step_keys), acc.shape[0], rows, cap)
         acc = acc.take(ia, axis=0) + step.take(js, axis=0)
         i += run
-        if keys is not None and i < nb:
+        if i < nb:
             acc_keys = acc_keys.take(ia, axis=0) + step_keys.take(js, axis=0)
     return acc
 
@@ -417,8 +397,10 @@ def lyapunov_mix(
     the part assigned to weight j plays selection j's block value.  The
     parts hit every f_alg block in exact proportion, i.e. they are
     independent of f_alg, so E(g|G) mixes exactly for every sub-algebra G
-    of f_alg.  This is the package's one equal-mass splitter: with n equal
-    weights its parts are an n-part independent supplement of f_alg.
+    of f_alg.  A block where every selection plays one value takes it
+    whole, unsplit, which mixes it just as exactly.  This is the package's
+    one equal-mass splitter: with n equal weights its parts are an n-part
+    independent supplement of f_alg on every block it splits.
     """
     if not selections:
         raise PreconditionError("need at least one selection")
@@ -451,7 +433,11 @@ def lyapunov_mix(
         sub_nums = [space.numerator(tb) for tb in inner]
         uniform = len(set(sub_nums)) == 1
         rep = min(fb)
-        if uniform and len(set(ws)) == 1:
+        agreed = selections[0].at(rep)
+        if all(np.array_equal(s.at(rep), agreed) for s in selections[1:]):
+            for a in fb:
+                choice_map[a] = agreed
+        elif uniform and len(set(ws)) == 1:
             n = len(ws)
             if len(inner) % n:
                 raise DivisibilityError(
@@ -528,16 +514,14 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
         nu = float(np.sqrt(np.sum(u * u)))
         if nu > 1e-9:
             dirs.append(u / nu)
-    chosen: dict[bytes, np.ndarray] = {}
-    for u in dirs:
+    chosen = np.empty((len(dirs), d))
+    for r, u in enumerate(dirs):
         scores = points @ u
         top = scores.max()
         cand = points[np.flatnonzero(scores >= top - 1e-12)]
         order = np.lexsort(cand.T[::-1])
-        v = cand[order[-1]]
-        chosen.setdefault(v.tobytes(), v)
-    vs = sorted(chosen.values(), key=lambda v: tuple(v.tolist()))
-    return np.array(vs)
+        chosen[r] = cand[order[-1]]
+    return chosen[dedup_points(float_keys(chosen))]
 
 
 def convexity_gap(
@@ -563,10 +547,8 @@ def convexity_gap(
         return 0.0
     verts = _support_vertices(pts, seed)
     nv = verts.shape[0]
-    targets = []
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            targets.append((verts[i] + verts[j]) / 2.0)
+    i, j = np.triu_indices(nv, 1)
+    targets = [(verts[i] + verts[j]) / 2.0]
     for s in range(samples):
         raw = np.array([
             _vdc(seed + s + 1, _PRIMES[m % len(_PRIMES)]) for m in range(nv)
@@ -575,7 +557,7 @@ def convexity_gap(
         w = w / w.sum()
         targets.append(w @ verts)
     mode, weights = _mode_for(metric, pts.shape[1])
-    return _kernels.min_dists(np.array(targets), pts, mode, weights)
+    return _kernels.min_dists(np.vstack(targets), pts, mode, weights)
 
 
 def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> float:

@@ -31,8 +31,10 @@ from corrint.correspondences import Correspondence, Selection, _compositions
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
-from corrint.set_integration import DEDUP_TOL
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
+
+# the cell width of the grid that ``grid_dedup`` keys float rows on
+DEDUP_TOL = 1e-12
 
 
 def walsh_eval(n: int, l) -> int:
@@ -244,24 +246,28 @@ def grid_fold(contribs, cap: int, d: int) -> np.ndarray:
     """Minkowski sum of the blocks' weighted value sets, pruned by
     ``grid_dedup`` after every step of the whole outer sum.
 
-    Consecutive bit-identical blocks are one step of multiset sums, and a
-    step or a pruned set past its cap raises ``CapacityError``, as in the
-    package's fold.
+    Consecutive bit-identical blocks are one step of multiset sums, cut
+    after as many blocks as have at most ``cap`` compositions; a run past
+    64 * cap sums or a pruned set past its cap raises ``CapacityError``, as
+    in the package's fold.
     """
     acc = np.zeros((1, d))
     i = 0
     while i < len(contribs):
+        m = contribs[i].shape[0]
         run = 1
         while i + run < len(contribs) and contribs[i + run].shape == contribs[i].shape \
                 and contribs[i + run].tobytes() == contribs[i].tobytes():
             run += 1
-        step = contribs[i]
-        if run > 1:
-            counts = np.array(list(_compositions(run, step.shape[0])), dtype=float)
-            step = counts @ step
-        total = acc.shape[0] * step.shape[0]
+        total = acc.shape[0] * math.comb(run + m - 1, m - 1)
         if total > max(cap, 1) * 64:
             raise CapacityError(total, cap)
+        while run > 1 and math.comb(run + m - 1, m - 1) > cap:
+            run -= 1
+        step = contribs[i]
+        if run > 1:
+            counts = np.array(list(_compositions(run, m)), dtype=float)
+            step = counts @ step
         acc = grid_dedup((acc[:, None, :] + step[None, :, :]).reshape(-1, d))
         if acc.shape[0] > cap:
             raise CapacityError(acc.shape[0], cap)

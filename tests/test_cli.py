@@ -192,6 +192,48 @@ def test_composition_blow_up_exits_3_before_enumerating(tmp_path):
         "capacity error: enumeration size 186043585 exceeds cap 2000000"]
 
 
+def test_long_run_of_equal_blocks_exits_3_within_memory(tmp_path):
+    # one run of 128 blocks of 5 options has C(132, 4) = 12,082,785 sums,
+    # within 64 x cap: a step takes the first 80 blocks, whose 1,929,501
+    # compositions fit cap, and the next step is refused before it is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "name": "x", "seed": 0,
+        "checks": [{"kind": "convexity-decay", "k": 4, "N": 0, "L": 4, "levels": [3]}],
+    }))
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from corrint.cli import main; sys.exit(main(['run', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", child, str(cfg)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "capacity error: enumeration size 522364158225 exceeds cap 2000000"]
+
+
+def test_fold_keys_past_int64_exit_2(tmp_path):
+    # masses over 2**60 leave no room in int64 for exact fold keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "name": "x", "seed": 0,
+        "checks": [{"kind": "uhc-decay", "k": 1, "N": 2, "L": 2,
+                    "gamma": "1/1152921504606846976"}],
+    }))
+    code, out, err = run_cli(["run", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: exact fold keys leave int64")
+
+
+@pytest.mark.parametrize("gamma", ["1/4", "1/3", "1/2"])
+def test_lyapunov_mix_with_atomic_part_exit_0(capsys, gamma):
+    # every selection plays 0 on the one-atom atomic block, which is not split
+    assert main(["lyapunov-mix", "--gamma", gamma]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["mix_error"] == 0.0 and check["verdict"] is True
+
+
 def test_conditional_set_beyond_int64_exit_0(tmp_path):
     # 16 blocks of 35 averages each: 35**16 functions, past len()'s range
     cfg = tmp_path / "cfg.json"

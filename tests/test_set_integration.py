@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import (
+    DEDUP_TOL,
     dyadic_convexify,
     enumerate_selections,
     grid_aumann_points,
     grid_conditional_blocks,
+    grid_dedup,
     outcome,
 )
 from corrint import set_integration
@@ -22,17 +25,22 @@ from corrint.correspondences import (
     block_choice_sets,
     build_counterexample,
 )
-from corrint.errors import CapacityError, ConfigError, DivisibilityError, PreconditionError
-from corrint.scenarios import read_check
+from corrint.errors import (
+    CapacityError,
+    ConfigError,
+    DivisibilityError,
+    PreconditionError,
+    StructureError,
+)
+from corrint.scenarios import read_check, render_report, run_scenario_dict, strip_csv
 from corrint.set_integration import (
-    DEDUP_TOL,
     PointCloudSet,
     aumann_integral_set,
     conditional_expectation,
     conditional_set,
     convexity_gap,
     dedup_points,
-    grid_keys,
+    float_keys,
     hausdorff_semidistance,
     integrate_selection,
     lyapunov_mix,
@@ -267,7 +275,9 @@ def test_conditional_set_trivial_reduces_to_integral_set():
 def _random_nested_instance(rng, d):
     """A space of 3-5 atoms with random rational masses, G with 2-3 blocks,
     T refining G, and two T-measurable correspondences of 1-2 values per
-    T-block (integer grids half the time, so distances tie)."""
+    T-block (integer grids half the time, so distances tie; otherwise
+    normal draws rounded to multiples of 2**-20, which the exact fold keys
+    fit)."""
     n = int(rng.integers(3, 6))
     weights = rng.integers(1, 8, size=n)
     space = DiscreteSpace.from_masses([Fraction(int(w), int(weights.sum())) for w in weights])
@@ -287,7 +297,7 @@ def _random_nested_instance(rng, d):
         for tb in t_alg.blocks:
             m = int(rng.integers(1, 3))
             vals = rng.integers(-2, 3, size=(m, d)).astype(float) if grid \
-                else rng.normal(size=(m, d))
+                else np.round(rng.normal(size=(m, d)) * 2.0 ** 20) / 2.0 ** 20
             for a in tb:
                 value_map[a] = list(vals)
         return Correspondence(space, value_map)
@@ -488,29 +498,29 @@ def test_convexified_cloud_approaches_hull_and_mix_attains():
     assert np.max(np.abs(mixed - target)) <= 1e-12
 
 
-def _grid_dedup(points):
-    """The rows ``dedup_points`` keeps of float rows keyed by ``grid_keys``:
-    the rows of their ``PointCloudSet``."""
-    pts = np.asarray(points, dtype=float)
-    return pts[dedup_points(grid_keys(pts))]
-
-
-def test_dedup_and_cloud_invariants():
-    pts = np.array([[0.0, 0.0], [0.0, 5e-13], [1.0, 0.0], [1.0, 0.0]])
-    dd = _grid_dedup(pts)
-    assert dd.shape[0] == 2
+def test_cloud_merges_equal_values_only():
+    # 0.0 and -0.0 are one value; rows 5e-13 apart are two points
+    pts = np.array([[0.0, 0.0], [-0.0, 5e-13], [0.0, 5e-13], [1.0, -0.0], [1.0, 0.0]])
     cloud = PointCloudSet(pts)
-    assert len(cloud) == 2
-    # canonical lexicographic order
-    assert cloud.points[0][0] <= cloud.points[1][0]
+    assert cloud.points.tobytes() == pts[[0, 1, 3]].tobytes()
+    assert np.array_equal(cloud.points, [[0.0, 0.0], [0.0, 5e-13], [1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(PreconditionError):
+            PointCloudSet(np.array([[0.0, 1.0], [bad, 0.0]]))
+    with pytest.raises(StructureError):
+        PointCloudSet(np.zeros(3))
 
 
-def test_dedup_merges_rows_a_smaller_row_separates():
-    # (1e-16, 0) is within tol of (0, 0) and shares its grid key, though
-    # (0, 1) lies between them in float lexicographic order
-    pts = np.array([[0.0, 0.0], [0.0, 1.0], [1e-16, 0.0]])
-    assert np.array_equal(_grid_dedup(pts), pts[:2])
-    assert len(PointCloudSet(pts)) == 2
+def test_float_keys_order_rows_as_their_values():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        pts = _fuzz_chain(rng, n, d) * rng.choice([1.0, 1e-300, 1e300])
+        pts[rng.random(size=pts.shape) < 0.1] *= -0.0
+        got = PointCloudSet(pts).points
+        want = sorted({tuple((row + 0.0).tolist()) for row in pts})
+        assert np.array_equal(got, np.array(want).reshape(-1, d))
+        assert np.array_equal(dedup_points(float_keys(got)), np.arange(got.shape[0]))
 
 
 def _fuzz_chain(rng, n, d):
@@ -525,14 +535,14 @@ def test_dedup_matches_grid_oracle():
     for _ in range(600):
         n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
         pts = _fuzz_chain(rng, n, d)
-        got = _grid_dedup(pts)
+        got = grid_dedup(pts)
         assert np.array_equal(got, _grid_oracle(pts))
-        assert np.array_equal(dedup_points(grid_keys(got)), np.arange(got.shape[0]))
+        assert np.array_equal(grid_dedup(got), got)
     for n in (7, 8, 9, 100, 1000, 1001):
         pts = np.zeros((n, 2))
         pts[:, 1] = np.arange(n) * (0.9 * DEDUP_TOL / n)
         pts[n // 2:, 0] += 2 * DEDUP_TOL * (n % 2)
-        assert np.array_equal(_grid_dedup(pts), _grid_oracle(pts))
+        assert np.array_equal(grid_dedup(pts), _grid_oracle(pts))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -543,17 +553,19 @@ def test_dedup_property_equals_grid_oracle(data, n, d):
     base = data.draw(arrays(float, d, elements=st.sampled_from([0.0, -1.0, 0.5, 1e3])))
     pts = base + np.cumsum(offsets, axis=0)
     pts = pts[data.draw(st.permutations(range(n)))]
-    assert np.array_equal(_grid_dedup(pts), _grid_oracle(pts))
+    assert np.array_equal(grid_dedup(pts), _grid_oracle(pts))
 
 
 def test_coarse_dedup_refuses_int64_overflow():
-    # 1e7 / 1e-12 = 1e19 leaves int64: the cast would wrap and the three
-    # distinct rows would come out as the single row 1e7
+    # 1e7 / 1e-12 = 1e19 leaves the grid's int64 range: the cast would wrap
+    # and the three distinct rows would come out as the single row 1e7
     pts = np.array([[1e7], [2e7], [3e7]])
-    for dedup in (_coarse_dedup, grid_keys, _grid_dedup, PointCloudSet):
+    for dedup in (_coarse_dedup, grid_dedup):
         with pytest.raises(PreconditionError):
             dedup(pts)
-    assert _grid_dedup(pts / 1e4).shape == (3, 1)
+    assert grid_dedup(pts / 1e4).shape == (3, 1)
+    # float keys have no range to leave
+    assert np.array_equal(PointCloudSet(pts).points, pts)
     # a fold of integer values merges on exact keys, which these fit
     space = DiscreteSpace.uniform(2)
     corr = Correspondence(space, {a: [np.array([2e7]), np.array([4e7])] for a in space.ids})
@@ -595,22 +607,24 @@ def test_metric_selection_weak_topology():
 # -- the fold on exact keys against the grid fold and Fraction sums --------------
 
 def _record_keys(monkeypatch):
-    """Widths of the keys the fold hands ``dedup_points``, and the number of
-    ``grid_keys`` calls, recorded while the test runs."""
-    seen = {"widths": [], "rows": [], "grid": 0}
-    dedup, grid = set_integration.dedup_points, set_integration.grid_keys
+    """Widths of the keys each fold step sorts, and the rows handed to
+    ``dedup_points``, recorded while the test runs."""
+    seen = {"widths": [], "rows": []}
+    fold_step, dedup = set_integration._fold_step, set_integration.dedup_points
+
+    def _fold_step(key_of, *args):
+        def keyed(r):
+            keys = key_of(r)
+            seen["widths"].append(keys.shape[1])
+            return keys
+        return fold_step(keyed, *args)
 
     def dedup_points(keys):
-        seen["widths"].append(keys.shape[1])
         seen["rows"].append(keys.shape[0])
         return dedup(keys)
 
-    def grid_keys(points):
-        seen["grid"] += 1
-        return grid(points)
-
+    monkeypatch.setattr(set_integration, "_fold_step", _fold_step)
     monkeypatch.setattr(set_integration, "dedup_points", dedup_points)
-    monkeypatch.setattr(set_integration, "grid_keys", grid_keys)
     return seen
 
 
@@ -684,7 +698,6 @@ def test_keyed_fold_equals_grid_fold_and_fraction_sums(inst, tight):
     with pytest.MonkeyPatch.context() as mp:
         seen = _record_keys(mp)
         _assert_fold_agrees(corr, t_alg, g_alg, cap)
-    assert seen["grid"] == 0
     assert set(seen["widths"]) <= {1}
 
 
@@ -714,14 +727,29 @@ def test_fold_keys_columns_where_packing_overflows(monkeypatch):
     singles = SigmaPartition.singletons(space)
     seen = _record_keys(monkeypatch)
     _assert_fold_agrees(corr, singles, SigmaPartition.trivial(space), 100)
-    assert 8 in seen["widths"] and seen["grid"] == 0
+    assert 8 in seen["widths"]
     assert len(aumann_integral_set(corr, singles)) == 9
 
 
-def test_fold_off_the_lattice_keys_the_grid(monkeypatch):
-    # a normal draw times 1e-6 needs a scale near 2**73 to be an integer,
-    # which puts a normal draw's key past int64: the fold keys the float
-    # sums on the grid
+def test_fold_off_the_lattice_is_refused():
+    # a coordinate holding normal draws near 1 and near 1e-6 needs a scale
+    # near 2**73 for the small ones, which puts the large ones' keys past
+    # int64: neither fold has keys for it
+    rng = np.random.default_rng(5)
+    space = DiscreteSpace.from_masses([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+    corr = Correspondence(space, {a: list(rng.normal(size=(2, 2)) * [[1.0], [1e-6]])
+                                  for a in space.ids})
+    singles = SigmaPartition.singletons(space)
+    with pytest.raises(PreconditionError, match="exact fold keys leave int64"):
+        aumann_integral_set(corr, singles)
+    with pytest.raises(PreconditionError, match="exact fold keys leave int64"):
+        conditional_set(corr, singles, SigmaPartition([{0, 1}, {2}]))
+
+
+def test_fold_keys_each_coordinate_on_its_own_scale(monkeypatch):
+    # normal draws near 1 in one coordinate and near 1e-6 in the other need
+    # scales near 2**53 and 2**73: one for both put the keys past int64,
+    # one per coordinate fits them, as two columns that do not pack
     rng = np.random.default_rng(5)
     space = DiscreteSpace.from_masses([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
     corr = Correspondence(space, {a: list(rng.normal(size=(2, 2)) * [1.0, 1e-6])
@@ -729,13 +757,20 @@ def test_fold_off_the_lattice_keys_the_grid(monkeypatch):
     singles = SigmaPartition.singletons(space)
     seen = _record_keys(monkeypatch)
     _assert_fold_agrees(corr, singles, SigmaPartition([{0, 1}, {2}]), 100)
-    assert seen["grid"] > 0 and set(seen["widths"]) == {2}
+    assert seen["widths"] and set(seen["widths"]) == {2}
+    # at N = 61 the same holds for the 62 coordinates of lyapunov-exactness,
+    # and the report keeps its bytes
+    check = {"kind": "lyapunov-exactness", "k": 1, "N": 61, "L": 6, "refinement": 2}
+    text = render_report(strip_csv(run_scenario_dict(
+        {"schema": 1, "name": "x", "seed": 0, "checks": [check]})))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a36d695a5b3483fa70be976294040d184721ce64c5da5bfbf7da5520ce718454")
 
 
 def test_fold_keys_near_int64_are_exact_or_refused():
     # two atoms of mass 1/2: values up to 2**60 sum to keys up to 2**61 and
     # fold exactly; at 2**62 the keys' sums would reach 2**63, so the fold
-    # keys the grid, whose range refuses them instead of wrapping
+    # refuses them instead of wrapping
     space = DiscreteSpace.uniform(2)
     singles = SigmaPartition.singletons(space)
     fits = Correspondence(space, {a: [np.zeros(1), np.array([2.0 ** 60])] for a in space.ids})

@@ -17,10 +17,10 @@ seed 2 the same way (regenerate with ``'exact'`` and ``2`` in place of the
 loop over workloads and ``1``), so that its random instances are checked on
 a second draw.
 
-The seed-0 ``clouds`` and ``exact`` configs are also run once with the
-fold's keys recorded: each of their folds must merge on packed exact keys,
-since a fall back to grid or column keys keeps every byte and only reads
-slower.
+The seed-0 ``clouds`` and ``exact`` configs and every bundled scenario are
+also run once with the width of each fold step's keys recorded: each of
+their folds must merge on one packed column of exact keys, since a fall
+back to key columns keeps every byte and only reads slower.
 """
 import hashlib
 import json
@@ -30,7 +30,13 @@ import pytest
 
 from _perfbench import ROOT, load
 from corrint import set_integration
-from corrint.scenarios import render_report, run_scenario_dict, strip_csv
+from corrint.scenarios import (
+    bundled_names,
+    load_bundled,
+    render_report,
+    run_scenario_dict,
+    strip_csv,
+)
 
 HERE = Path(__file__).parent
 PINNED = json.loads((HERE / "workload_sha256.json").read_text())
@@ -68,14 +74,19 @@ def test_exact_report_bytes_are_pinned_at_seed_2(monkeypatch, name):
 
 
 def test_every_workload_fold_merges_on_packed_exact_keys(monkeypatch):
-    configs = _configs(monkeypatch, ("clouds", "exact"), 0)
-    widths, grid = [], []
-    dedup, grid_keys = set_integration.dedup_points, set_integration.grid_keys
-    monkeypatch.setattr(set_integration, "dedup_points",
-                        lambda keys: widths.append(keys.shape[1]) or dedup(keys))
-    monkeypatch.setattr(set_integration, "grid_keys",
-                        lambda points: grid.append(len(points)) or grid_keys(points))
-    for config in configs.values():
+    configs = [*_configs(monkeypatch, ("clouds", "exact"), 0).values(),
+               *map(load_bundled, bundled_names())]
+    widths = []
+    fold_step = set_integration._fold_step
+
+    def recording_step(key_of, *args):
+        def keyed(r):
+            keys = key_of(r)
+            widths.append(keys.shape[1])
+            return keys
+        return fold_step(keyed, *args)
+
+    monkeypatch.setattr(set_integration, "_fold_step", recording_step)
+    for config in configs:
         run_scenario_dict(config)
     assert widths and set(widths) == {1}
-    assert grid == []
