@@ -108,11 +108,20 @@ def _row_dists(tcols, ccols, mode, weights):
 
 
 def _lex_sorted(rows):
-    """Whether the rows are in lexicographic order, in O(n d)."""
+    """Whether the rows are in lexicographic order, in O(n d).
+
+    Each adjacent pair is in order from coordinate m on when it is strictly
+    rising at m, or equal at m and in order from m + 1 on: one cascade of
+    elementwise comparisons from the last coordinate to the first.  -0.0
+    and 0.0 compare equal.
+    """
     a, b = rows[:-1], rows[1:]
-    first = (a != b).argmax(axis=1)  # first differing coordinate, 0 if none
-    i = np.arange(first.shape[0])
-    return bool((b[i, first] >= a[i, first]).all())
+    ok = a[:, -1] <= b[:, -1]
+    tmp = np.empty_like(ok)
+    for m in range(rows.shape[1] - 2, -1, -1):
+        ok &= np.equal(a[:, m], b[:, m], out=tmp)
+        ok |= np.less(a[:, m], b[:, m], out=tmp)
+    return bool(ok.all())
 
 
 def _lex_view(rows):
@@ -365,6 +374,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
                 regret = _payoffs(some[idx], phi, gamma, na, p2, dn, am, k)
                 np.subtract(regret.max(axis=2, keepdims=True), regret, out=regret)
                 table[idx] = np.maximum.reduceat(regret, starts, axis=1)
+                del regret
             new = miss[:limit - used]
             if new.shape[0]:
                 # in place: no view of either array outlives a statement
@@ -389,8 +399,12 @@ def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
         if low < best_res:
             hit = np.flatnonzero(worst <= max(low, bound))
             win = hit[np.argmin(order[hit])]
+            del hit
             best_res = float(worst[win])
             best_prof = (run * nact + int(order[win])) // radix % nact
             if best_res <= bound:
                 break
+        # the next chunk's aggregate is built without this chunk's arrays
+        del lead, theta, order, fresh, group, first, thetas, worst
+        del table, flat, base, pos, last, res
     return best_res, best_prof, min_aggdist

@@ -347,13 +347,3 @@ def build_counterexample(
         model=model, f_list=tuple(f_list), e_list=e_list,
         corr=corr, f_alg=model.cell_partition,
     )
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .correspondences import Correspondence, Selection, _compositions, block_choice_sets
+from .correspondences import Correspondence, Selection, block_choice_sets
 from .errors import (
     CapacityError,
     DivisibilityError,
@@ -237,6 +237,30 @@ def _fold_step(key_of, na: int, ns: int, cap: int) -> tuple[np.ndarray, np.ndarr
     return ia, kept - ia * ns
 
 
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every tuple of ``parts`` non-negative integers summing to ``total``,
+    one int64 row each, in lexicographic order.
+
+    A row is the gaps between its cut points 0 <= s_1 <= ... <= s_{parts-1}
+    <= total, and rows are in lexicographic order exactly when their cut
+    points are.  The cut sequences of length q that start at c are c
+    followed by each sequence of length q - 1 whose entries are all >= c:
+    a suffix of those, in their order.  So each length is one gather.
+    """
+    cuts = np.zeros((1, 0), dtype=np.int64)
+    for q in range(1, parts):
+        # sequences of length q - 1 over [c, total], for each start c
+        sizes = np.array([math.comb(total - c + q - 1, q - 1) for c in range(total + 1)])
+        skip = np.repeat(cuts.shape[0] - sizes - (np.cumsum(sizes) - sizes), sizes)
+        cuts = np.column_stack([np.repeat(np.arange(total + 1), sizes),
+                                cuts[np.arange(skip.shape[0]) + skip]])
+    out = np.empty((cuts.shape[0], parts), dtype=np.int64)
+    out[:, :-1] = cuts
+    out[:, -1] = total
+    out[:, 1:] -= cuts
+    return out
+
+
 def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
                     d: int) -> np.ndarray:
     """Exact Minkowski sum over blocks B of the weighted choices w_B * v.
@@ -277,7 +301,7 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
         rows = math.comb(run + m - 1, m - 1)
         step, step_keys = contribs[a:a + m], keys[a:a + m]
         if run > 1:
-            counts = np.array(list(_compositions(run, m)), dtype=np.int64)
+            counts = _compositions(run, m)
             step, step_keys = counts.astype(float) @ step, counts @ step_keys
         ia, js = _fold_step(_packed_key_maker(acc_keys, step_keys), acc.shape[0], rows, cap)
         acc = acc.take(ia, axis=0) + step.take(js, axis=0)
@@ -481,47 +505,105 @@ def lyapunov_mix(
     return Selection(corr, t_alg, choice_map)
 
 
-def _vdc(i: int, base: int) -> float:
-    v, f = 0.0, 1.0 / base
-    while i:
-        v += (i % base) * f
-        i //= base
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _vdc_table(first: int, count: int, width: int) -> np.ndarray:
+    """Van der Corput radical inverses, shape (count, width): entry [j, m] is
+    that of ``first + j`` in base ``_PRIMES[m % 16]``.
+
+    The whole table is one array pass, and each entry takes the scalar
+    loop's operations in its order: v += digit * f, then f /= base, from
+    f = 1 / base; a finished entry only adds +0.0 after.  Indices past int64
+    are kept as Python ints.
+    """
+    if first < 0:
+        raise PreconditionError(f"radical inverses need indices >= 0, got {first}")
+    small = first + count <= np.iinfo(np.int64).max
+    i = np.arange(first, first + count, dtype=np.int64 if small else object)[:, None]
+    base = np.array([_PRIMES[m % len(_PRIMES)] for m in range(width)], dtype=np.int64)
+    v = np.zeros((count, width))
+    f = 1.0 / base
+    while i.any():
+        v += (i % base).astype(float) * f
+        i = i // base
         f /= base
     return v
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+def _directions(d: int, seed: int, ndirs: int) -> np.ndarray:
+    """The support directions: +e_m and -e_m for each m, then up to ``ndirs``
+    unit low-discrepancy directions (those of norm above 1e-9 before
+    normalising)."""
+    axes = np.eye(d)
+    u = _vdc_table(seed + 1, ndirs, d) - 0.5
+    nu = np.sqrt(np.sum(u * u, axis=1))
+    keep = nu > 1e-9
+    return np.concatenate([np.stack([axes, -axes], axis=1).reshape(2 * d, d),
+                           u[keep] / nu[keep, None]])
 
 
 def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndarray:
     """Deterministic extreme points: support maximizers over a fixed
     low-discrepancy direction family (plus the coordinate directions).
 
-    Within a maximizing face the lexicographically largest point is kept,
-    which is itself an extreme point of the cloud's hull.
+    Of the rows whose score is within 1e-12 of the top, the lexicographically
+    largest is kept, which is itself an extreme point of the cloud's hull.
+    A score is summed coordinate by coordinate from the first, one product
+    per term.  The rows are taken in lexicographic order, so they fall into
+    groups that share their first d - 1 coordinates, and within a group the
+    score is monotone in the last one: a group's best row is its last when
+    u_last >= 0, else its first.  One (directions, groups) array of those
+    scores gives each direction's top and the last group that reaches it,
+    and the kept row is that group's last one at or above the threshold.
     """
     n, d = points.shape
-    dirs = []
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    for j in range(ndirs):
-        u = np.array([
-            _vdc(seed + j + 1, _PRIMES[m % len(_PRIMES)]) - 0.5 for m in range(d)
-        ])
-        nu = float(np.sqrt(np.sum(u * u)))
-        if nu > 1e-9:
-            dirs.append(u / nu)
-    chosen = np.empty((len(dirs), d))
-    for r, u in enumerate(dirs):
-        scores = points @ u
-        top = scores.max()
-        cand = points[np.flatnonzero(scores >= top - 1e-12)]
-        order = np.lexsort(cand.T[::-1])
-        chosen[r] = cand[order[-1]]
-    return chosen[dedup_points(float_keys(chosen))]
+    dirs = _directions(d, seed, ndirs)
+    if not _kernels._lex_sorted(points):
+        points = points[np.lexsort(points.T[::-1])]
+    fresh = np.zeros(n, dtype=bool)
+    fresh[0] = True
+    for m in range(d - 1):
+        col = points[:, m]
+        fresh[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(fresh)
+    del fresh
+    ends = np.append(starts[1:], n) - 1
+    heads, last = points[starts, :-1], points[:, -1]
+    up = dirs[:, -1] >= 0
+    chosen = np.empty(dirs.shape[0], dtype=np.intp)
+    per = max(1, _kernels._CHUNK_BYTES // (8 * starts.shape[0]))
+    for lo in range(0, dirs.shape[0], per):
+        u, at = dirs[lo:lo + per], slice(lo, lo + per)
+        # each group's score: the first d - 1 terms, then its best last term
+        part = np.zeros((u.shape[0], starts.shape[0]))
+        for m in range(d - 1):
+            part += u[:, m, None] * heads[:, m]
+        best = np.where(up[at, None], last[ends], last[starts]) * u[:, -1, None]
+        best += part
+        thr = best.max(axis=1) - 1e-12
+        g = starts.shape[0] - 1 - (best >= thr[:, None])[:, ::-1].argmax(axis=1)
+        chosen[at] = ends[g]
+        # a falling group's candidates are a prefix: find its last row
+        for r in np.flatnonzero(~up[at]):
+            span = slice(starts[g[r]], ends[g[r]] + 1)
+            score = last[span] * u[r, -1]
+            score += part[r, g[r]]
+            chosen[lo + r] = span.start + np.flatnonzero(score >= thr[r])[-1]
+    rows = points[chosen]
+    return rows[dedup_points(float_keys(rows))]
+
+
+def _probes(verts: np.ndarray, seed: int, samples: int) -> np.ndarray:
+    """The gap's probes: every pairwise midpoint of the vertices, then
+    ``samples`` low-discrepancy convex combinations of them, one row each."""
+    i, j = np.triu_indices(verts.shape[0], 1)
+    targets = [(verts[i] + verts[j]) / 2.0]
+    for raw in _vdc_table(seed + 1, samples, verts.shape[0]):
+        w = -np.log(np.maximum(raw, 1e-12))
+        w = w / w.sum()
+        targets.append(w @ verts)
+    return np.vstack(targets)
 
 
 def convexity_gap(
@@ -545,19 +627,9 @@ def convexity_gap(
     pts = cloud.points
     if len(cloud) == 1:
         return 0.0
-    verts = _support_vertices(pts, seed)
-    nv = verts.shape[0]
-    i, j = np.triu_indices(nv, 1)
-    targets = [(verts[i] + verts[j]) / 2.0]
-    for s in range(samples):
-        raw = np.array([
-            _vdc(seed + s + 1, _PRIMES[m % len(_PRIMES)]) for m in range(nv)
-        ])
-        w = -np.log(np.maximum(raw, 1e-12))
-        w = w / w.sum()
-        targets.append(w @ verts)
+    targets = _probes(_support_vertices(pts, seed), seed, samples)
     mode, weights = _mode_for(metric, pts.shape[1])
-    return _kernels.min_dists(np.vstack(targets), pts, mode, weights)
+    return _kernels.min_dists(targets, pts, mode, weights)
 
 
 def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> float:

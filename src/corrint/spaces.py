@@ -115,7 +115,9 @@ def _canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
 class SigmaPartition:
     """A sigma-algebra on a finite space, as the partition generating it.
 
-    Blocks are stored in canonical order (sorted by smallest member).
+    Blocks are stored in canonical order (sorted by smallest member).  The
+    union of the blocks is kept too, built once; equality and hashing read
+    ``blocks`` only.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -127,6 +129,7 @@ class SigmaPartition:
             if seen & b:
                 raise StructureError("partition blocks overlap")
             seen |= b
+        object.__setattr__(self, "_atom_set", frozenset(seen))
 
     @classmethod
     def trivial(cls, space: DiscreteSpace) -> "SigmaPartition":
@@ -138,7 +141,7 @@ class SigmaPartition:
 
     @property
     def atom_set(self) -> frozenset[int]:
-        return frozenset().union(*self.blocks)
+        return self._atom_set
 
     def block_index_of(self, atom: int) -> int:
         for i, b in enumerate(self.blocks):

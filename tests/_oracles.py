@@ -4,10 +4,13 @@ Two kinds live here.  The first are references the package no longer
 needs itself: point evaluation of the Walsh functions, the scalar payoffs
 h and G of the explicit game, the round-robin candidate profile, the
 per-atom best-response loop, the per-atom partition of a profile, the
-enumeration of measurable selections, the dyadic convexification and the
-Minkowski fold on the ``DEDUP_TOL`` grid.  Tests use them as the reference
-for cell signs, payoff tables, best responses and Aumann sets, or to build
-inputs.
+enumeration of measurable selections, the dyadic convexification, the
+Minkowski fold on the ``DEDUP_TOL`` grid, the recursive composition
+generator, the lexicographic order by tuple comparison, and the support
+vertices and gap probes taken one projection and one scalar radical
+inverse at a time.  Tests use them as the reference for cell signs, payoff
+tables, best responses, Aumann sets, fold steps, support vertices and
+probes, or to build inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
@@ -27,10 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from corrint.correspondences import Correspondence, Selection, _compositions
+from corrint.correspondences import Correspondence, Selection
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
+from corrint.set_integration import _PRIMES, dedup_points, float_keys
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
 # the cell width of the grid that ``grid_dedup`` keys float rows on
@@ -201,6 +205,78 @@ def enumerate_selections(corr, alg, cap: int):
         yield Selection(corr, alg, cmap)
 
 
+def compositions(total: int, parts: int):
+    """All tuples of ``parts`` non-negative integers summing to ``total``,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def lex_sorted(rows) -> bool:
+    """Whether each row is at most the next as a tuple of floats (-0.0 == 0.0)."""
+    rows = [tuple(r) for r in np.asarray(rows, dtype=float).tolist()]
+    return all(a <= b for a, b in zip(rows, rows[1:]))
+
+
+def vdc(i: int, base: int) -> float:
+    """The radical inverse of i in the base, digit by digit."""
+    v, f = 0.0, 1.0 / base
+    while i:
+        v += (i % base) * f
+        i //= base
+        f /= base
+    return v
+
+
+def support_directions(d: int, seed: int, ndirs: int = 64) -> list[np.ndarray]:
+    """+e_m and -e_m for each m, then each low-discrepancy direction of norm
+    above 1e-9, normalised, one at a time."""
+    dirs = []
+    for m in range(d):
+        e = np.zeros(d)
+        e[m] = 1.0
+        dirs.append(e)
+        dirs.append(-e)
+    for j in range(ndirs):
+        u = np.array([vdc(seed + j + 1, _PRIMES[m % len(_PRIMES)]) - 0.5 for m in range(d)])
+        nu = float(np.sqrt(np.sum(u * u)))
+        if nu > 1e-9:
+            dirs.append(u / nu)
+    return dirs
+
+
+def support_vertices(points, seed: int, ndirs: int = 64) -> np.ndarray:
+    """The projection form: per direction, the whole cloud's scores
+    ``points @ u``, the rows within 1e-12 of the top, and of those the
+    lexicographically largest; the distinct rows chosen, in key order."""
+    points = np.asarray(points, dtype=float)
+    dirs = support_directions(points.shape[1], seed, ndirs)
+    chosen = np.empty((len(dirs), points.shape[1]))
+    for r, u in enumerate(dirs):
+        scores = points @ u
+        cand = points[np.flatnonzero(scores >= scores.max() - 1e-12)]
+        chosen[r] = cand[np.lexsort(cand.T[::-1])[-1]]
+    return chosen[dedup_points(float_keys(chosen))]
+
+
+def gap_probes(verts, seed: int, samples: int) -> np.ndarray:
+    """The gap's probes, each convex combination drawn one scalar radical
+    inverse at a time."""
+    nv = verts.shape[0]
+    i, j = np.triu_indices(nv, 1)
+    targets = [(verts[i] + verts[j]) / 2.0]
+    for s in range(samples):
+        raw = np.array([vdc(seed + s + 1, _PRIMES[m % len(_PRIMES)]) for m in range(nv)])
+        w = -np.log(np.maximum(raw, 1e-12))
+        w = w / w.sum()
+        targets.append(w @ verts)
+    return np.vstack(targets)
+
+
 def dyadic_convexify(corr, resolution: int):
     """Replace each value set by its dyadic-weight mixtures at the resolution.
 
@@ -212,7 +288,7 @@ def dyadic_convexify(corr, resolution: int):
     vmap = {}
     for a, tup in zip(corr.space.ids, corr.values):
         pts = []
-        for counts in _compositions(resolution, len(tup)):
+        for counts in compositions(resolution, len(tup)):
             v = np.zeros(corr.dim)
             for c, vec in zip(counts, tup):
                 v += (c / resolution) * vec
@@ -266,7 +342,7 @@ def grid_fold(contribs, cap: int, d: int) -> np.ndarray:
             run -= 1
         step = contribs[i]
         if run > 1:
-            counts = np.array(list(_compositions(run, m)), dtype=float)
+            counts = np.array(list(compositions(run, m)), dtype=float)
             step = counts @ step
         acc = grid_dedup((acc[:, None, :] + step[None, :, :]).reshape(-1, d))
         if acc.shape[0] > cap:

@@ -417,9 +417,9 @@ def _bad(spec):
 
 def _check(kind, value, undeclared):
     # cap is always drawn small: a Minkowski fold may take up to 64 x cap
-    # sums in one step, each run of identical blocks enumerated as Python
-    # tuples of compositions first, so at the default cap a small-int cloud
-    # check can take minutes and gigabytes
+    # sums in one step, each run of identical blocks enumerated as an array
+    # of up to cap compositions first, so at the default cap a small-int
+    # cloud check can need gigabytes
     table = PARAMS[kind]
     required = {"cap": value(table["cap"])} if "cap" in table else {}
     optional = {key: value(spec) for key, spec in table.items() if key != "cap"}

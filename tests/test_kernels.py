@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _oracles import lex_sorted
 from corrint import _kernels
 from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
 from corrint.errors import PreconditionError
@@ -419,6 +420,28 @@ def test_min_dists_refuses_mismatched_shapes():
                            (np.zeros((2, 0)), np.zeros((4, 0)))):
         with pytest.raises(PreconditionError):
             _kernels.min_dists(targets, cloud, MODE_EUCLID, np.ones(3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), d=st.integers(1, 5), sort=st.booleans())
+def test_lex_sorted_equals_tuple_order(data, n, d, sort):
+    # few values, both zeros among them, so pairs often tie on leading
+    # coordinates; sorted input, and sorted input with -0.0 and 0.0 swapped
+    # for each other, must read sorted
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    rows = data.draw(arrays(float, (n, d), elements=values))
+    if sort:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        assert _kernels._lex_sorted(rows) and _kernels._lex_sorted(-(-rows + 0.0))
+    assert _kernels._lex_sorted(rows) == lex_sorted(rows)
+
+
+def test_lex_sorted_compares_each_pair_from_its_first_difference():
+    assert _kernels._lex_sorted(np.array([[0.0, 5.0, 9.0], [0.0, 5.0, 9.0], [1.0, 0.0, 0.0]]))
+    assert not _kernels._lex_sorted(np.array([[0.0, 5.0, 9.0], [0.0, 5.0, 8.0]]))
+    assert _kernels._lex_sorted(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0]]))
+    assert not _kernels._lex_sorted(np.array([[1.0, 0.0], [0.0, 9.0]]))
+    assert _kernels._lex_sorted(np.zeros((1, 3))) and _kernels._lex_sorted(np.zeros((0, 2)))
 
 
 _coordinates = st.one_of(

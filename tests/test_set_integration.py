@@ -11,12 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import (
     DEDUP_TOL,
+    compositions,
     dyadic_convexify,
     enumerate_selections,
+    gap_probes,
     grid_aumann_points,
     grid_conditional_blocks,
     grid_dedup,
     outcome,
+    support_directions,
+    support_vertices,
 )
 from corrint import set_integration
 from corrint.correspondences import (
@@ -435,6 +439,78 @@ def test_convexity_gap_monotone_under_refinement():
         gaps.append(convexity_gap(cloud, samples=64, seed=1))
     assert gaps[1] <= gaps[0] + 1e-15
     assert gaps[2] <= gaps[1] + 1e-15
+
+
+# -- support vertices and probes against their projection forms -------------
+
+# dyadic values tie exactly; sums of 0.1, 0.2 and 0.3 tie only up to rounding
+_support_values = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, -0.3]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4), seed=st.integers(0, 50),
+       ndirs=st.sampled_from([0, 3, 64]))
+def test_support_vertices_equal_projection_oracle(data, n, d, seed, ndirs):
+    # unsorted rows, repeated values and rows, both zeros, and boxes whose
+    # faces lie along the +-e_m directions, so that many rows tie
+    pts = data.draw(arrays(float, (n, d), elements=_support_values))
+    if data.draw(st.booleans()):
+        pts = np.floor(pts)  # a lattice box: whole faces on the axes
+    got = set_integration._support_vertices(pts, seed, ndirs)
+    want = support_vertices(pts, seed, ndirs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_support_vertices_pick_the_largest_row_of_a_face():
+    # each axis direction meets the square in a whole edge and keeps the
+    # edge's largest row, whatever the input order: +e_0 and +e_1 keep
+    # (1, 1), -e_0 keeps (0, 1) and -e_1 keeps (1, 0); (0, 0) is never kept
+    square = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 1.0]])
+    for pts in (square, square[::-1], square[np.lexsort(square.T[::-1])]):
+        got = set_integration._support_vertices(pts, 0, 0)
+        assert got.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        assert got.tobytes() == support_vertices(pts, 0, 0).tobytes()
+
+
+@pytest.mark.parametrize("gamma", ["0", "1/3"])
+def test_support_vertices_equal_projection_oracle_on_decay_clouds(gamma):
+    for m in range(1, 7):
+        b = build_counterexample(1, Fraction(gamma), 1, 4, refinement=1 << m)
+        pts = aumann_integral_set(b.corr, SigmaPartition.singletons(b.model.space)).points
+        for seed in ((0, 1, 2, 7) if m < 6 else (0,)):
+            got = set_integration._support_vertices(pts, seed)
+            assert got.tobytes() == support_vertices(pts, seed).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 48])
+def test_directions_and_probes_equal_scalar_radical_inverses(d):
+    rng = np.random.default_rng(d)
+    for seed in (0, 1, 1000, 2 ** 62, 2 ** 63 + 3):
+        want = np.array(support_directions(d, seed))
+        assert set_integration._directions(d, seed, 64).tobytes() == want.tobytes()
+        verts = rng.normal(size=(d + 2, 3))
+        for samples in (0, 1, 128):
+            got = set_integration._probes(verts, seed, samples)
+            assert got.tobytes() == gap_probes(verts, seed, samples).tobytes()
+
+
+def test_radical_inverses_refuse_negative_indices():
+    # the digit loop never ends on a negative index
+    with pytest.raises(PreconditionError):
+        set_integration._vdc_table(-1, 2, 2)
+
+
+def test_compositions_equal_the_recursive_generator():
+    for run in range(13):
+        for m in range(1, 7):
+            got = set_integration._compositions(run, m)
+            want = np.array(list(compositions(run, m)), dtype=np.int64).reshape(-1, m)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_hausdorff_examples():

@@ -71,6 +71,15 @@ def test_partition_canonical_order_and_overlap():
         SigmaPartition([{0, 1}, {1, 2}])
 
 
+def test_partition_atom_set_is_the_union_and_not_compared():
+    p = SigmaPartition([{2, 3}, {0, 1}, {5}])
+    assert p.atom_set == frozenset({0, 1, 2, 3, 5})
+    assert p.atom_set is p.atom_set  # built once, in the constructor
+    q = SigmaPartition([frozenset({5}), [0, 1], (3, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) and "_atom_set" not in repr(p)
+
+
 def test_is_refinement_examples(uniform4):
     singles = SigmaPartition.singletons(uniform4)
     trivial = SigmaPartition.trivial(uniform4)

@@ -15,7 +15,9 @@ and justify every regeneration in CHANGES.md.
 ``workload_sha256_seed2.json`` pins the ``exact`` workload's configs at
 seed 2 the same way (regenerate with ``'exact'`` and ``2`` in place of the
 loop over workloads and ``1``), so that its random instances are checked on
-a second draw.
+a second draw.  ``workload_sha256_clouds_seed2.json`` does the same for the
+``clouds`` workload, whose gap probes and support directions are drawn from
+the seed.
 
 The seed-0 ``clouds`` and ``exact`` configs and every bundled scenario are
 also run once with the width of each fold step's keys recorded: each of
@@ -41,6 +43,7 @@ from corrint.scenarios import (
 HERE = Path(__file__).parent
 PINNED = json.loads((HERE / "workload_sha256.json").read_text())
 PINNED_EXACT_SEED2 = json.loads((HERE / "workload_sha256_seed2.json").read_text())
+PINNED_CLOUDS_SEED2 = json.loads((HERE / "workload_sha256_clouds_seed2.json").read_text())
 SEED = 1
 WORKLOADS = load("workloads")
 
@@ -71,6 +74,17 @@ def test_exact_report_bytes_are_pinned_at_seed_2(monkeypatch, name):
     config = _configs(monkeypatch, ("exact",), 2)[name]
     text = render_report(strip_csv(run_scenario_dict(config)))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXACT_SEED2[name]
+
+
+def test_every_clouds_config_is_pinned_at_seed_2(monkeypatch):
+    assert sorted(_configs(monkeypatch, ("clouds",), 2)) == sorted(PINNED_CLOUDS_SEED2)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLOUDS_SEED2))
+def test_clouds_report_bytes_are_pinned_at_seed_2(monkeypatch, name):
+    config = _configs(monkeypatch, ("clouds",), 2)[name]
+    text = render_report(strip_csv(run_scenario_dict(config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLOUDS_SEED2[name]
 
 
 def test_every_workload_fold_merges_on_packed_exact_keys(monkeypatch):
