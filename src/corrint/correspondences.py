@@ -12,6 +12,7 @@ whose value at an interval atom is {0, f_1(cell), ..., f_k(cell)}.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,14 +108,15 @@ class Correspondence:
     slice of one stack, its rows distinct bit for bit (the first of equal
     rows is kept, so -0.0 and 0.0 are two values) and in lexicographic
     order, ties kept in input order.  Atoms given the same rows in the same
-    order share one slice.
+    order share one slice.  ``_start`` and ``_size`` locate each atom's
+    slice in ``_stack``.
     """
 
     space: DiscreteSpace
     values: tuple[np.ndarray, ...]  # aligned with space.ids
-    # per atom: the bytes of each row, and each row's value -> its index
-    _keys: tuple[tuple[bytes, ...], ...] = field(repr=False, compare=False)
-    _index: tuple[dict, ...] = field(repr=False, compare=False)
+    _stack: np.ndarray = field(repr=False, compare=False)
+    _start: np.ndarray = field(repr=False, compare=False)
+    _size: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space: DiscreteSpace, value_map):
         given = []
@@ -128,48 +130,89 @@ class Correspondence:
         raw = _stack_vectors([v for vs in given for v in vs], "correspondence values")
         if not np.isfinite(raw).all():
             raise StructureError("correspondence values must be finite")
-        keys, rows = _row_keys(raw), raw.tolist()
-        # atoms given the same rows share one canonical set: its keys, its
-        # lookup and its slice of the stack
-        canon: dict[tuple, int] = {}  # an atom's given keys -> its set's number
-        set_keys, lookups, bounds, order, which = [], [], [0], [], []
-        start = 0
-        for vs in given:
-            stop = start + len(vs)
-            given_keys = tuple(keys[start:stop])
-            n = canon.get(given_keys)
-            if n is None:
-                first: dict[bytes, int] = {}
-                for i in range(start, stop):
-                    first.setdefault(keys[i], i)
-                kept = sorted(first.values(), key=rows.__getitem__)
-                lookup: dict[tuple, int] = {}
-                for j, i in enumerate(kept):
-                    lookup.setdefault(tuple(rows[i]), j)
-                n = canon[given_keys] = len(set_keys)
-                set_keys.append(tuple([keys[i] for i in kept]))
-                lookups.append(lookup)
-                order += kept
-                bounds.append(len(order))
+        # atoms given the same rows in the same order share one set, keyed
+        # by their row count and bytes
+        counts = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
+        starts = np.cumsum(counts) - counts
+        blob, step = raw.tobytes(), raw.shape[1] * raw.itemsize
+        canon: dict[tuple, int] = {}
+        which, firsts = [], []  # each atom's set; each set's first atom
+        for i, (lo, c) in enumerate(zip(starts.tolist(), counts.tolist())):
+            n = canon.setdefault((c, blob[lo * step:(lo + c) * step]), len(firsts))
+            if n == len(firsts):
+                firsts.append(i)
             which.append(n)
-            start = stop
-        stack = raw[order]
+        which, firsts = np.array(which), np.array(firsts)
+        sizes = counts[firsts]
+        within = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = raw[np.repeat(starts[firsts], sizes) + within]
+        owner = np.repeat(np.arange(firsts.shape[0]), sizes)
+        # the first of each set's rows equal bit for bit, then value order
+        bits = rows.view(np.int64)
+        order = np.lexsort((*bits.T[::-1], owner))
+        fresh = np.ones(order.shape[0], dtype=bool)
+        fresh[1:] = owner[order[1:]] != owner[order[:-1]]
+        fresh[1:] |= (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+        kept = np.sort(order[fresh])
+        kept = kept[np.lexsort((*rows[kept].T[::-1], owner[kept]))]
+        stack = rows[kept]
         stack.setflags(write=False)
-        cuts = [stack[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        set_sizes = np.bincount(owner[kept], minlength=firsts.shape[0])
+        bounds = np.cumsum(set_sizes) - set_sizes
+        cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", tuple(cuts[n] for n in which))
-        object.__setattr__(self, "_keys", tuple(set_keys[n] for n in which))
-        object.__setattr__(self, "_index", tuple(lookups[n] for n in which))
+        object.__setattr__(self, "values", tuple(cuts[n] for n in which.tolist()))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_start", bounds[which])
+        object.__setattr__(self, "_size", set_sizes[which])
 
     @property
     def dim(self) -> int:
         return self.values[0].shape[1]
+
+    @functools.cached_property
+    def _keys(self) -> tuple[tuple[bytes, ...], ...]:
+        """Per atom, the bytes of each row of its value set (``_row_keys``)."""
+        keys = _row_keys(self._stack)
+        return tuple(tuple(keys[lo:lo + m])
+                     for lo, m in zip(self._start.tolist(), self._size.tolist()))
 
     def value_set(self, atom: int) -> np.ndarray:
         return self.values[self.space.position(atom)]
 
     def to_json(self) -> dict:
         return {str(a): vs.tolist() for a, vs in zip(self.space.ids, self.values)}
+
+
+def _value_index(corr: Correspondence, choice: np.ndarray) -> np.ndarray:
+    """Per atom, the first row of its value set equal in value to its
+    choice row (-0.0 equals 0.0, NaN nothing); raises for an atom with none.
+
+    One comparison of every (atom, value) pair of the correspondence.
+    """
+    sizes = corr._size
+    if choice.shape[1] != corr.dim:
+        raise StructureError(f"choice at atom {corr.space.ids[0]} is not a correspondence value")
+    lead = np.cumsum(sizes) - sizes
+    within = np.arange(int(sizes.sum())) - np.repeat(lead, sizes)
+    hit = (corr._stack[np.repeat(corr._start, sizes) + within]
+           == np.repeat(choice, sizes, axis=0)).all(axis=1)
+    index = np.minimum.reduceat(np.where(hit, within, sizes.max()), lead)
+    missing = np.flatnonzero(index >= sizes)
+    if missing.shape[0]:
+        a = corr.space.ids[int(missing[0])]
+        raise StructureError(f"choice at atom {a} is not a correspondence value")
+    return index
+
+
+def _first_split_block(rows: np.ndarray, alg: SigmaPartition) -> int | None:
+    """The first block of ``alg`` whose rows (aligned with its ascending
+    atoms) are not all equal bit for bit, or None."""
+    order, sizes = alg.layout
+    bits = rows.view(np.int64)
+    lead = order[np.cumsum(sizes) - sizes]
+    split = (bits != bits[lead[alg.labels]]).any(axis=1)
+    return int(alg.labels[split].min()) if split.any() else None
 
 
 @dataclass(frozen=True, init=False)
@@ -180,15 +223,14 @@ class Selection:
     constancy, so invalid selections cannot exist.  ``choice`` is a
     read-only (n, d) copy of the rows the caller gave, aligned with
     ``corr.space.ids``; each equals in value (``np.array_equal``: -0.0
-    equals 0.0, NaN nothing) the row ``index[i]`` of its atom's value set.
-    Block constancy is decided bit for bit.
+    equals 0.0, NaN nothing) the row ``index[i]`` of its atom's value set,
+    the first such row.  Block constancy is decided bit for bit.
     """
 
     corr: Correspondence
     alg: SigmaPartition
     choice: np.ndarray  # (n, d), aligned with corr.space.ids
     index: tuple[int, ...]
-    _key_of: dict[int, bytes] = field(repr=False, compare=False)  # atom -> choice bytes
 
     def __init__(self, corr: Correspondence, alg: SigmaPartition, choice_map):
         if alg.atom_set != corr.space.atom_set:
@@ -198,31 +240,23 @@ class Selection:
             if a not in choice_map:
                 raise StructureError(f"no choice at atom {a}")
         choice = _stack_vectors([choice_map[a] for a in ids], "choices")
-        index = []
-        for a, row, lookup in zip(ids, choice.tolist(), corr._index):
-            j = lookup.get(tuple(row))
-            if j is None:
-                raise StructureError(f"choice at atom {a} is not a correspondence value")
-            index.append(j)
+        index = _value_index(corr, choice)
+        split = _first_split_block(choice, alg)
+        if split is not None:
+            raise StructureError(f"choice not constant on block {sorted(alg.blocks[split])}")
         choice.setflags(write=False)
         object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "choice", choice)
-        object.__setattr__(self, "index", tuple(index))
-        object.__setattr__(self, "_key_of", dict(zip(ids, _row_keys(choice))))
-        for b in alg.blocks:
-            if not self._constant_on(b):
-                raise StructureError(f"choice not constant on block {sorted(b)}")
-
-    def _constant_on(self, block) -> bool:
-        key_of = self._key_of
-        return len(block) == 1 or len({key_of[a] for a in block}) == 1
+        object.__setattr__(self, "index", tuple(index.tolist()))
 
     def at(self, atom: int) -> np.ndarray:
         return self.choice[self.corr.space.position(atom)]
 
     def is_measurable_against(self, alg: SigmaPartition) -> bool:
-        return all(self._constant_on(b) for b in alg.blocks)
+        if alg.atom_set != self.corr.space.atom_set:
+            raise StructureError("algebra does not cover the selection's space")
+        return _first_split_block(self.choice, alg) is None
 
 
 def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndarray]:

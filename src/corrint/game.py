@@ -235,6 +235,7 @@ def _cell_mixes(game: LargeGame) -> tuple:
     ``mixes[c]`` is ``mixed_points(c)``, shape (k, d), for each of the
     model's cells c, and a last block of zeros serves the atomic atom;
     atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
+    Interval atom i lies in cell i // refinement.
     """
     pay = game.payoff
     b = pay.bundle
@@ -242,10 +243,9 @@ def _cell_mixes(game: LargeGame) -> tuple:
     mixes = np.zeros((model.ncells + 1, b.k, b.d))
     for c in range(model.ncells):
         mixes[c] = pay.mixed_points(c)
-    ids = model.space.ids
-    cells = (model.cell_of(a) for a in ids)
-    row = np.fromiter((model.ncells if c is None else c for c in cells),
-                      dtype=np.int64, count=len(ids))
+    row = np.arange(model.ncells * model.refinement, dtype=np.int64) // model.refinement
+    if model.atomic_atom is not None:
+        row = np.concatenate([[model.ncells], row])
     mixes.setflags(write=False)
     row.setflags(write=False)
     return mixes, row
@@ -262,6 +262,11 @@ def _ctables(game: LargeGame):
     ``_kernels._CHUNK_BYTES``, and then gathered per atom: memory is that of
     ``dn`` and ``p2``, once per cell and once per atom, plus one chunk.
     Every entry equals the per-row ``norm`` loop bit for bit.
+
+    ``phi`` is ``float(model.phi(t))`` in closed form: with gamma = g/h and
+    n interval atoms, interval atom i sits at (2ng + (h - g)(2i + 1)) / 2nh
+    and the atomic atom at g / 2h, each Python's correctly rounded int
+    quotient, as ``float`` of the ``Fraction`` is.
     """
     pay = game.payoff
     b = pay.bundle
@@ -269,8 +274,12 @@ def _ctables(game: LargeGame):
     nact = game.nact
     k = b.k
     gamma_f = float(b.gamma)
-    ids = model.space.ids
-    phi = np.fromiter((float(model.phi(a)) for a in ids), dtype=float, count=len(ids))
+    g, h = b.gamma.numerator, b.gamma.denominator
+    n = model.ncells * model.refinement
+    phi = [(2 * n * g + (h - g) * (2 * i + 1)) / (2 * n * h) for i in range(n)]
+    if model.atomic_atom is not None:
+        phi.insert(0, g / (2 * h))
+    phi = np.array(phi)
     na = row_norms(game.actions, pay.flavor)
     mixes, row = game.cell_mixes
     cell_dn = np.empty((mixes.shape[0], nact, k))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .correspondences import Selection, _row_keys, _stack_vectors
 from .errors import PreconditionError, StructureError
-from .spaces import SigmaPartition
+from .spaces import SigmaPartition, sequential_sums
 
 
 @dataclass(frozen=True, init=False)
@@ -93,13 +93,12 @@ class TransitionKernel:
         return self.supports[0].shape[1]
 
     def barycenters(self) -> list[np.ndarray]:
-        out = []
-        for sup, ws in zip(self.supports, self.weights):
-            acc = np.zeros(self.dim)
-            for v, w in zip(sup, ws):
-                acc += float(w) * v
-            out.append(acc)
-        return out
+        """Per block, the sum of float(weight) * point over its support in
+        order, from zeros (``sequential_sums``)."""
+        weights = np.array([float(w) for ws in self.weights for w in ws])
+        sizes = np.array([len(ws) for ws in self.weights], dtype=np.int64)
+        rows = np.concatenate(self.supports) * weights[:, None]
+        return list(sequential_sums(rows, sizes))
 
     def equals_exactly(self, other: "TransitionKernel") -> bool:
         if self.g_alg.blocks != other.g_alg.blocks:

@@ -124,7 +124,7 @@ PARAMS: dict[str, dict[str, Param]] = {
                               doc="refinement exponents, e.g. 1..6"),
         samples=Param("int", 128, 0), cap=Param("int", 2_000_000, 0),
         final_tol=Param("real", 1e-3), workspace=_WS),
-    "tower-barycenter": {"instances": Param("int", 200, 0), "tol": Param("real", 1e-12)},
+    "tower-barycenter": {"instances": Param("int", 200, 1), "tol": Param("real", 1e-12)},
     "uhc-decay": _series(2, 4, 3, cap=Param("int", 100_000, 0), final_tol=Param("real", 1e-6),
                          workspace=_WS),
     "game-equilibrium": _series(
@@ -405,52 +405,80 @@ def check_convexity_decay(params: dict, seed: int) -> dict:
     }
 
 
-def _random_merge(rng: np.random.Generator, parts: list, least: int) -> SigmaPartition:
-    """The parts merged into a random number (at least ``least``) of blocks."""
-    n = len(parts)
+# tower-barycenter runs the library once per disjoint union of this many
+# instances: a union of all of them would hold every instance's objects at once
+TOWER_BATCH = 50
+
+
+def _merge_labels(rng: np.random.Generator, n: int, least: int) -> np.ndarray:
+    """Labels merging n parts into a random number (at least ``least``) of
+    blocks, every label in 0..m-1 used."""
     m = int(rng.integers(least, n + 1))
     assign = rng.integers(0, m, n)
     assign[rng.permutation(n)[:m]] = np.arange(m)  # no empty blocks
-    blocks: dict[int, set] = {}
-    for part, idx in zip(parts, assign):
-        blocks.setdefault(int(idx), set()).update(part)
-    return SigmaPartition(list(blocks.values()))
+    return assign
 
 
-def _random_nested_instance(rng: np.random.Generator, d: int = 3):
-    """Random (space, t-selection, F-algebra, G-algebra) with G below F."""
-    natoms = int(rng.integers(4, 13))
-    space = DiscreteSpace.uniform(natoms)
-    ids = list(space.ids)
-    # group atoms into F blocks, then merge F blocks into G blocks
-    f_alg = _random_merge(rng, [{a} for a in ids], 2)
-    g_alg = _random_merge(rng, list(f_alg.blocks), 1)
-    values = rng.normal(size=(natoms, 3, d))
-    vmap = {a: [values[i, j] for j in range(3)] for i, a in enumerate(ids)}
-    corr = Correspondence(space, vmap)
-    choice = {a: values[i, int(rng.integers(0, 3))] for i, a in enumerate(ids)}
-    sel = Selection(corr, SigmaPartition.singletons(space), choice)
-    return space, sel, f_alg, g_alg
+def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
+    """``instances`` random nested instances as one disjoint union: (space,
+    selection, F-algebra, G-algebra), with G below F on every instance.
+
+    Instance i has n_i uniform atoms, each of mass 1/(instances * n_i) in
+    the union, so every conditional weight is the instance's own.  Its atoms
+    are grouped into F-blocks, its F-blocks (in canonical order) merged into
+    G-blocks, and each atom gets three normal values in R^d and picks one.
+    """
+    sizes, f_parts, g_parts, values, picks = [], [], [], [], []
+    for _ in range(instances):
+        n = int(rng.integers(4, 13))
+        f = _merge_labels(rng, n, 2)
+        sizes.append(n)
+        f_parts.append(f)
+        g_parts.append(_merge_labels(rng, int(f.max()) + 1, 1))
+        values.append(rng.normal(size=(n, 3, d)))
+        picks += [int(rng.integers(0, 3)) for _ in range(n)]
+    sizes = np.array(sizes)
+    nf = np.array([g.shape[0] for g in g_parts])
+    ng = np.array([int(g.max()) + 1 for g in g_parts])
+    # F-labels made distinct across the union; the partition's own labels
+    # rank each instance's F-blocks canonically, after those before it, as
+    # the instance's G-labels index them
+    f_alg = _partition(np.concatenate(f_parts) + np.repeat(np.cumsum(nf) - nf, sizes))
+    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(np.cumsum(ng) - ng, sizes)
+    masses = [Fraction(1, instances * n) for n in sizes.tolist()]
+    space = DiscreteSpace(tuple(range(int(sizes.sum()))),
+                          tuple(np.repeat(np.array(masses, dtype=object), sizes)))
+    vals = np.concatenate(values)
+    corr = Correspondence(space, dict(enumerate(vals)))
+    choice = vals[np.arange(vals.shape[0]), picks]
+    sel = Selection(corr, SigmaPartition.singletons(space), dict(enumerate(choice)))
+    return space, sel, f_alg, _partition(g)
+
+
+def _partition(labels: np.ndarray) -> SigmaPartition:
+    """The partition of atoms 0..n-1 into the blocks of their labels."""
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return SigmaPartition([order[lo:hi] for lo, hi in zip([0, *ends], ends)])
 
 
 def check_tower_barycenter(params: dict, seed: int) -> dict:
+    """Tower property E(E(f|F)|G) = E(f|G) and the barycenter of f's regular
+    conditional distribution given G, on random nested instances drawn in
+    batches of ``TOWER_BATCH``, each batch one disjoint union."""
     instances, tol = params["instances"], params["tol"]
     rng = np.random.default_rng(seed)
     worst_tower = 0.0
     worst_bary = 0.0
-    for _ in range(instances):
-        space, sel, f_alg, g_alg = _random_nested_instance(rng)
-        ef = conditional_expectation(sel, f_alg)
-        # push E(f|F) back to a selection-like map for the outer expectation
-        lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
-        eg_direct = conditional_expectation(sel, g_alg)
-        # tower: average the lifted F-expectation over G blocks
-        tower = block_averages(space, g_alg, [lifted[a] for a in space.ids])
-        for acc, direct in zip(tower, eg_direct):
-            worst_tower = max(worst_tower, float(np.max(np.abs(acc - direct))))
-        kern = rcd_of_selection(sel, g_alg)
-        for bc, direct in zip(kern.barycenters(), eg_direct):
-            worst_bary = max(worst_bary, float(np.max(np.abs(bc - direct))))
+    for lo in range(0, instances, TOWER_BATCH):
+        space, sel, f_alg, g_alg = _tower_union(rng, min(TOWER_BATCH, instances - lo))
+        ef = np.array(conditional_expectation(sel, f_alg))
+        eg = np.array(conditional_expectation(sel, g_alg))
+        # tower: average E(f|F), lifted back to the atoms, over the G-blocks
+        tower = np.array(block_averages(space, g_alg, ef[f_alg.labels]))
+        worst_tower = max(worst_tower, float(np.max(np.abs(tower - eg))))
+        bary = np.array(rcd_of_selection(sel, g_alg).barycenters())
+        worst_bary = max(worst_bary, float(np.max(np.abs(bary - eg))))
     return {
         "instances": instances,
         "worst_tower_error": worst_tower,

@@ -29,7 +29,13 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .spaces import SigmaPartition, block_averages, is_refinement
+from .spaces import (
+    SigmaPartition,
+    block_averages,
+    block_numerators,
+    coarse_labels,
+    is_refinement,
+)
 from .vectors import NORM_EUCLID, Workspace, norm_mode
 
 MEMBERSHIP_TOL = 1e-9
@@ -406,6 +412,26 @@ def conditional_set(
     return ConditionalSet(g_alg, tuple(block_sets))
 
 
+def _consecutive_fill(quotas: list[int], nums: list[int]) -> list[int] | None:
+    """The weight each sub-block plays when the sub-blocks, in order, fill
+    the quotas one after another exactly; None where they cannot."""
+    plays, gi, acc = [], 0, 0
+    for m in nums:
+        while gi < len(quotas) and quotas[gi] == 0:
+            gi += 1
+        if gi == len(quotas):
+            return None
+        plays.append(gi)
+        acc += m
+        if acc == quotas[gi]:
+            acc, gi = 0, gi + 1
+        elif acc > quotas[gi]:
+            return None
+    while gi < len(quotas) and quotas[gi] == 0:
+        gi += 1
+    return plays if gi == len(quotas) else None
+
+
 def lyapunov_mix(
     selections: list[Selection],
     weights,
@@ -440,7 +466,8 @@ def lyapunov_mix(
     for s in selections:
         if not s.is_measurable_against(f_alg):
             raise PreconditionError("selections must be f_alg-measurable")
-    if not is_refinement(t_alg, f_alg):
+    f_of_t = coarse_labels(t_alg, f_alg)  # each t-block's f-block
+    if f_of_t is None:
         raise PreconditionError("t_alg must refine f_alg")
 
     # degenerate mixture: a unit weight returns that selection itself
@@ -448,61 +475,37 @@ def lyapunov_mix(
         if w == 1:
             return s
 
-    choice_map: dict[int, np.ndarray] = {}
-    for fb in f_alg.blocks:
-        inner = [tb for tb in t_alg.blocks if tb <= fb]
-        inner.sort(key=min)
-        # masses in units of 1/space.den: exact ints
-        fnum = space.numerator(fb)
-        sub_nums = [space.numerator(tb) for tb in inner]
-        uniform = len(set(sub_nums)) == 1
-        rep = min(fb)
-        agreed = selections[0].at(rep)
-        if all(np.array_equal(s.at(rep), agreed) for s in selections[1:]):
-            for a in fb:
-                choice_map[a] = agreed
-        elif uniform and len(set(ws)) == 1:
-            n = len(ws)
+    # masses in units of 1/space.den and weights in units of 1/den: exact ints
+    sub_nums = block_numerators(space, t_alg).tolist()
+    den = math.lcm(*(w.denominator for w in ws))
+    units = [w.numerator * (den // w.denominator) for w in ws]
+    inner_of = np.split(np.argsort(f_of_t, kind="stable"),
+                        np.cumsum(np.bincount(f_of_t, minlength=len(f_alg.blocks)))[:-1])
+    f_order, f_sizes = f_alg.layout
+    reps = f_order[np.cumsum(f_sizes) - f_sizes]  # position of each f-block's least atom
+    plays = np.zeros(len(t_alg.blocks), dtype=np.intp)  # the selection each t-block plays
+    n = len(ws)
+    for fb, inner, rep in zip(f_alg.blocks, inner_of, reps.tolist()):
+        agreed = selections[0].choice[rep]
+        if all(np.array_equal(s.choice[rep], agreed) for s in selections[1:]):
+            continue
+        nums = [sub_nums[j] for j in inner.tolist()]
+        if len(set(nums)) == 1 and len(set(ws)) == 1:
             if len(inner) % n:
                 raise DivisibilityError(
                     f"block {sorted(fb)}: {len(inner)} sub-blocks not divisible by {n}"
                 )
-            for pos, tb in enumerate(inner):
-                v = selections[pos % n].at(rep)
-                for a in tb:
-                    choice_map[a] = v
-        else:
-            quotas = [w * fnum for w in ws]
-            gi = 0
-            acc = 0
-            for tb, tm in zip(inner, sub_nums):
-                while gi < len(ws) and quotas[gi] == 0:
-                    gi += 1
-                if gi >= len(ws):
-                    raise DivisibilityError(
-                        f"block {sorted(fb)} cannot realize weights "
-                        f"{[str(w) for w in ws]} with its sub-block masses"
-                    )
-                v = selections[gi].at(rep)
-                for a in tb:
-                    choice_map[a] = v
-                acc += tm
-                if acc == quotas[gi]:
-                    acc = 0
-                    gi += 1
-                elif acc > quotas[gi]:
-                    raise DivisibilityError(
-                        f"block {sorted(fb)} cannot realize weights "
-                        f"{[str(w) for w in ws]} with its sub-block masses"
-                    )
-            while gi < len(ws) and quotas[gi] == 0:
-                gi += 1
-            if gi != len(ws):
-                raise DivisibilityError(
-                    f"block {sorted(fb)} cannot realize weights "
-                    f"{[str(w) for w in ws]} with its sub-block masses"
-                )
-    return Selection(corr, t_alg, choice_map)
+            plays[inner] = np.arange(len(inner)) % n
+            continue
+        filled = _consecutive_fill([u * sum(nums) for u in units], [den * m for m in nums])
+        if filled is None:
+            raise DivisibilityError(
+                f"block {sorted(fb)} cannot realize weights "
+                f"{[str(w) for w in ws]} with its sub-block masses"
+            )
+        plays[inner] = filled
+    rows = np.stack([s.choice for s in selections])[plays[t_alg.labels], reps[f_alg.labels]]
+    return Selection(corr, t_alg, dict(zip(space.ids, rows)))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

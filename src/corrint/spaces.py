@@ -4,9 +4,11 @@ Sigma-algebras are partitions of the atom set (on a finite space every
 sigma-algebra is generated by one).  Masses are ``fractions.Fraction`` at
 the API; inside, a space keeps one integer numerator per atom over one
 common denominator, so a block's mass is an integer sum and independence
-checks are exact identities rather than toleranced comparisons.
-:func:`block_averages` is the one conditional average E(f|G) on a finite
-space: every block average in the package goes through it.
+checks are exact identities rather than toleranced comparisons.  A
+partition keeps one int64 block label per atom, so refinement and block
+sums are array passes.  :func:`block_averages` is the one conditional
+average E(f|G) on a finite space: every block average in the package goes
+through it.
 
 Atomless spaces enter through :class:`DyadicModel`: the interval piece
 (gamma, 1] is modeled by 2**level uniform cells, each optionally refined
@@ -17,6 +19,8 @@ subinterval midpoint (atoms of the atomic part sit at gamma/2).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,13 +49,16 @@ class DiscreteSpace:
 
     ``den`` and ``numerators`` are derived once: the least common
     denominator of the masses and, aligned with ``ids``, each mass times
-    ``den``, an int.
+    ``den``, an int.  ``_nums`` holds the numerators as an array: int64
+    while ``den < 2**53``, so every block sum and quotient of them is exact
+    in float64 too, and Python ints past that.
     """
 
     ids: tuple[int, ...]
     masses: tuple[Fraction, ...]
     den: int = field(init=False, repr=False, compare=False)
     numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _nums: np.ndarray = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,6 +75,9 @@ class DiscreteSpace:
             raise StructureError("atom masses must sum exactly to 1")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "numerators", nums)
+        array = np.array(nums, dtype=np.int64 if den < 2 ** 53 else object)
+        array.setflags(write=False)
+        object.__setattr__(self, "_nums", array)
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
 
     @classmethod
@@ -115,21 +125,29 @@ def _canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
 class SigmaPartition:
     """A sigma-algebra on a finite space, as the partition generating it.
 
-    Blocks are stored in canonical order (sorted by smallest member).  The
-    union of the blocks is kept too, built once; equality and hashing read
-    ``blocks`` only.
+    Blocks are stored in canonical order (sorted by smallest member).  Two
+    things are built once with them: the union of the blocks, and
+    ``labels``, a read-only int64 array holding each atom's block index,
+    atoms in ascending id order (aligned with the ``ids`` of a space on the
+    same atoms).  Equality and hashing read ``blocks`` only.
     """
 
     blocks: tuple[frozenset[int], ...]
 
     def __init__(self, blocks):
-        object.__setattr__(self, "blocks", _canonical_blocks(blocks))
-        seen: set[int] = set()
-        for b in self.blocks:
-            if seen & b:
-                raise StructureError("partition blocks overlap")
-            seen |= b
-        object.__setattr__(self, "_atom_set", frozenset(seen))
+        blocks = _canonical_blocks(blocks)
+        object.__setattr__(self, "blocks", blocks)
+        sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+        atoms = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
+                            count=int(sizes.sum()))
+        order = np.argsort(atoms, kind="stable")
+        ranked = atoms[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            raise StructureError("partition blocks overlap")
+        labels = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)[order]
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_atom_set", frozenset().union(*blocks))
 
     @classmethod
     def trivial(cls, space: DiscreteSpace) -> "SigmaPartition":
@@ -142,6 +160,14 @@ class SigmaPartition:
     @property
     def atom_set(self) -> frozenset[int]:
         return self._atom_set
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, sizes): atom positions grouped block by block, ascending
+        within each block, and each block's number of atoms."""
+        order = np.argsort(self.labels, kind="stable")
+        sizes = np.bincount(self.labels, minlength=len(self.blocks))
+        return order, sizes
 
     def block_index_of(self, atom: int) -> int:
         for i, b in enumerate(self.blocks):
@@ -161,34 +187,78 @@ def _check_universe(space: DiscreteSpace, *parts: SigmaPartition) -> None:
             )
 
 
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    return np.cumsum(sizes) - sizes
+
+
+def block_numerators(space: DiscreteSpace, alg: SigmaPartition) -> np.ndarray:
+    """Each block's mass times ``space.den``, blocks in canonical order: an
+    exact integer sum, int64 or Python ints as ``space._nums``."""
+    _check_universe(space, alg)
+    order, sizes = alg.layout
+    return np.add.reduceat(space._nums[order], _starts(sizes))
+
+
+def sequential_sums(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per block, its rows added one at a time from +0.0, in the given order.
+
+    ``rows`` holds the blocks' rows one block after another, ``sizes[j]``
+    of them for block j (each at least one).  The blocks of each size s
+    form one zero-led array of shape (blocks, s + 1, d), summed by one
+    ``cumsum`` along its rows and read at the last one.  Accumulation is
+    strictly sequential, so each sum equals the loop ``acc += row`` from
+    zeros bit for bit; a pairwise reduction (``np.sum``,
+    ``np.add.reduceat``) would reassociate and change the bits.  The
+    arrays hold one row per row of ``rows`` plus one per block.
+    """
+    d = rows.shape[1]
+    out = np.empty((sizes.shape[0], d))
+    starts = _starts(sizes)
+    by_size = np.argsort(sizes, kind="stable")
+    ranked = sizes[by_size]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), ranked.shape[0]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        s, group = int(ranked[lo]), by_size[lo:hi]
+        pad = np.zeros((hi - lo, s + 1, d))
+        pad[:, 1:] = rows[(starts[group, None] + np.arange(s)).ravel()].reshape(hi - lo, s, d)
+        np.cumsum(pad, axis=1, out=pad)
+        out[group] = pad[:, -1]
+    return out
+
+
 def block_averages(space: DiscreteSpace, alg: SigmaPartition, values) -> list[np.ndarray]:
     """E(f|alg): per block of ``alg`` in canonical order, the mass-weighted
     average of the rows of ``values``, which are aligned with ``space.ids``.
 
     Atom t of block B weighs n_t / N_B, its integer numerator over the
-    block's.  Python's int division is correctly rounded, so the weight is
+    block's, correctly rounded: a float64 quotient of exact int64 values
+    below 2**53, Python's int division past that, so the weight is
     ``float(mass(t) / mass(B))`` bit for bit.  A block's sum starts from
-    zeros and adds weight * row atom by atom in ascending id order; with
-    the trivial partition it is the integral of f.
+    zeros and adds weight * row atom by atom in ascending id order
+    (:func:`sequential_sums`); with the trivial partition it is the
+    integral of f.
     """
-    _check_universe(space, alg)
-    nums = space.numerators
-    out = []
-    for b in alg.blocks:
-        pos = sorted(space.position(a) for a in b)
-        total = sum(nums[i] for i in pos)
-        acc = np.zeros(len(values[pos[0]]))
-        for i in pos:
-            acc += (nums[i] / total) * values[i]
-        out.append(acc)
-    return out
+    totals = block_numerators(space, alg)
+    order, sizes = alg.layout
+    weights = (space._nums[order] / np.repeat(totals, sizes)).astype(float, copy=False)
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2:
+        raise StructureError(f"need one row per atom, got shape {rows.shape}")
+    return list(sequential_sums(weights[:, None] * rows[order], sizes))
+
+
+def coarse_labels(fine: SigmaPartition, coarse: SigmaPartition) -> np.ndarray | None:
+    """The coarse block of each fine block, or None unless fine refines coarse."""
+    if fine.atom_set != coarse.atom_set:
+        raise StructureError("partitions live on different atom universes")
+    lead = np.empty(len(fine.blocks), dtype=np.int64)
+    lead[fine.labels] = coarse.labels
+    return lead if (lead[fine.labels] == coarse.labels).all() else None
 
 
 def is_refinement(fine: SigmaPartition, coarse: SigmaPartition) -> bool:
     """True iff every fine block is contained in some coarse block."""
-    if fine.atom_set != coarse.atom_set:
-        raise StructureError("partitions live on different atom universes")
-    return all(any(fb <= cb for cb in coarse.blocks) for fb in fine.blocks)
+    return coarse_labels(fine, coarse) is not None
 
 
 def is_nowhere_equivalent(t_alg: SigmaPartition, f_alg: SigmaPartition) -> bool:
@@ -197,15 +267,10 @@ def is_nowhere_equivalent(t_alg: SigmaPartition, f_alg: SigmaPartition) -> bool:
     Discrete criterion: every coarse block (all carry positive mass) splits
     into at least two fine blocks.
     """
-    if not is_refinement(t_alg, f_alg):
+    lead = coarse_labels(t_alg, f_alg)
+    if lead is None:
         raise PreconditionError("t_alg must refine f_alg")
-    fine_count = {id(b): 0 for b in f_alg.blocks}
-    for fb in t_alg.blocks:
-        for cb in f_alg.blocks:
-            if fb <= cb:
-                fine_count[id(cb)] += 1
-                break
-    return all(c >= 2 for c in fine_count.values())
+    return bool((np.bincount(lead, minlength=len(f_alg.blocks)) >= 2).all())
 
 
 @dataclass(frozen=True)

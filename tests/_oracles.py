@@ -23,6 +23,16 @@ keys, and kernel entries merged by bytes keys with ``Fraction`` sums.
 Each raises ``StructureError`` where the constructor it mirrors did.
 Unlike the old code, they copy every vector before freezing it, so the
 caller's arrays stay writeable.
+
+The third kind is the per-atom code that labels and array passes
+replaced: the conditional average added atom by atom with int weights,
+refinement and nowhere equivalence by subset tests between blocks, the
+``Correspondence`` canonicalization through per-set dicts of row bytes,
+``Selection``'s index lookup through a dict of row tuples and its block
+constancy through a dict of row bytes, ``lyapunov_mix`` by subset filter
+and ``numerator`` per sub-block, the kernel barycenter added point by
+point, the game's per-atom ``phi`` and ``cell_of`` tables, and the
+tower-barycenter check as one small space per instance.
 """
 import itertools
 import math
@@ -32,9 +42,16 @@ import numpy as np
 
 from corrint.correspondences import Correspondence, Selection
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
-from corrint.errors import CapacityError, PreconditionError, StructureError
+from corrint.errors import (
+    CapacityError,
+    DivisibilityError,
+    PreconditionError,
+    StructureError,
+)
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
+from corrint.rcd import rcd_of_selection
 from corrint.set_integration import _PRIMES, dedup_points, float_keys
+from corrint.spaces import DiscreteSpace, SigmaPartition
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
 # the cell width of the grid that ``grid_dedup`` keys float rows on
@@ -496,3 +513,200 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:  # the class is compared by the caller
         return "raised", type(exc)
+
+
+# -- per-atom forms replaced by labels and array passes -----------------------
+
+
+def block_averages_loop(space, alg, values) -> list[np.ndarray]:
+    """E(f|alg) atom by atom: n_t / N_B * row added in ascending id order."""
+    nums = space.numerators
+    out = []
+    for b in alg.blocks:
+        pos = sorted(space.position(a) for a in b)
+        total = sum(nums[i] for i in pos)
+        acc = np.zeros(len(values[pos[0]]))
+        for i in pos:
+            acc += (nums[i] / total) * values[i]
+        out.append(acc)
+    return out
+
+
+def barycenters_loop(kernel) -> list[np.ndarray]:
+    out = []
+    for sup, ws in zip(kernel.supports, kernel.weights):
+        acc = np.zeros(kernel.dim)
+        for v, w in zip(sup, ws):
+            acc += float(w) * v
+        out.append(acc)
+    return out
+
+
+def is_refinement_loop(fine, coarse) -> bool:
+    if fine.atom_set != coarse.atom_set:
+        raise StructureError("partitions live on different atom universes")
+    return all(any(fb <= cb for cb in coarse.blocks) for fb in fine.blocks)
+
+
+def is_nowhere_equivalent_loop(t_alg, f_alg) -> bool:
+    if not is_refinement_loop(t_alg, f_alg):
+        raise PreconditionError("t_alg must refine f_alg")
+    fine_count = {id(b): 0 for b in f_alg.blocks}
+    for fb in t_alg.blocks:
+        for cb in f_alg.blocks:
+            if fb <= cb:
+                fine_count[id(cb)] += 1
+                break
+    return all(c >= 2 for c in fine_count.values())
+
+
+def correspondence_loop(space, value_map):
+    """(value sets, set number) per atom, as ``Correspondence`` builds them:
+    atoms given the same row bytes in the same order share a set; a set
+    keeps the first of its rows equal bit for bit, sorted by
+    ``tuple(row)``, ties in input order."""
+    canon: dict[tuple, int] = {}
+    sets, which = [], []
+    for a in space.ids:
+        if a not in value_map:
+            raise StructureError(f"no value set for atom {a}")
+        vs = [np.array(v, dtype=float) for v in value_map[a]]
+        if not vs:
+            raise StructureError(f"empty value set at atom {a}")
+        if not all(np.isfinite(v).all() for v in vs):
+            raise StructureError("correspondence values must be finite")
+        given = tuple(v.tobytes() for v in vs)
+        n = canon.get(given)
+        if n is None:
+            first: dict[bytes, np.ndarray] = {}
+            for v in vs:
+                first.setdefault(v.tobytes(), v)
+            n = canon[given] = len(sets)
+            sets.append(sorted(first.values(), key=lambda v: tuple(v.tolist())))
+        which.append(n)
+    return [sets[n] for n in which], which
+
+
+def selection_index_loop(space, value_sets, alg, choice_map) -> tuple[int, ...]:
+    """``Selection``'s index: per atom the first row of its set equal to the
+    choice as a tuple of floats; then block constancy by row bytes."""
+    index, key_of = [], {}
+    for a, vset in zip(space.ids, value_sets):
+        if a not in choice_map:
+            raise StructureError(f"no choice at atom {a}")
+        row = np.array(choice_map[a], dtype=float)
+        lookup: dict[tuple, int] = {}
+        for j, v in enumerate(vset):
+            lookup.setdefault(tuple(v.tolist()), j)
+        j = lookup.get(tuple(row.tolist()))
+        if j is None:
+            raise StructureError(f"choice at atom {a} is not a correspondence value")
+        index.append(j)
+        key_of[a] = row.tobytes()
+    for b in alg.blocks:
+        if len({key_of[a] for a in b}) > 1:
+            raise StructureError(f"choice not constant on block {sorted(b)}")
+    return tuple(index)
+
+
+def lyapunov_mix_loop(selections, weights, f_alg, t_alg) -> dict:
+    """``lyapunov_mix``'s choice per atom, found by subset filter and one
+    ``numerator`` per sub-block (its checks on the inputs left out)."""
+    ws = [Fraction(w) for w in weights]
+    for w, s in zip(ws, selections):
+        if w == 1:
+            return {a: s.at(a) for a in s.corr.space.ids}
+    space = selections[0].corr.space
+    choice_map = {}
+    for fb in f_alg.blocks:
+        inner = sorted((tb for tb in t_alg.blocks if tb <= fb), key=min)
+        fnum = space.numerator(fb)
+        sub_nums = [space.numerator(tb) for tb in inner]
+        rep = min(fb)
+        agreed = selections[0].at(rep)
+        if all(np.array_equal(s.at(rep), agreed) for s in selections[1:]):
+            plays = [0] * len(inner)
+        elif len(set(sub_nums)) == 1 and len(set(ws)) == 1:
+            if len(inner) % len(ws):
+                raise DivisibilityError(f"block {sorted(fb)}")
+            plays = [pos % len(ws) for pos in range(len(inner))]
+        else:
+            quotas = [w * fnum for w in ws]
+            plays, gi, acc = [], 0, 0
+            for tm in sub_nums:
+                while gi < len(ws) and quotas[gi] == 0:
+                    gi += 1
+                if gi >= len(ws):
+                    raise DivisibilityError(f"block {sorted(fb)}")
+                plays.append(gi)
+                acc += tm
+                if acc == quotas[gi]:
+                    acc, gi = 0, gi + 1
+                elif acc > quotas[gi]:
+                    raise DivisibilityError(f"block {sorted(fb)}")
+            while gi < len(ws) and quotas[gi] == 0:
+                gi += 1
+            if gi != len(ws):
+                raise DivisibilityError(f"block {sorted(fb)}")
+        for tb, j in zip(inner, plays):
+            for a in tb:
+                choice_map[a] = selections[j].at(rep)
+    return choice_map
+
+
+def phi_and_cells_loop(model) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's float ``phi`` and its cell, ``model.ncells`` for the
+    atomic atom, one ``Fraction`` call and one ``cell_of`` per atom."""
+    ids = model.space.ids
+    phi = np.array([float(model.phi(a)) for a in ids])
+    cells = [model.cell_of(a) for a in ids]
+    return phi, np.array([model.ncells if c is None else c for c in cells])
+
+
+def _random_merge(rng, parts: list, least: int):
+    n = len(parts)
+    m = int(rng.integers(least, n + 1))
+    assign = rng.integers(0, m, n)
+    assign[rng.permutation(n)[:m]] = np.arange(m)  # no empty blocks
+    blocks: dict[int, set] = {}
+    for part, idx in zip(parts, assign):
+        blocks.setdefault(int(idx), set()).update(part)
+    return SigmaPartition(list(blocks.values()))
+
+
+def _random_nested_instance(rng, d: int = 3):
+    natoms = int(rng.integers(4, 13))
+    space = DiscreteSpace.uniform(natoms)
+    ids = list(space.ids)
+    f_alg = _random_merge(rng, [{a} for a in ids], 2)
+    g_alg = _random_merge(rng, list(f_alg.blocks), 1)
+    values = rng.normal(size=(natoms, 3, d))
+    vmap = {a: [values[i, j] for j in range(3)] for i, a in enumerate(ids)}
+    corr = Correspondence(space, vmap)
+    choice = {a: values[i, int(rng.integers(0, 3))] for i, a in enumerate(ids)}
+    sel = Selection(corr, SigmaPartition.singletons(space), choice)
+    return space, sel, f_alg, g_alg
+
+
+def tower_barycenter_loop(instances: int, tol: float, seed: int) -> dict:
+    """The tower-barycenter check with one small space per instance."""
+    rng = np.random.default_rng(seed)
+    worst_tower = 0.0
+    worst_bary = 0.0
+    for _ in range(instances):
+        space, sel, f_alg, g_alg = _random_nested_instance(rng)
+        ef = block_averages_loop(space, f_alg, sel.choice)
+        lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
+        eg_direct = block_averages_loop(space, g_alg, sel.choice)
+        tower = block_averages_loop(space, g_alg, [lifted[a] for a in space.ids])
+        for acc, direct in zip(tower, eg_direct):
+            worst_tower = max(worst_tower, float(np.max(np.abs(acc - direct))))
+        kern = rcd_of_selection(sel, g_alg)
+        for bc, direct in zip(barycenters_loop(kern), eg_direct):
+            worst_bary = max(worst_bary, float(np.max(np.abs(bc - direct))))
+    return {
+        "instances": instances,
+        "worst_tower_error": worst_tower,
+        "worst_barycenter_error": worst_bary,
+        "verdict": worst_tower <= tol and worst_bary <= tol,
+    }

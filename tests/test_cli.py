@@ -80,6 +80,7 @@ def test_unknown_kind_exit_2(tmp_path):
     [{"kind": "necessity-gap", "k": "two"}],
     [{"kind": "convexity-decay", "samples": "x"}],
     [{"kind": "tower-barycenter", "instances": "a"}],
+    [{"kind": "tower-barycenter", "instances": 0}],  # would check nothing
     [{"kind": "game-nonexistence", "L": "3"}],
     [{"kind": "necessity-gap", "cap": "x"}],
     [{"kind": "convexity-decay", "levels": ["a"]}],

@@ -1,0 +1,90 @@
+"""tower-barycenter against its per-instance form, its memory, and negative
+controls for the verdicts of tower-barycenter and rcd-mixture.
+
+tower-barycenter runs its instances as disjoint unions of up to
+``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
+written, one small space per instance.  A negative control injects one
+fault through a monkeypatch and shows the verdict false and the exit code
+1, so a check whose condition stopped deciding anything would fail here.
+"""
+import json
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from _oracles import tower_barycenter_loop
+from corrint import scenarios
+from corrint.cli import main
+from corrint.rcd import TransitionKernel
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("instances", [1, 2, scenarios.TOWER_BATCH - 1, scenarios.TOWER_BATCH,
+                                       scenarios.TOWER_BATCH + 1, 2 * scenarios.TOWER_BATCH + 3])
+def test_tower_barycenter_equals_the_per_instance_loop(instances, seed):
+    params = {"instances": instances, "tol": 1e-12}
+    assert scenarios.check_tower_barycenter(params, seed) == \
+        tower_barycenter_loop(instances, 1e-12, seed)
+
+
+def test_tower_barycenter_memory_is_bounded_by_its_batch():
+    # one union of all 600 instances peaks near 11.6 MB; a batch of 50, 1.2 MB
+    params = {"instances": 600, "tol": 1e-12}
+    scenarios.check_tower_barycenter(params, 1)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        scenarios.check_tower_barycenter(params, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def _run(tmp_path, capsys, check) -> tuple[int, dict]:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "name": "x", "seed": 3, "checks": [check]}))
+    code = main(["run", str(cfg)])
+    return code, json.loads(capsys.readouterr().out)["checks"][0]
+
+
+def test_tower_condition_fails_on_a_wrong_lifted_weight(tmp_path, capsys, monkeypatch):
+    real = scenarios.block_averages
+
+    def wrong_weight(space, alg, values):
+        lifted = np.array(values)
+        lifted[0] *= 1 + 2 ** -20  # atom 0's lifted row weighs slightly more
+        return real(space, alg, lifted)
+
+    monkeypatch.setattr(scenarios, "block_averages", wrong_weight)
+    code, res = _run(tmp_path, capsys, {"kind": "tower-barycenter", "instances": 20})
+    assert code == 1 and res["verdict"] is False
+    assert res["worst_tower_error"] > 1e-12 >= res["worst_barycenter_error"]
+
+
+def test_barycenter_condition_fails_on_a_perturbed_barycenter(tmp_path, capsys, monkeypatch):
+    real = TransitionKernel.barycenters
+
+    def perturbed(self):
+        out = real(self)
+        out[0] = out[0] + 1e-9
+        return out
+
+    monkeypatch.setattr(TransitionKernel, "barycenters", perturbed)
+    code, res = _run(tmp_path, capsys, {"kind": "tower-barycenter", "instances": 20})
+    assert code == 1 and res["verdict"] is False
+    assert res["worst_barycenter_error"] > 1e-12 >= res["worst_tower_error"]
+
+
+def test_rcd_mixture_fails_on_one_flipped_weight(tmp_path, capsys, monkeypatch):
+    real = scenarios.kernel_mix
+
+    def flipped(k0, k1, alpha):
+        # the mixture at alpha = 1/4 weighs the kernels the other way round
+        return real(k0, k1, 1 - alpha if alpha == Fraction(1, 4) else alpha)
+
+    monkeypatch.setattr(scenarios, "kernel_mix", flipped)
+    code, res = _run(tmp_path, capsys, {"kind": "rcd-mixture", "resolution": 4})
+    assert code == 1 and res["verdict"] is False
+    assert [m["exact"] for m in res["mixtures"]] == [True, False, True, True, True]

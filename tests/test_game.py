@@ -8,7 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import balanced_profile, best_response_loop, partition_loop, payoff_G, payoff_h
+from _oracles import (
+    balanced_profile,
+    best_response_loop,
+    partition_loop,
+    payoff_G,
+    payoff_h,
+    phi_and_cells_loop,
+)
 from corrint import _kernels
 from corrint.correspondences import build_counterexample
 from corrint.errors import CapacityError, PreconditionError, StructureError
@@ -123,6 +130,18 @@ def _payoff_G_table(game, aggregate):
             else aggregate[game.f_alg.block_index_of(t)]
         rows.append([payoff_G(game, t, a, b) for a in game.actions])
     return np.array(rows)
+
+
+@pytest.mark.parametrize("gamma", ["0", "1/4", "1/3", "5/7", "123456789/1000000007",
+                                   "1/36028797018963968"])
+@pytest.mark.parametrize("L, refinement", [(0, 1), (1, 3), (2, 5), (3, 2)])
+def test_phi_and_cells_equal_the_per_atom_loop(gamma, L, refinement):
+    # closed forms in the atom index, against one Fraction phi and one
+    # cell_of per atom; the last gamma puts 2n * den past 2**53
+    game = build_counterexample_game(1, gamma, 0, L, refinement=refinement)
+    phi, cells = phi_and_cells_loop(game.payoff.bundle.model)
+    assert game.ctables[0].tobytes() == phi.tobytes()
+    assert np.array_equal(game.cell_mixes[1], cells)
 
 
 @pytest.mark.parametrize("flavor", NORM_FLAVORS)
