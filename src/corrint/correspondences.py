@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, StructureError
-from .spaces import DiscreteSpace, DyadicModel, SigmaPartition
+from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_starts
 from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
 
@@ -133,7 +133,7 @@ class Correspondence:
         # atoms given the same rows in the same order share one set, keyed
         # by their row count and bytes
         counts = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
-        starts = np.cumsum(counts) - counts
+        starts = block_starts(counts)
         blob, step = raw.tobytes(), raw.shape[1] * raw.itemsize
         canon: dict[tuple, int] = {}
         which, firsts = [], []  # each atom's set; each set's first atom
@@ -144,21 +144,29 @@ class Correspondence:
             which.append(n)
         which, firsts = np.array(which), np.array(firsts)
         sizes = counts[firsts]
-        within = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        within = np.arange(int(sizes.sum())) - np.repeat(block_starts(sizes), sizes)
         rows = raw[np.repeat(starts[firsts], sizes) + within]
         owner = np.repeat(np.arange(firsts.shape[0]), sizes)
-        # the first of each set's rows equal bit for bit, then value order
+        set_key = np.repeat(np.arange(float(firsts.shape[0])), sizes)
+        # finite rows are equal bit for bit iff each coordinate has the same
+        # value and sign, so a stable sort on those puts equal rows together
+        # and the first of each run is the first given; the rows kept then
+        # go in value order
+        cols = rows.T[::-1]
+        keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair]
+        order = np.lexsort((*keys, set_key))
         bits = rows.view(np.int64)
-        order = np.lexsort((*bits.T[::-1], owner))
         fresh = np.ones(order.shape[0], dtype=bool)
         fresh[1:] = owner[order[1:]] != owner[order[:-1]]
         fresh[1:] |= (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
-        kept = np.sort(order[fresh])
-        kept = kept[np.lexsort((*rows[kept].T[::-1], owner[kept]))]
+        first = np.zeros(order.shape[0], dtype=bool)
+        first[order[fresh]] = True
+        kept = np.flatnonzero(first)
+        kept = kept[np.lexsort((*rows[kept].T[::-1], set_key[kept]))]
         stack = rows[kept]
         stack.setflags(write=False)
         set_sizes = np.bincount(owner[kept], minlength=firsts.shape[0])
-        bounds = np.cumsum(set_sizes) - set_sizes
+        bounds = block_starts(set_sizes)
         cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", tuple(cuts[n] for n in which.tolist()))
@@ -193,7 +201,7 @@ def _value_index(corr: Correspondence, choice: np.ndarray) -> np.ndarray:
     sizes = corr._size
     if choice.shape[1] != corr.dim:
         raise StructureError(f"choice at atom {corr.space.ids[0]} is not a correspondence value")
-    lead = np.cumsum(sizes) - sizes
+    lead = block_starts(sizes)
     within = np.arange(int(sizes.sum())) - np.repeat(lead, sizes)
     hit = (corr._stack[np.repeat(corr._start, sizes) + within]
            == np.repeat(choice, sizes, axis=0)).all(axis=1)
@@ -210,7 +218,7 @@ def _first_split_block(rows: np.ndarray, alg: SigmaPartition) -> int | None:
     atoms) are not all equal bit for bit, or None."""
     order, sizes = alg.layout
     bits = rows.view(np.int64)
-    lead = order[np.cumsum(sizes) - sizes]
+    lead = order[block_starts(sizes)]
     split = (bits != bits[lead[alg.labels]]).any(axis=1)
     return int(alg.labels[split].min()) if split.any() else None
 

@@ -31,7 +31,14 @@ import numpy as np
 from . import _kernels
 from .correspondences import CounterexampleBundle, build_counterexample
 from .errors import CapacityError, PreconditionError, StructureError
-from .spaces import SigmaPartition, block_averages, is_refinement
+from .spaces import (
+    SigmaPartition,
+    block_averages,
+    block_numerators,
+    block_starts,
+    inner_blocks,
+    is_refinement,
+)
 from .vectors import NORM_EUCLID, norm, row_norms, zero_vector
 from .walsh import walsh_integer_spectrum
 
@@ -139,15 +146,6 @@ class LargeGame:
         if self.externality == EXTERNALITY_INTEGRAL:
             return SigmaPartition.trivial(self.space)
         return self.f_alg
-
-    @functools.cached_property
-    def aggregate_block(self) -> np.ndarray:
-        """Each atom's block of ``aggregate_alg``, by position; read-only."""
-        block = np.empty(len(self.space.ids), dtype=np.int64)
-        for bi, blk in enumerate(self.aggregate_alg.blocks):
-            block[[self.space.position(a) for a in blk]] = bi
-        block.setflags(write=False)
-        return block
 
 
 @dataclass(frozen=True)
@@ -316,7 +314,7 @@ def _payoffs_at_aggregate(game: LargeGame, aggregate) -> np.ndarray:
     pay = game.payoff
     gaps = np.reshape(aggregate, (len(game.aggregate_alg.blocks), -1)) - pay.bundle.e_mean()
     thetas = pay.beta * row_norms(gaps, pay.flavor)
-    return _kernels.payoff_table(thetas[game.aggregate_block], *game.ctables, pay.k)
+    return _kernels.payoff_table(thetas[game.aggregate_alg.labels], *game.ctables, pay.k)
 
 
 def residual_of(game: LargeGame, profile: StrategyProfile) -> tuple:
@@ -441,26 +439,28 @@ def _report_for(game, res, agg, iterations, trace, tol,
 
 def _scan_arguments(game: LargeGame, cap: float) -> list[tuple]:
     """(t-blocks, ``_kernels.exhaustive_scan`` arguments) per block A of
-    ``aggregate_alg``: its t-blocks B in ``t_alg`` order, each weighing
-    n_B / N_A as ``block_averages`` weighs an atom.  Raises ``CapacityError``
-    first past ``cap`` profiles: the sum over A of nact ** (t-blocks in A)."""
+    ``aggregate_alg``: the indices of its t-blocks B in ``t_alg`` order,
+    each weighing n_B / N_A as ``block_averages`` weighs an atom.  Raises
+    ``CapacityError`` first past ``cap`` profiles: the sum over A of
+    nact ** (t-blocks in A)."""
     space = game.space
-    groups = [[] for _ in game.aggregate_alg.blocks]
-    for blk in game.t_alg.blocks:
-        groups[game.aggregate_block[space.position(min(blk))]].append(blk)
+    groups = inner_blocks(game.t_alg, game.aggregate_alg)
     count = sum(game.nact ** len(group) for group in groups)
     if count > cap:
         raise CapacityError(count, cap)
     pay = game.payoff
     phi, gamma_f, na, p2, dn, am = game.ctables
+    t_nums = block_numerators(space, game.t_alg)
+    order, sizes = game.t_alg.layout
+    starts = block_starts(sizes)
     out = []
-    for blk_a, group in zip(game.aggregate_alg.blocks, groups):
-        total = space.numerator(blk_a)
-        lens = np.array([len(b) for b in group], dtype=np.int64)
-        perm = np.array([space.position(a) for b in group for a in sorted(b)])
+    for total, group in zip(block_numerators(space, game.aggregate_alg).tolist(), groups):
+        lens = sizes[group]
+        lead = block_starts(lens)
+        perm = order[np.repeat(starts[group] - lead, lens) + np.arange(int(lens.sum()))]
         out.append((group, (
-            game.nact, np.array([space.numerator(b) / total for b in group]),
-            np.cumsum(lens) - lens, lens, game.actions, pay.bundle.e_mean(), pay.beta,
+            game.nact, (t_nums[group] / total).astype(float, copy=False),
+            lead, lens, game.actions, pay.bundle.e_mean(), pay.beta,
             pay.flavor, phi[perm], gamma_f, na, p2[perm], dn[perm], am, pay.k)))
     return out
 
@@ -473,13 +473,12 @@ def _find_exhaustive(game: LargeGame, cap: int, tol: float):
     scans = _scan_arguments(game, cap)
     found = [_kernels.exhaustive_scan(*args) for _, args in scans]
     least = max(res for res, _, _ in found)
-    play = np.empty(len(game.space.ids), dtype=np.int64)
+    t_play = np.empty(len(game.t_alg.blocks), dtype=np.int64)
     for (group, args), (res, digits, _) in zip(scans, found):
         if res < least:
             digits = _kernels.exhaustive_scan(*args, bound=least)[1]
-        for blk, digit in zip(group, digits.tolist()):
-            play[[game.space.position(a) for a in blk]] = digit
-    profile = StrategyProfile(tuple(play.tolist()))
+        t_play[group] = digits
+    profile = StrategyProfile(tuple(t_play[game.t_alg.labels].tolist()))
     res, agg, _ = residual_of(game, profile)
     report = _report_for(game, res, agg, iterations=0, trace=[res], tol=tol,
                          min_aggdist=min(dist for _, _, dist in found))

@@ -48,7 +48,7 @@ from .set_integration import (
     integrate_selection,
     lyapunov_mix,
 )
-from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_averages
+from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_averages, block_starts
 from .vectors import (
     NORM_EUCLID,
     NORM_FLAVORS,
@@ -443,8 +443,8 @@ def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
     # F-labels made distinct across the union; the partition's own labels
     # rank each instance's F-blocks canonically, after those before it, as
     # the instance's G-labels index them
-    f_alg = _partition(np.concatenate(f_parts) + np.repeat(np.cumsum(nf) - nf, sizes))
-    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(np.cumsum(ng) - ng, sizes)
+    f_alg = _partition(np.concatenate(f_parts) + np.repeat(block_starts(nf), sizes))
+    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(block_starts(ng), sizes)
     masses = [Fraction(1, instances * n) for n in sizes.tolist()]
     space = DiscreteSpace(tuple(range(int(sizes.sum()))),
                           tuple(np.repeat(np.array(masses, dtype=object), sizes)))

@@ -33,8 +33,8 @@ from .spaces import (
     SigmaPartition,
     block_averages,
     block_numerators,
-    coarse_labels,
-    is_refinement,
+    block_starts,
+    inner_blocks,
 )
 from .vectors import NORM_EUCLID, Workspace, norm_mode
 
@@ -257,7 +257,7 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     for q in range(1, parts):
         # sequences of length q - 1 over [c, total], for each start c
         sizes = np.array([math.comb(total - c + q - 1, q - 1) for c in range(total + 1)])
-        skip = np.repeat(cuts.shape[0] - sizes - (np.cumsum(sizes) - sizes), sizes)
+        skip = np.repeat(cuts.shape[0] - sizes - block_starts(sizes), sizes)
         cuts = np.column_stack([np.repeat(np.arange(total + 1), sizes),
                                 cuts[np.arange(skip.shape[0]) + skip]])
     out = np.empty((cuts.shape[0], parts), dtype=np.int64)
@@ -389,26 +389,22 @@ def conditional_set(
     averages form an exact Minkowski sum over the inner t-blocks, folded
     within ``cap``; the set is the product of these block sets, of any size.
     """
-    if not is_refinement(t_alg, g_alg):
+    inner_of = inner_blocks(t_alg, g_alg)
+    if inner_of is None:
         raise PreconditionError("t_alg must refine g_alg")
-    space = corr.space
     sets = block_choice_sets(corr, t_alg)
-    inner_of = {id(gb): [] for gb in g_alg.blocks}
     for tb, cs in zip(t_alg.blocks, sets):
         if not len(cs):
             raise PreconditionError(
                 f"no admissible value on block {sorted(tb)}"
             )
-        for gb in g_alg.blocks:
-            if tb <= gb:
-                inner_of[id(gb)].append((tb, cs))
-                break
+    t_nums = block_numerators(corr.space, t_alg).tolist()
+    g_nums = block_numerators(corr.space, g_alg).tolist()
     block_sets = []
-    for gb in g_alg.blocks:
-        gnum = space.numerator(gb)
-        weights = [Fraction(space.numerator(tb), gnum) for tb, _ in inner_of[id(gb)]]
-        sets = [cs for _, cs in inner_of[id(gb)]]
-        block_sets.append(_minkowski_fold(sets, weights, cap, corr.dim))
+    for gnum, inner in zip(g_nums, inner_of):
+        inner = inner.tolist()
+        weights = [Fraction(t_nums[j], gnum) for j in inner]
+        block_sets.append(_minkowski_fold([sets[j] for j in inner], weights, cap, corr.dim))
     return ConditionalSet(g_alg, tuple(block_sets))
 
 
@@ -466,8 +462,8 @@ def lyapunov_mix(
     for s in selections:
         if not s.is_measurable_against(f_alg):
             raise PreconditionError("selections must be f_alg-measurable")
-    f_of_t = coarse_labels(t_alg, f_alg)  # each t-block's f-block
-    if f_of_t is None:
+    inner_of = inner_blocks(t_alg, f_alg)
+    if inner_of is None:
         raise PreconditionError("t_alg must refine f_alg")
 
     # degenerate mixture: a unit weight returns that selection itself
@@ -479,10 +475,8 @@ def lyapunov_mix(
     sub_nums = block_numerators(space, t_alg).tolist()
     den = math.lcm(*(w.denominator for w in ws))
     units = [w.numerator * (den // w.denominator) for w in ws]
-    inner_of = np.split(np.argsort(f_of_t, kind="stable"),
-                        np.cumsum(np.bincount(f_of_t, minlength=len(f_alg.blocks)))[:-1])
     f_order, f_sizes = f_alg.layout
-    reps = f_order[np.cumsum(f_sizes) - f_sizes]  # position of each f-block's least atom
+    reps = f_order[block_starts(f_sizes)]  # position of each f-block's least atom
     plays = np.zeros(len(t_alg.blocks), dtype=np.intp)  # the selection each t-block plays
     n = len(ws)
     for fb, inner, rep in zip(f_alg.blocks, inner_of, reps.tolist()):

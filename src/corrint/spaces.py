@@ -19,7 +19,6 @@ subinterval midpoint (atoms of the atomic part sit at gamma/2).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,17 +46,16 @@ class DiscreteSpace:
     constructor takes any unique ascending ids, and lookups go by id, not
     by position.
 
-    ``den`` and ``numerators`` are derived once: the least common
-    denominator of the masses and, aligned with ``ids``, each mass times
-    ``den``, an int.  ``_nums`` holds the numerators as an array: int64
-    while ``den < 2**53``, so every block sum and quotient of them is exact
-    in float64 too, and Python ints past that.
+    ``den`` and ``_nums`` are derived once: the least common denominator
+    of the masses and, aligned with ``ids``, each mass times ``den``, an
+    integer.  ``_nums`` is a read-only array: int64 while ``den < 2**53``,
+    so every block sum and quotient of them is exact in float64 too, and
+    Python ints past that.
     """
 
     ids: tuple[int, ...]
     masses: tuple[Fraction, ...]
     den: int = field(init=False, repr=False, compare=False)
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _nums: np.ndarray = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
@@ -74,7 +72,6 @@ class DiscreteSpace:
         if sum(nums) != den:
             raise StructureError("atom masses must sum exactly to 1")
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "numerators", nums)
         array = np.array(nums, dtype=np.int64 if den < 2 ** 53 else object)
         array.setflags(write=False)
         object.__setattr__(self, "_nums", array)
@@ -101,10 +98,14 @@ class DiscreteSpace:
     def mass_of(self, atom: int) -> Fraction:
         return self.masses[self.position(atom)]
 
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Each atom's mass times ``den``, aligned with ``ids``."""
+        return tuple(self._nums.tolist())
+
     def numerator(self, atoms) -> int:
         """Mass of the atom set times ``den``: a sum of ints."""
-        nums = self.numerators
-        return sum(nums[self.position(a)] for a in set(atoms))
+        return sum(self._nums.item(self.position(a)) for a in set(atoms))
 
     def mass(self, atoms) -> Fraction:
         return Fraction(self.numerator(atoms), self.den)
@@ -125,11 +126,13 @@ def _canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
 class SigmaPartition:
     """A sigma-algebra on a finite space, as the partition generating it.
 
-    Blocks are stored in canonical order (sorted by smallest member).  Two
-    things are built once with them: the union of the blocks, and
-    ``labels``, a read-only int64 array holding each atom's block index,
-    atoms in ascending id order (aligned with the ``ids`` of a space on the
-    same atoms).  Equality and hashing read ``blocks`` only.
+    Blocks are stored in canonical order (sorted by smallest member).  Three
+    things are built once with them: the union of the blocks; ``labels``, a
+    read-only int64 array holding each atom's block index, atoms in
+    ascending id order (aligned with the ``ids`` of a space on the same
+    atoms); and ``layout``, the pair (order, sizes) of the atom positions
+    grouped block by block, ascending within each block, and each block's
+    number of atoms.  Equality and hashing read ``blocks`` only.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -137,17 +140,27 @@ class SigmaPartition:
     def __init__(self, blocks):
         blocks = _canonical_blocks(blocks)
         object.__setattr__(self, "blocks", blocks)
+        atom_set = frozenset().union(*blocks)
         sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
-        atoms = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
-                            count=int(sizes.sum()))
-        order = np.argsort(atoms, kind="stable")
-        ranked = atoms[order]
-        if (ranked[1:] == ranked[:-1]).any():
+        if int(sizes.sum()) != len(atom_set):
             raise StructureError("partition blocks overlap")
-        labels = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)[order]
-        labels.setflags(write=False)
+        # sorted by Python: a numpy integer sort would page in code that
+        # nothing else on the game's path runs; a lone atom needs no sort
+        ascending = (b if len(b) == 1 else sorted(b) for b in blocks)
+        try:
+            ids = np.fromiter(sorted(atom_set), dtype=np.int64, count=len(atom_set))
+            members = np.fromiter(itertools.chain.from_iterable(ascending),
+                                  dtype=np.int64, count=len(atom_set))
+        except OverflowError:
+            raise StructureError("partition atom ids must fit in int64") from None
+        order = np.searchsorted(ids, members)  # each member's position
+        labels = np.empty_like(order)
+        labels[order] = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
+        for array in (labels, order, sizes):
+            array.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_atom_set", frozenset().union(*blocks))
+        object.__setattr__(self, "layout", (order, sizes))
+        object.__setattr__(self, "_atom_set", atom_set)
 
     @classmethod
     def trivial(cls, space: DiscreteSpace) -> "SigmaPartition":
@@ -160,14 +173,6 @@ class SigmaPartition:
     @property
     def atom_set(self) -> frozenset[int]:
         return self._atom_set
-
-    @functools.cached_property
-    def layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, sizes): atom positions grouped block by block, ascending
-        within each block, and each block's number of atoms."""
-        order = np.argsort(self.labels, kind="stable")
-        sizes = np.bincount(self.labels, minlength=len(self.blocks))
-        return order, sizes
 
     def block_index_of(self, atom: int) -> int:
         for i, b in enumerate(self.blocks):
@@ -187,7 +192,8 @@ def _check_universe(space: DiscreteSpace, *parts: SigmaPartition) -> None:
             )
 
 
-def _starts(sizes: np.ndarray) -> np.ndarray:
+def block_starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each block begins when blocks of these sizes lie end to end."""
     return np.cumsum(sizes) - sizes
 
 
@@ -196,7 +202,7 @@ def block_numerators(space: DiscreteSpace, alg: SigmaPartition) -> np.ndarray:
     exact integer sum, int64 or Python ints as ``space._nums``."""
     _check_universe(space, alg)
     order, sizes = alg.layout
-    return np.add.reduceat(space._nums[order], _starts(sizes))
+    return np.add.reduceat(space._nums[order], block_starts(sizes))
 
 
 def sequential_sums(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -213,14 +219,12 @@ def sequential_sums(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     d = rows.shape[1]
     out = np.empty((sizes.shape[0], d))
-    starts = _starts(sizes)
-    by_size = np.argsort(sizes, kind="stable")
-    ranked = sizes[by_size]
-    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), ranked.shape[0]]
-    for lo, hi in zip(cuts, cuts[1:]):
-        s, group = int(ranked[lo]), by_size[lo:hi]
-        pad = np.zeros((hi - lo, s + 1, d))
-        pad[:, 1:] = rows[(starts[group, None] + np.arange(s)).ravel()].reshape(hi - lo, s, d)
+    starts = block_starts(sizes)
+    # one scan of sizes per distinct size: n rows have fewer than sqrt(2n)
+    for s in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == s)
+        pad = np.zeros((group.shape[0], s + 1, d))
+        pad[:, 1:] = rows[(starts[group, None] + np.arange(s)).ravel()].reshape(-1, s, d)
         np.cumsum(pad, axis=1, out=pad)
         out[group] = pad[:, -1]
     return out
@@ -238,12 +242,14 @@ def block_averages(space: DiscreteSpace, alg: SigmaPartition, values) -> list[np
     (:func:`sequential_sums`); with the trivial partition it is the
     integral of f.
     """
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] != len(space.ids):
+        raise StructureError(
+            f"need one row per atom of {len(space.ids)}, got shape {rows.shape}"
+        )
     totals = block_numerators(space, alg)
     order, sizes = alg.layout
     weights = (space._nums[order] / np.repeat(totals, sizes)).astype(float, copy=False)
-    rows = np.asarray(values, dtype=float)
-    if rows.ndim != 2:
-        raise StructureError(f"need one row per atom, got shape {rows.shape}")
     return list(sequential_sums(weights[:, None] * rows[order], sizes))
 
 
@@ -254,6 +260,25 @@ def coarse_labels(fine: SigmaPartition, coarse: SigmaPartition) -> np.ndarray | 
     lead = np.empty(len(fine.blocks), dtype=np.int64)
     lead[fine.labels] = coarse.labels
     return lead if (lead[fine.labels] == coarse.labels).all() else None
+
+
+def inner_blocks(fine: SigmaPartition, coarse: SigmaPartition) -> list[np.ndarray] | None:
+    """Per coarse block, the indices of the fine blocks inside it in
+    canonical order, or None unless fine refines coarse.
+
+    Each coarse block's atoms, ascending, meet its fine blocks' least atoms
+    in canonical fine order, so one pass over the coarse layout lists them.
+    """
+    lead = coarse_labels(fine, coarse)
+    if lead is None:
+        return None
+    f_order, f_sizes = fine.layout
+    least = np.zeros(fine.labels.shape[0], dtype=bool)
+    least[f_order[block_starts(f_sizes)]] = True
+    c_order = coarse.layout[0]
+    firsts = c_order[least[c_order]]
+    counts = np.bincount(lead, minlength=len(coarse.blocks))
+    return np.split(fine.labels[firsts], block_starts(counts)[1:])
 
 
 def is_refinement(fine: SigmaPartition, coarse: SigmaPartition) -> bool:

@@ -29,8 +29,10 @@ replaced: the conditional average added atom by atom with int weights,
 refinement and nowhere equivalence by subset tests between blocks, the
 ``Correspondence`` canonicalization through per-set dicts of row bytes,
 ``Selection``'s index lookup through a dict of row tuples and its block
-constancy through a dict of row bytes, ``lyapunov_mix`` by subset filter
-and ``numerator`` per sub-block, the kernel barycenter added point by
+constancy through a dict of row bytes, ``lyapunov_mix`` and
+``conditional_set`` by subset filter and a mass sum per sub-block, the
+exhaustive scan's arguments gathered block by block and atom by atom, the
+kernel barycenter added point by
 point, the game's per-atom ``phi`` and ``cell_of`` tables, and the
 tower-barycenter check as one small space per instance.
 """
@@ -50,7 +52,7 @@ from corrint.errors import (
 )
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
 from corrint.rcd import rcd_of_selection
-from corrint.set_integration import _PRIMES, dedup_points, float_keys
+from corrint.set_integration import _PRIMES, _minkowski_fold, dedup_points, float_keys
 from corrint.spaces import DiscreteSpace, SigmaPartition
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
@@ -652,6 +654,44 @@ def lyapunov_mix_loop(selections, weights, f_alg, t_alg) -> dict:
             for a in tb:
                 choice_map[a] = selections[j].at(rep)
     return choice_map
+
+
+def conditional_set_loop(corr, t_alg, g_alg, cap: int) -> list[np.ndarray]:
+    """``conditional_set``'s block sets, its inner t-blocks found by subset
+    filter and weighed by ``Fraction`` mass sums (its checks left out)."""
+    space = corr.space
+    sets = package_block_choice_sets(corr, t_alg)
+    out = []
+    for gb in g_alg.blocks:
+        inner = [(tb, cs) for tb, cs in zip(t_alg.blocks, sets) if tb <= gb]
+        gmass = sum(space.mass_of(a) for a in gb)
+        weights = [sum(space.mass_of(a) for a in tb) / gmass for tb, _ in inner]
+        out.append(_minkowski_fold([cs for _, cs in inner], weights, cap, corr.dim))
+    return out
+
+
+def scan_arguments_loop(game) -> list[tuple]:
+    """``game._scan_arguments`` (its cap check left out): t-blocks grouped
+    by the aggregate block of their least atom, weights as ``Fraction``
+    mass quotients, atoms gathered by ``position`` one at a time."""
+    space = game.space
+    groups = [[] for _ in game.aggregate_alg.blocks]
+    for j, blk in enumerate(game.t_alg.blocks):
+        a = next(i for i, ab in enumerate(game.aggregate_alg.blocks) if min(blk) in ab)
+        groups[a].append(j)
+    phi, gamma_f, na, p2, dn, am = game.ctables
+    pay = game.payoff
+    out = []
+    for blk_a, group in zip(game.aggregate_alg.blocks, groups):
+        total = sum(space.mass_of(a) for a in blk_a)
+        blks = [game.t_alg.blocks[j] for j in group]
+        lens = np.array([len(b) for b in blks], dtype=np.int64)
+        perm = np.array([space.position(a) for b in blks for a in sorted(b)])
+        out.append((np.array(group), (
+            game.nact, np.array([float(sum(space.mass_of(a) for a in b) / total) for b in blks]),
+            np.cumsum(lens) - lens, lens, game.actions, pay.bundle.e_mean(), pay.beta,
+            pay.flavor, phi[perm], gamma_f, na, p2[perm], dn[perm], am, pay.k)))
+    return out
 
 
 def phi_and_cells_loop(model) -> tuple[np.ndarray, np.ndarray]:

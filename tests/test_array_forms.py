@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from _oracles import (
     barycenters_loop,
     block_averages_loop,
+    conditional_set_loop,
     correspondence_loop,
     is_nowhere_equivalent_loop,
     is_refinement_loop,
@@ -27,11 +28,12 @@ from _oracles import (
 from corrint.correspondences import Correspondence, Selection
 from corrint.errors import DivisibilityError
 from corrint.rcd import rcd_of_selection
-from corrint.set_integration import lyapunov_mix
+from corrint.set_integration import conditional_set, lyapunov_mix
 from corrint.spaces import (
     DiscreteSpace,
     SigmaPartition,
     block_averages,
+    inner_blocks,
     is_nowhere_equivalent,
     is_refinement,
 )
@@ -110,16 +112,24 @@ def test_labels_follow_ascending_atoms():
     p = SigmaPartition([{40, 7}, {3}, {12, 90, 5}])
     assert [sorted(b) for b in p.blocks] == [[3], [5, 12, 90], [7, 40]]
     assert p.labels.tolist() == [0, 1, 2, 1, 2, 1]  # atoms 3, 5, 7, 12, 40, 90
-    assert not p.labels.flags.writeable
+    order, sizes = p.layout
+    assert order.tolist() == [0, 1, 3, 5, 2, 4] and sizes.tolist() == [1, 3, 2]
+    assert not any(a.flags.writeable for a in (p.labels, order, sizes))
 
 
 @SETTINGS
 @given(data=st.data())
-def test_refinement_and_nowhere_equivalence_equal_the_subset_loops(data):
+def test_refinement_inner_blocks_and_nowhere_equivalence_equal_the_subset_loops(data):
     space = data.draw(spaces(min_size=2))
     fine = data.draw(partitions(space))
     for coarse in (coarsening(data.draw, fine), data.draw(partitions(space))):
         assert is_refinement(fine, coarse) is is_refinement_loop(fine, coarse)
+        inner = inner_blocks(fine, coarse)
+        if is_refinement_loop(fine, coarse):
+            assert [g.tolist() for g in inner] == [
+                [j for j, fb in enumerate(fine.blocks) if fb <= cb] for cb in coarse.blocks]
+        else:
+            assert inner is None
         assert outcome(is_nowhere_equivalent, fine, coarse) == \
             outcome(is_nowhere_equivalent_loop, fine, coarse)
 
@@ -186,6 +196,27 @@ def test_lyapunov_mix_equals_the_subset_loop(data):
         [lyapunov_mix_loop(sels, weights, f_alg, t_alg)[a] for a in space.ids]).tobytes())
     assert got == want
     assert got[0] == "ok" or got[1] is DivisibilityError
+
+
+@SETTINGS
+@given(data=st.data())
+def test_conditional_set_equals_the_subset_loop(data):
+    space = data.draw(spaces(min_size=2, max_size=8))
+    t_alg = data.draw(partitions(space))
+    g_alg = coarsening(data.draw, t_alg)
+    d = data.draw(st.integers(1, 2))
+    pool = st.sampled_from([v for v in POOL if abs(v) < 1e3])
+
+    def draw_rows(n):
+        return list(np.array(data.draw(st.lists(pool, min_size=n * d, max_size=n * d))
+                             ).reshape(n, d))
+
+    shared = draw_rows(data.draw(st.integers(1, 2)))  # every block admits these
+    corr = Correspondence(space, {a: shared + draw_rows(data.draw(st.integers(0, 1)))
+                                  for a in space.ids})
+    got = outcome(lambda: _bits(conditional_set(corr, t_alg, g_alg).block_sets))
+    want = outcome(lambda: _bits(conditional_set_loop(corr, t_alg, g_alg, 2_000_000)))
+    assert got == want
 
 
 @SETTINGS

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import lex_sorted
+from _oracles import lex_sorted, scan_arguments_loop
 from corrint import _kernels
 from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
 from corrint.errors import PreconditionError
@@ -630,6 +630,28 @@ def test_exhaustive_scan_matches_loop_oracle(case):
     assert res0 == res1
     assert np.array_equal(prof0, prof1)
     assert dist0 == dist1
+
+
+def _conditional(g):
+    return LargeGame(f_alg=g.f_alg, t_alg=g.t_alg, actions=g.actions,
+                     payoff=g.payoff, externality="conditional")
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+@pytest.mark.parametrize("conditional", [False, True])
+def test_scan_arguments_equal_the_per_block_loop(case, conditional):
+    # under the conditional externality each F-block is one scan
+    g = SCAN_CASES[case]()
+    g = _conditional(g) if conditional else g
+    got, want = _scan_arguments(g, math.inf), scan_arguments_loop(g)
+    assert len(got) == len(want) == len(g.aggregate_alg.blocks)
+    for (group, args), (group0, args0) in zip(got, want):
+        assert group.tolist() == group0.tolist()
+        for a, a0 in zip(args, args0):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == a0.dtype and a.tobytes() == a0.tobytes()
+            else:
+                assert a == a0
 
 
 def test_exhaustive_scan_chunking_does_not_move_the_winner(monkeypatch):

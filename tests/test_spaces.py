@@ -300,3 +300,16 @@ def test_integer_weights_equal_fraction_weights():
 def test_block_averages_refuses_foreign_partition(uniform4):
     with pytest.raises(StructureError):
         block_averages(uniform4, SigmaPartition([{0, 1}, {2}]), np.ones((4, 2)))
+
+
+def test_block_averages_refuses_rows_that_are_not_one_per_atom(uniform4):
+    alg = SigmaPartition([{0, 1}, {2, 3}])
+    for shape in [(5, 2), (3, 2), (4,)]:
+        with pytest.raises(StructureError):
+            block_averages(uniform4, alg, np.ones(shape))
+
+
+def test_partition_refuses_ids_outside_int64():
+    for big in (2 ** 63, -(2 ** 63) - 1):
+        with pytest.raises(StructureError):
+            SigmaPartition([{big}, {0}])
