@@ -38,7 +38,8 @@ MODE_EUCLID = 2
 MODE_MAX = 3
 
 # target size in bytes of one chunk temporary: a share of the scan's
-# working set, a stack of lemma trials, a slice of a sign table
+# working set, the lemma trials' residue-row differences, a slice of a sign
+# table
 _CHUNK_BYTES = 1 << 16
 
 # elements in each iterator buffer under ``_small_buffers`` (numpy's

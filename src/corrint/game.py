@@ -586,86 +586,79 @@ def _lemma_holds(spectra, n_top: int) -> np.ndarray:
     return holds
 
 
-def _lemma_trials(stack, counts, d0, gamma, L):
-    """Lemma sums and exact verdicts of trials stacked row by row.
+def _lemma_verdicts(spectra, gamma, n_top: int):
+    """Worst lemma sums and exact verdicts of trials from their integer spectra.
 
-    ``stack`` is an (rows, ncell) array of {0,1} indicators of any dtype;
-    the check comes before the int64 cast, so a fraction is refused, not
-    truncated.  An int64 stack is overwritten here.  Trial t owns the next
-    counts[t] >= 1 rows.  Returns each trial's
-    worst float sum over its parts (for display) and its exact verdict:
-    with d0 ncell = 1 - gamma > 0, sum_n 2**-n |(1-gamma) s_n / ncell| <
-    4 d0 holds exactly when sum_n 2**-n |s_n| < 4.
+    ``spectra`` is (trials, parts, >= n_top) int64, each row the spectrum of
+    one part's integrand.  Returns each trial's worst float sum over its
+    parts (for display) and its exact verdict: with d0 ncell = 1 - gamma > 0,
+    sum_n 2**-n |(1-gamma) s_n / ncell| < 4 d0 holds exactly when
+    sum_n 2**-n |s_n| < 4.
     """
-    ncell = stack.shape[1]
-    if np.any((stack != 0) & (stack != 1)):
-        raise PreconditionError("parts must be {0,1} indicators")
-    stack = stack.astype(np.int64, copy=False)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    qsum = np.add.reduceat(stack, starts, axis=0)
-    if np.any(qsum > 1):
-        raise PreconditionError("indicator supports overlap")
-    if ncell & (ncell - 1):
-        raise PreconditionError(f"mesh size {ncell} is not a power of two")
-    if d0 * ncell != 1 - gamma:
-        raise PreconditionError(
-            f"cell width {d0} times {ncell} cells does not tile (gamma, 1]"
-        )
-    if d0 <= 0:
-        raise PreconditionError(f"cell width {d0} must be positive")
-    n_top = ncell if L is None else min(ncell, 1 << L)
-    # each row becomes its integrand q_i + sum_j q_j - 1
-    stack += np.repeat(qsum - 1, counts, axis=0)
-    spectra = walsh_integer_spectrum(stack)[:, :n_top]
-    holds = np.logical_and.reduceat(_lemma_holds(spectra, n_top), starts)
+    trials, parts, ncell = spectra.shape
+    spectra = spectra[..., :n_top]
+    holds = _lemma_holds(spectra.reshape(-1, n_top), n_top).reshape(trials, parts).all(axis=1)
     # the terms (0.5**n) |integral| of the loop form, summed left to right
     terms = float(1 - gamma) * spectra
     terms /= ncell
     np.abs(terms, out=terms)
     terms *= np.ldexp(1.0, -np.arange(n_top))
-    worst = np.maximum.reduceat(np.cumsum(terms, axis=1, out=terms)[:, -1], starts)
+    worst = np.cumsum(terms, axis=-1, out=terms)[..., -1].max(axis=1)
     return worst, holds
 
 
-def lemma_bound_trials(trials, d0, gamma=0, L: int | None = None):
-    """``lemma_bound_check`` over an iterable of part lists, batched.
+def _residue_spectra(m: int, mesh_exp: int) -> np.ndarray:
+    """Row a: the integer spectrum of the indicator of the cells c = a (mod m)."""
+    cells = np.arange(1 << mesh_exp)
+    return walsh_integer_spectrum(cells % m == np.arange(m)[:, None])
 
-    Consumes the trials in order, stacking the parts of consecutive trials
-    into chunks whose temporaries stay near ``_kernels._CHUNK_BYTES``, and
-    returns (worst sums, verdicts) as arrays with one entry per trial; each
-    entry equals that trial's ``lemma_bound_check``.
+
+def case1_lemma_trials(mesh_exp: int, trials):
+    """``lemma_bound_check`` of each drawn case-1 trial, from residue-class spectra.
+
+    Each trial is (kk, shift, roles) and stands for
+    ``lemma_bound_check(case1_indicator_parts(kk, mesh_exp, shift, roles), d0)``
+    with d0 = 2**-mesh_exp.  Part i covers the residue class c = j - shift
+    (mod m = kk + 1) of the j with roles[j] = i, and the m role classes
+    partition the cells, so part i's integrand q_i + sum_{j >= 1} q_j - 1 is
+    q_i - q_0.  The butterfly is linear and exact on int64, so its spectrum
+    is the difference of two rows of ``_residue_spectra(m, mesh_exp)``: the
+    same integers, hence the same sums and verdicts.  One modulus's rows are
+    live at a time, and the differences are gathered in chunks of half of
+    ``_kernels._CHUNK_BYTES``.  Returns (worst sums, verdicts), one entry
+    per trial in order.
     """
-    gamma = Fraction(gamma)
-    d0 = Fraction(d0)
-    worst, holds = [], []
-    rows, counts = [], []
-
-    def flush():
-        w, h = _lemma_trials(np.stack(rows), counts, d0, gamma, L)
-        worst.append(w)
-        holds.append(h)
-        rows.clear()
-        counts.clear()
-
-    for parts in trials:
-        qs = [np.asarray(q) for q in parts]
-        if not qs:
+    trials = list(trials)
+    ncell = 1 << mesh_exp
+    by_modulus: dict[int, list[int]] = {}
+    for t, (kk, _, roles) in enumerate(trials):
+        if kk < 1:
             raise PreconditionError("need at least one indicator part")
-        ncell = qs[0].shape[0]
-        if any(q.shape != (ncell,) for q in qs):
-            raise StructureError("indicator parts live on different meshes")
-        # the stacked rows take half the budget: the butterfly's copy and
-        # the permuted spectrum are live beside them
-        if rows and (ncell != rows[0].shape[0]
-                     or 8 * ncell * (len(rows) + len(qs)) > _kernels._CHUNK_BYTES // 2):
-            flush()
-        rows.extend(qs)
-        counts.append(len(qs))
-    if rows:
-        flush()
-    if not worst:
-        return np.empty(0), np.empty(0, dtype=bool)
-    return np.concatenate(worst), np.concatenate(holds)
+        if len(roles) != kk + 1:
+            raise PreconditionError("roles must permute 0..k")
+        by_modulus.setdefault(kk + 1, []).append(t)
+    worst = np.empty(len(trials))
+    holds = np.empty(len(trials), dtype=bool)
+    for m, ts in sorted(by_modulus.items()):
+        roles = np.array([trials[t][2] for t in ts])
+        if roles.dtype.kind not in "iu" or roles.min() < 0 or roles.max() >= m:
+            raise PreconditionError("roles must permute 0..k")
+        shifts = np.array([trials[t][1] for t in ts], dtype=np.int64)
+        # column r: the residue class of the cells of role r, -1 if none is
+        a = np.full(roles.shape, -1)
+        a[np.arange(len(ts))[:, None], roles] = (np.arange(m) - shifts[:, None]) % m
+        if np.any(a < 0):
+            raise PreconditionError("roles must permute 0..k")
+        basis = _residue_spectra(m, mesh_exp)
+        # the differences take half the budget: their float terms are live beside them
+        step = max(1, _kernels._CHUNK_BYTES // 2 // (8 * ncell * (m - 1)))
+        for lo in range(0, len(ts), step):
+            chunk = a[lo:lo + step]
+            spectra = basis[chunk[:, 1:]]
+            spectra -= basis[chunk[:, :1]]
+            rows = ts[lo:lo + step]
+            worst[rows], holds[rows] = _lemma_verdicts(spectra, 0, ncell)
+    return worst, holds
 
 
 def lemma_bound_check(parts, d0, gamma=0, L: int | None = None):
@@ -679,5 +672,32 @@ def lemma_bound_check(parts, d0, gamma=0, L: int | None = None):
     verdict): the sum is a float for display, the verdict is decided
     exactly on the integer spectrum.
     """
-    worst, holds = lemma_bound_trials([parts], d0, gamma, L)
+    gamma = Fraction(gamma)
+    d0 = Fraction(d0)
+    qs = [np.asarray(q) for q in parts]
+    if not qs:
+        raise PreconditionError("need at least one indicator part")
+    ncell = qs[0].shape[0]
+    if any(q.shape != (ncell,) for q in qs):
+        raise StructureError("indicator parts live on different meshes")
+    stack = np.stack(qs)
+    # checked before the int64 cast, so a fraction is refused, not truncated
+    if np.any((stack != 0) & (stack != 1)):
+        raise PreconditionError("parts must be {0,1} indicators")
+    stack = stack.astype(np.int64, copy=False)
+    qsum = stack.sum(axis=0)
+    if np.any(qsum > 1):
+        raise PreconditionError("indicator supports overlap")
+    if ncell & (ncell - 1):
+        raise PreconditionError(f"mesh size {ncell} is not a power of two")
+    if d0 * ncell != 1 - gamma:
+        raise PreconditionError(
+            f"cell width {d0} times {ncell} cells does not tile (gamma, 1]"
+        )
+    if d0 <= 0:
+        raise PreconditionError(f"cell width {d0} must be positive")
+    n_top = ncell if L is None else min(ncell, 1 << L)
+    # each row becomes its integrand q_i + sum_j q_j - 1
+    stack += qsum - 1
+    worst, holds = _lemma_verdicts(walsh_integer_spectrum(stack)[None], gamma, n_top)
     return float(worst[0]), 4.0 * float(d0), bool(holds[0])

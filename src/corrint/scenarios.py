@@ -31,9 +31,9 @@ from .game import (
     MODE_EXHAUSTIVE,
     build_counterexample_game,
     case1_indicator_parts,
+    case1_lemma_trials,
     find_equilibrium,
     lemma_bound_check,
-    lemma_bound_trials,
     verify_equilibrium_partition,
 )
 from .rcd import kernel_mix, rcd_of_selection
@@ -115,20 +115,20 @@ _K_PLUS_1 = Param("int", lambda p: p["k"] + 1, 1)
 PARAMS: dict[str, dict[str, Param]] = {
     "walsh-orthogonality": {"level": Param("int", 8, 0), "max_index": Param("int", 16, 1)},
     "counterexample-integrals": _series(
-        2, 2, 5, gammas=Param("rationals", ["0", "1/4"], 0, 1), tol=Param("real", 1e-12)),
+        2, 2, 5, gammas=Param("rationals", ["0", "1/4"], 0, 1), tol=Param("real", 1e-12, 0)),
     "necessity-gap": _series(2, 2, 3, cap=Param("int", 100_000, 0), workspace=_WS),
     "lyapunov-exactness": _series(2, 2, 2, refinement=_K_PLUS_1,
-                                  cap=Param("int", 200_000, 0), tol=Param("real", 1e-12)),
+                                  cap=Param("int", 200_000, 0), tol=Param("real", 1e-12, 0)),
     "convexity-decay": _series(
         1, 1, 4, levels=Param("ints", [1, 2, 3, 4, 5, 6], 0,
                               doc="refinement exponents, e.g. 1..6"),
         samples=Param("int", 128, 0), cap=Param("int", 2_000_000, 0),
-        final_tol=Param("real", 1e-3), workspace=_WS),
-    "tower-barycenter": {"instances": Param("int", 200, 1), "tol": Param("real", 1e-12)},
-    "uhc-decay": _series(2, 4, 3, cap=Param("int", 100_000, 0), final_tol=Param("real", 1e-6),
+        final_tol=Param("real", 1e-3, 0), workspace=_WS),
+    "tower-barycenter": {"instances": Param("int", 200, 1), "tol": Param("real", 1e-12, 0)},
+    "uhc-decay": _series(2, 4, 3, cap=Param("int", 100_000, 0), final_tol=Param("real", 1e-6, 0),
                          workspace=_WS),
     "game-equilibrium": _series(
-        2, 2, 3, refinement=_K_PLUS_1, tol=Param("real", 1e-9), max_iter=Param("int", 50, 0),
+        2, 2, 3, refinement=_K_PLUS_1, tol=Param("real", 1e-9, 0), max_iter=Param("int", 50, 0),
         mode=Param("choice", MODE_BR_ITERATE, choices=(MODE_BR_ITERATE, MODE_EXHAUSTIVE)),
         externality=Param("choice", EXTERNALITY_INTEGRAL,
                           choices=(EXTERNALITY_INTEGRAL, EXTERNALITY_CONDITIONAL)),
@@ -436,7 +436,7 @@ def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
         f_parts.append(f)
         g_parts.append(_merge_labels(rng, int(f.max()) + 1, 1))
         values.append(rng.normal(size=(n, 3, d)))
-        picks += [int(rng.integers(0, 3)) for _ in range(n)]
+        picks.append(rng.integers(0, 3, n))
     sizes = np.array(sizes)
     nf = np.array([g.shape[0] for g in g_parts])
     ng = np.array([int(g.max()) + 1 for g in g_parts])
@@ -450,7 +450,7 @@ def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
                           tuple(np.repeat(np.array(masses, dtype=object), sizes)))
     vals = np.concatenate(values)
     corr = Correspondence(space, dict(enumerate(vals)))
-    choice = vals[np.arange(vals.shape[0]), picks]
+    choice = vals[np.arange(vals.shape[0]), np.concatenate(picks)]
     sel = Selection(corr, SigmaPartition.singletons(space), dict(enumerate(choice)))
     return space, sel, f_alg, _partition(g)
 
@@ -578,19 +578,18 @@ def check_lemma_bound(params: dict, seed: int) -> dict:
     k, trials, kmax = params["k"], params["trials"], params["kmax"]
     rng = np.random.default_rng(seed)
 
-    def draws(s):
+    def draws():
         for _ in range(trials):
             kk = int(rng.integers(1, kmax + 1))
             shift = int(rng.integers(0, kk + 1))
-            roles = [int(x) for x in rng.permutation(kk + 1)]
-            yield case1_indicator_parts(kk, s, shift=shift, roles=roles)
+            yield kk, shift, rng.permutation(kk + 1)
 
     rows = []
     ok = True
     for s in params["meshes"]:
         d0 = Fraction(1, 1 << s)
         canonical = lemma_bound_check(case1_indicator_parts(k, s), d0)
-        totals, holds = lemma_bound_trials(draws(s), d0)
+        totals, holds = case1_lemma_trials(s, draws())
         all_hold = canonical[2] and bool(holds.all())
         bound = canonical[1]
         worst_ratio = float(np.max(totals / bound, initial=canonical[0] / bound))

@@ -96,6 +96,9 @@ def test_unknown_kind_exit_2(tmp_path):
     # a misspelled choice or key, which no longer runs on defaults
     [{"kind": "game-equilibrium", "mode": "exhastive"}],
     [{"kind": "tower-barycenter", "instancse": 5}],
+    # no result passes a negative tolerance, so it is a malformed config
+    [{"kind": "convexity-decay", "final_tol": -1}],
+    [{"kind": "tower-barycenter", "tol": -1}],
 ])
 def test_malformed_check_exit_2(tmp_path, checks):
     cfg = tmp_path / "cfg.json"

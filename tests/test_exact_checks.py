@@ -1,5 +1,6 @@
-"""tower-barycenter against its per-instance form, its memory, and negative
-controls for the verdicts of tower-barycenter and rcd-mixture.
+"""tower-barycenter against its per-instance form, its memory, the tower
+draws, and negative controls for the verdicts of tower-barycenter,
+rcd-mixture and lemma-bound.
 
 tower-barycenter runs its instances as disjoint unions of up to
 ``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from _oracles import tower_barycenter_loop
-from corrint import scenarios
+from corrint import game, scenarios
 from corrint.cli import main
 from corrint.rcd import TransitionKernel
 
@@ -40,6 +41,19 @@ def test_tower_barycenter_memory_is_bounded_by_its_batch():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 7))
+def test_vector_picks_equal_the_scalar_draws(seed):
+    # _tower_union draws each instance's picks in one call; on default_rng
+    # that gives the values of one scalar draw per atom and leaves the
+    # generator where they leave it
+    for n in range(1, 20):
+        loop, vector = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        picks = vector.integers(0, 3, n)
+        assert picks.dtype == np.int64
+        assert picks.tolist() == [int(loop.integers(0, 3)) for _ in range(n)]
+        assert vector.integers(0, 1 << 62, 3).tolist() == loop.integers(0, 1 << 62, 3).tolist()
 
 
 def _run(tmp_path, capsys, check) -> tuple[int, dict]:
@@ -88,3 +102,30 @@ def test_rcd_mixture_fails_on_one_flipped_weight(tmp_path, capsys, monkeypatch):
     code, res = _run(tmp_path, capsys, {"kind": "rcd-mixture", "resolution": 4})
     assert code == 1 and res["verdict"] is False
     assert [m["exact"] for m in res["mixtures"]] == [True, False, True, True, True]
+
+
+def test_lemma_trials_fail_on_a_scaled_residue_basis(tmp_path, capsys, monkeypatch):
+    real = game._residue_spectra
+
+    def scaled(m, mesh_exp):
+        return 4 * real(m, mesh_exp)
+
+    monkeypatch.setattr(game, "_residue_spectra", scaled)
+    code, res = _run(tmp_path, capsys, {"kind": "lemma-bound", "meshes": [3, 4], "trials": 20})
+    assert code == 1 and res["verdict"] is False
+    assert [m["all_trials_hold"] for m in res["meshes"]] == [False, False]
+    assert all(m["canonical_sum"] < m["bound"] for m in res["meshes"])
+
+
+def test_lemma_canonical_row_fails_on_a_failing_check(tmp_path, capsys, monkeypatch):
+    real = scenarios.lemma_bound_check
+
+    def failing(parts, d0):
+        total, bound, _ = real(parts, d0)
+        return total, bound, False
+
+    monkeypatch.setattr(scenarios, "lemma_bound_check", failing)
+    code, res = _run(tmp_path, capsys, {"kind": "lemma-bound", "meshes": [3, 4], "trials": 20})
+    assert code == 1 and res["verdict"] is False
+    assert [m["all_trials_hold"] for m in res["meshes"]] == [False, False]
+    assert all(m["worst_ratio"] < 1 for m in res["meshes"])

@@ -27,6 +27,7 @@ from corrint.game import (
     aggregate_of,
     build_counterexample_game,
     case1_indicator_parts,
+    case1_lemma_trials,
     _best_responses,
     _canonical_tie_sets,
     _ctables,
@@ -34,7 +35,6 @@ from corrint.game import (
     _payoffs_at_aggregate,
     find_equilibrium,
     lemma_bound_check,
-    lemma_bound_trials,
     residual_of,
     root_of_unity_gap,
     verify_equilibrium_partition,
@@ -657,6 +657,22 @@ def _random_trials(rng, mesh_exp, count, kmax=4):
             yield [(label == i).astype(np.int64) for i in range(1, k + 1)]
 
 
+def _case1_draws(rng, count, kmax):
+    """(kk, shift, roles) triples, drawn as the lemma-bound check draws them."""
+    out = []
+    for _ in range(count):
+        kk = int(rng.integers(1, kmax + 1))
+        out.append((kk, int(rng.integers(0, kk + 1)), [int(x) for x in rng.permutation(kk + 1)]))
+    return out
+
+
+def _case1_expect(mesh_exp, draws):
+    """Each draw through ``lemma_bound_check`` of its indicator parts."""
+    d0 = Fraction(1, 1 << mesh_exp)
+    return [lemma_bound_check(case1_indicator_parts(kk, mesh_exp, shift, roles), d0)
+            for kk, shift, roles in draws]
+
+
 LEMMA_GAMMAS = [Fraction(0), Fraction(1, 4), Fraction(1, 3)]
 
 
@@ -664,9 +680,10 @@ LEMMA_GAMMAS = [Fraction(0), Fraction(1, 4), Fraction(1, 3)]
 @pytest.mark.parametrize("L", [None, 2])
 @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
 def test_lemma_batched_equals_loop_oracle(monkeypatch, gamma, L, budget):
-    # totals bit for bit and verdicts, one trial at a time and batched; a
-    # budget of 1 byte makes every trial its own chunk, 384 bytes puts a
-    # few trials in each chunk and leaves tails of every length
+    # lemma_bound_check equals the per-part loop form, totals bit for bit
+    # and verdicts; so does the residue path of case-1 draws (gamma 0, no
+    # truncation), where a budget of 1 byte makes every trial its own chunk
+    # and 384 bytes puts a few trials in each chunk with tails of every length
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
     rng = np.random.default_rng(56)
@@ -674,35 +691,68 @@ def test_lemma_batched_equals_loop_oracle(monkeypatch, gamma, L, budget):
     for s in (0, 1, 3, 4, 6):
         ncell = 1 << s
         d0 = (1 - gamma) / ncell
-        trials = list(_random_trials(rng, s, 40))
-        expect = [_lemma_bound_check_loop(parts, d0, gamma, L) for parts in trials]
-        totals, holds = lemma_bound_trials(iter(trials), d0, gamma, L)
-        assert totals.dtype == float and holds.dtype == bool
-        assert totals.tolist() == [e[0] for e in expect]
-        assert holds.tolist() == [e[2] for e in expect]
-        for parts, e in zip(trials, expect):
-            assert lemma_bound_check(parts, d0, gamma, L) == e
-        verdicts.update(holds.tolist())
+        for parts in _random_trials(rng, s, 40):
+            expect = _lemma_bound_check_loop(parts, d0, gamma, L)
+            assert lemma_bound_check(parts, d0, gamma, L) == expect
+            verdicts.add(expect[2])
+        if gamma == 0 and L is None:
+            draws = _case1_draws(rng, 40, 4)
+            totals, holds = case1_lemma_trials(s, iter(draws))
+            assert totals.dtype == float and holds.dtype == bool
+            expect = [_lemma_bound_check_loop(case1_indicator_parts(kk, s, shift, roles), d0)
+                      for kk, shift, roles in draws]
+            assert totals.tolist() == [e[0] for e in expect]
+            assert holds.tolist() == [e[2] for e in expect]
+            verdicts.update(holds.tolist())
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("mesh_exp", range(11))
+def test_case1_lemma_trials_equal_lemma_bound_check(mesh_exp):
+    # moduli kk + 1 up to 10 exceed the 2**mesh_exp cells on small meshes
+    rng = np.random.default_rng(59 + mesh_exp)
+    for kmax in range(1, 10):
+        for count in (0, 1, 23):
+            draws = _case1_draws(rng, count, kmax)
+            totals, holds = case1_lemma_trials(mesh_exp, draws)
+            expect = _case1_expect(mesh_exp, draws)
+            assert totals.shape == holds.shape == (count,)
+            assert totals.tobytes() == np.array([e[0] for e in expect]).tobytes()
+            assert holds.tolist() == [e[2] for e in expect]
+
+
 def test_lemma_chunks_stay_within_budget(monkeypatch):
-    # a stack of every trial at once would hold about 9 MB in the bundled
-    # lemma-bound scenario; each chunk's rows stay within half the budget
+    # every trial's spectra at once would hold about 1 MB on a 256-cell
+    # mesh; each chunk stays within half the budget
     import corrint.game as game
 
     sizes = []
-    core = game._lemma_trials
+    core = game._lemma_verdicts
 
-    def spy(stack, *args):
-        sizes.append(stack.nbytes)
-        return core(stack, *args)
+    def spy(spectra, *args):
+        sizes.append(spectra.nbytes)
+        return core(spectra, *args)
 
-    monkeypatch.setattr(game, "_lemma_trials", spy)
-    trials = list(_random_trials(np.random.default_rng(58), 8, 200))
-    totals, _ = lemma_bound_trials(trials, Fraction(1, 256))
-    assert len(totals) == 200 and len(sizes) > 1
+    monkeypatch.setattr(game, "_lemma_verdicts", spy)
+    draws = _case1_draws(np.random.default_rng(58), 200, 4)
+    totals, _ = case1_lemma_trials(8, draws)
+    assert len(totals) == 200 and len(sizes) > 4
     assert max(sizes) <= _kernels._CHUNK_BYTES // 2
+
+
+def test_case1_lemma_memory_is_one_modulus_at_a_time():
+    # 64 moduli on 1,024 cells: one modulus's rows take at most 0.53 MB, every
+    # basis at once about 17 MB
+    draws = _case1_draws(np.random.default_rng(60), 200, 64)
+    case1_lemma_trials(10, draws)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        totals, _ = case1_lemma_trials(10, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(totals) == 200
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
@@ -761,20 +811,23 @@ def test_lemma_holds_on_crafted_boundaries(n_top):
 def test_lemma_trials_refuse_bad_input():
     good = case1_indicator_parts(2, 3)
     with pytest.raises(PreconditionError):
-        lemma_bound_trials([good, []], Fraction(1, 8))
+        lemma_bound_check([], Fraction(1, 8))
     with pytest.raises(StructureError):
-        lemma_bound_trials([good, [good[0], np.zeros(16, dtype=np.int64)]], Fraction(1, 8))
-    with pytest.raises(PreconditionError):  # a trial on another mesh does not tile
-        lemma_bound_trials([good, case1_indicator_parts(2, 4)], Fraction(1, 8))
+        lemma_bound_check([good[0], np.zeros(16, dtype=np.int64)], Fraction(1, 8))
+    with pytest.raises(PreconditionError):  # a mesh of 16 cells does not tile at 1/8
+        lemma_bound_check(case1_indicator_parts(2, 4), Fraction(1, 8))
     with pytest.raises(PreconditionError):
-        lemma_bound_trials([good, [np.full(8, 2)]], Fraction(1, 8))
+        lemma_bound_check([np.full(8, 2)], Fraction(1, 8))
     with pytest.raises(PreconditionError):  # refused, not truncated to [0, 1, 0, 0]
         lemma_bound_check([np.array([0.5, 1.0, 0.9, 0.0])], Fraction(1, 4))
     with pytest.raises(PreconditionError):
         lemma_bound_check(good, Fraction(1, 8), gamma=1)  # does not tile
     with pytest.raises(PreconditionError):
         lemma_bound_check([np.zeros(8, dtype=np.int64)], Fraction(0), gamma=1)
-    totals, holds = lemma_bound_trials(iter([]), Fraction(1, 8))
+    for bad in ((0, 0, [0]), (2, 0, [0, 1, 1]), (2, 0, [0, 1]), (2, 1, [0, 1, 3])):
+        with pytest.raises(PreconditionError):
+            case1_lemma_trials(3, [(2, 0, [2, 0, 1]), bad])
+    totals, holds = case1_lemma_trials(3, iter([]))
     assert totals.shape == holds.shape == (0,)
 
 

@@ -22,6 +22,14 @@ the check runs as one disjoint union), generated by the per-instance form
 of the check that the batches replaced.  Regenerate it with
 
     PYTHONPATH=src:tests python -c "import hashlib, json; from test_report_bytes import TOWER, _tower, render_report, run_scenario_dict, strip_csv; print(json.dumps({n: hashlib.sha256(render_report(strip_csv(run_scenario_dict(_tower(n)))).encode()).hexdigest() for n in TOWER}, indent=2, sort_keys=True), file=open('tests/tower_sha256.json', 'w'))"
+
+``lemma_sha256.json`` pins lemma-bound at the seeds and configs of
+``LEMMA``: the benchmark's config, moduli past the cell count, a wide mesh
+with many moduli, and a single trial of one modulus.  It was generated by
+the per-trial form of the check that the residue-class spectra replaced.
+Regenerate it with
+
+    PYTHONPATH=src:tests python -c "import hashlib, json; from test_report_bytes import LEMMA, _lemma, render_report, run_scenario_dict, strip_csv; print(json.dumps({n: hashlib.sha256(render_report(strip_csv(run_scenario_dict(_lemma(n)))).encode()).hexdigest() for n in LEMMA}, indent=2, sort_keys=True), file=open('tests/lemma_sha256.json', 'w'))"
 """
 import hashlib
 import json
@@ -41,6 +49,7 @@ HERE = Path(__file__).parent
 PINNED = json.loads((HERE / "report_sha256.json").read_text())
 PINNED_CONDITIONAL = json.loads((HERE / "conditional_sha256.json").read_text())
 PINNED_TOWER = json.loads((HERE / "tower_sha256.json").read_text())
+PINNED_LEMMA = json.loads((HERE / "lemma_sha256.json").read_text())
 CONDITIONAL = {
     **{f"br-{flavor}": {"workspace": {"norm": flavor}} for flavor in ("euclid", "sum", "max")},
     "exhaustive-k1-N1-L1-r2": {"mode": "exhaustive", "k": 1, "N": 1, "L": 1, "refinement": 2},
@@ -55,6 +64,22 @@ def _tower(name: str) -> dict:
     seed, n = TOWER[name]
     return {"schema": 1, "name": f"tower-{name}", "seed": seed,
             "checks": [{"kind": "tower-barycenter", "instances": n}]}
+
+
+LEMMA_CONFIGS = {
+    "bench": {"k": 2, "meshes": [3, 4, 5, 6, 7, 8], "trials": 300, "kmax": 4},
+    "k1-wide-moduli": {"k": 1, "meshes": [1, 2, 3], "kmax": 6, "trials": 50},
+    "k3-meshes-2-10": {"k": 3, "meshes": [2, 10], "kmax": 9, "trials": 100},
+    "one-trial": {"meshes": [4], "kmax": 1, "trials": 1},
+}
+LEMMA = {f"seed{seed}-{name}": (seed, name)
+         for seed in (0, 1, 2, 3, 7, 20240) for name in LEMMA_CONFIGS}
+
+
+def _lemma(name: str) -> dict:
+    seed, config = LEMMA[name]
+    return {"schema": 1, "name": f"lemma-{name}", "seed": seed,
+            "checks": [{"kind": "lemma-bound", **LEMMA_CONFIGS[config]}]}
 
 
 def _scenario(name: str) -> dict:
@@ -90,3 +115,13 @@ def test_every_tower_check_is_pinned():
 def test_tower_report_bytes_are_pinned(name):
     text = render_report(strip_csv(run_scenario_dict(_tower(name))))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TOWER[name]
+
+
+def test_every_lemma_check_is_pinned():
+    assert sorted(PINNED_LEMMA) == sorted(LEMMA)
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA))
+def test_lemma_report_bytes_are_pinned(name):
+    text = render_report(strip_csv(run_scenario_dict(_lemma(name))))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LEMMA[name]
