@@ -61,25 +61,40 @@ def _small_buffers():
         yield
 
 
-def fwht_f64(v):
-    """Hadamard butterfly along the last axis, unnormalized.
+def _butterfly(out):
+    """Hadamard butterfly along the last axis of the C-contiguous array
+    ``out``, unnormalized and in place; returns ``out``.
 
     Pairs elements as the naive loop does, so each row of a stack equals
-    the transform of that row alone.
+    the transform of that row alone.  Each stage writes its differences to
+    one scratch array of half the size, then its sums in place.
     """
-    out = np.array(v, order="C")
     n = out.shape[-1]
+    scratch = np.empty(out.size // 2, dtype=out.dtype)
     h = 1
-    while h < n:
-        # in C order each block of 2h elements lies within one row
-        m = out.reshape(-1, 2 * h)
-        a, b = m[:, :h], m[:, h:]
-        m[:, :h], m[:, h:] = a + b, a - b
-        h *= 2
+    with _small_buffers():  # the strided halves would get full-size buffers
+        while h < n:
+            # in C order each block of 2h elements lies within one row
+            m = out.reshape(-1, 2 * h)
+            a, b = m[:, :h], m[:, h:]
+            diff = scratch.reshape(-1, h)
+            np.subtract(a, b, out=diff)
+            a += b
+            b[...] = diff
+            h *= 2
     return out
 
 
-fwht_i64 = fwht_f64
+def fwht_f64(v):
+    """Hadamard butterfly along the last axis of a C-ordered copy of ``v``."""
+    return _butterfly(np.array(v, order="C"))
+
+
+def fwht_i64(work):
+    """Hadamard butterfly in place along the last axis of ``work``, a
+    C-contiguous int64 array, which it returns.  Exact while each row's sum
+    of absolute values stays below 2**63."""
+    return _butterfly(work)
 
 
 def _row_dists(tcols, ccols, mode, weights):

@@ -24,14 +24,15 @@ from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
 
 
-def _stack_vectors(vectors: list, what: str) -> np.ndarray:
-    """One new float (n, d) array of the given vectors, in the given order.
+def _stack_vectors(vectors, what: str, copy: bool | None = True) -> np.ndarray:
+    """One float (n, d) array of the given vectors, in the given order.
 
-    Raises StructureError unless they are non-empty 1-D vectors of one length.
-    The stack is a copy, so the caller's arrays are never touched.
+    Raises StructureError unless they are 1-D vectors of one length.  The
+    stack is a copy unless ``copy`` is None and ``vectors`` is already a
+    float array, which is then returned as it is.
     """
     try:
-        stack = np.array(vectors, dtype=float)
+        stack = np.array(vectors, dtype=float, copy=copy)
     except ValueError:
         shapes = {np.shape(v) for v in vectors}
         if len(shapes) > 1:
@@ -40,6 +41,42 @@ def _stack_vectors(vectors: list, what: str) -> np.ndarray:
     if stack.ndim != 2:
         raise StructureError(f"{what} must be 1-D vectors, got shape {stack.shape[1:]}")
     return stack
+
+
+# the bits of -0.0 read as an int64
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def _merge_rows(rows: np.ndarray, owner: np.ndarray):
+    """Each owner's distinct rows, bit for bit, in lexicographic order.
+
+    ``rows`` is a finite C-contiguous (n, d) float array and ``owner`` a
+    label per row.  Returns ``(order, starts, rank)``: ``order`` is a
+    stable sort that puts the bit-equal rows of each owner together, each
+    run led by the first of them given, and ``starts`` where its runs
+    begin.  The runs ordered by owner, then by value, ties (-0.0 beside
+    0.0) in the order given, are the runs taken in ``rank``, or as they lie
+    when ``rank`` is None.
+
+    Finite rows are equal bit for bit iff each coordinate has the same
+    value and sign.  Without a -0.0 the values alone decide both, so one
+    stable sort by owner and value gives the runs in their final order.
+    With one, the sort also keys each coordinate's sign, and a second sort
+    ranks the runs by value alone.
+    """
+    cols, bits = rows.T[::-1], rows.view(np.int64)
+    signed = bool((bits == _NEGATIVE_ZERO).any())
+    keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair] if signed else cols
+    order = np.lexsort((*keys, owner))
+    bits, lab = bits[order], owner[order]
+    fresh = np.ones(order.shape[0], dtype=bool)
+    fresh[1:] = lab[1:] != lab[:-1]
+    fresh[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    if not signed:
+        return order, starts, None
+    lead = order[starts]
+    return order, starts, np.lexsort((lead, *rows[lead].T[::-1], owner[lead]))
 
 
 def _row_keys(stack: np.ndarray) -> list[bytes]:
@@ -123,11 +160,19 @@ class Correspondence:
         for a in space.ids:
             if a not in value_map:
                 raise StructureError(f"no value set for atom {a}")
-            vs = list(value_map[a])
-            if not vs:
+            vs = value_map[a]
+            if not isinstance(vs, np.ndarray):
+                vs = list(vs)
+            if not len(vs):
                 raise StructureError(f"empty value set at atom {a}")
             given.append(vs)
-        raw = _stack_vectors([v for vs in given for v in vs], "correspondence values")
+        # each atom's set is one (m, d) array, and the sets are stacked once
+        given = [_stack_vectors(vs, "correspondence values", copy=None) for vs in given]
+        try:
+            raw = np.concatenate(given)
+        except ValueError:
+            shapes = sorted({vs.shape[1:] for vs in given})
+            raise StructureError(f"correspondence values of mixed shapes {shapes}") from None
         if not np.isfinite(raw).all():
             raise StructureError("correspondence values must be finite")
         # atoms given the same rows in the same order share one set, keyed
@@ -146,26 +191,12 @@ class Correspondence:
         sizes = counts[firsts]
         within = np.arange(int(sizes.sum())) - np.repeat(block_starts(sizes), sizes)
         rows = raw[np.repeat(starts[firsts], sizes) + within]
-        owner = np.repeat(np.arange(firsts.shape[0]), sizes)
-        set_key = np.repeat(np.arange(float(firsts.shape[0])), sizes)
-        # finite rows are equal bit for bit iff each coordinate has the same
-        # value and sign, so a stable sort on those puts equal rows together
-        # and the first of each run is the first given; the rows kept then
-        # go in value order
-        cols = rows.T[::-1]
-        keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair]
-        order = np.lexsort((*keys, set_key))
-        bits = rows.view(np.int64)
-        fresh = np.ones(order.shape[0], dtype=bool)
-        fresh[1:] = owner[order[1:]] != owner[order[:-1]]
-        fresh[1:] |= (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
-        first = np.zeros(order.shape[0], dtype=bool)
-        first[order[fresh]] = True
-        kept = np.flatnonzero(first)
-        kept = kept[np.lexsort((*rows[kept].T[::-1], set_key[kept]))]
+        owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
+        order, starts, rank = _merge_rows(rows, owner)
+        kept = order[starts] if rank is None else order[starts[rank]]
         stack = rows[kept]
         stack.setflags(write=False)
-        set_sizes = np.bincount(owner[kept], minlength=firsts.shape[0])
+        set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])
         bounds = block_starts(set_sizes)
         cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
         object.__setattr__(self, "space", space)
@@ -376,13 +407,13 @@ def build_counterexample(
                 walsh_integral(n, Fraction(0), Fraction(1), L)
             e_list[j - 1] += float(w) * basis_vector(k * n + j - 1, d)
 
-    zero = zero_vector(d)
+    # each cell's value set {0, f_1(cell), ..., f_k(cell)} as one array
+    cell_sets = np.stack([np.zeros((model.ncells, d))] + [f.values for f in f_list], axis=1)
     vmap = {}
     if model.atomic_atom is not None:
-        vmap[model.atomic_atom] = [zero]
+        vmap[model.atomic_atom] = cell_sets[0, :1]
     for a in model.interval_atoms:
-        c = model.cell_of(a)
-        vmap[a] = [zero] + [f.values[c] for f in f_list]
+        vmap[a] = cell_sets[model.cell_of(a)]
     corr = Correspondence(model.space, vmap)
     return CounterexampleBundle(
         k=k, gamma=gamma, N=N, L=L, refinement=refinement, d=d,

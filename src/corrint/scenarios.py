@@ -619,7 +619,8 @@ def check_rcd_mixture(params: dict, seed: int) -> dict:
     model = DyadicModel(Fraction(0), 1, refinement=resolution)
     space = model.space
     v0, v1 = np.zeros(d), basis_vector(0, d)
-    corr = Correspondence(space, {a: [v0, v1] for a in space.ids})
+    both = np.array([v0, v1])
+    corr = Correspondence(space, {a: both for a in space.ids})
     f_alg = model.cell_partition
     t_alg = SigmaPartition.singletons(space)
     sel0 = Selection(corr, f_alg, {a: v0 for a in space.ids})

@@ -64,15 +64,20 @@ class DiscreteSpace:
             raise StructureError("space needs matching, non-empty ids and masses")
         if len(set(self.ids)) != len(self.ids) or list(self.ids) != sorted(self.ids):
             raise StructureError("atom ids must be unique and ascending")
-        for m in self.masses:
-            if m <= 0:
-                raise StructureError(f"atom mass {m} is not strictly positive")
-        den = math.lcm(*(m.denominator for m in self.masses))
-        nums = tuple(m.numerator * (den // m.denominator) for m in self.masses)
-        if sum(nums) != den:
+        # each distinct (numerator, denominator) pair is checked and scaled
+        # once, in the order the atoms first give it
+        index: dict[tuple[int, int], int] = {}
+        keys = [index.setdefault((m.numerator, m.denominator), len(index))
+                for m in self.masses]
+        for n, q in index:
+            if n <= 0:
+                raise StructureError(f"atom mass {Fraction(n, q)} is not strictly positive")
+        den = math.lcm(*(q for _, q in index))
+        scaled = [n * (den // q) for n, q in index]
+        if sum(map(scaled.__getitem__, keys)) != den:
             raise StructureError("atom masses must sum exactly to 1")
         object.__setattr__(self, "den", den)
-        array = np.array(nums, dtype=np.int64 if den < 2 ** 53 else object)
+        array = np.array(scaled, dtype=np.int64 if den < 2 ** 53 else object)[keys]
         array.setflags(write=False)
         object.__setattr__(self, "_nums", array)
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
@@ -105,7 +110,10 @@ class DiscreteSpace:
 
     def numerator(self, atoms) -> int:
         """Mass of the atom set times ``den``: a sum of ints."""
-        return sum(self._nums.item(self.position(a)) for a in set(atoms))
+        try:
+            return sum(map(self._nums.item, map(self._position.__getitem__, set(atoms))))
+        except KeyError as missing:
+            raise StructureError(f"atom {missing.args[0]} not in space") from None
 
     def mass(self, atoms) -> Fraction:
         return Fraction(self.numerator(atoms), self.den)

@@ -120,6 +120,8 @@ def walsh_integer_spectrum(step_values) -> np.ndarray:
     of a row's values, so a row whose sum of |g_c| stays below 2**63 cannot
     overflow int64.  Raises ``PreconditionError`` on non-integral values and
     on a row that reaches that sum, instead of truncating or wrapping.
+    Beside its result it holds one half-size scratch array, and a
+    bit-reversed copy of a non-int64 input.
     """
     v = np.asarray(step_values)
     size = v.shape[-1] if v.ndim else 0
@@ -142,6 +144,14 @@ def walsh_integer_spectrum(step_values) -> np.ndarray:
                     "integer spectrum would overflow int64: a row's sum of |values| "
                     "reaches 2**63"
                 )
-    level = size.bit_length() - 1
-    out = _kernels.fwht_i64(v.astype(np.int64, copy=False))
-    return out[..., _bit_reverse_permutation(level)]
+    # H[i, j] = (-1)**popcount(i & j) is unchanged when both indices are
+    # bit-reversed, so the bit-reversed spectrum is the butterfly of the
+    # bit-reversed values: they are gathered straight into the one int64
+    # array that the butterfly then works in and returns
+    perm = _bit_reverse_permutation(size.bit_length() - 1)
+    out = np.empty(v.shape, dtype=np.int64)
+    if v.dtype == np.int64:
+        np.take(v, perm, axis=-1, out=out, mode="clip")  # "raise" would buffer out
+    else:
+        out[...] = v[..., perm]
+    return _kernels.fwht_i64(out)

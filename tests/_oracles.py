@@ -33,8 +33,11 @@ constancy through a dict of row bytes, ``lyapunov_mix`` and
 ``conditional_set`` by subset filter and a mass sum per sub-block, the
 exhaustive scan's arguments gathered block by block and atom by atom, the
 kernel barycenter added point by
-point, the game's per-atom ``phi`` and ``cell_of`` tables, and the
-tower-barycenter check as one small space per instance.
+point, the game's per-atom ``phi`` and ``cell_of`` tables, the
+tower-barycenter check as one small space per instance, and the kernel
+constructor, ``rcd_of_selection`` and ``kernel_mix`` entry by entry: a
+dict of row bytes per block, one ``Fraction`` division per atom and one
+``Fraction`` product per mixed entry.
 """
 import itertools
 import math
@@ -488,6 +491,8 @@ def kernel_blocks(g_alg, per_block):
             if w < 0:
                 raise StructureError(f"negative weight {w} in block {sorted(b)}")
             arr = _freeze(v)
+            if not np.isfinite(arr).all():
+                raise StructureError("kernel support points must be finite")
             key = vec_key(arr)
             if key in merged:
                 merged[key] = (merged[key][0], merged[key][1] + w)
@@ -520,6 +525,19 @@ def outcome(fn, *args):
 # -- per-atom forms replaced by labels and array passes -----------------------
 
 
+def space_numerators_loop(masses) -> tuple[int, tuple[int, ...]]:
+    """``DiscreteSpace``'s (den, numerators), atom by atom: a positivity
+    check and a scaling to the common denominator for every mass."""
+    for m in masses:
+        if m <= 0:
+            raise StructureError(f"atom mass {m} is not strictly positive")
+    den = math.lcm(*(m.denominator for m in masses))
+    nums = tuple(m.numerator * (den // m.denominator) for m in masses)
+    if sum(nums) != den:
+        raise StructureError("atom masses must sum exactly to 1")
+    return den, nums
+
+
 def block_averages_loop(space, alg, values) -> list[np.ndarray]:
     """E(f|alg) atom by atom: n_t / N_B * row added in ascending id order."""
     nums = space.numerators
@@ -532,6 +550,84 @@ def block_averages_loop(space, alg, values) -> list[np.ndarray]:
             acc += (nums[i] / total) * values[i]
         out.append(acc)
     return out
+
+
+def transition_kernel_loop(g_alg, per_block):
+    """(supports, weights) of ``TransitionKernel(g_alg, per_block)``, entry
+    by entry: per block, a dict from row bytes to (first index, numerator
+    over the block's lcm of denominators), sorted by the rows as lists."""
+    if len(per_block) != len(g_alg.blocks):
+        raise StructureError(
+            f"{len(per_block)} block distributions for {len(g_alg.blocks)} blocks"
+        )
+    vectors, nums, dens, sizes = [], [], [], []
+    for b, dist in zip(g_alg.blocks, per_block):
+        n = len(nums)
+        for v, w in dist:
+            w = Fraction(w)
+            if w.numerator < 0:
+                raise StructureError(f"negative weight {w} in block {sorted(b)}")
+            vectors.append(v)
+            nums.append(w.numerator)
+            dens.append(w.denominator)
+        sizes.append(len(nums) - n)
+    try:
+        raw = np.array(vectors, dtype=float) if vectors else np.zeros((0, 0))
+    except ValueError:
+        raise StructureError("kernel support points of mixed shapes") from None
+    if raw.ndim != 2:
+        raise StructureError(f"kernel support points must be 1-D vectors, got {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise StructureError("kernel support points must be finite")
+    keys, rows = [r.tobytes() for r in raw], raw.tolist()
+    supports, weights = [], []
+    start = 0
+    for b, n in zip(g_alg.blocks, sizes):
+        stop = start + n
+        den = math.lcm(*dens[start:stop])
+        merged: dict[bytes, list] = {}  # key -> [first index, numerator]
+        for i in range(start, stop):
+            if not nums[i]:
+                continue
+            num = nums[i] * (den // dens[i])
+            hit = merged.get(keys[i])
+            if hit is None:
+                merged[keys[i]] = [i, num]
+            else:
+                hit[1] += num
+        start = stop
+        items = sorted(merged.values(), key=lambda it: rows[it[0]])
+        total = sum(num for _, num in items)
+        if total != den:
+            raise StructureError(
+                f"weights in block {sorted(b)} sum to {Fraction(total, den)}, not 1"
+            )
+        supports.append(tuple(raw[i] for i, _ in items))
+        weights.append(tuple(Fraction(num, den) for _, num in items))
+    return tuple(supports), tuple(weights)
+
+
+def rcd_loop(sel, g_alg) -> list[list]:
+    """``rcd_of_selection``'s entries atom by atom: (f(t), mass(t) / mass(B))
+    per atom t of each block B, ascending."""
+    space = sel.corr.space
+    if g_alg.atom_set != space.atom_set:
+        raise StructureError("conditioning algebra does not cover the space")
+    return [[(sel.at(a), space.mass_of(a) / space.mass(b)) for a in sorted(b)]
+            for b in g_alg.blocks]
+
+
+def kernel_mix_loop(k1, k2, alpha) -> list[list]:
+    """``kernel_mix``'s entries one ``Fraction`` product each: alpha times
+    k1's weights, then 1 - alpha times k2's, block by block."""
+    alpha = Fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise PreconditionError(f"alpha must lie in [0,1], got {alpha}")
+    if k1.g_alg.blocks != k2.g_alg.blocks:
+        raise StructureError("kernels live on different block structures")
+    return [[(v, alpha * w) for v, w in zip(s1, w1)]
+            + [(v, (1 - alpha) * w) for v, w in zip(s2, w2)]
+            for s1, w1, s2, w2 in zip(k1.supports, k1.weights, k2.supports, k2.weights)]
 
 
 def barycenters_loop(kernel) -> list[np.ndarray]:

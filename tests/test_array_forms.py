@@ -4,7 +4,10 @@ kernels against the per-atom code they replaced (``_oracles``).
 Spaces are drawn with ids that are not 0..n-1, masses whose common
 denominator may pass 2**53, partitions with blocks of more than 8 atoms,
 and rows of dimension 1 to 3 taken from a pool with signed zeros, repeats
-and extreme scales, so that bit-level differences would show.
+and extreme scales, so that bit-level differences would show.  Kernel
+weights are drawn over denominators past 2**53, 2**62 and 2**63 (where the
+numerators are Python ints), with zero weights and up to 48 entries a
+block.
 """
 import tracemalloc
 from fractions import Fraction
@@ -21,13 +24,18 @@ from _oracles import (
     correspondence_loop,
     is_nowhere_equivalent_loop,
     is_refinement_loop,
+    kernel_mix_loop,
     lyapunov_mix_loop,
     outcome,
+    rcd_loop,
+    same_rows,
     selection_index_loop,
+    space_numerators_loop,
+    transition_kernel_loop,
 )
 from corrint.correspondences import Correspondence, Selection
-from corrint.errors import DivisibilityError
-from corrint.rcd import rcd_of_selection
+from corrint.errors import DivisibilityError, StructureError
+from corrint.rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from corrint.set_integration import conditional_set, lyapunov_mix
 from corrint.spaces import (
     DiscreteSpace,
@@ -143,7 +151,9 @@ def correspondences(draw, space):
         if maps and draw(st.booleans()):
             maps[a] = maps[draw(st.sampled_from(sorted(maps)))]
         else:
-            maps[a] = list(rows(draw, draw(st.integers(1, 4)), d))
+            # one (m, d) array, or a list of its rows
+            given = rows(draw, draw(st.integers(1, 4)), d)
+            maps[a] = given if draw(st.booleans()) else list(given)
     return maps
 
 
@@ -254,3 +264,131 @@ def test_block_averages_padding_stays_linear(d):
     assert np.array_equal(out[0], block_averages_loop(space, SigmaPartition(
         [range(n // 2)]), values[: n // 2])[0])
     assert np.array_equal(np.array(out[1:]), values[n // 2:])
+
+
+DENOMINATORS = [1, 6, 360, 2 ** 53 + 1, 3 * 2 ** 53, 2 ** 62 + 3, 2 ** 63 + 5, 2 ** 70 + 1]
+
+
+@st.composite
+def block_weights(draw, n: int, faults: bool) -> list[Fraction]:
+    """n weights over one drawn denominator, summing to 1, some zero; with
+    ``faults``, now and then one is off by 1/den, so the sum is not 1."""
+    den = draw(st.sampled_from(DENOMINATORS))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+    parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, den])]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        j = 0 if i == n - 1 else n - 1  # weight i moves to an end entry
+        if i != j:
+            parts[j] += parts[i]
+            parts[i] = 0
+    if faults and draw(st.integers(0, 19)) == 0:
+        parts[draw(st.integers(0, n - 1))] += 1
+    return [Fraction(part, den) for part in parts]
+
+
+@st.composite
+def kernel_entries(draw, g_alg, d: int, faults: bool = True, most: int = 48) -> list[list]:
+    per_block = []
+    for _ in g_alg.blocks:
+        n = draw(st.integers(1, most))
+        pool = rows(draw, draw(st.integers(1, 4)), d)  # few points, so they repeat
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        per_block.append(list(zip((pool[j] for j in picks), draw(block_weights(n, faults)))))
+    return per_block
+
+
+def _kernel_bits(kern) -> tuple:
+    return ([s.tobytes() for s in kern.supports], kern.weights,
+            _bits(kern.barycenters()), _bits(barycenters_loop(kern)))
+
+
+def _same(kern, want) -> bool:
+    supports, weights = want
+    return (len(kern.supports) == len(supports)
+            and all(same_rows(s, t) for s, t in zip(kern.supports, supports))
+            and kern.weights == weights
+            and all(type(w) is Fraction for ws in kern.weights for w in ws)
+            and _bits(kern.barycenters()) == _bits(barycenters_loop(kern)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_kernel_core_equals_the_entry_loop(data):
+    space = data.draw(spaces(max_size=8))
+    g_alg = data.draw(partitions(space))
+    per_block = data.draw(kernel_entries(g_alg, data.draw(st.integers(1, 3))))
+    got = outcome(TransitionKernel, g_alg, per_block)
+    want = outcome(transition_kernel_loop, g_alg, per_block)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] is want[1] is StructureError
+        return
+    kern = got[1]
+    assert _same(kern, want[1])
+    assert all(not s.flags.writeable for s in kern.supports)
+    rebuilt = TransitionKernel(g_alg, [list(zip(*sw)) for sw in zip(*want[1])])
+    assert kern.equals_exactly(rebuilt) and rebuilt.equals_exactly(kern)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_kernel_mix_equals_the_product_loop(data):
+    space = data.draw(spaces(max_size=6))
+    g_alg = data.draw(partitions(space))
+    d = data.draw(st.integers(1, 2))
+    k1, k2 = (TransitionKernel(g_alg, data.draw(kernel_entries(g_alg, d, False, 12)))
+              for _ in range(2))
+    q = data.draw(st.sampled_from([1, 2, 3, 64, 2 ** 61 + 1, 2 ** 64 + 1]))
+    alpha = Fraction(data.draw(st.integers(0, q)), q)
+    mixed = kernel_mix(k1, k2, alpha)
+    assert _same(mixed, transition_kernel_loop(g_alg, kernel_mix_loop(k1, k2, alpha)))
+    # equal as distributions exactly when their supports and weights agree
+    for a, b in ((mixed, k1), (mixed, k2), (k1, k2), (mixed, kernel_mix(k2, k1, 1 - alpha))):
+        same = _kernel_bits(a)[:2] == _kernel_bits(b)[:2]
+        assert a.equals_exactly(b) == b.equals_exactly(a) == same
+
+
+@SETTINGS
+@given(data=st.data())
+def test_rcd_of_selection_equals_the_atom_loop(data):
+    # masses near a drawn top share little, so block denominators pass
+    # 2**53 and 2**63 with it
+    n = data.draw(st.integers(1, 24))
+    top = data.draw(st.sampled_from([50, 2 ** 60, 2 ** 70]))
+    weights = [top - k for k in data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))]
+    space = DiscreteSpace(tuple(range(0, 3 * n, 3)),
+                          tuple(Fraction(w, sum(weights)) for w in weights))
+    d = data.draw(st.integers(1, 3))
+    pool = rows(data.draw, 3, d)
+    picks = data.draw(st.lists(st.integers(0, 2), min_size=len(space.ids),
+                               max_size=len(space.ids)))
+    corr = Correspondence(space, {a: pool for a in space.ids})
+    sel = Selection(corr, SigmaPartition.singletons(space),
+                    {a: pool[j] for a, j in zip(space.ids, picks)})
+    g_alg = data.draw(partitions(space))
+    assert _same(rcd_of_selection(sel, g_alg), transition_kernel_loop(g_alg, rcd_loop(sel, g_alg)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_space_numerators_equal_the_per_atom_loop(data):
+    n = data.draw(st.integers(1, 30))
+    top = data.draw(st.sampled_from([1, 50, 10 ** 18, 10 ** 30]))  # past 2**53 and 2**63
+    weights = data.draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    total = sum(weights)
+    masses = [Fraction(w, total) for w in weights]
+    fault = data.draw(st.sampled_from(["none", "zero", "negative", "sum"]))
+    if fault != "none":
+        i = data.draw(st.integers(0, n - 1))
+        masses[i] = {"zero": Fraction(0), "negative": -masses[i],
+                     "sum": masses[i] + Fraction(1, 3)}[fault]
+    got = outcome(lambda: DiscreteSpace(tuple(range(n)), tuple(masses)))
+    want = outcome(space_numerators_loop, masses)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] is want[1] is StructureError
+        return
+    space = got[1]
+    den, nums = want[1]
+    assert space.den == den and space.numerators == nums
+    assert space._nums.dtype == (np.int64 if den < 2 ** 53 else object)

@@ -1,6 +1,7 @@
 """tower-barycenter against its per-instance form, its memory, the tower
 draws, and negative controls for the verdicts of tower-barycenter,
-rcd-mixture and lemma-bound.
+rcd-mixture, lemma-bound, walsh-orthogonality and
+counterexample-integrals.
 
 tower-barycenter runs its instances as disjoint unions of up to
 ``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
@@ -18,6 +19,7 @@ import pytest
 from _oracles import tower_barycenter_loop
 from corrint import game, scenarios
 from corrint.cli import main
+from corrint.correspondences import StepFunction
 from corrint.rcd import TransitionKernel
 
 
@@ -129,3 +131,60 @@ def test_lemma_canonical_row_fails_on_a_failing_check(tmp_path, capsys, monkeypa
     assert code == 1 and res["verdict"] is False
     assert [m["all_trials_hold"] for m in res["meshes"]] == [False, False]
     assert all(m["worst_ratio"] < 1 for m in res["meshes"])
+
+
+def test_walsh_orthogonality_fails_on_one_off_diagonal_entry(tmp_path, capsys, monkeypatch):
+    real = scenarios.walsh_gram
+
+    def patched(max_index, level):
+        gram = real(max_index, level)
+        gram[2, 5] = 1  # W_2 and W_5 no longer orthogonal
+        return gram
+
+    monkeypatch.setattr(scenarios, "walsh_gram", patched)
+    code, res = _run(tmp_path, capsys, {"kind": "walsh-orthogonality", "level": 4,
+                                        "max_index": 8})
+    assert code == 1 and res["verdict"] is False
+    assert res["failures"] == [[2, 5, 1]]
+
+
+def _integral_cases(tmp_path, capsys) -> tuple[int, dict]:
+    return _run(tmp_path, capsys, {"kind": "counterexample-integrals", "k": 2, "N": 2,
+                                   "L": 4, "gammas": ["0", "1/4"]})
+
+
+def test_counterexample_norm_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    real = scenarios.norm
+    monkeypatch.setattr(scenarios, "norm", lambda v, flavor: real(v, flavor) + 1e-9)
+    code, res = _integral_cases(tmp_path, capsys)
+    assert code == 1 and res["verdict"] is False
+    for case in res["cases"]:
+        assert abs(case["e1_norm"] - case["expected"]) > 1e-12
+        assert case["basis_match"] and case["vanishes_on_atomic_part"]
+
+
+def test_counterexample_basis_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    real = scenarios.basis_vector
+
+    def tilted(i, d):
+        v = real(i, d)
+        v[-1] += 1e-9  # every e_j is compared with a slightly wrong basis vector
+        return v
+
+    monkeypatch.setattr(scenarios, "basis_vector", tilted)
+    code, res = _integral_cases(tmp_path, capsys)
+    assert code == 1 and res["verdict"] is False
+    for case in res["cases"]:
+        assert abs(case["e1_norm"] - case["expected"]) <= 1e-12
+        assert not case["basis_match"] and case["vanishes_on_atomic_part"]
+
+
+def test_counterexample_atomic_part_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    # f_1 read on its first cell wherever it is evaluated, so it no longer
+    # vanishes on the atomic part [0, gamma]
+    monkeypatch.setattr(StepFunction, "eval_at", lambda self, l: self.values[0].copy())
+    code, res = _integral_cases(tmp_path, capsys)
+    assert code == 1 and res["verdict"] is False
+    assert [c["vanishes_on_atomic_part"] for c in res["cases"]] == [True, False]
+    for case in res["cases"]:
+        assert abs(case["e1_norm"] - case["expected"]) <= 1e-12 and case["basis_match"]

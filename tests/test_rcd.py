@@ -1,15 +1,25 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import kernel_blocks, outcome, same_rows
+from corrint import scenarios
 from corrint.correspondences import Correspondence, Selection
 from corrint.errors import StructureError
 from corrint.rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from corrint.set_integration import conditional_expectation, lyapunov_mix
-from corrint.spaces import DiscreteSpace, SigmaPartition
+from corrint.spaces import DiscreteSpace, DyadicModel, SigmaPartition
 from corrint.vectors import basis_vector, zero_vector
+
+PINNED_KERNELS = json.loads((Path(__file__).parent / "kernel_sha256.json").read_text())
+KERNEL_TOWER = {f"tower-seed{seed}-instances{n}": (seed, n)
+                for seed in (0, 1, 2, 3, 7, 20240) for n in (1, 2, 50, 600)}
+KERNEL_MIXTURE = {f"mixture-resolution{r}-d{d}": (r, d)
+                  for r in (1, 2, 3, 4, 7, 64) for d in (1, 2, 3)}
 
 
 def _single_valued(space, vals):
@@ -133,8 +143,10 @@ def test_kernel_json():
     assert doc[0]["weights"] == ["2/3", "1/3"]
 
 
-# few coordinates, so that entries repeat and hold -0.0 beside 0.0
-_COORDS = np.array([0.0, -0.0, 1.0, np.nan])
+# few coordinates, so that entries repeat and hold -0.0 beside 0.0; a
+# non-finite one now and then, which both forms refuse
+_COORDS = np.array([0.0, -0.0, 1.0])
+_NON_FINITE = np.array([np.nan, np.inf, -np.inf])
 
 
 def _random_weights(rng, n):
@@ -175,6 +187,8 @@ def _random_kernel_input(rng):
     for _ in g_alg.blocks:
         size = int(rng.integers(0, 6)) if rng.random() < 0.05 else int(rng.integers(1, 6))
         vectors = [rng.choice(_COORDS, size=d) for _ in range(size)]
+        if vectors and rng.random() < 0.02:
+            vectors[0][int(rng.integers(d))] = rng.choice(_NON_FINITE)
         per_block.append(list(zip(vectors, _random_weights(rng, size))))
     return g_alg, per_block
 
@@ -209,8 +223,7 @@ def test_kernel_matches_the_per_vector_oracle():
                 + [(v, (1 - alpha) * w) for v, w in zip(sup, ws)]
                 for sup, ws in zip(*want[1])]
         assert _same_kernel(mixed, *kernel_blocks(g_alg, dist))
-        assert mixed.equals_exactly(kern) == all(
-            not np.isnan(s).any() for s in kern.supports)
+        assert mixed.equals_exactly(kern)
     assert built > 300
 
 
@@ -243,3 +256,70 @@ def test_kernel_leaves_the_callers_arrays_writeable():
     v = np.array([1.0, 2.0])
     kern = TransitionKernel(SigmaPartition.trivial(space), [[(v, Fraction(1))]])
     assert v.flags.writeable and not kern.supports[0].flags.writeable
+
+
+def _kernel_docs(name: str) -> list:
+    """The ``to_json`` of the kernels a pinned check builds.
+
+    tower-barycenter: per batch, the rcd of the selection given G and its
+    mixture with itself at 1/3.  rcd-mixture: per alpha, the mixture of the
+    two constant selections' kernels and the rcd of the selection that
+    realizes it.
+    """
+    if name in KERNEL_TOWER:
+        seed, instances = KERNEL_TOWER[name]
+        rng = np.random.default_rng(seed)
+        docs = []
+        for lo in range(0, instances, scenarios.TOWER_BATCH):
+            batch = min(scenarios.TOWER_BATCH, instances - lo)
+            _, sel, _, g_alg = scenarios._tower_union(rng, batch)
+            kern = rcd_of_selection(sel, g_alg)
+            docs.append([kern.to_json(), kernel_mix(kern, kern, Fraction(1, 3)).to_json()])
+        return docs
+    resolution, d = KERNEL_MIXTURE[name]
+    model = DyadicModel(Fraction(0), 1, refinement=resolution)
+    space = model.space
+    v0, v1 = np.zeros(d), basis_vector(0, d)
+    corr = Correspondence(space, {a: [v0, v1] for a in space.ids})
+    f_alg, t_alg = model.cell_partition, SigmaPartition.singletons(space)
+    sel0 = Selection(corr, f_alg, {a: v0 for a in space.ids})
+    sel1 = Selection(corr, f_alg, {a: v1 for a in space.ids})
+    k0, k1 = rcd_of_selection(sel0, f_alg), rcd_of_selection(sel1, f_alg)
+    docs = []
+    for num in range(resolution + 1):
+        alpha = Fraction(num, resolution)
+        g = sel0 if alpha == 1 else sel1 if alpha == 0 else \
+            lyapunov_mix([sel0, sel1], [alpha, 1 - alpha], f_alg, t_alg)
+        docs.append([kernel_mix(k0, k1, alpha).to_json(), rcd_of_selection(g, f_alg).to_json()])
+    return docs
+
+
+def test_every_kernel_check_is_pinned():
+    assert sorted(PINNED_KERNELS) == sorted({**KERNEL_TOWER, **KERNEL_MIXTURE})
+
+
+@pytest.mark.parametrize("name", sorted({**KERNEL_TOWER, **KERNEL_MIXTURE}))
+def test_kernel_json_is_pinned(name):
+    """The sha256 of ``json.dumps`` of ``_kernel_docs(name)``, generated by
+    the per-entry kernel constructor that the array core replaced.
+    Regenerate ``kernel_sha256.json`` from the root of the checkout with
+
+        PYTHONPATH=src:tests python -c "import hashlib, json; from test_rcd import KERNEL_TOWER, KERNEL_MIXTURE, _kernel_docs; print(json.dumps({n: hashlib.sha256(json.dumps(_kernel_docs(n)).encode()).hexdigest() for n in {**KERNEL_TOWER, **KERNEL_MIXTURE}}, indent=2, sort_keys=True), file=open('tests/kernel_sha256.json', 'w'))"
+
+    and justify the regeneration in CHANGES.md.
+    """
+    digest = hashlib.sha256(json.dumps(_kernel_docs(name)).encode()).hexdigest()
+    assert digest == PINNED_KERNELS[name]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_refuses_non_finite_support_points(bad):
+    g_alg = SigmaPartition.trivial(DiscreteSpace.uniform(2))
+    half = Fraction(1, 2)
+    per_block = [[(np.array([0.0, bad]), half), (np.array([1.0, 0.0]), half)]]
+    for build in (TransitionKernel, kernel_blocks):
+        with pytest.raises(StructureError):
+            build(g_alg, per_block)
+    # a zero weight does not excuse the point
+    with pytest.raises(StructureError):
+        TransitionKernel(g_alg, [[(np.array([bad, 0.0]), 0), (np.ones(2), 1)]])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,37 @@ def test_integer_spectrum_exact_just_below_overflow():
     assert walsh_integer_spectrum([-top, 0]).tolist() == [-top, -top]
     g = [2.0 ** 62, 2.0 ** 62 - 1024.0, 1023.0, 0.0]  # 2**63 - 1 as integral floats
     assert walsh_integer_spectrum(g)[0] == top
+
+
+def test_integer_spectrum_equals_the_butterfly_then_bit_reversal():
+    # the values are bit-reversed before the butterfly, not its output
+    # after: the same integers, because the Hadamard matrix commutes with
+    # the bit reversal
+    rng = np.random.default_rng(15)
+    for level in range(0, 9):
+        perm = _bit_reverse_permutation(level)
+        g = rng.integers(-9, 10, size=(3, 1 << level))
+        for form in (g, g.astype(float), g.astype(np.int32), g > 0):
+            before = form.copy()
+            got = walsh_integer_spectrum(form)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _kernels.fwht_f64(form.astype(np.int64))[..., perm])
+            assert np.array_equal(form, before)  # the input is left alone
+
+
+@pytest.mark.parametrize("dtype", [np.int64, bool])
+def test_integer_spectrum_peak_memory_is_one_half_past_its_result(dtype):
+    # one int64 result and one half-size scratch array; the bool input's
+    # bit-reversed copy is freed before the scratch is made
+    g = (np.random.default_rng(16).integers(-5, 5, size=(65, 1024)) > 0).astype(dtype)
+    walsh_integer_spectrum(g)  # the cached permutation is built outside the measurement
+    tracemalloc.start()
+    try:
+        out = walsh_integer_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * out.nbytes
 
 
 def test_bit_reverse_permutation_is_cached_and_read_only():
