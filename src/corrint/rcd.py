@@ -10,8 +10,8 @@ compactification object exists.
 A kernel is held as arrays: one read-only stack of support points, block
 after block, each block's number of points, and each point's weight as an
 integer numerator over its block's one denominator.  The numerators are
-int64 where the denominators sum to less than 2**63, so that no sum of them
-can wrap, and Python ints otherwise.  The three ways to build a kernel
+int64 where no partial sum of them can reach 2**63 (for a valid kernel they
+sum to the sum of the denominators), and Python ints otherwise.  The three ways to build a kernel
 (per-block lists of (vector, weight) pairs, a selection, a mixture of two
 kernels) each flatten their entries into rows, block labels and numerators
 and hand them to one constructor core, ``_settle``, which merges the
@@ -192,6 +192,7 @@ def _settle(kern: TransitionKernel, g_alg: SigmaPartition, rows: np.ndarray,
 
 
 def _kernel(g_alg, rows, owner, nums, dens) -> TransitionKernel:
+    """A new kernel from flat entries, as ``_settle`` takes them."""
     kern = object.__new__(TransitionKernel)
     _settle(kern, g_alg, rows, owner, nums, dens)
     return kern
