@@ -24,15 +24,14 @@ from .vectors import basis_vector, zero_vector
 from .walsh import walsh_integral, walsh_sign_on_cell
 
 
-def _stack_vectors(vectors, what: str, copy: bool | None = True) -> np.ndarray:
+def _stack_vectors(vectors, what: str) -> np.ndarray:
     """One float (n, d) array of the given vectors, in the given order.
 
-    Raises StructureError unless they are 1-D vectors of one length.  The
-    stack is a copy unless ``copy`` is None and ``vectors`` is already a
-    float array, which is then returned as it is.
+    Raises StructureError unless they are 1-D vectors of one length.  A
+    float array is returned as it is; anything else becomes a new array.
     """
     try:
-        stack = np.array(vectors, dtype=float, copy=copy)
+        stack = np.array(vectors, dtype=float, copy=None)
     except ValueError:
         shapes = {np.shape(v) for v in vectors}
         if len(shapes) > 1:
@@ -43,10 +42,6 @@ def _stack_vectors(vectors, what: str, copy: bool | None = True) -> np.ndarray:
     return stack
 
 
-# the bits of -0.0 read as an int64
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
 def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     """Each owner's distinct rows, bit for bit, in lexicographic order.
 
@@ -55,26 +50,20 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     stable sort that puts the bit-equal rows of each owner together, each
     run led by the first of them given, and ``starts`` where its runs
     begin.  The runs ordered by owner, then by value, ties (-0.0 beside
-    0.0) in the order given, are the runs taken in ``rank``, or as they lie
-    when ``rank`` is None.
+    0.0) in the order given, are the runs taken in ``rank``.
 
     Finite rows are equal bit for bit iff each coordinate has the same
-    value and sign.  Without a -0.0 the values alone decide both, so one
-    stable sort by owner and value gives the runs in their final order.
-    With one, the sort also keys each coordinate's sign, and a second sort
-    ranks the runs by value alone.
+    value and sign, so the first sort keys both; the second ranks the
+    runs by value alone, ties by their first row.
     """
-    cols, bits = rows.T[::-1], rows.view(np.int64)
-    signed = bool((bits == _NEGATIVE_ZERO).any())
-    keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair] if signed else cols
+    cols = rows.T[::-1]
+    keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair]
     order = np.lexsort((*keys, owner))
-    bits, lab = bits[order], owner[order]
+    bits, lab = rows.view(np.int64)[order], owner[order]
     fresh = np.ones(order.shape[0], dtype=bool)
     fresh[1:] = lab[1:] != lab[:-1]
     fresh[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
     starts = np.flatnonzero(fresh)
-    if not signed:
-        return order, starts, None
     lead = order[starts]
     return order, starts, np.lexsort((lead, *rows[lead].T[::-1], owner[lead]))
 
@@ -167,7 +156,7 @@ class Correspondence:
                 raise StructureError(f"empty value set at atom {a}")
             given.append(vs)
         # each atom's set is one (m, d) array, and the sets are stacked once
-        given = [_stack_vectors(vs, "correspondence values", copy=None) for vs in given]
+        given = [_stack_vectors(vs, "correspondence values") for vs in given]
         try:
             raw = np.concatenate(given)
         except ValueError:
@@ -193,7 +182,7 @@ class Correspondence:
         rows = raw[np.repeat(starts[firsts], sizes) + within]
         owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
         order, starts, rank = _merge_rows(rows, owner)
-        kept = order[starts] if rank is None else order[starts[rank]]
+        kept = order[starts[rank]]
         stack = rows[kept]
         stack.setflags(write=False)
         set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])

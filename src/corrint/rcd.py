@@ -9,16 +9,18 @@ compactification object exists.
 
 A kernel is held as arrays: one read-only stack of support points, block
 after block, each block's number of points, and each point's weight as an
-integer numerator over its block's one denominator.  The numerators are
-int64 where no partial sum of them can reach 2**63 (for a valid kernel they
-sum to the sum of the denominators), and Python ints otherwise.  The three ways to build a kernel
-(per-block lists of (vector, weight) pairs, a selection, a mixture of two
-kernels) each flatten their entries into rows, block labels and numerators
-and hand them to one constructor core, ``_settle``, which merges the
-bit-equal rows of each block with one stable sort and sums their
-numerators exactly.  ``rcd_of_selection`` still reads each atom's mass
-through ``space.mass_of`` and each block's through ``space.mass``, because
-the benchmark's layer table (``perfbench/tracer.py``) requires both on the
+integer numerator over its block's one denominator.  As in
+``DiscreteSpace._nums``, the numerators are int64 while their total and the
+denominators' total are below 2**53, so no sum of them wraps and each is
+exact in float64, and Python ints past that.  The three ways to build a
+kernel (per-block lists of (vector, weight) pairs, a selection, a mixture
+of two kernels) each flatten their entries into rows, block labels and
+numerators and hand them to one constructor core,
+``TransitionKernel._from_entries``, which merges the bit-equal rows of each
+block with one stable sort and sums their numerators exactly.
+``rcd_of_selection`` still reads each atom's mass through
+``space.mass_of`` and each block's through ``space.mass``, because the
+benchmark's layer table (``perfbench/tracer.py``) requires both on the
 exact workload; it divides once per distinct atom mass in a block, and the
 weights of the atoms then follow as integers.
 """
@@ -35,13 +37,12 @@ from .correspondences import Selection, _merge_rows, _stack_vectors
 from .errors import PreconditionError, StructureError
 from .spaces import SigmaPartition, sequential_sums
 
-_INT64_TOTAL = 1 << 63
-
 
 def _int_dtype(total: int):
-    """The dtype of nonnegative integer numerators that sum to ``total`` at
-    most: int64 when no partial sum can reach 2**63, Python ints otherwise."""
-    return np.int64 if total < _INT64_TOTAL else object
+    """The dtype of nonnegative integer numerators and denominators that
+    each sum to ``total`` at most: int64 below 2**53, as ``DiscreteSpace``
+    keeps its numerators, Python ints past that."""
+    return np.int64 if total < 1 << 53 else object
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -88,8 +89,52 @@ class TransitionKernel:
         raw = _stack_vectors(vectors, "kernel support points") if vectors \
             else np.zeros((0, 0))
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        dtype = _int_dtype(max(sum(nums), sum(dens)))
-        _settle(self, g_alg, raw, owner, np.array(nums, dtype=dtype), dens)
+        nums = np.array(nums, dtype=_int_dtype(max(sum(nums), sum(dens))))
+        # the core builds a second instance; this one takes its fields
+        self.__dict__.update(vars(TransitionKernel._from_entries(g_alg, raw, owner, nums, dens)))
+
+    @classmethod
+    def _from_entries(cls, g_alg: SigmaPartition, rows: np.ndarray, owner: np.ndarray,
+                      nums: np.ndarray, dens: list[int]) -> "TransitionKernel":
+        """The constructor core: a kernel from flat entries.
+
+        Entry i is the point ``rows[i]`` of block ``owner[i]`` with weight
+        ``nums[i] / dens[owner[i]]``; numerators are nonnegative, int64
+        only when they and the denominators each total below 2**53
+        (``_int_dtype``).  Zero weights are dropped, bit-equal points of a
+        block merged into the first of them with their numerators summed,
+        and each block's numerators must sum to its denominator.  Raises
+        StructureError on a point that is not finite (NaN has no place in
+        lexicographic order) or on a block whose weights do not sum to 1.
+        """
+        if not np.isfinite(rows).all():
+            raise StructureError("kernel support points must be finite")
+        if not nums.all():
+            live = np.flatnonzero(nums)
+            rows, owner, nums = rows[live], owner[live], nums[live]
+        order, starts, rank = _merge_rows(rows, owner)
+        nums = np.add.reduceat(nums[order], starts)[rank]
+        kept = order[starts[rank]]
+        owner = owner[kept]
+        counts = np.bincount(owner, minlength=len(dens))
+        sums = np.zeros(nums.shape[0] + 1, dtype=nums.dtype)
+        np.cumsum(nums, out=sums[1:])
+        ends = np.cumsum(counts)
+        dens = np.array(dens, dtype=nums.dtype)
+        bad = np.flatnonzero(sums[ends] - sums[ends - counts] != dens)
+        if bad.shape[0]:
+            j = int(bad[0])
+            total = Fraction(int(sums[ends[j]] - sums[ends[j] - counts[j]]), int(dens[j]))
+            raise StructureError(
+                f"weights in block {sorted(g_alg.blocks[j])} sum to {total}, not 1"
+            )
+        stack = rows[kept]
+        stack.setflags(write=False)
+        kern = object.__new__(cls)
+        for name, value in (("g_alg", g_alg), ("_stack", stack), ("_owner", owner),
+                            ("_counts", counts), ("_nums", nums), ("_dens", dens)):
+            object.__setattr__(kern, name, value)
+        return kern
 
     @property
     def dim(self) -> int:
@@ -113,14 +158,11 @@ class TransitionKernel:
         from zeros (``sequential_sums``).
 
         Each weight is its numerator over the block's denominator, correctly
-        rounded as in ``spaces.block_averages``: a float64 quotient below
-        2**53, Python's int division past it; either is ``float(weight)``.
+        rounded as in ``spaces.block_averages``: a float64 quotient of int64
+        below 2**53, Python's int division past it; either is
+        ``float(weight)``.
         """
-        dens = self._dens[self._owner]
-        if self._nums.dtype == object or (dens.size and dens.max() >= 1 << 53):
-            weights = np.array([n / d for n, d in zip(self._nums.tolist(), dens.tolist())])
-        else:
-            weights = self._nums / dens
+        weights = (self._nums / self._dens[self._owner]).astype(float, copy=False)
         return list(sequential_sums(self._stack * weights[:, None], self._counts))
 
     def equals_exactly(self, other: "TransitionKernel") -> bool:
@@ -133,7 +175,7 @@ class TransitionKernel:
         # each numerator is at most its denominator, so int64 products are
         # exact while the two largest denominators' product is below 2**63
         mine, theirs = self._dens.tolist(), other._dens.tolist()
-        dtype = _int_dtype(max(mine) * max(theirs)) if mine else np.int64
+        dtype = np.int64 if not mine or max(mine) * max(theirs) < 1 << 63 else object
         scale = np.array([theirs, mine], dtype=dtype)[:, self._owner]
         return bool((self._nums * scale[0] == other._nums * scale[1]).all())
 
@@ -146,56 +188,6 @@ class TransitionKernel:
             }
             for b, sup, ws in zip(self.g_alg.blocks, self.supports, self.weights)
         ]
-
-
-def _settle(kern: TransitionKernel, g_alg: SigmaPartition, rows: np.ndarray,
-            owner: np.ndarray, nums: np.ndarray, dens: list[int]) -> None:
-    """The constructor core: fills ``kern`` from flat entries.
-
-    Entry i is the point ``rows[i]`` of block ``owner[i]`` with weight
-    ``nums[i] / dens[owner[i]]``; numerators are nonnegative, int64 only
-    when every partial sum fits (``_int_dtype``).  Zero weights are
-    dropped, bit-equal points of a block merged into the first of them
-    with their numerators summed, and each block's numerators must sum to
-    its denominator.  Raises StructureError on a point that is not finite
-    (NaN has no place in lexicographic order) or on a block whose weights
-    do not sum to 1.
-    """
-    if not np.isfinite(rows).all():
-        raise StructureError("kernel support points must be finite")
-    if not nums.all():
-        live = np.flatnonzero(nums)
-        rows, owner, nums = rows[live], owner[live], nums[live]
-    order, starts, rank = _merge_rows(rows, owner)
-    nums = np.add.reduceat(nums[order], starts)
-    if rank is not None:
-        starts, nums = starts[rank], nums[rank]
-    kept = order[starts]
-    owner = owner[kept]
-    counts = np.bincount(owner, minlength=len(dens))
-    sums = np.zeros(nums.shape[0] + 1, dtype=nums.dtype)
-    np.cumsum(nums, out=sums[1:])
-    ends = np.cumsum(counts)
-    dens = np.array(dens, dtype=nums.dtype)
-    bad = np.flatnonzero(sums[ends] - sums[ends - counts] != dens)
-    if bad.shape[0]:
-        j = int(bad[0])
-        total = Fraction(int(sums[ends[j]] - sums[ends[j] - counts[j]]), int(dens[j]))
-        raise StructureError(
-            f"weights in block {sorted(g_alg.blocks[j])} sum to {total}, not 1"
-        )
-    stack = rows[kept]
-    stack.setflags(write=False)
-    for name, value in (("g_alg", g_alg), ("_stack", stack), ("_owner", owner),
-                        ("_counts", counts), ("_nums", nums), ("_dens", dens)):
-        object.__setattr__(kern, name, value)
-
-
-def _kernel(g_alg, rows, owner, nums, dens) -> TransitionKernel:
-    """A new kernel from flat entries, as ``_settle`` takes them."""
-    kern = object.__new__(TransitionKernel)
-    _settle(kern, g_alg, rows, owner, nums, dens)
-    return kern
 
 
 def rcd_of_selection(sel: Selection, g_alg: SigmaPartition) -> TransitionKernel:
@@ -223,8 +215,8 @@ def rcd_of_selection(sel: Selection, g_alg: SigmaPartition) -> TransitionKernel:
         nums += map(scaled.__getitem__, keys[lo:hi])
         dens.append(den)
         lo = hi
-    return _kernel(g_alg, sel.choice[order], g_alg.labels[order],
-                   np.array(nums, dtype=_int_dtype(sum(dens))), dens)
+    return TransitionKernel._from_entries(g_alg, sel.choice[order], g_alg.labels[order],
+                                          np.array(nums, dtype=_int_dtype(sum(dens))), dens)
 
 
 def kernel_mix(
@@ -241,6 +233,8 @@ def kernel_mix(
         raise PreconditionError(f"alpha must lie in [0,1], got {alpha}")
     if k1.g_alg.blocks != k2.g_alg.blocks:
         raise StructureError("kernels live on different block structures")
+    if k1.dim != k2.dim:
+        raise StructureError(f"kernel support points of mixed dimensions {k1.dim} and {k2.dim}")
     p, q = alpha.numerator, alpha.denominator
     d1, d2 = k1._dens.tolist(), k2._dens.tolist()
     lcms = list(map(math.lcm, d1, d2))
@@ -250,5 +244,5 @@ def kernel_mix(
     scale2 = np.array([(q - p) * (m // d) for m, d in zip(lcms, d2)], dtype=dtype)
     nums = np.concatenate((k1._nums.astype(dtype, copy=False) * scale1[k1._owner],
                            k2._nums.astype(dtype, copy=False) * scale2[k2._owner]))
-    return _kernel(k1.g_alg, np.concatenate((k1._stack, k2._stack)),
-                   np.concatenate((k1._owner, k2._owner)), nums, dens)
+    return TransitionKernel._from_entries(k1.g_alg, np.concatenate((k1._stack, k2._stack)),
+                                          np.concatenate((k1._owner, k2._owner)), nums, dens)

@@ -5,8 +5,8 @@ Spaces are drawn with ids that are not 0..n-1, masses whose common
 denominator may pass 2**53, partitions with blocks of more than 8 atoms,
 and rows of dimension 1 to 3 taken from a pool with signed zeros, repeats
 and extreme scales, so that bit-level differences would show.  Kernel
-weights are drawn over denominators past 2**53, 2**62 and 2**63 (where the
-numerators are Python ints), with zero weights and up to 48 entries a
+weights are drawn over denominators past 2**53 (where the numerators are
+Python ints), 2**62 and 2**63, with zero weights and up to 48 entries a
 block.
 """
 import tracemalloc

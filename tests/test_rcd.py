@@ -249,6 +249,11 @@ def test_kernel_refuses_support_points_of_different_lengths():
         TransitionKernel(g_alg, [[(np.zeros(2), half), (np.ones(3), half)]])
     with pytest.raises(StructureError):
         TransitionKernel(g_alg, [[(np.zeros((2, 2)), Fraction(1))]])
+    k2 = TransitionKernel(g_alg, [[(np.zeros(2), Fraction(1))]])
+    k3 = TransitionKernel(g_alg, [[(np.zeros(3), Fraction(1))]])
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        with pytest.raises(StructureError):
+            kernel_mix(k2, k3, alpha)
 
 
 def test_kernel_leaves_the_callers_arrays_writeable():
