@@ -12,7 +12,6 @@ whose value at an interval atom is {0, f_1(cell), ..., f_k(cell)}.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +41,19 @@ def _stack_vectors(vectors, what: str) -> np.ndarray:
     return stack
 
 
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + sizes[i] - 1 of each span,
+    the spans end to end."""
+    return np.arange(int(sizes.sum())) + np.repeat(starts - block_starts(sizes), sizes)
+
+
+def _sign_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's sign bits packed eight columns to a byte: one row of
+    keys per byte, so that rows of equal value share keys iff their zeros
+    carry the same signs."""
+    return np.packbits(np.signbit(rows), axis=1, bitorder="little").T
+
+
 def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     """Each owner's distinct rows, bit for bit, in lexicographic order.
 
@@ -52,32 +64,23 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     begin.  The runs ordered by owner, then by value, ties (-0.0 beside
     0.0) in the order given, are the runs taken in ``rank``.
 
-    Finite rows are equal bit for bit iff each coordinate has the same
-    value and sign, so the first sort keys both; the second ranks the
-    runs by value alone, ties by their first row.
+    Finite rows are equal bit for bit iff they are equal in value and
+    their zeros carry the same signs, so one lexsort over (owner, value
+    columns, packed sign bits) brings them together.  The runs of one
+    owner equal in value then lie side by side, ordered by their signs; a
+    two-key lexsort ranks them by their first row instead.
     """
-    cols = rows.T[::-1]
-    keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair]
-    order = np.lexsort((*keys, owner))
-    bits, lab = rows.view(np.int64)[order], owner[order]
-    fresh = np.ones(order.shape[0], dtype=bool)
-    fresh[1:] = lab[1:] != lab[:-1]
-    fresh[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+    signs = _sign_keys(rows)
+    order = np.lexsort((*signs, *rows.T[::-1], owner))
+    srt, lab, signs = rows[order], owner[order], signs[:, order]
+    tie = np.ones(order.shape[0], dtype=bool)  # where a new owner or value begins
+    tie[1:] = lab[1:] != lab[:-1]
+    tie[1:] |= (srt[1:] != srt[:-1]).any(axis=1)
+    fresh = tie.copy()
+    fresh[1:] |= (signs[:, 1:] != signs[:, :-1]).any(axis=0)
     starts = np.flatnonzero(fresh)
     lead = order[starts]
-    return order, starts, np.lexsort((lead, *rows[lead].T[::-1], owner[lead]))
-
-
-def _row_keys(stack: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a C-contiguous (n, d) float stack.
-
-    Two rows share a key iff they are equal bit for bit, so -0.0 and 0.0
-    differ and a NaN matches its own bits.
-    """
-    step = stack.shape[1] * stack.itemsize
-    if not step:
-        return [b""] * stack.shape[0]
-    return stack.view(np.dtype((np.void, step))).ravel().tolist()
+    return order, starts, np.lexsort((lead, np.cumsum(tie)[starts]))
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,9 @@ class Correspondence:
     order, ties kept in input order.  Atoms given the same rows in the same
     order share one slice.  ``_start`` and ``_size`` locate each atom's
     slice in ``_stack``.
+
+    ``from_stack`` is the one constructor core; ``__init__`` flattens its
+    mapping into every atom's rows end to end and hands them to it.
     """
 
     space: DiscreteSpace
@@ -155,55 +161,68 @@ class Correspondence:
             if not len(vs):
                 raise StructureError(f"empty value set at atom {a}")
             given.append(vs)
-        # each atom's set is one (m, d) array, and the sets are stacked once
-        given = [_stack_vectors(vs, "correspondence values") for vs in given]
-        try:
-            raw = np.concatenate(given)
-        except ValueError:
-            shapes = sorted({vs.shape[1:] for vs in given})
-            raise StructureError(f"correspondence values of mixed shapes {shapes}") from None
-        if not np.isfinite(raw).all():
-            raise StructureError("correspondence values must be finite")
-        # atoms given the same rows in the same order share one set, keyed
-        # by their row count and bytes
         counts = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
+        rows = _stack_vectors([v for vs in given for v in vs], "correspondence values")
+        # the core builds a second instance; this one takes its fields
+        self.__dict__.update(vars(Correspondence.from_stack(space, rows, counts)))
+
+    @classmethod
+    def from_stack(cls, space: DiscreteSpace, rows: np.ndarray, counts) -> "Correspondence":
+        """The constructor core: ``rows`` is a float (n, d) array holding
+        every atom's value rows end to end, ``counts[i]`` of them for atom
+        ``space.ids[i]``.
+
+        Atoms given the same rows in the same order share one set: for each
+        distinct count, the atoms' rows side by side are merged as one row
+        per atom (``_merge_rows``).  Each set is then made distinct and
+        ordered by one merge of all the sets' rows.  Raises StructureError
+        on an empty set, counts that do not cover the rows, or a value that
+        is not finite.
+        """
+        ids = space.ids
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(ids),) or rows.ndim != 2 \
+                or int(counts.sum()) != rows.shape[0]:
+            raise StructureError(
+                f"need every atom's rows end to end, got {rows.shape[0]} rows and "
+                f"{counts.shape[0]} counts for {len(ids)} atoms")
+        empty = np.flatnonzero(counts < 1)
+        if empty.shape[0]:
+            raise StructureError(f"empty value set at atom {ids[int(empty[0])]}")
+        if not np.isfinite(rows).all():
+            raise StructureError("correspondence values must be finite")
+        rows = np.ascontiguousarray(rows, dtype=float)
         starts = block_starts(counts)
-        blob, step = raw.tobytes(), raw.shape[1] * raw.itemsize
-        canon: dict[tuple, int] = {}
-        which, firsts = [], []  # each atom's set; each set's first atom
-        for i, (lo, c) in enumerate(zip(starts.tolist(), counts.tolist())):
-            n = canon.setdefault((c, blob[lo * step:(lo + c) * step]), len(firsts))
-            if n == len(firsts):
-                firsts.append(i)
-            which.append(n)
-        which, firsts = np.array(which), np.array(firsts)
+        first = np.empty(len(ids), dtype=np.int64)  # each atom's first atom of equal rows
+        for c in sorted(set(counts.tolist())):
+            atoms = np.flatnonzero(counts == c)
+            width = c * rows.shape[1]
+            wide = rows[_spans(starts[atoms], counts[atoms])].reshape(atoms.shape[0], width)
+            order, runs, _ = _merge_rows(wide, np.zeros(atoms.shape[0]))
+            lengths = np.diff(runs, append=order.shape[0])
+            first[atoms[order]] = np.repeat(atoms[order[runs]], lengths)
+        leads = first == np.arange(len(ids))
+        firsts, which = np.flatnonzero(leads), np.cumsum(leads)[first] - 1
         sizes = counts[firsts]
-        within = np.arange(int(sizes.sum())) - np.repeat(block_starts(sizes), sizes)
-        rows = raw[np.repeat(starts[firsts], sizes) + within]
+        rows = rows[_spans(starts[firsts], sizes)]
         owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
-        order, starts, rank = _merge_rows(rows, owner)
-        kept = order[starts[rank]]
+        order, runs, rank = _merge_rows(rows, owner)
+        kept = order[runs[rank]]
         stack = rows[kept]
         stack.setflags(write=False)
         set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])
         bounds = block_starts(set_sizes)
         cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", tuple(cuts[n] for n in which.tolist()))
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_start", bounds[which])
-        object.__setattr__(self, "_size", set_sizes[which])
+        corr = object.__new__(cls)
+        values = tuple(map(cuts.__getitem__, which.tolist()))
+        for name, value in (("space", space), ("values", values), ("_stack", stack),
+                            ("_start", bounds[which]), ("_size", set_sizes[which])):
+            object.__setattr__(corr, name, value)
+        return corr
 
     @property
     def dim(self) -> int:
         return self.values[0].shape[1]
-
-    @functools.cached_property
-    def _keys(self) -> tuple[tuple[bytes, ...], ...]:
-        """Per atom, the bytes of each row of its value set (``_row_keys``)."""
-        keys = _row_keys(self._stack)
-        return tuple(tuple(keys[lo:lo + m])
-                     for lo, m in zip(self._start.tolist(), self._size.tolist()))
 
     def value_set(self, atom: int) -> np.ndarray:
         return self.values[self.space.position(atom)]
@@ -249,10 +268,13 @@ class Selection:
 
     Construction validates membership in the correspondence and block
     constancy, so invalid selections cannot exist.  ``choice`` is a
-    read-only (n, d) copy of the rows the caller gave, aligned with
+    read-only (n, d) array of the chosen rows, aligned with
     ``corr.space.ids``; each equals in value (``np.array_equal``: -0.0
     equals 0.0, NaN nothing) the row ``index[i]`` of its atom's value set,
     the first such row.  Block constancy is decided bit for bit.
+
+    ``from_rows`` is the one constructor core; ``__init__`` stacks its
+    mapping's rows into a new array and hands it over.
     """
 
     corr: Correspondence
@@ -261,22 +283,40 @@ class Selection:
     index: tuple[int, ...]
 
     def __init__(self, corr: Correspondence, alg: SigmaPartition, choice_map):
-        if alg.atom_set != corr.space.atom_set:
-            raise StructureError("selection algebra does not cover the space")
         ids = corr.space.ids
         for a in ids:
             if a not in choice_map:
                 raise StructureError(f"no choice at atom {a}")
         choice = _stack_vectors([choice_map[a] for a in ids], "choices")
+        # the core builds a second instance; this one takes its fields
+        self.__dict__.update(vars(Selection.from_rows(corr, alg, choice)))
+
+    @classmethod
+    def from_rows(cls, corr: Correspondence, alg: SigmaPartition,
+                  choice: np.ndarray) -> "Selection":
+        """The constructor core: ``choice`` is a float (n, d) array, one
+        row per atom of ``corr.space.ids``, which the selection keeps as
+        its own and makes read-only.
+
+        Raises StructureError unless ``alg`` covers the space, each row is
+        a value of its atom's set and the rows are constant on its blocks.
+        """
+        if alg.atom_set != corr.space.atom_set:
+            raise StructureError("selection algebra does not cover the space")
+        if choice.ndim != 2 or choice.shape[0] != len(corr.space.ids):
+            raise StructureError(
+                f"need one choice row per atom of {len(corr.space.ids)}, got shape {choice.shape}")
+        choice = np.ascontiguousarray(choice, dtype=float)
         index = _value_index(corr, choice)
         split = _first_split_block(choice, alg)
         if split is not None:
             raise StructureError(f"choice not constant on block {sorted(alg.blocks[split])}")
         choice.setflags(write=False)
-        object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "choice", choice)
-        object.__setattr__(self, "index", tuple(index.tolist()))
+        sel = object.__new__(cls)
+        for name, value in (("corr", corr), ("alg", alg), ("choice", choice),
+                            ("index", tuple(index.tolist()))):
+            object.__setattr__(sel, name, value)
+        return sel
 
     def at(self, atom: int) -> np.ndarray:
         return self.choice[self.corr.space.position(atom)]
@@ -293,19 +333,38 @@ def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndar
     Each is a read-only (m, d) array, rows in the value sets' order and
     compared bit for bit; m is 0 where the sets share no value.  For an
     ``alg``-measurable correspondence it is the common value set.
+
+    A block's lead is its least atom.  The set rows of every atom in
+    blocks of more than one atom are merged per block (``_merge_rows``); a
+    set holds no two bit-equal rows, so a lead row is shared by all the
+    block's sets iff its run counts one row per atom.
     """
     if alg.atom_set != corr.space.atom_set:
         raise StructureError("algebra does not cover the correspondence's space")
-    keys, position = corr._keys, corr.space.position
-    out = []
-    for b in alg.blocks:
-        p0 = position(min(b))
-        shared = set(keys[p0]).intersection(*(keys[position(a)] for a in b))
-        vals = corr.values[p0]
-        if len(shared) < len(vals):
-            vals = vals[[j for j, k in enumerate(keys[p0]) if k in shared]]
-            vals.setflags(write=False)
-        out.append(vals)
+    order, sizes = alg.layout
+    leads = order[block_starts(sizes)]
+    out = list(map(corr.values.__getitem__, leads.tolist()))
+    atoms = order[sizes[alg.labels[order]] > 1]  # in blocks of many, block by block
+    if not atoms.shape[0]:
+        return out
+    block, counts = alg.labels[atoms], corr._size[atoms]
+    rows = corr._stack[_spans(corr._start[atoms], counts)]
+    owner = np.repeat(block, counts)
+    merged, runs, _ = _merge_rows(rows, owner)
+    lengths = np.diff(runs, append=merged.shape[0])
+    shared = np.empty(rows.shape[0], dtype=bool)
+    shared[merged] = np.repeat(lengths == sizes[owner[merged[runs]]], lengths)
+    lead = np.ones(atoms.shape[0], dtype=bool)  # each block's first atom is its least
+    lead[1:] = block[1:] != block[:-1]
+    keep = np.repeat(lead, counts) & shared
+    kept = np.bincount(owner[keep], minlength=sizes.shape[0])
+    cut = np.flatnonzero((kept < corr._size[leads]) & (sizes > 1))
+    if cut.shape[0]:
+        rows = rows[keep]
+        rows.setflags(write=False)
+        bounds = block_starts(kept)
+        for b in cut.tolist():
+            out[b] = rows[bounds[b]:bounds[b] + kept[b]]
     return out
 
 
@@ -396,14 +455,15 @@ def build_counterexample(
                 walsh_integral(n, Fraction(0), Fraction(1), L)
             e_list[j - 1] += float(w) * basis_vector(k * n + j - 1, d)
 
-    # each cell's value set {0, f_1(cell), ..., f_k(cell)} as one array
+    # each cell's value set {0, f_1(cell), ..., f_k(cell)}, once per atom
+    # of the cell, after the atomic atom's {0}
     cell_sets = np.stack([np.zeros((model.ncells, d))] + [f.values for f in f_list], axis=1)
-    vmap = {}
+    rows = np.repeat(cell_sets, refinement, axis=0).reshape(-1, d)
+    counts = np.full(model.ncells * refinement, k + 1)
     if model.atomic_atom is not None:
-        vmap[model.atomic_atom] = cell_sets[0, :1]
-    for a in model.interval_atoms:
-        vmap[a] = cell_sets[model.cell_of(a)]
-    corr = Correspondence(model.space, vmap)
+        rows = np.concatenate((np.zeros((1, d)), rows))
+        counts = np.concatenate(([1], counts))
+    corr = Correspondence.from_stack(model.space, rows, counts)
     return CounterexampleBundle(
         k=k, gamma=gamma, N=N, L=L, refinement=refinement, d=d,
         model=model, f_list=tuple(f_list), e_list=e_list,

@@ -336,19 +336,14 @@ def check_necessity_gap(params: dict, seed: int) -> dict:
 
 
 def _canonical_selections(bundle) -> list[Selection]:
-    """The k+1 cell-algebra selections {0, f_1, ..., f_k} of the bundle."""
-    zero = np.zeros(bundle.d)
-    out = []
-    for j in range(bundle.k + 1):
-        cmap = {}
-        for a in bundle.model.space.ids:
-            c = bundle.model.cell_of(a)
-            if c is None or j == 0:
-                cmap[a] = zero
-            else:
-                cmap[a] = bundle.f_list[j - 1].values[c]
-        out.append(Selection(bundle.corr, bundle.f_alg, cmap))
-    return out
+    """The k+1 cell-algebra selections {0, f_1, ..., f_k} of the bundle:
+    each cell's value once per atom of the cell, 0 on the atomic atom."""
+    model = bundle.model
+    cells = np.stack([np.zeros((model.ncells, bundle.d))] + [f.values for f in bundle.f_list])
+    rows = np.repeat(cells, model.refinement, axis=1)
+    if model.atomic_atom is not None:
+        rows = np.concatenate((np.zeros((bundle.k + 1, 1, bundle.d)), rows), axis=1)
+    return [Selection.from_rows(bundle.corr, bundle.f_alg, r) for r in rows]
 
 
 def check_lyapunov_exactness(params: dict, seed: int) -> dict:
@@ -440,26 +435,20 @@ def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
     sizes = np.array(sizes)
     nf = np.array([g.shape[0] for g in g_parts])
     ng = np.array([int(g.max()) + 1 for g in g_parts])
-    # F-labels made distinct across the union; the partition's own labels
-    # rank each instance's F-blocks canonically, after those before it, as
-    # the instance's G-labels index them
-    f_alg = _partition(np.concatenate(f_parts) + np.repeat(block_starts(nf), sizes))
-    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(block_starts(ng), sizes)
     masses = [Fraction(1, instances * n) for n in sizes.tolist()]
     space = DiscreteSpace(tuple(range(int(sizes.sum()))),
                           tuple(np.repeat(np.array(masses, dtype=object), sizes)))
+    # F-labels made distinct across the union; the partition's own labels
+    # rank each instance's F-blocks canonically, after those before it, as
+    # the instance's G-labels index them
+    f_alg = SigmaPartition.from_labels(
+        space.ids, np.concatenate(f_parts) + np.repeat(block_starts(nf), sizes))
+    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(block_starts(ng), sizes)
     vals = np.concatenate(values)
-    corr = Correspondence(space, dict(enumerate(vals)))
+    corr = Correspondence.from_stack(space, vals.reshape(-1, d), np.full(vals.shape[0], 3))
     choice = vals[np.arange(vals.shape[0]), np.concatenate(picks)]
-    sel = Selection(corr, SigmaPartition.singletons(space), dict(enumerate(choice)))
-    return space, sel, f_alg, _partition(g)
-
-
-def _partition(labels: np.ndarray) -> SigmaPartition:
-    """The partition of atoms 0..n-1 into the blocks of their labels."""
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return SigmaPartition([order[lo:hi] for lo, hi in zip([0, *ends], ends)])
+    sel = Selection.from_rows(corr, SigmaPartition.singletons(space), choice)
+    return space, sel, f_alg, SigmaPartition.from_labels(space.ids, g)
 
 
 def check_tower_barycenter(params: dict, seed: int) -> dict:
@@ -619,12 +608,12 @@ def check_rcd_mixture(params: dict, seed: int) -> dict:
     model = DyadicModel(Fraction(0), 1, refinement=resolution)
     space = model.space
     v0, v1 = np.zeros(d), basis_vector(0, d)
-    both = np.array([v0, v1])
-    corr = Correspondence(space, {a: both for a in space.ids})
+    n = len(space.ids)
+    corr = Correspondence.from_stack(space, np.tile(np.array([v0, v1]), (n, 1)), np.full(n, 2))
     f_alg = model.cell_partition
     t_alg = SigmaPartition.singletons(space)
-    sel0 = Selection(corr, f_alg, {a: v0 for a in space.ids})
-    sel1 = Selection(corr, f_alg, {a: v1 for a in space.ids})
+    sel0 = Selection.from_rows(corr, f_alg, np.tile(v0, (n, 1)))
+    sel1 = Selection.from_rows(corr, f_alg, np.tile(v1, (n, 1)))
     k0 = rcd_of_selection(sel0, f_alg)
     k1 = rcd_of_selection(sel1, f_alg)
     all_exact = True

@@ -499,7 +499,7 @@ def lyapunov_mix(
             )
         plays[inner] = filled
     rows = np.stack([s.choice for s in selections])[plays[t_alg.labels], reps[f_alg.labels]]
-    return Selection(corr, t_alg, dict(zip(space.ids, rows)))
+    return Selection.from_rows(corr, t_alg, rows)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

@@ -19,6 +19,7 @@ subinterval midpoint (atoms of the atomic part sit at gamma/2).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -46,11 +47,11 @@ class DiscreteSpace:
     constructor takes any unique ascending ids, and lookups go by id, not
     by position.
 
-    ``den`` and ``_nums`` are derived once: the least common denominator
-    of the masses and, aligned with ``ids``, each mass times ``den``, an
-    integer.  ``_nums`` is a read-only array: int64 while ``den < 2**53``,
-    so every block sum and quotient of them is exact in float64 too, and
-    Python ints past that.
+    ``den``, ``_nums`` and ``atom_set`` are derived once: the least common
+    denominator of the masses, aligned with ``ids`` each mass times
+    ``den``, an integer, and the set of ids.  ``_nums`` is a read-only
+    array: int64 while ``den < 2**53``, so every block sum and quotient of
+    them is exact in float64 too, and Python ints past that.
     """
 
     ids: tuple[int, ...]
@@ -58,6 +59,7 @@ class DiscreteSpace:
     den: int = field(init=False, repr=False, compare=False)
     _nums: np.ndarray = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
+    _atom_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) != len(self.masses) or not self.ids:
@@ -81,6 +83,7 @@ class DiscreteSpace:
         array.setflags(write=False)
         object.__setattr__(self, "_nums", array)
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
+        object.__setattr__(self, "_atom_set", frozenset(self.ids))
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteSpace":
@@ -120,63 +123,112 @@ class DiscreteSpace:
 
     @property
     def atom_set(self) -> frozenset[int]:
-        return frozenset(self.ids)
+        return self._atom_set
 
 
-def _canonical_blocks(blocks) -> tuple[frozenset[int], ...]:
-    bs = [frozenset(b) for b in blocks]
-    if any(not b for b in bs):
-        raise StructureError("partition blocks must be non-empty")
-    return tuple(sorted(bs, key=min))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SigmaPartition:
     """A sigma-algebra on a finite space, as the partition generating it.
 
-    Blocks are stored in canonical order (sorted by smallest member).  Three
-    things are built once with them: the union of the blocks; ``labels``, a
-    read-only int64 array holding each atom's block index, atoms in
-    ascending id order (aligned with the ``ids`` of a space on the same
-    atoms); and ``layout``, the pair (order, sizes) of the atom positions
-    grouped block by block, ascending within each block, and each block's
-    number of atoms.  Equality and hashing read ``blocks`` only.
+    Blocks are read in canonical order (sorted by smallest member).  Three
+    things are built once with the partition: the union of the blocks;
+    ``labels``, a read-only int64 array holding each atom's block index,
+    atoms in ascending id order (aligned with the ``ids`` of a space on the
+    same atoms); and ``layout``, the pair (order, sizes) of the atom
+    positions grouped block by block, ascending within each block, and each
+    block's number of atoms.  ``blocks``, a tuple of frozensets, is built
+    from them on first use.  Equality and hashing read ``blocks`` only.
+
+    ``from_labels`` is the one constructor core; ``__init__`` flattens its
+    block list into atom ids and labels and hands them to it.
     """
 
-    blocks: tuple[frozenset[int], ...]
-
     def __init__(self, blocks):
-        blocks = _canonical_blocks(blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = [frozenset(b) for b in blocks]
+        if not all(blocks):
+            raise StructureError("partition blocks must be non-empty")
         atom_set = frozenset().union(*blocks)
         sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
         if int(sizes.sum()) != len(atom_set):
             raise StructureError("partition blocks overlap")
-        # sorted by Python: a numpy integer sort would page in code that
-        # nothing else on the game's path runs; a lone atom needs no sort
-        ascending = (b if len(b) == 1 else sorted(b) for b in blocks)
         try:
             ids = np.fromiter(sorted(atom_set), dtype=np.int64, count=len(atom_set))
-            members = np.fromiter(itertools.chain.from_iterable(ascending),
+            members = np.fromiter(itertools.chain.from_iterable(blocks),
                                   dtype=np.int64, count=len(atom_set))
         except OverflowError:
             raise StructureError("partition atom ids must fit in int64") from None
-        order = np.searchsorted(ids, members)  # each member's position
-        labels = np.empty_like(order)
-        labels[order] = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
-        for array in (labels, order, sizes):
+        labels = np.empty_like(ids)
+        labels[np.searchsorted(ids, members)] = np.repeat(np.arange(len(blocks)), sizes)
+        # the core builds a second instance; this one takes its fields
+        self.__dict__.update(vars(SigmaPartition.from_labels(ids, labels)))
+
+    @classmethod
+    def from_labels(cls, ids, labels) -> "SigmaPartition":
+        """The constructor core: the partition of the atoms ``ids`` (unique,
+        ascending) into the blocks of their ``labels``, one integer each.
+
+        Blocks are numbered by their least atom, the first position each
+        label takes: a stable sort of the labels finds those positions, and
+        a second, of the block numbers, groups the atoms block by block.
+        Raises StructureError unless the ids ascend strictly and fit in
+        int64 and there is one integer label per id.
+        """
+        try:
+            ids = np.array(ids, dtype=np.int64)  # a copy: it is made read-only
+        except OverflowError:
+            raise StructureError("partition atom ids must fit in int64") from None
+        labels = np.asarray(labels)
+        if ids.ndim != 1 or labels.shape != ids.shape or labels.dtype.kind not in "iu":
+            raise StructureError(f"need one integer label per atom of {ids.shape[0]}")
+        if (ids[1:] <= ids[:-1]).any():
+            raise StructureError("atom ids must be unique and ascending")
+        n = ids.shape[0]
+        by_label = np.argsort(labels, kind="stable")
+        grouped = labels[by_label]
+        fresh = np.ones(n, dtype=bool)
+        fresh[1:] = grouped[1:] != grouped[:-1]
+        firsts = by_label[fresh]  # each label's least position, labels ascending
+        lead = np.zeros(n, dtype=bool)
+        lead[firsts] = True
+        block = np.cumsum(lead) - 1  # at a lead position, the index of its block
+        canon = np.empty(n, dtype=np.int64)
+        canon[by_label] = block[firsts][np.cumsum(fresh) - 1]
+        order = np.argsort(canon, kind="stable")
+        sizes = np.bincount(canon, minlength=firsts.shape[0])
+        part = object.__new__(cls)
+        for array in (ids, canon, order, sizes):
             array.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "layout", (order, sizes))
-        object.__setattr__(self, "_atom_set", atom_set)
+        object.__setattr__(part, "_ids", ids)
+        object.__setattr__(part, "labels", canon)
+        object.__setattr__(part, "layout", (order, sizes))
+        object.__setattr__(part, "_atom_set", frozenset(ids.tolist()))
+        return part
+
+    @functools.cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        order, sizes = self.layout
+        ends = np.cumsum(sizes).tolist()
+        members = self._ids[order].tolist()
+        return tuple(map(frozenset, map(members.__getitem__, map(slice, [0, *ends[:-1]], ends))))
+
+    def __eq__(self, other):
+        if not isinstance(other, SigmaPartition):
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"SigmaPartition(blocks={self.blocks!r})"
 
     @classmethod
     def trivial(cls, space: DiscreteSpace) -> "SigmaPartition":
-        return cls([space.atom_set])
+        return cls.from_labels(space.ids, np.zeros(len(space.ids), dtype=np.int64))
 
     @classmethod
     def singletons(cls, space: DiscreteSpace) -> "SigmaPartition":
-        return cls([{a} for a in space.ids])
+        return cls.from_labels(space.ids, np.arange(len(space.ids)))
 
     @property
     def atom_set(self) -> frozenset[int]:
@@ -371,10 +423,10 @@ class DyadicModel:
 
     @property
     def cell_partition(self) -> SigmaPartition:
-        blocks = [set(self.cell_atoms(c)) for c in range(self.ncells)]
+        cells = np.repeat(np.arange(self.ncells), self.refinement)
         if self.gamma > 0:
-            blocks.append({0})
-        return SigmaPartition(blocks)
+            cells = np.concatenate(([self.ncells], cells))  # the atomic atom alone
+        return SigmaPartition.from_labels(self.space.ids, cells)
 
     def phi(self, atom: int) -> Fraction:
         """Evaluation point of an atom: its subinterval midpoint in (gamma, 1]."""

@@ -37,7 +37,12 @@ point, the game's per-atom ``phi`` and ``cell_of`` tables, the
 tower-barycenter check as one small space per instance, and the kernel
 constructor, ``rcd_of_selection`` and ``kernel_mix`` entry by entry: a
 dict of row bytes per block, one ``Fraction`` division per atom and one
-``Fraction`` product per mixed entry.
+``Fraction`` product per mixed entry.  Last come the forms that flat
+arrays replaced: the row merge as lexsorts over 2d + 1 ``copysign`` and
+value keys and over d + 2 keys, ``Correspondence`` from a mapping with
+one stack per atom and a dict of row bytes for set sharing, and
+``block_choice_sets`` as a loop over blocks intersecting sets of row
+bytes.
 """
 import itertools
 import math
@@ -45,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from corrint.correspondences import Correspondence, Selection
+from corrint.correspondences import Correspondence, Selection, _stack_vectors
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import (
     CapacityError,
@@ -56,7 +61,7 @@ from corrint.errors import (
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
 from corrint.rcd import rcd_of_selection
 from corrint.set_integration import _PRIMES, _minkowski_fold, dedup_points, float_keys
-from corrint.spaces import DiscreteSpace, SigmaPartition
+from corrint.spaces import DiscreteSpace, SigmaPartition, block_starts
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
 # the cell width of the grid that ``grid_dedup`` keys float rows on
@@ -683,6 +688,84 @@ def correspondence_loop(space, value_map):
             sets.append(sorted(first.values(), key=lambda v: tuple(v.tolist())))
         which.append(n)
     return [sets[n] for n in which], which
+
+
+def merge_rows_copysign(rows: np.ndarray, owner: np.ndarray):
+    """``_merge_rows`` as a lexsort over 2d + 1 keys, each coordinate's
+    ``copysign`` beside its value, and a second over d + 2 keys that ranks
+    the merged rows by value, ties by their first row."""
+    cols = rows.T[::-1]
+    keys = [k for pair in zip(np.copysign(1.0, cols), cols) for k in pair]
+    order = np.lexsort((*keys, owner))
+    bits, lab = rows.view(np.int64)[order], owner[order]
+    fresh = np.ones(order.shape[0], dtype=bool)
+    fresh[1:] = lab[1:] != lab[:-1]
+    fresh[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    lead = order[starts]
+    return order, starts, np.lexsort((lead, *rows[lead].T[::-1], owner[lead]))
+
+
+def correspondence_dict(space, value_map) -> tuple:
+    """(values, stack, start, size) as ``Correspondence`` built them from a
+    mapping: each atom's set stacked on its own, atoms given the same rows
+    in the same order made to share a set through a dict keyed by their
+    row count and bytes, and the sets' rows merged by
+    ``merge_rows_copysign``."""
+    given = []
+    for a in space.ids:
+        if a not in value_map:
+            raise StructureError(f"no value set for atom {a}")
+        vs = value_map[a]
+        if not isinstance(vs, np.ndarray):
+            vs = list(vs)
+        if not len(vs):
+            raise StructureError(f"empty value set at atom {a}")
+        given.append(vs)
+    given = [_stack_vectors(vs, "correspondence values") for vs in given]
+    try:
+        raw = np.concatenate(given)
+    except ValueError:
+        shapes = sorted({vs.shape[1:] for vs in given})
+        raise StructureError(f"correspondence values of mixed shapes {shapes}") from None
+    if not np.isfinite(raw).all():
+        raise StructureError("correspondence values must be finite")
+    counts = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
+    starts = block_starts(counts)
+    blob, step = raw.tobytes(), raw.shape[1] * raw.itemsize
+    canon: dict[tuple, int] = {}
+    which, firsts = [], []
+    for i, (lo, c) in enumerate(zip(starts.tolist(), counts.tolist())):
+        n = canon.setdefault((c, blob[lo * step:(lo + c) * step]), len(firsts))
+        if n == len(firsts):
+            firsts.append(i)
+        which.append(n)
+    which, firsts = np.array(which), np.array(firsts)
+    sizes = counts[firsts]
+    within = np.arange(int(sizes.sum())) - np.repeat(block_starts(sizes), sizes)
+    rows = raw[np.repeat(starts[firsts], sizes) + within]
+    owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
+    order, starts, rank = merge_rows_copysign(rows, owner)
+    kept = order[starts[rank]]
+    stack = rows[kept]
+    set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])
+    bounds = block_starts(set_sizes)
+    cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
+    return tuple(cuts[n] for n in which.tolist()), stack, bounds[which], set_sizes[which]
+
+
+def block_choice_sets_loop(corr, alg) -> list[np.ndarray]:
+    """``block_choice_sets`` block by block: the lead atom's rows whose
+    bytes every set of the block holds, in the lead set's order."""
+    if alg.atom_set != corr.space.atom_set:
+        raise StructureError("algebra does not cover the correspondence's space")
+    position = corr.space.position
+    out = []
+    for b in alg.blocks:
+        lead = corr.values[position(min(b))]
+        shared = set.intersection(*({v.tobytes() for v in corr.values[position(a)]} for a in b))
+        out.append(lead[[v.tobytes() in shared for v in lead]])
+    return out
 
 
 def selection_index_loop(space, value_sets, alg, choice_map) -> tuple[int, ...]:

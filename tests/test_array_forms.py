@@ -20,12 +20,15 @@ from hypothesis import strategies as st
 from _oracles import (
     barycenters_loop,
     block_averages_loop,
+    block_choice_sets_loop,
     conditional_set_loop,
+    correspondence_dict,
     correspondence_loop,
     is_nowhere_equivalent_loop,
     is_refinement_loop,
     kernel_mix_loop,
     lyapunov_mix_loop,
+    merge_rows_copysign,
     outcome,
     rcd_loop,
     same_rows,
@@ -33,8 +36,9 @@ from _oracles import (
     space_numerators_loop,
     transition_kernel_loop,
 )
-from corrint.correspondences import Correspondence, Selection
+from corrint.correspondences import Correspondence, Selection, _merge_rows, block_choice_sets
 from corrint.errors import DivisibilityError, StructureError
+from corrint.correspondences import build_counterexample
 from corrint.rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from corrint.set_integration import conditional_set, lyapunov_mix
 from corrint.spaces import (
@@ -157,17 +161,139 @@ def correspondences(draw, space):
     return maps
 
 
+def _runs(order, starts, rank) -> list[list[int]]:
+    """The rows of each run, in the order given, runs taken in ``rank``."""
+    bounds = np.append(starts, order.shape[0])
+    return [order[bounds[r]:bounds[r + 1]].tolist() for r in rank.tolist()]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_merge_rows_equals_the_copysign_sorts(data):
+    # d past 8 packs more than one sign byte, past 64 more than one sign key;
+    # rows of few values repeat, and -0.0 sits beside 0.0
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 63, 64, 65, 70]))
+    pool = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3))
+    picks = rows(data.draw, data.draw(st.integers(1, 6)), d)
+    for i, j in enumerate(data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                             min_size=picks.size, max_size=picks.size))):
+        if data.draw(st.booleans()):
+            picks.flat[i] = pool[j]
+    given = picks[data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=n, max_size=n))]
+    owner = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        owner = owner.astype(float)
+    got, want = _merge_rows(given, owner), merge_rows_copysign(given, owner)
+    assert _runs(*got) == _runs(*want)
+    assert given[got[0][got[1][got[2]]]].tobytes() == given[want[0][want[1][want[2]]]].tobytes()
+
+
+@st.composite
+def faulty_values(draw, space):
+    """A value map, now and then with one fault: an atom missing, an empty
+    set, a value that is not finite, or a value of another length."""
+    value_map = dict(draw(correspondences(space)))
+    fault = draw(st.sampled_from(["none"] * 6 + ["missing", "empty", "nan", "inf", "length"]))
+    a = draw(st.sampled_from(space.ids))
+    d = np.shape(value_map[a][0])[0]
+    if fault == "missing":
+        del value_map[a]
+    elif fault == "empty":
+        value_map[a] = []
+    elif fault == "length":
+        value_map[a] = [np.zeros(d + 1)]
+    elif fault != "none":
+        value_map[a] = [np.full(d, np.nan if fault == "nan" else -np.inf)]
+    return value_map, fault
+
+
+def _from_stack(space, value_map):
+    """``Correspondence.from_stack`` on the mapping's rows end to end; a
+    missing atom gives no rows."""
+    sets = [value_map.get(a, []) for a in space.ids]
+    counts = [len(vs) for vs in sets]
+    return Correspondence.from_stack(space, np.array([v for vs in sets for v in vs]), counts)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_correspondence_equals_the_per_set_dict_loop(data):
     space = data.draw(spaces(max_size=12))
-    value_map = data.draw(correspondences(space))
+    value_map, fault = data.draw(faulty_values(space))
+    want = outcome(correspondence_dict, space, value_map)
+    # rows of two lengths make no stack
+    for build in (Correspondence,) + ((_from_stack,) if fault != "length" else ()):
+        got = outcome(build, space, value_map)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1] is StructureError
+            continue
+        corr, (values, stack, start, size) = got[1], want[1]
+        sets, which = correspondence_loop(space, value_map)
+        assert [v.tobytes() for v in corr.values] == [np.array(s).tobytes() for s in sets] \
+            == [v.tobytes() for v in values]
+        assert corr._stack.tobytes() == stack.tobytes() and not corr._stack.flags.writeable
+        assert corr._start.tolist() == start.tolist() and corr._size.tolist() == size.tolist()
+        # atoms share one slice exactly where the loop shares one set
+        slot = {}
+        assert [slot.setdefault(id(v), len(slot)) for v in corr.values] == which
+
+
+def test_counterexample_sets_are_ragged_and_shared():
+    # gamma > 0: the atomic atom's {0} of one row before sets of k + 1 rows;
+    # the atoms of a cell, and cells of equal values, share one set
+    bundle = build_counterexample(2, Fraction(1, 4), 1, 3, refinement=3)
+    model, space = bundle.model, bundle.model.space
+    cell_sets = np.stack([np.zeros((model.ncells, bundle.d))]
+                         + [f.values for f in bundle.f_list], axis=1)
+    value_map = {a: cell_sets[0, :1] if model.cell_of(a) is None else cell_sets[model.cell_of(a)]
+                 for a in space.ids}
+    values, stack, start, size = correspondence_dict(space, value_map)
+    assert bundle.corr._size.tolist() == size.tolist() == [1] + [3] * 24
+    assert bundle.corr._stack.tobytes() == stack.tobytes()
+    assert bundle.corr._start.tolist() == start.tolist()
+    # W_0 and W_1 take two sign patterns over the cells
+    assert len({id(v) for v in bundle.corr.values}) == 3
+
+
+@SETTINGS
+@given(data=st.data())
+def test_block_choice_sets_equal_the_bytes_loop(data):
+    space = data.draw(spaces(max_size=16))
+    d = data.draw(st.integers(1, 3))
+    pool = rows(data.draw, data.draw(st.integers(1, 5)), d)  # few rows, so sets meet
+    value_map = {a: pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                            max_size=4))] for a in space.ids}
     corr = Correspondence(space, value_map)
-    sets, which = correspondence_loop(space, value_map)
-    assert [v.tobytes() for v in corr.values] == [np.array(s).tobytes() for s in sets]
-    # atoms share one slice exactly where the loop shares one set
-    slot = {}
-    assert [slot.setdefault(id(v), len(slot)) for v in corr.values] == which
+    alg = data.draw(partitions(space))
+    got, want = block_choice_sets(corr, alg), block_choice_sets_loop(corr, alg)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert _bits(got) == _bits(want)
+    assert not any(g.flags.writeable for g in got)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_from_labels_equals_the_blocks_constructor(data):
+    space = data.draw(spaces())
+    labels = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40) | st.integers(0, 3),
+                                min_size=len(space.ids), max_size=len(space.ids)))
+    got = SigmaPartition.from_labels(space.ids, labels)
+    want = _partition(space.ids, labels)
+    assert got == want and hash(got) == hash(want) and got.blocks == want.blocks
+    assert got.atom_set == want.atom_set == space.atom_set
+    for a, b in ((got.labels, want.labels), *zip(got.layout, want.layout)):
+        assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
+    assert got.to_json() == want.to_json()
+
+
+def test_from_labels_refuses_ids_that_do_not_ascend_and_labels_that_do_not_fit():
+    for ids, labels in (([3, 1], [0, 0]), ([1, 1], [0, 1]), ([1, 2], [0]),
+                        ([1, 2], [0.0, 1.0]), ([2 ** 63, 2 ** 64], [0, 0])):
+        with pytest.raises(StructureError):
+            SigmaPartition.from_labels(ids, labels)
 
 
 @SETTINGS

@@ -1,7 +1,7 @@
 """tower-barycenter against its per-instance form, its memory, the tower
 draws, and negative controls for the verdicts of tower-barycenter,
-rcd-mixture, lemma-bound, walsh-orthogonality and
-counterexample-integrals.
+rcd-mixture, lemma-bound, walsh-orthogonality, counterexample-integrals
+and lyapunov-exactness.
 
 tower-barycenter runs its instances as disjoint unions of up to
 ``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
@@ -21,6 +21,7 @@ from corrint import game, scenarios
 from corrint.cli import main
 from corrint.correspondences import StepFunction
 from corrint.rcd import TransitionKernel
+from corrint.set_integration import ConditionalSet
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -188,3 +189,26 @@ def test_counterexample_atomic_part_condition_fails_alone(tmp_path, capsys, monk
     assert [c["vanishes_on_atomic_part"] for c in res["cases"]] == [True, False]
     for case in res["cases"]:
         assert abs(case["e1_norm"] - case["expected"]) <= 1e-12 and case["basis_match"]
+
+
+def _lyapunov(tmp_path, capsys) -> tuple[int, dict]:
+    return _run(tmp_path, capsys, {"kind": "lyapunov-exactness", "k": 2, "N": 2, "L": 2,
+                                   "refinement": 3})
+
+
+def test_lyapunov_membership_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    # the conditional set no longer admits the mixture's conditional expectation
+    monkeypatch.setattr(ConditionalSet, "contains_function", lambda self, func: False)
+    code, res = _lyapunov(tmp_path, capsys)
+    assert code == 1 and res["verdict"] is False
+    assert res["mixture_in_conditional_set"] is False
+    assert res["mix_error"] <= 1e-12 and res["integral_error"] <= 1e-12
+
+
+def test_lyapunov_integral_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    real = scenarios.integrate_selection
+    monkeypatch.setattr(scenarios, "integrate_selection", lambda sel: real(sel) + 1e-9)
+    code, res = _lyapunov(tmp_path, capsys)
+    assert code == 1 and res["verdict"] is False
+    assert res["integral_error"] > 1e-12
+    assert res["mix_error"] <= 1e-12 and res["mixture_in_conditional_set"] is True
