@@ -47,18 +47,11 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(int(sizes.sum())) + np.repeat(starts - block_starts(sizes), sizes)
 
 
-def _sign_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row's sign bits packed eight columns to a byte: one row of
-    keys per byte, so that rows of equal value share keys iff their zeros
-    carry the same signs."""
-    return np.packbits(np.signbit(rows), axis=1, bitorder="little").T
-
-
 def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     """Each owner's distinct rows, bit for bit, in lexicographic order.
 
-    ``rows`` is a finite C-contiguous (n, d) float array and ``owner`` a
-    label per row.  Returns ``(order, starts, rank)``: ``order`` is a
+    ``rows`` is a finite (n, d) float array and ``owner`` a label per
+    row.  Returns ``(order, starts, rank)``: ``order`` is a
     stable sort that puts the bit-equal rows of each owner together, each
     run led by the first of them given, and ``starts`` where its runs
     begin.  The runs ordered by owner, then by value, ties (-0.0 beside
@@ -70,7 +63,12 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     owner equal in value then lie side by side, ordered by their signs; a
     two-key lexsort ranks them by their first row instead.
     """
-    signs = _sign_keys(rows)
+    # sign bits packed 64 columns to an int64 key: the int64 sort that ranks
+    # the runs, where a byte key would page in a sort of its own
+    n, d = rows.shape
+    packed = np.zeros((n, -(-d // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-d // 8)] = np.packbits(np.signbit(rows), axis=1, bitorder="little")
+    signs = packed.view(np.int64).T
     order = np.lexsort((*signs, *rows.T[::-1], owner))
     srt, lab, signs = rows[order], owner[order], signs[:, order]
     tie = np.ones(order.shape[0], dtype=bool)  # where a new owner or value begins

@@ -36,9 +36,14 @@ from _oracles import (
     space_numerators_loop,
     transition_kernel_loop,
 )
-from corrint.correspondences import Correspondence, Selection, _merge_rows, block_choice_sets
+from corrint.correspondences import (
+    Correspondence,
+    Selection,
+    _merge_rows,
+    block_choice_sets,
+    build_counterexample,
+)
 from corrint.errors import DivisibilityError, StructureError
-from corrint.correspondences import build_counterexample
 from corrint.rcd import TransitionKernel, kernel_mix, rcd_of_selection
 from corrint.set_integration import conditional_set, lyapunov_mix
 from corrint.spaces import (
@@ -184,9 +189,7 @@ def test_merge_rows_equals_the_copysign_sorts(data):
     owner = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
     if data.draw(st.booleans()):
         owner = owner.astype(float)
-    got, want = _merge_rows(given, owner), merge_rows_copysign(given, owner)
-    assert _runs(*got) == _runs(*want)
-    assert given[got[0][got[1][got[2]]]].tobytes() == given[want[0][want[1][want[2]]]].tobytes()
+    assert _runs(*_merge_rows(given, owner)) == _runs(*merge_rows_copysign(given, owner))
 
 
 @st.composite
@@ -282,6 +285,13 @@ def test_from_labels_equals_the_blocks_constructor(data):
     got = SigmaPartition.from_labels(space.ids, labels)
     want = _partition(space.ids, labels)
     assert got == want and hash(got) == hash(want) and got.blocks == want.blocks
+    # the canonical order, labels and layout, found block by block
+    blocks = sorted(want.blocks, key=min)
+    assert list(got.blocks) == blocks
+    assert got.labels.tolist() == [next(j for j, b in enumerate(blocks) if a in b)
+                                   for a in space.ids]
+    assert got.layout[0].tolist() == [space.position(a) for b in blocks for a in sorted(b)]
+    assert got.layout[1].tolist() == [len(b) for b in blocks]
     assert got.atom_set == want.atom_set == space.atom_set
     for a, b in ((got.labels, want.labels), *zip(got.layout, want.layout)):
         assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
