@@ -176,17 +176,22 @@ def _runs(order, starts, rank) -> list[list[int]]:
 @given(data=st.data())
 def test_merge_rows_equals_the_copysign_sorts(data):
     # d past 8 packs more than one sign byte, past 64 more than one sign key;
-    # rows of few values repeat, and -0.0 sits beside 0.0
+    # rows made of a few values repeat, and -0.0 sits beside 0.0
     n = data.draw(st.integers(1, 40))
     d = data.draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 63, 64, 65, 70]))
-    pool = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3))
-    picks = rows(data.draw, data.draw(st.integers(1, 6)), d)
-    for i, j in enumerate(data.draw(st.lists(st.integers(0, len(pool) - 1),
-                                             min_size=picks.size, max_size=picks.size))):
-        if data.draw(st.booleans()):
-            picks.flat[i] = pool[j]
-    given = picks[data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=n, max_size=n))]
-    owner = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    values = np.array(data.draw(st.lists(st.sampled_from(POOL) | st.floats(-10, 10),
+                                         min_size=1, max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    distinct = values[rng.integers(0, len(values), (data.draw(st.integers(1, 6)), d))]
+    # and a twin of the first row, equal in value, its zero at j of the other sign
+    j = data.draw(st.sampled_from([0, d // 2, d - 1]))  # d - 1 is past 64 where d is
+    distinct[0, j] = 0.0
+    distinct = np.concatenate((distinct, distinct[:1]))
+    distinct[-1, j] = -0.0
+    # the first row, its twin, the first row again: bit-equal rows apart
+    given = distinct[np.concatenate(([0, -1, 0], rng.integers(0, len(distinct), n)))]
+    owner = rng.integers(-3, 4, n + 3)  # unsorted
+    owner[:3] = 0
     if data.draw(st.booleans()):
         owner = owner.astype(float)
     assert _runs(*_merge_rows(given, owner)) == _runs(*merge_rows_copysign(given, owner))
