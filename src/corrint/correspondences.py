@@ -51,10 +51,9 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     """Each owner's distinct rows, bit for bit, in lexicographic order.
 
     ``rows`` is a finite (n, d) float array and ``owner`` a label per
-    row.  Returns ``(order, starts, rank)``: ``order`` is a
-    stable sort that puts the bit-equal rows of each owner together, each
-    run led by the first of them given, and ``starts`` where its runs
-    begin.  The runs ordered by owner, then by value, ties (-0.0 beside
+    row.  Returns ``(order, starts, rank)``: ``order`` is a stable sort
+    that puts the bit-equal rows of each owner together, each run led by
+    the first of them given, and ``starts`` where its runs begin.  The runs ordered by owner, then by value, ties (-0.0 beside
     0.0) in the order given, are the runs taken in ``rank``.
 
     Finite rows are equal bit for bit iff they are equal in value and
@@ -63,8 +62,9 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     owner equal in value then lie side by side, ordered by their signs; a
     two-key lexsort ranks them by their first row instead.
     """
-    # sign bits packed 64 columns to an int64 key: the int64 sort that ranks
-    # the runs, where a byte key would page in a sort of its own
+    # sign bits packed 64 columns to an int64 key: such keys sort with the
+    # int64 kernel the ranking below runs anyway, where byte keys would page
+    # in a sort of their own
     n, d = rows.shape
     packed = np.zeros((n, -(-d // 64) * 8), dtype=np.uint8)
     packed[:, :-(-d // 8)] = np.packbits(np.signbit(rows), axis=1, bitorder="little")
