@@ -3,14 +3,20 @@
 The Walsh butterfly runs along the last axis, so a stack of rows is one
 call, and pairs its floating-point operations as the plain loop does.  The
 nearest-distance search returns the directed Hausdorff distance, the maximum
-over targets of the distance to the nearest cloud row: it sums each
-distance coordinate by coordinate in the loop's order, and it scans a
-target only while that target's seed bound, itself such a distance, exceeds
-the maximum found so far.  So both agree with their loop forms bit for bit
-at every size and dimension.  The game kernels share one batched payoff
-formula, ``_payoffs``, which keeps the loop form's operation order and
-evaluates ``sin`` through libm (``math.sin``), so a table at one externality
-agrees with a per-element loop exactly.  The exhaustive scan builds each
+over targets of the distance to the nearest cloud row, in array passes: it
+finds every target's seed rows with one binary search per run of equal
+first coordinates, all targets at once, and then scans the targets in
+batches that double in size, taking the (target, row) pairs of their
+windows through index arrays and dropping a pair as soon as its partial
+distance reaches the target's bound.  It sums each distance coordinate by
+coordinate in the loop's order, and it scans a batch only while the
+batch's largest seed bound, itself such a distance, exceeds the maximum
+found so far.  So both agree with their loop forms bit for bit at every
+size and dimension.  The game kernels share one batched payoff formula,
+``_payoffs``, which keeps the loop form's operation order and evaluates
+``sin`` through libm (``math.sin``), so a table at one externality agrees
+with a per-element loop exactly; the gap probes take ``log`` from libm the
+same way (``_libm_log``).  The exhaustive scan builds each
 profile's aggregate from a partial sum over the leading blocks, one per
 run of profiles that differ only in the last block, added in the loop's
 order, and measures it with ``vectors.row_norms`` under the payoff's norm
@@ -18,7 +24,9 @@ flavor.  It evaluates the payoffs once per distinct externality theta,
 reduces them to rows of block regrets that it keeps across chunks of
 profiles, and reads each profile's residual from them; the maximum is
 exact in any order, so the scan agrees with the loop too.
-The loop forms live in the test suite as oracles.
+No kernel calls BLAS or a SIMD-dispatched transcendental, so their results
+do not depend on the build.  The loop forms live in the test suite as
+oracles.
 """
 from __future__ import annotations
 
@@ -47,6 +55,7 @@ _CHUNK_BYTES = 1 << 16
 _UFUNC_BUFFER = 512
 
 _libm_sin = np.frompyfunc(math.sin, 1, 1)
+_libm_log = np.frompyfunc(math.log, 1, 1)
 
 
 @contextlib.contextmanager
@@ -140,10 +149,99 @@ def _lex_sorted(rows):
     return bool(ok.all())
 
 
-def _lex_view(rows):
-    """C-contiguous float rows as records that compare lexicographically."""
-    fields = np.dtype([(f"c{m}", "f8") for m in range(rows.shape[1])])
-    return rows.view(fields)[:, 0]
+def _lex_insertion(cloud, c0, keys):
+    """Left insertion point of each key row among the cloud rows, which are
+    in lexicographic order: the number of rows below the key, as a
+    ``searchsorted`` of the rows as records finds it.
+
+    ``c0`` is the cloud's first column, and each key's first coordinate is
+    one of its values.  So the rows below a key are those of a smaller
+    first coordinate and those of its run, the rows whose first coordinate
+    equals the key's, that are below it; a run is itself in lexicographic
+    order.  One branchless binary search per key over its run finds them,
+    all keys at once: each step compares the probed rows with the keys at
+    their first differing coordinate, where -0.0 and 0.0 are equal.
+    """
+    base = np.searchsorted(c0, keys[:, 0], "left")
+    size = np.searchsorted(c0, keys[:, 0], "right") - base  # >= 1
+    row_at = np.arange(0, keys.size, keys.shape[1])  # each key's place in a flat array
+
+    def below(probe):
+        rows = cloud.take(probe, axis=0)
+        first = np.not_equal(rows, keys).argmax(axis=1)  # 0 where the rows equal
+        first += row_at
+        return np.less(rows, keys).take(first)
+
+    for _ in range((int(size.max()) - 1).bit_length()):  # until every size is 1
+        half = size >> 1
+        probe = base + half
+        np.copyto(base, probe, where=below(probe))
+        size -= half
+    return base + below(base)
+
+
+def _segment_chunks(lo, hi):
+    """The (segment, row) pairs of the index ranges [lo[i], hi[i]), segment
+    by segment and in order, as arrays (i, row) in chunks of at most
+    ``_CHUNK_BYTES // 8`` pairs, so that a pass keeping eight or so arrays
+    of one entry per pair stays within eight ``_CHUNK_BYTES``."""
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    shift = lo - starts  # a pair's row less its place among all pairs
+    total = int(ends[-1]) if ends.shape[0] else 0
+    per = max(1, _CHUNK_BYTES // 8)
+    for a in range(0, total, per):
+        b = min(a + per, total)
+        i, j = np.searchsorted(ends, [a, b - 1], "right")
+        span = np.minimum(ends[i:j + 1], b) - np.maximum(starts[i:j + 1], a)
+        yield (np.repeat(np.arange(i, j + 1), span),
+               np.arange(a, b) + np.repeat(shift[i:j + 1], span))
+
+
+def _window_minima(tcols, cloud, lo, hi, bound, mode, weights):
+    """Least distance from each target to the cloud rows of its window
+    [lo, hi), or its bound where no row comes below it; squared under
+    MODE_EUCLID, like the bound.  ``tcols[m]`` holds coordinate m of the
+    targets.
+
+    A partial-distance search over the (target, row) pairs of all windows
+    at once, gathered through index arrays in ``_segment_chunks``.  Each
+    pair's distance is accumulated as ``_row_dists`` accumulates it, and a
+    pair is dropped as soon as its partial sum reaches its target's bound:
+    every later term is >= +0 and rounding is monotone, so its distance
+    could only be at least the bound.
+    """
+    d = cloud.shape[1]
+    flat = cloud.reshape(-1)
+    out = bound.copy()
+    for k, at in _segment_chunks(lo, hi):
+        at *= d  # the row's first coordinate, as a place in ``flat``
+        lim = bound.take(k)
+        for m in range(d):
+            dx = tcols[m].take(k)
+            dx -= flat.take(at + m)
+            if mode == MODE_EUCLID:
+                dx *= dx
+            else:
+                np.abs(dx, out=dx)
+                if mode == MODE_WSUM:
+                    dx *= weights[m]
+            if m == 0:
+                acc = dx
+            elif mode == MODE_MAX:
+                np.maximum(acc, dx, out=acc)
+            else:
+                acc += dx
+            del dx
+            if m < d - 1:
+                keep = np.flatnonzero(acc < lim)
+                if keep.shape[0] < acc.shape[0]:
+                    k, at, lim, acc = k.take(keep), at.take(keep), lim.take(keep), acc.take(keep)
+                del keep
+        np.minimum.at(out, k, acc)
+        del k, at, lim, acc
+    return out
 
 
 def min_dists(targets, cloud, mode, weights):
@@ -153,17 +251,18 @@ def min_dists(targets, cloud, mode, weights):
     An exact windowed search over the cloud in lexicographic order.  Each
     target first gets a bound b from a few seed rows: its lexicographic
     neighbours once its first coordinate is snapped to each adjacent value
-    of the cloud's first column.  Its nearest distance is then found among
-    the rows with w0 |c0 - t0| <= b, located by ``searchsorted`` on that
-    column.  No row outside the window can come below b: every computed
-    distance is at least its rounded first term fl(w0 |fl(t0 - c0)|),
-    because the other terms are >= 0 and rounding is monotone, and the
-    window's radius is rounded up so that rounding can only add rows.
-    Distances are accumulated in the loop form's order and, under
-    MODE_EUCLID, compared as squares with one ``sqrt`` after (exact, as
-    ``sqrt`` is correctly rounded and monotone).
+    of the cloud's first column, found by ``_lex_insertion``.  Its nearest
+    distance is then found among the rows with w0 |c0 - t0| <= b, located by
+    ``searchsorted`` on that column.  No row outside the window can come
+    below b: every computed distance is at least its rounded first term
+    fl(w0 |fl(t0 - c0)|), because the other terms are >= 0 and rounding is
+    monotone, and the window's radius is rounded up so that rounding can
+    only add rows.  Distances are accumulated in the loop form's order and,
+    under MODE_EUCLID, compared as squares with one ``sqrt`` after (exact,
+    as ``sqrt`` is correctly rounded and monotone).
 
-    Targets are scanned in descending order of their bounds, and the scan
+    Targets are scanned in descending order of their bounds, in batches
+    that double in size from one target, by ``_window_minima``; the scan
     stops at the first bound <= the running maximum.  That is exact: a
     bound is a computed distance to a real row, summed in the loop's order,
     so no target left unscanned lies farther than its bound, which is at
@@ -199,20 +298,22 @@ def min_dists(targets, cloud, mode, weights):
     if not _lex_sorted(cloud):
         cloud = cloud[np.lexsort(cloud.T[::-1])]
     cloud = np.ascontiguousarray(cloud)
-    cols, tcols = np.ascontiguousarray(cloud.T), targets.T
-    c0, t0 = cols[0], tcols[0]
+    tcols = np.ascontiguousarray(targets.T)
+    c0, t0 = cloud[:, 0], tcols[0]
 
     # seed bound: distances to the lexicographic neighbours of the target
     # with its first coordinate snapped to either adjacent value of c0
-    records = _lex_view(cloud)
     p = np.searchsorted(c0, t0)
-    best = np.full(nt, np.inf)
-    for v in (c0[np.maximum(p - 1, 0)], c0[np.minimum(p, n - 1)]):
-        key = targets.copy()
-        key[:, 0] = v
-        q = np.searchsorted(records, _lex_view(key))
-        for s in (np.maximum(q - 1, 0), np.minimum(q, n - 1)):
-            np.minimum(best, _row_dists(tcols, cols[:, s], mode, w), out=best)
+    rows = np.concatenate([targets, targets])
+    rows[:nt, 0] = c0[np.maximum(p - 1, 0)]
+    rows[nt:, 0] = c0[np.minimum(p, n - 1)]
+    q = _lex_insertion(cloud, c0, rows)
+    rows[:nt, 0] = rows[nt:, 0] = t0  # each target twice, as given
+    best = np.full(2 * nt, np.inf)
+    for s in (np.maximum(q - 1, 0), np.minimum(q, n - 1)):
+        np.minimum(best, _row_dists(rows.T, cloud.take(s, axis=0).T, mode, w), out=best)
+    best = np.minimum(best[:nt], best[nt:])
+    del rows, q
 
     # window radius r: a first term fl(w0 |dx0|) >= best needs |dx0| >= r
     if mode == MODE_EUCLID:
@@ -227,12 +328,17 @@ def min_dists(targets, cloud, mode, weights):
     rho = np.nextafter(r, np.inf)
     lo = np.searchsorted(c0, t0 - rho, "left")
     hi = np.searchsorted(c0, t0 + rho, "right")
+    order = np.argsort(-best, kind="stable")
     top = -math.inf
-    for i in np.argsort(-best, kind="stable"):
-        if best[i] <= top:
-            break
-        window = cols[:, lo[i]:hi[i]]
-        top = max(top, float(_row_dists(targets[i], window, mode, w).min(initial=best[i])))
+    a, size = 0, 1
+    while a < nt and best[order[a]] > top:
+        batch = order[a:a + size]
+        batch = batch[best.take(batch) > top]  # a prefix, bounds descending
+        near = _window_minima(tcols[:, batch], cloud, lo.take(batch), hi.take(batch),
+                              best.take(batch), mode, w)
+        top = max(top, float(near.max()))
+        a += size
+        size *= 2
     return math.sqrt(top) if mode == MODE_EUCLID else top
 
 

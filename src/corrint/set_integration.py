@@ -179,11 +179,11 @@ def _lattice_keys(vals: np.ndarray, starts: list[int], nums: list[int]) -> np.nd
     low_bit = np.frexp((ints & -ints).astype(float))[1] - 1
     # bits after the binary point of each value; a zero has none
     e = np.where(ints != 0, 53 - expo - low_bit, 0).max(axis=0, initial=0)
-    # the float bound errs by far less than the factor 2 left below 2**63
-    if max(nums) >= 2 ** 62 or not (
-        np.array(nums, dtype=float) @ np.maximum.reduceat(np.abs(vals), starts, axis=0)
-        < np.ldexp(1.0, 62 - e)
-    ).all():
+    # the float bound errs by far less than the factor 2 left below 2**63,
+    # in any order of summation; a column sum, not a BLAS product
+    tops = np.maximum.reduceat(np.abs(vals), starts, axis=0)
+    tops *= np.array(nums, dtype=float)[:, None]
+    if max(nums) >= 2 ** 62 or not (tops.sum(axis=0) < np.ldexp(1.0, 62 - e)).all():
         raise PreconditionError(
             f"exact fold keys leave int64: mass numerators up to {max(nums)}, "
             f"values scaled by up to 2**{int(e.max())}"
@@ -308,7 +308,12 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
         step, step_keys = contribs[a:a + m], keys[a:a + m]
         if run > 1:
             counts = _compositions(run, m)
-            step, step_keys = counts.astype(float) @ step, counts @ step_keys
+            # each multiset's sum adds the block's values in order, one
+            # product per term, as no BLAS build reorders it
+            sums = counts[:, :1] * step[0]
+            for c in range(1, m):
+                sums += counts[:, c, None] * step[c]
+            step, step_keys = sums, counts @ step_keys
         ia, js = _fold_step(_packed_key_maker(acc_keys, step_keys), acc.shape[0], rows, cap)
         acc = acc.take(ia, axis=0) + step.take(js, axis=0)
         i += run
@@ -552,7 +557,10 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
     score is monotone in the last one: a group's best row is its last when
     u_last >= 0, else its first.  One (directions, groups) array of those
     scores gives each direction's top and the last group that reaches it,
-    and the kept row is that group's last one at or above the threshold.
+    and the kept row is that group's last one at or above the threshold:
+    its last row where u_last >= 0, and else the last row that a segmented
+    pass over the rows of all those groups finds, in
+    ``_kernels._segment_chunks``.
     """
     n, d = points.shape
     dirs = _directions(d, seed, ndirs)
@@ -568,7 +576,9 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
     ends = np.append(starts[1:], n) - 1
     heads, last = points[starts, :-1], points[:, -1]
     up = dirs[:, -1] >= 0
-    chosen = np.empty(dirs.shape[0], dtype=np.intp)
+    # each direction's group, threshold, and its group's first d - 1 terms
+    group = np.empty(dirs.shape[0], dtype=np.intp)
+    thr, lead = np.empty(dirs.shape[0]), np.empty(dirs.shape[0])
     per = max(1, _kernels._CHUNK_BYTES // (8 * starts.shape[0]))
     for lo in range(0, dirs.shape[0], per):
         u, at = dirs[lo:lo + per], slice(lo, lo + per)
@@ -578,29 +588,49 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
             part += u[:, m, None] * heads[:, m]
         best = np.where(up[at, None], last[ends], last[starts]) * u[:, -1, None]
         best += part
-        thr = best.max(axis=1) - 1e-12
-        g = starts.shape[0] - 1 - (best >= thr[:, None])[:, ::-1].argmax(axis=1)
-        chosen[at] = ends[g]
-        # a falling group's candidates are a prefix: find its last row
-        for r in np.flatnonzero(~up[at]):
-            span = slice(starts[g[r]], ends[g[r]] + 1)
-            score = last[span] * u[r, -1]
-            score += part[r, g[r]]
-            chosen[lo + r] = span.start + np.flatnonzero(score >= thr[r])[-1]
+        thr[at] = best.max(axis=1) - 1e-12
+        g = starts.shape[0] - 1 - (best >= thr[at, None])[:, ::-1].argmax(axis=1)
+        group[at] = g
+        lead[at] = part[np.arange(u.shape[0]), g]
+    chosen = ends[group]
+    # a falling direction keeps the last row of its group at or above the
+    # threshold: one segmented pass over those groups' rows
+    fall = np.flatnonzero(~up)
+    pick = np.full(fall.shape[0], -1)
+    for k, rows in _kernels._segment_chunks(starts[group[fall]], chosen[fall] + 1):
+        r = fall.take(k)
+        score = last[rows] * dirs[r, -1]
+        score += lead.take(r)
+        np.maximum.at(pick, k, np.where(score >= thr.take(r), rows, -1))
+    chosen[fall] = pick
     rows = points[chosen]
     return rows[dedup_points(float_keys(rows))]
 
 
 def _probes(verts: np.ndarray, seed: int, samples: int) -> np.ndarray:
     """The gap's probes: every pairwise midpoint of the vertices, then
-    ``samples`` low-discrepancy convex combinations of them, one row each."""
-    i, j = np.triu_indices(verts.shape[0], 1)
-    targets = [(verts[i] + verts[j]) / 2.0]
-    for raw in _vdc_table(seed + 1, samples, verts.shape[0]):
-        w = -np.log(np.maximum(raw, 1e-12))
-        w = w / w.sum()
-        targets.append(w @ verts)
-    return np.vstack(targets)
+    ``samples`` low-discrepancy convex combinations of them, one row each.
+
+    A combination's weights are -log of its radical inverses (at least
+    1e-12), each over their sum, and the combination adds the weighted
+    vertices.  All combinations are one array pass in a fixed order: the
+    logs come from libm (``_kernels._libm_log``), and every sum runs over
+    the vertices in order, one product per term, with no BLAS call.  So the
+    probes do not depend on the BLAS build or on numpy's dispatched
+    ``log``.
+    """
+    nv = verts.shape[0]
+    i, j = np.triu_indices(nv, 1)
+    w = _kernels._libm_log(np.maximum(_vdc_table(seed + 1, samples, nv), 1e-12)).astype(float)
+    np.negative(w, out=w)
+    total = w[:, 0].copy()
+    for m in range(1, nv):
+        total += w[:, m]
+    w /= total[:, None]
+    combos = w[:, :1] * verts[0]
+    for m in range(1, nv):
+        combos += w[:, m, None] * verts[m]
+    return np.concatenate([(verts[i] + verts[j]) / 2.0, combos])
 
 
 def convexity_gap(
@@ -613,11 +643,13 @@ def convexity_gap(
     cloud: 0 for convex clouds, positive where midpoints are missing.
 
     Probes are all pairwise midpoints of the cloud's support vertices plus
-    ``samples`` deterministic low-discrepancy convex combinations of them;
-    the same seed reproduces the same probes bit for bit.  The gap is the
-    directed Hausdorff distance from the probes to the cloud, one call of
-    the nearest-distance search, which scans only the probes that can
-    raise the maximum.
+    ``samples`` deterministic low-discrepancy convex combinations of them
+    (``_probes``); the same seed reproduces the same probes bit for bit, on
+    any BLAS build and SIMD level.  The gap is the directed Hausdorff
+    distance from the probes to the cloud, one call of the nearest-distance
+    search, which scans only the probes that can raise the maximum, in
+    batches, each pair of probe and cloud row only until its partial
+    distance reaches the probe's bound.
     """
     if len(cloud) == 0:
         raise PreconditionError("gap of an empty cloud is undefined")

@@ -6,11 +6,14 @@ h and G of the explicit game, the round-robin candidate profile, the
 per-atom best-response loop, the per-atom partition of a profile, the
 enumeration of measurable selections, the dyadic convexification, the
 Minkowski fold on the ``DEDUP_TOL`` grid, the recursive composition
-generator, the lexicographic order by tuple comparison, and the support
+generator, the lexicographic order by tuple comparison, the support
 vertices and gap probes taken one projection and one scalar radical
-inverse at a time.  Tests use them as the reference for cell signs, payoff
-tables, best responses, Aumann sets, fold steps, support vertices and
-probes, or to build inputs.
+inverse at a time, the support vertices' loop over falling runs, and the
+nearest-distance search that found its seed rows by a ``searchsorted`` of
+the rows as records and scanned one target's window at a time.  Tests use
+them as the reference for cell signs, payoff tables, best responses,
+Aumann sets, fold steps, support vertices, probes and nearest distances,
+or to build inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
@@ -50,6 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from corrint._kernels import MODE_EUCLID, MODE_WSUM, _lex_sorted, _row_dists
 from corrint.correspondences import Correspondence, Selection, _stack_vectors
 from corrint.correspondences import block_choice_sets as package_block_choice_sets
 from corrint.errors import (
@@ -60,7 +64,13 @@ from corrint.errors import (
 )
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
 from corrint.rcd import rcd_of_selection
-from corrint.set_integration import _PRIMES, _minkowski_fold, dedup_points, float_keys
+from corrint.set_integration import (
+    _PRIMES,
+    _directions,
+    _minkowski_fold,
+    dedup_points,
+    float_keys,
+)
 from corrint.spaces import DiscreteSpace, SigmaPartition, block_starts
 from corrint.vectors import NORM_EUCLID, norm, zero_vector
 
@@ -290,18 +300,119 @@ def support_vertices(points, seed: int, ndirs: int = 64) -> np.ndarray:
     return chosen[dedup_points(float_keys(chosen))]
 
 
+def support_vertices_runs(points, seed: int, ndirs: int = 64) -> np.ndarray:
+    """The run form that the segmented pass replaced: the two ends of each
+    run of rows sharing their first d - 1 coordinates scored in one
+    (directions, runs) array, and each falling direction's run rescanned
+    alone, in a loop over those directions, for its last row at or above
+    the threshold."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    dirs = _directions(d, seed, ndirs)
+    if not _lex_sorted(points):
+        points = points[np.lexsort(points.T[::-1])]
+    fresh = np.zeros(n, dtype=bool)
+    fresh[0] = True
+    for m in range(d - 1):
+        col = points[:, m]
+        fresh[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(fresh)
+    ends = np.append(starts[1:], n) - 1
+    heads, last = points[starts, :-1], points[:, -1]
+    up = dirs[:, -1] >= 0
+    chosen = np.empty(dirs.shape[0], dtype=np.intp)
+    part = np.zeros((dirs.shape[0], starts.shape[0]))
+    for m in range(d - 1):
+        part += dirs[:, m, None] * heads[:, m]
+    best = np.where(up[:, None], last[ends], last[starts]) * dirs[:, -1, None]
+    best += part
+    thr = best.max(axis=1) - 1e-12
+    g = starts.shape[0] - 1 - (best >= thr[:, None])[:, ::-1].argmax(axis=1)
+    chosen[:] = ends[g]
+    for r in np.flatnonzero(~up):
+        span = slice(starts[g[r]], ends[g[r]] + 1)
+        score = last[span] * dirs[r, -1]
+        score += part[r, g[r]]
+        chosen[r] = span.start + np.flatnonzero(score >= thr[r])[-1]
+    rows = points[chosen]
+    return rows[dedup_points(float_keys(rows))]
+
+
 def gap_probes(verts, seed: int, samples: int) -> np.ndarray:
     """The gap's probes, each convex combination drawn one scalar radical
-    inverse at a time."""
+    inverse at a time: weights -log through libm's ``math.log``, their sum
+    and the combination each added vertex by vertex, from the first."""
     nv = verts.shape[0]
     i, j = np.triu_indices(nv, 1)
     targets = [(verts[i] + verts[j]) / 2.0]
     for s in range(samples):
-        raw = np.array([vdc(seed + s + 1, _PRIMES[m % len(_PRIMES)]) for m in range(nv)])
-        w = -np.log(np.maximum(raw, 1e-12))
-        w = w / w.sum()
-        targets.append(w @ verts)
-    return np.vstack(targets)
+        w = [-math.log(max(vdc(seed + s + 1, _PRIMES[m % len(_PRIMES)]), 1e-12))
+             for m in range(nv)]
+        total = w[0]
+        for x in w[1:]:
+            total += x
+        w = [x / total for x in w]
+        probe = w[0] * verts[0]
+        for m in range(1, nv):
+            probe = probe + w[m] * verts[m]
+        targets.append(probe[None])
+    return np.concatenate(targets)
+
+
+def lex_records(rows) -> np.ndarray:
+    """C-contiguous float rows as records that compare lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    fields = np.dtype([(f"c{m}", "f8") for m in range(rows.shape[1])])
+    return rows.view(fields)[:, 0]
+
+
+def lex_insertion_records(cloud, keys) -> np.ndarray:
+    """Left insertion points of the key rows among the lexicographically
+    sorted cloud rows, by one ``searchsorted`` of the rows as records."""
+    return np.searchsorted(lex_records(cloud), lex_records(keys))
+
+
+def window_scan_min_dists(targets, cloud, mode, weights) -> float:
+    """The per-target form of ``_kernels.min_dists``: seed rows found by a
+    ``searchsorted`` of the rows as records, then each target's window
+    scanned alone, in descending order of the seed bounds, until a bound is
+    at most the maximum found.  Takes valid input only."""
+    targets = np.asarray(targets, dtype=float)
+    cloud = np.asarray(cloud, dtype=float)
+    nt, n = targets.shape[0], cloud.shape[0]
+    w = np.asarray(weights, dtype=float) + 0.0
+    if np.array_equal(targets, cloud):
+        return 0.0
+    if not _lex_sorted(cloud):
+        cloud = cloud[np.lexsort(cloud.T[::-1])]
+    cloud = np.ascontiguousarray(cloud)
+    cols, tcols = np.ascontiguousarray(cloud.T), targets.T
+    c0, t0 = cols[0], tcols[0]
+    p = np.searchsorted(c0, t0)
+    best = np.full(nt, np.inf)
+    for v in (c0[np.maximum(p - 1, 0)], c0[np.minimum(p, n - 1)]):
+        key = targets.copy()
+        key[:, 0] = v
+        q = lex_insertion_records(cloud, key)
+        for s in (np.maximum(q - 1, 0), np.minimum(q, n - 1)):
+            np.minimum(best, _row_dists(tcols, cols[:, s], mode, w), out=best)
+    if mode == MODE_EUCLID:
+        r = np.sqrt(best)
+    elif mode == MODE_WSUM:
+        with np.errstate(over="ignore"):
+            r = best / w[0] if w[0] > 0 else np.full(nt, np.inf)
+    else:
+        r = best
+    rho = np.nextafter(r, np.inf)
+    lo = np.searchsorted(c0, t0 - rho, "left")
+    hi = np.searchsorted(c0, t0 + rho, "right")
+    top = -math.inf
+    for i in np.argsort(-best, kind="stable"):
+        if best[i] <= top:
+            break
+        window = cols[:, lo[i]:hi[i]]
+        top = max(top, float(_row_dists(targets[i], window, mode, w).min(initial=best[i])))
+    return math.sqrt(top) if mode == MODE_EUCLID else top
 
 
 def dyadic_convexify(corr, resolution: int):
@@ -369,8 +480,9 @@ def grid_fold(contribs, cap: int, d: int) -> np.ndarray:
             run -= 1
         step = contribs[i]
         if run > 1:
+            # each multiset's sum in the package's order: value by value
             counts = np.array(list(compositions(run, m)), dtype=float)
-            step = counts @ step
+            step = sum((counts[:, c, None] * step[c] for c in range(1, m)), counts[:, :1] * step[0])
         acc = grid_dedup((acc[:, None, :] + step[None, :, :]).reshape(-1, d))
         if acc.shape[0] > cap:
             raise CapacityError(acc.shape[0], cap)

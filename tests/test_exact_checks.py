@@ -1,7 +1,7 @@
 """tower-barycenter against its per-instance form, its memory, the tower
 draws, and negative controls for the verdicts of tower-barycenter,
-rcd-mixture, lemma-bound, walsh-orthogonality, counterexample-integrals
-and lyapunov-exactness.
+rcd-mixture, lemma-bound, walsh-orthogonality, counterexample-integrals,
+lyapunov-exactness, convexity-decay and uhc-decay.
 
 tower-barycenter runs its instances as disjoint unions of up to
 ``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
@@ -212,3 +212,48 @@ def test_lyapunov_integral_condition_fails_alone(tmp_path, capsys, monkeypatch):
     assert code == 1 and res["verdict"] is False
     assert res["integral_error"] > 1e-12
     assert res["mix_error"] <= 1e-12 and res["mixture_in_conditional_set"] is True
+
+
+def _last_value(monkeypatch, name, calls, last):
+    """Replace ``scenarios.<name>`` by the real function, except that its
+    ``calls``-th call returns ``last(the values of the calls before it)``."""
+    real, seen = getattr(scenarios, name), []
+
+    def scripted(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        if len(seen) == calls:
+            seen[-1] = last(seen[:-1])
+        return seen[-1]
+
+    monkeypatch.setattr(scenarios, name, scripted)
+
+
+def test_convexity_monotone_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    # the level-2 gap rises 1e-4 above level 1's, and still passes final_tol
+    _last_value(monkeypatch, "convexity_gap", 2, lambda gaps: gaps[-1] + 1e-4)
+    code, res = _run(tmp_path, capsys, {"kind": "convexity-decay", "levels": [1, 2],
+                                        "final_tol": 1})
+    assert code == 1 and res["verdict"] is False
+    assert res["monotone"] is False and res["final_gap"] < 1
+
+
+def _uhc(tmp_path, capsys, final_tol) -> tuple[int, dict]:
+    # the bundled check, whose semidistances in the weak topology fall
+    check = scenarios.load_bundled("uhc-decay")["checks"][0]
+    return _run(tmp_path, capsys, {**check, "final_tol": final_tol})
+
+
+def test_uhc_monotone_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    # the last of the five semidistances rises 1e-4 above the one before
+    _last_value(monkeypatch, "hausdorff_semidistance", 5, lambda sigmas: sigmas[-1] + 1e-4)
+    code, res = _uhc(tmp_path, capsys, 1)
+    assert code == 1 and res["verdict"] is False
+    assert res["monotone"] is False and res["final"] < 1
+
+
+def test_uhc_final_condition_fails_alone(tmp_path, capsys, monkeypatch):
+    # the last semidistance, 0 in fact, read just above final_tol
+    _last_value(monkeypatch, "hausdorff_semidistance", 5, lambda sigmas: 1.5e-6)
+    code, res = _uhc(tmp_path, capsys, 1e-6)
+    assert code == 1 and res["verdict"] is False
+    assert res["monotone"] is True and res["final"] == 1.5e-6

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import lex_sorted, scan_arguments_loop
+from _oracles import (
+    lex_insertion_records,
+    lex_sorted,
+    scan_arguments_loop,
+    window_scan_min_dists,
+)
 from corrint import _kernels
 from corrint._kernels import MODE_EUCLID, MODE_MAX, MODE_WSUM
 from corrint.errors import PreconditionError
@@ -296,20 +302,16 @@ def _assert_min_dists_equal_loop(targets, cloud, mode, weights):
 
 
 def _window_scans(monkeypatch):
-    """Spy on ``_row_dists``: the list of the window scans it is called for.
-
-    The seed bounds come from calls with a column per target; a window scan
-    gets one target's coordinates as a 1-D row.
-    """
+    """Spy on ``_window_minima``: the targets whose windows it scans, one
+    row each, batch after batch."""
     scans = []
-    row_dists = _kernels._row_dists
+    window_minima = _kernels._window_minima
 
-    def spy(tcols, ccols, mode, weights):
-        if np.ndim(tcols) == 1:
-            scans.append(np.array(tcols))
-        return row_dists(tcols, ccols, mode, weights)
+    def spy(tcols, *rest):
+        scans.extend(np.array(tcols).T)
+        return window_minima(tcols, *rest)
 
-    monkeypatch.setattr(_kernels, "_row_dists", spy)
+    monkeypatch.setattr(_kernels, "_window_minima", spy)
     return scans
 
 
@@ -341,7 +343,8 @@ def test_min_dists_nearest_row_on_the_window_edge():
 
 @pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
 def test_min_dists_targets_inside_the_cloud(monkeypatch, mode):
-    # every seed bound is 0, so the first target's scan settles the maximum
+    # every seed bound is 0, so the first batch, one target, settles the
+    # maximum
     rng = np.random.default_rng(65)
     cloud = rng.normal(size=(40, 3))
     targets = cloud[rng.permutation(40)[:12]]
@@ -354,8 +357,9 @@ def test_min_dists_targets_inside_the_cloud(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
 def test_min_dists_scans_only_the_far_target(monkeypatch, mode):
-    # near targets sit inside a grid and the far one well outside it: once
-    # the far target is scanned no near bound can reach its distance
+    # near targets sit inside a grid and the far one well outside it: the
+    # first batch is the far target alone, and after it no near bound can
+    # reach its distance
     g = np.arange(6) / 5.0
     cloud = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     rng = np.random.default_rng(66)
@@ -374,7 +378,9 @@ def test_min_dists_tied_bounds(monkeypatch, mode):
     # bound; near's nearest row (0.5, 0) lies inside its window, and far's
     # nearest rows are the seed rows.  Scanned first, near leaves a maximum
     # below the tied bound, so far must be scanned too; scanned first, far
-    # reaches the bound and stops the search.
+    # reaches the bound and stops the search.  Of near, near, far, far the
+    # first batch scans the first near, and the second the other near and
+    # the first far, which stops the search.
     cloud = np.array([[-0.1, 5.0], [0.1, 5.0], [0.5, 0.0]])
     near, far = [0.0, 0.0], [0.0, 10.0]
     weights = np.ones(2)
@@ -464,6 +470,55 @@ def test_min_dists_property_equals_loop_oracle(data, d, nt, nc, mode):
         targets = np.concatenate([targets, cloud[::2]])
     weights = data.draw(arrays(float, d, elements=st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 2.0)))
     _assert_min_dists_equal_loop(targets, cloud, mode, weights)
+
+
+# few values, both zeros among them: long runs of equal first coordinates,
+# duplicate rows, and -0.0 beside 0.0
+_run_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5), n=st.integers(1, 40), nk=st.integers(1, 8))
+def test_lex_insertion_equals_record_searchsorted(data, d, n, nk):
+    # keys take their first coordinate from the cloud's first column, as
+    # the seed search does, with the sign of a zero flipped at times
+    cloud = data.draw(arrays(float, (n, d), elements=_run_values | _coordinates))
+    cloud = cloud[np.lexsort(cloud.T[::-1])]
+    keys = data.draw(arrays(float, (nk, d), elements=_run_values | _coordinates))
+    keys[:, 0] = cloud[data.draw(arrays(np.intp, nk, elements=st.integers(0, n - 1))), 0]
+    if data.draw(st.booleans()):
+        keys[:, 0] = -(-keys[:, 0] + 0.0)
+    got = _kernels._lex_insertion(cloud, cloud[:, 0], keys)
+    assert np.array_equal(got, lex_insertion_records(cloud, keys))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5), nt=st.integers(1, 12), nc=st.integers(1, 40),
+       mode=st.sampled_from([MODE_WSUM, MODE_EUCLID, MODE_MAX]),
+       budget=st.sampled_from([8, 64, _kernels._CHUNK_BYTES]))
+def test_min_dists_equals_window_scan_oracle(data, d, nt, nc, mode, budget):
+    # the batched scan against the per-target one, bit for bit, in chunks
+    # of one pair, of eight and of the default budget; the seed insertion
+    # points against a searchsorted of the rows as records
+    cloud = data.draw(arrays(float, (nc, d), elements=_run_values | _coordinates))
+    targets = data.draw(arrays(float, (nt, d), elements=_run_values | _coordinates))
+    if data.draw(st.booleans()):  # targets inside the cloud
+        targets = np.concatenate([targets, cloud[::3]])
+    weights = data.draw(arrays(float, d, elements=st.floats(0.0, 2.0)))
+    weights[0] = data.draw(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-320, weights[0]]))
+    insertion = _kernels._lex_insertion
+    sorted_cloud = cloud[np.lexsort(cloud.T[::-1])]
+
+    def checked(rows, c0, keys):
+        q = insertion(rows, c0, keys)
+        assert np.array_equal(q, lex_insertion_records(sorted_cloud, keys))
+        return q
+
+    with mock.patch.object(_kernels, "_CHUNK_BYTES", budget), \
+            mock.patch.object(_kernels, "_lex_insertion", checked):
+        got = _kernels.min_dists(targets, cloud, mode, weights)
+    want = window_scan_min_dists(targets, cloud, mode, weights)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_payoff_table_matches_pure_python():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from _oracles import (
     outcome,
     support_directions,
     support_vertices,
+    support_vertices_runs,
 )
-from corrint import set_integration
+from corrint import _kernels, set_integration
 from corrint.correspondences import (
     Correspondence,
     Selection,
@@ -463,6 +465,24 @@ def test_support_vertices_equal_projection_oracle(data, n, d, seed, ndirs):
     got = set_integration._support_vertices(pts, seed, ndirs)
     want = support_vertices(pts, seed, ndirs)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4), seed=st.integers(0, 50),
+       ndirs=st.sampled_from([0, 3, 64]), budget=st.sampled_from([8, 64, 1 << 16]),
+       scale=st.sampled_from([1.0, 2.0 ** 20]))
+def test_support_vertices_equal_run_loop_oracle(data, n, d, seed, ndirs, budget, scale):
+    # the segmented pass against the loop over falling runs, in chunks of
+    # one row, of eight and of the default budget; at d = 1 the whole
+    # cloud is one run.  Scaled by 2**20, a top score less 1e-12 rounds
+    # back to the top, so the threshold admits exactly the rows at the top.
+    pts = data.draw(arrays(float, (n, d), elements=_support_values))
+    if data.draw(st.booleans()):
+        pts = np.floor(pts)
+    pts *= scale
+    with mock.patch.object(_kernels, "_CHUNK_BYTES", budget):
+        got = set_integration._support_vertices(pts, seed, ndirs)
+    assert got.tobytes() == support_vertices_runs(pts, seed, ndirs).tobytes()
 
 
 def test_support_vertices_pick_the_largest_row_of_a_face():

@@ -22,7 +22,9 @@ the seed.
 The seed-0 ``clouds`` and ``exact`` configs and every bundled scenario are
 also run once with the width of each fold step's keys recorded: each of
 their folds must merge on one packed column of exact keys, since a fall
-back to key columns keeps every byte and only reads slower.
+back to key columns keeps every byte and only reads slower.  Every
+nearest-distance search those configs make is checked against the
+per-target window scan that the batched one replaced.
 """
 import hashlib
 import json
@@ -30,8 +32,9 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import window_scan_min_dists
 from _perfbench import ROOT, load
-from corrint import set_integration
+from corrint import _kernels, set_integration
 from corrint.scenarios import (
     bundled_names,
     load_bundled,
@@ -104,3 +107,19 @@ def test_every_workload_fold_merges_on_packed_exact_keys(monkeypatch):
     for config in configs:
         run_scenario_dict(config)
     assert widths and set(widths) == {1}
+
+
+def test_every_workload_min_dists_equals_window_scan_oracle(monkeypatch):
+    calls = []
+    min_dists = _kernels.min_dists
+
+    def recording(targets, cloud, mode, weights):
+        out = min_dists(targets, cloud, mode, weights)
+        calls.append((out, window_scan_min_dists(targets, cloud, mode, weights)))
+        return out
+
+    monkeypatch.setattr(_kernels, "min_dists", recording)
+    for config in _configs(monkeypatch, ("clouds", "exact"), 0).values():
+        run_scenario_dict(config)
+    assert len(calls) > 10
+    assert all(type(got) is float and repr(got) == repr(want) for got, want in calls)
