@@ -25,8 +25,10 @@ reduces them to rows of block regrets that it keeps across chunks of
 profiles, and reads each profile's residual from them; the maximum is
 exact in any order, so the scan agrees with the loop too.
 No kernel calls BLAS or a SIMD-dispatched transcendental, so their results
-do not depend on the build.  The loop forms live in the test suite as
-oracles.
+do not depend on the BLAS build or on numpy's SIMD level.  They do depend
+on libm: on x86-64, glibc picks an FMA or an SSE2 form of ``log`` and
+``sin`` by the host, and the two differ in the last bit on a small share
+of inputs.  The loop forms live in the test suite as oracles.
 """
 from __future__ import annotations
 
@@ -210,8 +212,12 @@ def _window_minima(tcols, cloud, lo, hi, bound, mode, weights):
     pair's distance is accumulated as ``_row_dists`` accumulates it, and a
     pair is dropped as soon as its partial sum reaches its target's bound:
     every later term is >= +0 and rounding is monotone, so its distance
-    could only be at least the bound.
+    could only be at least the bound.  A single window is one slice of the
+    cloud, scanned whole by ``_row_dists`` without gathering.
     """
+    if lo.shape[0] == 1:
+        near = _row_dists(tcols, cloud[lo[0]:hi[0]].T, mode, weights)
+        return np.minimum(bound, near.min(initial=bound[0]))
     d = cloud.shape[1]
     flat = cloud.reshape(-1)
     out = bound.copy()

@@ -5,11 +5,11 @@ A mutant replaces one string of one source file, where it must occur
 exactly once, to weaken one verdict condition.  The suite kills the mutant
 when it fails on the copy.  The file is not a test module, so pytest does
 not collect it; ``test_mutants.py`` only checks that every target string
-still occurs once in ``src/``.  Run it from anywhere:
+still occurs once in ``src/`` and that the test each entry names as
+``killed_by`` still exists.  Run it from anywhere:
 
     python tests/run_mutants.py                  # every mutant, whole suite
     python tests/run_mutants.py NAME [NAME ...]  # the named mutants
-    python tests/run_mutants.py --pytest "-x -q tests/test_exact_checks.py"
 
 It prints one line per mutant (killed, SURVIVED, or the suite's exit code
 when the run broke) and exits 1 when any mutant survived.  Standard library
@@ -18,7 +18,6 @@ only; each copy leaves nothing behind.
 import argparse
 import json
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -43,14 +42,14 @@ def mutate(root: Path, mutant: dict) -> None:
     path.write_text(text.replace(mutant["target"], mutant["replacement"]))
 
 
-def run(mutant: dict, pytest_args: list[str]) -> int:
+def run(mutant: dict) -> int:
     """The suite's exit code on a copy of the checkout with the mutant applied."""
     with tempfile.TemporaryDirectory(prefix="corrint-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=SKIP)
         mutate(copy, mutant)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *pytest_args],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-x", "-q"],
                               cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return proc.returncode
 
@@ -58,7 +57,6 @@ def run(mutant: dict, pytest_args: list[str]) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--pytest", default="-x -q", help="arguments for pytest (default: %(default)s)")
     args = parser.parse_args(argv)
     mutants = load()
     unknown = set(args.names) - {m["name"] for m in mutants}
@@ -68,7 +66,7 @@ def main(argv=None) -> int:
     for mutant in mutants:
         if args.names and mutant["name"] not in args.names:
             continue
-        code = run(mutant, shlex.split(args.pytest))
+        code = run(mutant)
         outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"broken run (pytest exit {code})")
         survived |= code == 0
         print(f"{mutant['name']}: {outcome}", flush=True)

@@ -1,12 +1,19 @@
 """Report bytes that do not depend on the BLAS build or the SIMD level.
 
 A few configs run through ``corrint run`` in child processes: one under
-the defaults, one with OpenBLAS forced to its oldest x86-64 core, and one
+the defaults, one with OpenBLAS forced to its oldest x86-64 core, one
 with numpy held to its X86_V2 baseline, so that neither a BLAS kernel nor
-a dispatched ``log`` or ``sin`` can reach a report.  Each child's standard
-output must equal the default one byte for byte.  Convexity-decay at
-gamma = 1/3, level 6 is among them because its gap is set by a combination
-probe whose bits once followed the BLAS core.
+a dispatched ``log`` or ``sin`` can reach a report, and one with glibc's
+FMA, AVX2 and AVX masked, so that libm takes its SSE2 ``log`` and ``sin``.
+Each child's standard output must equal the default one byte for byte.
+Convexity-decay at gamma = 1/3, level 6 is among them because its gap is
+set by a combination probe whose bits once followed the BLAS core.
+
+The libm child is a sample, not a proof: glibc's FMA and SSE2 forms of
+``log`` and ``sin`` differ in the last bit on a small share of inputs, and
+these configs happen to meet none of them.  The glibc tunable is ignored
+where the host lacks those features or libm is not glibc; the child then
+repeats the default run.
 """
 import json
 import os
@@ -22,6 +29,7 @@ OVERRIDES = {
     "default": {},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "x86-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "libm-sse2": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX"},
 }
 
 # the convexity-decay gap at gamma = 1/3, level 6, under every build

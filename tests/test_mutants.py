@@ -4,8 +4,10 @@
 condition; ``run_mutants.py`` runs the suite against each on demand.  Here
 every target must still occur exactly once in ``src/``, in the file its
 entry names, so that an edit of the source cannot leave a mutant that no
-longer applies.
+longer applies; and the test an entry names as ``killed_by`` must still be
+defined, so that a renamed test cannot leave a stale name behind.
 """
+import ast
 import json
 
 from _perfbench import ROOT
@@ -24,3 +26,11 @@ def test_every_mutant_target_occurs_once_in_src():
         assert mutant["replacement"] != mutant["target"], mutant["name"]
         assert sum(text.count(mutant["target"]) for text in sources) == 1, mutant["name"]
         assert (ROOT / mutant["file"]).read_text().count(mutant["target"]) == 1, mutant["name"]
+
+
+def test_every_killing_test_is_defined():
+    for mutant in MUTANTS:
+        path, _, name = mutant["killed_by"].partition("::")
+        tree = ast.parse((ROOT / path).read_text())
+        tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in tests, mutant["name"]
