@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError, StructureError
 from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_starts
 from .vectors import basis_vector, zero_vector
-from .walsh import walsh_integral, walsh_sign_on_cell
+from .walsh import walsh_sign_on_cell
 
 
 def _stack_vectors(vectors, what: str) -> np.ndarray:
@@ -53,8 +53,8 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     ``rows`` is a finite (n, d) float array and ``owner`` a label per
     row.  Returns ``(order, starts, rank)``: ``order`` is a stable sort
     that puts the bit-equal rows of each owner together, each run led by
-    the first of them given, and ``starts`` where its runs begin.  The runs ordered by owner, then by value, ties (-0.0 beside
-    0.0) in the order given, are the runs taken in ``rank``.
+    the first of them given, and ``starts`` where its runs begin; ``rank``
+    takes the runs by owner, then by value, ties (-0.0 beside 0.0) as given.
 
     Finite rows are equal bit for bit iff they are equal in value and
     their zeros carry the same signs, so one lexsort over (owner, value
@@ -134,9 +134,8 @@ class Correspondence:
     ``values[i]`` is the value set at ``space.ids[i]``: a read-only (m, d)
     slice of one stack, its rows distinct bit for bit (the first of equal
     rows is kept, so -0.0 and 0.0 are two values) and in lexicographic
-    order, ties kept in input order.  Atoms given the same rows in the same
-    order share one slice.  ``_start`` and ``_size`` locate each atom's
-    slice in ``_stack``.
+    order, ties kept in input order.  The stack holds the sets atom by
+    atom, ``_size[i]`` rows for atom ``space.ids[i]``.
 
     ``from_stack`` is the one constructor core; ``__init__`` flattens its
     mapping into every atom's rows end to end and hands them to it.
@@ -145,7 +144,6 @@ class Correspondence:
     space: DiscreteSpace
     values: tuple[np.ndarray, ...]  # aligned with space.ids
     _stack: np.ndarray = field(repr=False, compare=False)
-    _start: np.ndarray = field(repr=False, compare=False)
     _size: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space: DiscreteSpace, value_map):
@@ -170,12 +168,11 @@ class Correspondence:
         every atom's value rows end to end, ``counts[i]`` of them for atom
         ``space.ids[i]``.
 
-        Atoms given the same rows in the same order share one set: for each
-        distinct count, the atoms' rows side by side are merged as one row
-        per atom (``_merge_rows``).  Each set is then made distinct and
-        ordered by one merge of all the sets' rows.  Raises StructureError
-        on an empty set, counts that do not cover the rows, or a value that
-        is not finite.
+        One merge of the rows, each owned by its atom (``_merge_rows``),
+        makes every set distinct and sorted, the sets in atom order; each
+        atom's slice is then cut from the merged stack.  Raises
+        StructureError on an empty set, counts that do not cover the rows,
+        or a value that is not finite.
         """
         ids = space.ids
         counts = np.asarray(counts, dtype=np.int64)
@@ -190,40 +187,23 @@ class Correspondence:
         if not np.isfinite(rows).all():
             raise StructureError("correspondence values must be finite")
         rows = np.ascontiguousarray(rows, dtype=float)
-        starts = block_starts(counts)
-        first = np.empty(len(ids), dtype=np.int64)  # each atom's first atom of equal rows
-        for c in sorted(set(counts.tolist())):
-            atoms = np.flatnonzero(counts == c)
-            width = c * rows.shape[1]
-            wide = rows[_spans(starts[atoms], counts[atoms])].reshape(atoms.shape[0], width)
-            order, runs, _ = _merge_rows(wide, np.zeros(atoms.shape[0]))
-            lengths = np.diff(runs, append=order.shape[0])
-            first[atoms[order]] = np.repeat(atoms[order[runs]], lengths)
-        leads = first == np.arange(len(ids))
-        firsts, which = np.flatnonzero(leads), np.cumsum(leads)[first] - 1
-        sizes = counts[firsts]
-        rows = rows[_spans(starts[firsts], sizes)]
-        owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
+        owner = np.repeat(np.arange(float(len(ids))), counts)
         order, runs, rank = _merge_rows(rows, owner)
         kept = order[runs[rank]]
         stack = rows[kept]
         stack.setflags(write=False)
-        set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])
-        bounds = block_starts(set_sizes)
-        cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
+        sizes = np.bincount(owner[kept].astype(np.int64), minlength=len(ids))
+        ends = np.cumsum(sizes).tolist()
         corr = object.__new__(cls)
-        values = tuple(map(cuts.__getitem__, which.tolist()))
+        values = tuple(map(stack.__getitem__, map(slice, [0, *ends[:-1]], ends)))
         for name, value in (("space", space), ("values", values), ("_stack", stack),
-                            ("_start", bounds[which]), ("_size", set_sizes[which])):
+                            ("_size", sizes)):
             object.__setattr__(corr, name, value)
         return corr
 
     @property
     def dim(self) -> int:
         return self.values[0].shape[1]
-
-    def value_set(self, atom: int) -> np.ndarray:
-        return self.values[self.space.position(atom)]
 
     def to_json(self) -> dict:
         return {str(a): vs.tolist() for a, vs in zip(self.space.ids, self.values)}
@@ -239,9 +219,8 @@ def _value_index(corr: Correspondence, choice: np.ndarray) -> np.ndarray:
     if choice.shape[1] != corr.dim:
         raise StructureError(f"choice at atom {corr.space.ids[0]} is not a correspondence value")
     lead = block_starts(sizes)
-    within = np.arange(int(sizes.sum())) - np.repeat(lead, sizes)
-    hit = (corr._stack[np.repeat(corr._start, sizes) + within]
-           == np.repeat(choice, sizes, axis=0)).all(axis=1)
+    within = np.arange(corr._stack.shape[0]) - np.repeat(lead, sizes)
+    hit = (corr._stack == np.repeat(choice, sizes, axis=0)).all(axis=1)
     index = np.minimum.reduceat(np.where(hit, within, sizes.max()), lead)
     missing = np.flatnonzero(index >= sizes)
     if missing.shape[0]:
@@ -346,7 +325,7 @@ def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndar
     if not atoms.shape[0]:
         return out
     block, counts = alg.labels[atoms], corr._size[atoms]
-    rows = corr._stack[_spans(corr._start[atoms], counts)]
+    rows = corr._stack[_spans(block_starts(corr._size)[atoms], counts)]
     owner = np.repeat(block, counts)
     merged, runs, _ = _merge_rows(rows, owner)
     lengths = np.diff(runs, append=merged.shape[0])
@@ -444,14 +423,9 @@ def build_counterexample(
     d = f_list[0].dim
     model = DyadicModel(gamma, L, refinement)
 
-    # exact dyadic integration: coefficient of x_{kn+j-1} in e_j is
-    # 2**-n * (1-gamma) * integral of W_n, which vanishes for n >= 1
-    e_list = np.zeros((k, d))
-    for j in range(1, k + 1):
-        for n in range(N + 1):
-            w = Fraction(1, 2 ** n) * (1 - gamma) * \
-                walsh_integral(n, Fraction(0), Fraction(1), L)
-            e_list[j - 1] += float(w) * basis_vector(k * n + j - 1, d)
+    # exact dyadic integration: e_j = (1-gamma) x_{j-1}, since W_0
+    # integrates to 1 and every other W_n to 0
+    e_list = np.eye(k, d) * float(1 - gamma)
 
     # each cell's value set {0, f_1(cell), ..., f_k(cell)}, once per atom
     # of the cell, after the atomic atom's {0}

@@ -71,10 +71,14 @@ class CounterexamplePayoff:
 
     def mixed_points(self, cell: int) -> np.ndarray:
         """The k mixed points of a cell, rows i = 1..k."""
-        b = self.bundle
-        psi = np.array([f.values[cell] for f in b.f_list])
-        total = psi.sum(axis=0)
-        return (psi + total) / (b.k + 1)
+        return _mixed_points(self.bundle)[cell]
+
+
+def _mixed_points(bundle: CounterexampleBundle) -> np.ndarray:
+    """The k mixed points of every cell, shape (cells, k, d): row i of cell
+    c is (psi_i(c) + sum_j psi_j(c)) / (k + 1)."""
+    psi = np.stack([f.values for f in bundle.f_list], axis=1)
+    return (psi + psi.sum(axis=1, keepdims=True)) / (bundle.k + 1)
 
 
 @dataclass(frozen=True)
@@ -209,10 +213,7 @@ def build_counterexample_game(
     """
     bundle = build_counterexample(k, gamma, N, L, refinement)
     model = bundle.model
-    acts = [zero_vector(bundle.d)]
-    for c in range(model.ncells):
-        psi = np.array([f.values[c] for f in bundle.f_list])
-        acts.extend((psi + psi.sum(axis=0)) / (k + 1))
+    acts = [zero_vector(bundle.d), *_mixed_points(bundle).reshape(-1, bundle.d)]
     acts.extend(np.asarray(extra, dtype=float) for extra in extra_actions)
     actions = np.array(acts)
     M = max(float(1 - Fraction(gamma)), float(row_norms(actions, flavor).max()))
@@ -235,12 +236,9 @@ def _cell_mixes(game: LargeGame) -> tuple:
     atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
     Interval atom i lies in cell i // refinement.
     """
-    pay = game.payoff
-    b = pay.bundle
+    b = game.payoff.bundle
     model = b.model
-    mixes = np.zeros((model.ncells + 1, b.k, b.d))
-    for c in range(model.ncells):
-        mixes[c] = pay.mixed_points(c)
+    mixes = np.concatenate((_mixed_points(b), np.zeros((1, b.k, b.d))))
     row = np.arange(model.ncells * model.refinement, dtype=np.int64) // model.refinement
     if model.atomic_atom is not None:
         row = np.concatenate([[model.ncells], row])

@@ -35,14 +35,7 @@ import numpy as np
 
 from .correspondences import Selection, _merge_rows, _stack_vectors
 from .errors import PreconditionError, StructureError
-from .spaces import SigmaPartition, sequential_sums
-
-
-def _int_dtype(total: int):
-    """The dtype of nonnegative integer numerators and denominators that
-    each sum to ``total`` at most: int64 below 2**53, as ``DiscreteSpace``
-    keeps its numerators, Python ints past that."""
-    return np.int64 if total < 1 << 53 else object
+from .spaces import SigmaPartition, _int_dtype, sequential_sums
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -39,6 +39,13 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _int_dtype(total: int):
+    """The dtype of nonnegative integer numerators and denominators that
+    each sum to ``total`` at most: int64 below 2**53, so every sum and
+    quotient of them is exact in float64 too, Python ints past that."""
+    return np.int64 if total < 1 << 53 else object
+
+
 @dataclass(frozen=True)
 class DiscreteSpace:
     """Finite atomic probability space: ordered atoms with rational masses.
@@ -50,8 +57,7 @@ class DiscreteSpace:
     ``den``, ``_nums`` and ``atom_set`` are derived once: the least common
     denominator of the masses, aligned with ``ids`` each mass times
     ``den``, an integer, and the set of ids.  ``_nums`` is a read-only
-    array: int64 while ``den < 2**53``, so every block sum and quotient of
-    them is exact in float64 too, and Python ints past that.
+    array of the dtype ``_int_dtype(den)`` gives.
     """
 
     ids: tuple[int, ...]
@@ -79,7 +85,7 @@ class DiscreteSpace:
         if sum(map(scaled.__getitem__, keys)) != den:
             raise StructureError("atom masses must sum exactly to 1")
         object.__setattr__(self, "den", den)
-        array = np.array(scaled, dtype=np.int64 if den < 2 ** 53 else object)[keys]
+        array = np.array(scaled, dtype=_int_dtype(den))[keys]
         array.setflags(write=False)
         object.__setattr__(self, "_nums", array)
         object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.ids)})
@@ -401,21 +407,6 @@ class DyadicModel:
     @property
     def atomic_atom(self) -> int | None:
         return 0 if self.gamma > 0 else None
-
-    @property
-    def interval_atoms(self) -> tuple[int, ...]:
-        start = 1 if self.gamma > 0 else 0
-        return tuple(range(start, start + self.ncells * self.refinement))
-
-    def cell_of(self, atom: int) -> int | None:
-        """Cell index of an interval atom; None for the atomic part."""
-        if self.gamma > 0 and atom == 0:
-            return None
-        start = 1 if self.gamma > 0 else 0
-        idx = atom - start
-        if not 0 <= idx < self.ncells * self.refinement:
-            raise StructureError(f"atom {atom} not in model")
-        return idx // self.refinement
 
     def cell_atoms(self, cell: int) -> tuple[int, ...]:
         start = (1 if self.gamma > 0 else 0) + cell * self.refinement

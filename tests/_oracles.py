@@ -1,19 +1,21 @@
 """Reference implementations that tests compare the package against.
 
 Two kinds live here.  The first are references the package no longer
-needs itself: point evaluation of the Walsh functions, the scalar payoffs
-h and G of the explicit game, the round-robin candidate profile, the
-per-atom best-response loop, the per-atom partition of a profile, the
-enumeration of measurable selections, the dyadic convexification, the
-Minkowski fold on the ``DEDUP_TOL`` grid, the recursive composition
-generator, the lexicographic order by tuple comparison, the support
-vertices and gap probes taken one projection and one scalar radical
-inverse at a time, the support vertices' loop over falling runs, and the
-nearest-distance search that found its seed rows by a ``searchsorted`` of
-the rows as records and scanned one target's window at a time.  Tests use
-them as the reference for cell signs, payoff tables, best responses,
-Aumann sets, fold steps, support vertices, probes and nearest distances,
-or to build inputs.
+needs itself: a dyadic model's cell of an atom, the series integrals
+added one Walsh integral at a time, point evaluation of the Walsh
+functions, the scalar payoffs h and G of the explicit game, the
+round-robin candidate profile, the per-atom best-response loop, the
+per-atom partition of a profile, the enumeration of measurable
+selections, the dyadic convexification, the Minkowski fold on the
+``DEDUP_TOL`` grid, the recursive composition generator, the
+lexicographic order by tuple comparison, the support vertices and gap
+probes taken one projection and one scalar radical inverse at a time,
+the support vertices' loop over falling runs, and the nearest-distance
+search that found its seed rows by a ``searchsorted`` of the rows as
+records and scanned one target's window at a time.  Tests use them as
+the reference for cell signs, payoff tables, best responses, Aumann
+sets, fold steps, support vertices, probes and nearest distances, or to
+build inputs.
 
 The second kind is the one-vector-at-a-time construction logic.
 ``Correspondence``, ``Selection`` and ``TransitionKernel`` stack their
@@ -34,16 +36,15 @@ refinement and nowhere equivalence by subset tests between blocks, the
 ``Selection``'s index lookup through a dict of row tuples and its block
 constancy through a dict of row bytes, ``lyapunov_mix`` and
 ``conditional_set`` by subset filter and a mass sum per sub-block, the
-exhaustive scan's arguments gathered block by block and atom by atom, the
-kernel barycenter added point by
-point, the game's per-atom ``phi`` and ``cell_of`` tables, the
-tower-barycenter check as one small space per instance, and the kernel
-constructor, ``rcd_of_selection`` and ``kernel_mix`` entry by entry: a
-dict of row bytes per block, one ``Fraction`` division per atom and one
-``Fraction`` product per mixed entry.  Last come the forms that flat
-arrays replaced: the row merge as lexsorts over 2d + 1 ``copysign`` and
-value keys and over d + 2 keys, ``Correspondence`` from a mapping with
-one stack per atom and a dict of row bytes for set sharing, and
+exhaustive scan's arguments gathered block by block and atom by atom,
+the kernel barycenter added point by point, the game's per-atom ``phi``
+and ``cell_of`` tables, the tower-barycenter check as one small space
+per instance, and the kernel constructor, ``rcd_of_selection`` and
+``kernel_mix`` entry by entry: a dict of row bytes per block, one
+``Fraction`` division per atom and one ``Fraction`` product per mixed
+entry.  Last come the forms that flat arrays replaced: the row merge as
+lexsorts over 2d + 1 ``copysign`` and value keys and over d + 2 keys,
+``Correspondence`` from a mapping with one stack per atom, and
 ``block_choice_sets`` as a loop over blocks intersecting sets of row
 bytes.
 """
@@ -72,10 +73,36 @@ from corrint.set_integration import (
     float_keys,
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition, block_starts
-from corrint.vectors import NORM_EUCLID, norm, zero_vector
+from corrint.vectors import NORM_EUCLID, basis_vector, norm, zero_vector
+from corrint.walsh import walsh_integral
 
 # the cell width of the grid that ``grid_dedup`` keys float rows on
 DEDUP_TOL = 1e-12
+
+
+def cell_of(model, atom: int) -> int | None:
+    """Cell index of an interval atom of a ``DyadicModel``; None for the
+    atomic part."""
+    if model.gamma > 0 and atom == 0:
+        return None
+    idx = atom - (1 if model.gamma > 0 else 0)
+    if not 0 <= idx < model.ncells * model.refinement:
+        raise StructureError(f"atom {atom} not in model")
+    return idx // model.refinement
+
+
+def integrals_loop(k: int, gamma, N: int, L: int, d: int) -> np.ndarray:
+    """The (k, d) integrals e_j of the truncated series maps, added one
+    basis vector at a time: the coefficient of x_{kn+j-1} in e_j is
+    2**-n * (1-gamma) times the exact integral of W_n over [0, 1]."""
+    gamma = Fraction(gamma)
+    e_list = np.zeros((k, d))
+    for j in range(1, k + 1):
+        for n in range(N + 1):
+            w = Fraction(1, 2 ** n) * (1 - gamma) * \
+                walsh_integral(n, Fraction(0), Fraction(1), L)
+            e_list[j - 1] += float(w) * basis_vector(k * n + j - 1, d)
+    return e_list
 
 
 def walsh_eval(n: int, l) -> int:
@@ -137,7 +164,7 @@ def payoff_G(game, t: int, a, b) -> float:
     a = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     theta = pay.beta * norm(bv - bnd.e_mean(), pay.flavor)
-    cell = model.cell_of(t)
+    cell = cell_of(model, t)
     if cell is None:
         xs = [zero_vector(bnd.d) for _ in range(bnd.k)]
     else:
@@ -207,7 +234,7 @@ def partition_loop(game, profile):
     zero_idx = int(np.argmin(game.actions.any(axis=1)))
     mixes = game.cell_mixes[0]
     for atom, p in zip(model.space.ids, profile.play):
-        cell = model.cell_of(atom)
+        cell = cell_of(model, atom)
         if cell is None:
             if p != zero_idx:
                 return None, "atomic-part player does not play the zero action"
@@ -776,12 +803,10 @@ def is_nowhere_equivalent_loop(t_alg, f_alg) -> bool:
 
 
 def correspondence_loop(space, value_map):
-    """(value sets, set number) per atom, as ``Correspondence`` builds them:
-    atoms given the same row bytes in the same order share a set; a set
+    """The value sets per atom, as ``Correspondence`` builds them: a set
     keeps the first of its rows equal bit for bit, sorted by
     ``tuple(row)``, ties in input order."""
-    canon: dict[tuple, int] = {}
-    sets, which = [], []
+    sets = []
     for a in space.ids:
         if a not in value_map:
             raise StructureError(f"no value set for atom {a}")
@@ -790,16 +815,11 @@ def correspondence_loop(space, value_map):
             raise StructureError(f"empty value set at atom {a}")
         if not all(np.isfinite(v).all() for v in vs):
             raise StructureError("correspondence values must be finite")
-        given = tuple(v.tobytes() for v in vs)
-        n = canon.get(given)
-        if n is None:
-            first: dict[bytes, np.ndarray] = {}
-            for v in vs:
-                first.setdefault(v.tobytes(), v)
-            n = canon[given] = len(sets)
-            sets.append(sorted(first.values(), key=lambda v: tuple(v.tolist())))
-        which.append(n)
-    return [sets[n] for n in which], which
+        first: dict[bytes, np.ndarray] = {}
+        for v in vs:
+            first.setdefault(v.tobytes(), v)
+        sets.append(sorted(first.values(), key=lambda v: tuple(v.tolist())))
+    return sets
 
 
 def merge_rows_copysign(rows: np.ndarray, owner: np.ndarray):
@@ -819,11 +839,9 @@ def merge_rows_copysign(rows: np.ndarray, owner: np.ndarray):
 
 
 def correspondence_dict(space, value_map) -> tuple:
-    """(values, stack, start, size) as ``Correspondence`` built them from a
-    mapping: each atom's set stacked on its own, atoms given the same rows
-    in the same order made to share a set through a dict keyed by their
-    row count and bytes, and the sets' rows merged by
-    ``merge_rows_copysign``."""
+    """(values, stack, size) as ``Correspondence`` built them from a
+    mapping: each atom's set stacked on its own and the sets' rows merged
+    by ``merge_rows_copysign``, each row owned by its atom."""
     given = []
     for a in space.ids:
         if a not in value_map:
@@ -836,34 +854,20 @@ def correspondence_dict(space, value_map) -> tuple:
         given.append(vs)
     given = [_stack_vectors(vs, "correspondence values") for vs in given]
     try:
-        raw = np.concatenate(given)
+        rows = np.concatenate(given)
     except ValueError:
         shapes = sorted({vs.shape[1:] for vs in given})
         raise StructureError(f"correspondence values of mixed shapes {shapes}") from None
-    if not np.isfinite(raw).all():
+    if not np.isfinite(rows).all():
         raise StructureError("correspondence values must be finite")
-    counts = np.fromiter(map(len, given), dtype=np.int64, count=len(given))
-    starts = block_starts(counts)
-    blob, step = raw.tobytes(), raw.shape[1] * raw.itemsize
-    canon: dict[tuple, int] = {}
-    which, firsts = [], []
-    for i, (lo, c) in enumerate(zip(starts.tolist(), counts.tolist())):
-        n = canon.setdefault((c, blob[lo * step:(lo + c) * step]), len(firsts))
-        if n == len(firsts):
-            firsts.append(i)
-        which.append(n)
-    which, firsts = np.array(which), np.array(firsts)
-    sizes = counts[firsts]
-    within = np.arange(int(sizes.sum())) - np.repeat(block_starts(sizes), sizes)
-    rows = raw[np.repeat(starts[firsts], sizes) + within]
-    owner = np.repeat(np.arange(float(firsts.shape[0])), sizes)
+    counts = [len(vs) for vs in given]
+    owner = np.repeat(np.arange(float(len(given))), counts)
     order, starts, rank = merge_rows_copysign(rows, owner)
     kept = order[starts[rank]]
     stack = rows[kept]
-    set_sizes = np.bincount(owner[kept].astype(np.int64), minlength=firsts.shape[0])
-    bounds = block_starts(set_sizes)
-    cuts = [stack[lo:lo + m] for lo, m in zip(bounds.tolist(), set_sizes.tolist())]
-    return tuple(cuts[n] for n in which.tolist()), stack, bounds[which], set_sizes[which]
+    sizes = np.bincount(owner[kept].astype(np.int64), minlength=len(given))
+    bounds = block_starts(sizes)
+    return tuple(stack[lo:lo + m] for lo, m in zip(bounds.tolist(), sizes.tolist())), stack, sizes
 
 
 def block_choice_sets_loop(corr, alg) -> list[np.ndarray]:
@@ -990,7 +994,7 @@ def phi_and_cells_loop(model) -> tuple[np.ndarray, np.ndarray]:
     atomic atom, one ``Fraction`` call and one ``cell_of`` per atom."""
     ids = model.space.ids
     phi = np.array([float(model.phi(a)) for a in ids])
-    cells = [model.cell_of(a) for a in ids]
+    cells = [cell_of(model, a) for a in ids]
     return phi, np.array([model.ncells if c is None else c for c in cells])
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from _oracles import enumerate_selections
+from _oracles import cell_of, enumerate_selections
 from corrint.correspondences import (
     Correspondence,
     Selection,
@@ -101,7 +101,7 @@ def test_c04_lyapunov_exactness():
     for j in range(k + 1):
         cmap = {}
         for a in b.model.space.ids:
-            c = b.model.cell_of(a)
+            c = cell_of(b.model, a)
             cmap[a] = zero if j == 0 else b.f_list[j - 1].values[c]
         sels.append(Selection(b.corr, b.f_alg, cmap))
     g = lyapunov_mix(sels, [Fraction(1, k + 1)] * (k + 1), b.f_alg, t_alg)

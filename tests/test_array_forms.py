@@ -21,6 +21,7 @@ from _oracles import (
     barycenters_loop,
     block_averages_loop,
     block_choice_sets_loop,
+    cell_of,
     conditional_set_loop,
     correspondence_dict,
     correspondence_loop,
@@ -237,32 +238,26 @@ def test_correspondence_equals_the_per_set_dict_loop(data):
         if got[0] == "raised":
             assert got[1] is want[1] is StructureError
             continue
-        corr, (values, stack, start, size) = got[1], want[1]
-        sets, which = correspondence_loop(space, value_map)
+        corr, (values, stack, size) = got[1], want[1]
+        sets = correspondence_loop(space, value_map)
         assert [v.tobytes() for v in corr.values] == [np.array(s).tobytes() for s in sets] \
             == [v.tobytes() for v in values]
         assert corr._stack.tobytes() == stack.tobytes() and not corr._stack.flags.writeable
-        assert corr._start.tolist() == start.tolist() and corr._size.tolist() == size.tolist()
-        # atoms share one slice exactly where the loop shares one set
-        slot = {}
-        assert [slot.setdefault(id(v), len(slot)) for v in corr.values] == which
+        assert corr._size.tolist() == size.tolist()
 
 
-def test_counterexample_sets_are_ragged_and_shared():
-    # gamma > 0: the atomic atom's {0} of one row before sets of k + 1 rows;
-    # the atoms of a cell, and cells of equal values, share one set
+def test_counterexample_sets_are_ragged():
+    # gamma > 0: the atomic atom's {0} of one row before sets of k + 1 rows
     bundle = build_counterexample(2, Fraction(1, 4), 1, 3, refinement=3)
     model, space = bundle.model, bundle.model.space
     cell_sets = np.stack([np.zeros((model.ncells, bundle.d))]
                          + [f.values for f in bundle.f_list], axis=1)
-    value_map = {a: cell_sets[0, :1] if model.cell_of(a) is None else cell_sets[model.cell_of(a)]
-                 for a in space.ids}
-    values, stack, start, size = correspondence_dict(space, value_map)
+    value_map = {a: cell_sets[0, :1] if cell_of(model, a) is None
+                 else cell_sets[cell_of(model, a)] for a in space.ids}
+    values, stack, size = correspondence_dict(space, value_map)
     assert bundle.corr._size.tolist() == size.tolist() == [1] + [3] * 24
     assert bundle.corr._stack.tobytes() == stack.tobytes()
-    assert bundle.corr._start.tolist() == start.tolist()
-    # W_0 and W_1 take two sign patterns over the cells
-    assert len({id(v) for v in bundle.corr.values}) == 3
+    assert [v.tobytes() for v in bundle.corr.values] == [v.tobytes() for v in values]
 
 
 @SETTINGS

@@ -11,6 +11,7 @@ from _oracles import (
     correspondence_values,
     dyadic_convexify,
     enumerate_selections,
+    integrals_loop,
     outcome,
     same_rows,
     selection_choice,
@@ -135,16 +136,23 @@ def test_bundle_examples():
     # correspondence is cell-measurable by construction
     assert oracle_check_measurable(b.model.space, b.corr.values, b.f_alg)
     # atomic atom carries only the zero vector
-    assert len(b.corr.value_set(b.model.atomic_atom)) == 1
+    assert b.model.atomic_atom == 0 and len(b.corr.values[0]) == 1
 
 
 def test_bundle_degenerate_base_case():
     b = build_counterexample(1, 0, 0, 0)
     assert b.d == 1
-    vals = b.corr.value_set(b.model.space.ids[0])
+    vals = b.corr.values[0]
     got = sorted(float(v[0]) for v in vals)
     assert got == [0.0, 1.0]
     assert np.array_equal(b.e_list[0], basis_vector(0, 1))
+
+
+@pytest.mark.parametrize("gamma", [Fraction(0), Fraction(1, 4)])
+@pytest.mark.parametrize("k, N, L, d", [(1, 0, 0, None), (2, 2, 3, None), (3, 1, 2, 9)])
+def test_bundle_integrals_equal_the_walsh_integral_loop(gamma, k, N, L, d):
+    b = build_counterexample(k, gamma, N, L, d=d)
+    assert b.e_list.tobytes() == integrals_loop(k, gamma, N, L, b.d).tobytes()
 
 
 def test_bundle_dimension_validation():
@@ -178,9 +186,9 @@ def test_dyadic_convexify_counts():
     v = basis_vector(0, 2)
     corr = Correspondence(space, {0: [zero_vector(2), v]})
     conv2 = dyadic_convexify(corr, 2)
-    assert len(conv2.value_set(0)) == 3  # 0, v/2, v
+    assert len(conv2.values[0]) == 3  # 0, v/2, v
     conv4 = dyadic_convexify(corr, 4)
-    assert len(conv4.value_set(0)) == 5
+    assert len(conv4.values[0]) == 5
 
 
 def test_correspondence_json(simple_corr):

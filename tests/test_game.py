@@ -11,6 +11,7 @@ import pytest
 from _oracles import (
     balanced_profile,
     best_response_loop,
+    cell_of,
     partition_loop,
     payoff_G,
     payoff_h,
@@ -104,7 +105,7 @@ def test_payoff_G_zero_cases(small_game):
     b = g.payoff.bundle
     e_mean = b.e_mean()
     t = g.space.ids[0]
-    cell = b.model.cell_of(t)
+    cell = cell_of(b.model, t)
     # theta = 0: zero action and the mixed points all give exactly 0
     assert payoff_G(g, t, zero_vector(b.d), e_mean) == 0.0
     mix = g.payoff.mixed_points(cell)
@@ -181,7 +182,7 @@ def test_best_response_case2_ties(small_game):
     g = small_game
     b = g.payoff.bundle
     t = g.space.ids[0]
-    cell = b.model.cell_of(t)
+    cell = cell_of(b.model, t)
     br = _best_response(g, t, b.e_mean())
     mix = g.payoff.mixed_points(cell)
     expected = {0}
@@ -373,7 +374,7 @@ def test_verify_partition_flags_unbalanced_profile():
     d1 = model.walsh_block(1)
     play = []
     for atom in g.space.ids:
-        cell = model.cell_of(atom)
+        cell = cell_of(model, atom)
         if atom in d1:
             mix = g.payoff.mixed_points(cell)
             for ai in range(g.nact):
@@ -870,7 +871,7 @@ def _ctables_loop(game):
     p2 = np.zeros((natoms, nact))
     zero_mix = np.zeros((k, b.d))
     for ti, atom in enumerate(space.ids):
-        cell = model.cell_of(atom)
+        cell = cell_of(model, atom)
         mixes = zero_mix if cell is None else pay.mixed_points(cell)
         for ai in range(nact):
             a = game.actions[ai]
@@ -895,7 +896,7 @@ def _canonical_tie_sets_loop(game):
     zero_idx = next((i for i, a in enumerate(game.actions) if not np.any(a)), 0)
     out = []
     for atom in model.space.ids:
-        cell = model.cell_of(atom)
+        cell = cell_of(model, atom)
         if cell is None:
             out.append([zero_idx])
             continue

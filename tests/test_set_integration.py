@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import (
     DEDUP_TOL,
+    cell_of,
     compositions,
     dyadic_convexify,
     enumerate_selections,
@@ -144,7 +145,7 @@ def test_integrate_bundle_map_gives_exact_e():
     b = build_counterexample(2, 0, 2, 3)
     sel = _selection_of(
         b.corr, b.f_alg,
-        lambda a: b.f_list[0].values[b.model.cell_of(a)],
+        lambda a: b.f_list[0].values[cell_of(b.model, a)],
     )
     assert np.max(np.abs(integrate_selection(sel) - b.e_list[0])) <= 1e-12
 
@@ -349,7 +350,7 @@ def test_lyapunov_mix_degenerate_weight():
     zero = zero_vector(b.d)
     s0 = _selection_of(b.corr, b.f_alg, lambda a: zero)
     s1 = _selection_of(
-        b.corr, b.f_alg, lambda a: b.f_list[0].values[b.model.cell_of(a)]
+        b.corr, b.f_alg, lambda a: b.f_list[0].values[cell_of(b.model, a)]
     )
     g = lyapunov_mix([s0, s1], [Fraction(1), Fraction(0)], b.f_alg, singles)
     assert g is s0
@@ -361,7 +362,7 @@ def test_lyapunov_mix_half_half_exact():
     zero = zero_vector(b.d)
     s0 = _selection_of(b.corr, b.f_alg, lambda a: zero)
     s1 = _selection_of(
-        b.corr, b.f_alg, lambda a: b.f_list[0].values[b.model.cell_of(a)]
+        b.corr, b.f_alg, lambda a: b.f_list[0].values[cell_of(b.model, a)]
     )
     g = lyapunov_mix([s0, s1], [Fraction(1, 2), Fraction(1, 2)], b.f_alg, singles)
     ce = conditional_expectation(g, b.f_alg)
@@ -380,7 +381,7 @@ def test_lyapunov_mix_uniform_weights_hit_mean():
     for j in range(k):
         sels.append(_selection_of(
             b.corr, b.f_alg,
-            lambda a, j=j: b.f_list[j].values[b.model.cell_of(a)],
+            lambda a, j=j: b.f_list[j].values[cell_of(b.model, a)],
         ))
     w = [Fraction(1, k + 1)] * (k + 1)
     g = lyapunov_mix(sels, w, b.f_alg, singles)
@@ -393,10 +394,10 @@ def test_lyapunov_mix_divisibility_error():
     zero = zero_vector(b.d)
     s0 = _selection_of(b.corr, b.f_alg, lambda a: zero)
     s1 = _selection_of(
-        b.corr, b.f_alg, lambda a: b.f_list[0].values[b.model.cell_of(a)]
+        b.corr, b.f_alg, lambda a: b.f_list[0].values[cell_of(b.model, a)]
     )
     s2 = _selection_of(
-        b.corr, b.f_alg, lambda a: b.f_list[1].values[b.model.cell_of(a)]
+        b.corr, b.f_alg, lambda a: b.f_list[1].values[cell_of(b.model, a)]
     )
     with pytest.raises(DivisibilityError):
         lyapunov_mix(
@@ -410,7 +411,7 @@ def test_lyapunov_mix_precondition_errors():
     # not f_alg-measurable: a selection varying within a cell
     cmap = {}
     for a in b.model.space.ids:
-        c = b.model.cell_of(a)
+        c = cell_of(b.model, a)
         cmap[a] = b.f_list[0].values[c] if a % 2 else zero_vector(b.d)
     jagged = Selection(b.corr, singles, cmap)
     with pytest.raises(PreconditionError):
@@ -586,7 +587,7 @@ def test_convexified_cloud_approaches_hull_and_mix_attains():
     zero = zero_vector(b.d)
     s0 = _selection_of(b.corr, b.f_alg, lambda a: zero)
     s1 = _selection_of(
-        b.corr, b.f_alg, lambda a: b.f_list[0].values[b.model.cell_of(a)]
+        b.corr, b.f_alg, lambda a: b.f_list[0].values[cell_of(b.model, a)]
     )
     g = lyapunov_mix([s0, s1], [Fraction(3, 4), Fraction(1, 4)], b.f_alg, singles)
     mixed = integrate_selection(g)

@@ -168,9 +168,9 @@ def test_dyadic_model_layout():
     m = DyadicModel(Fraction(1, 4), 2, refinement=2)
     assert m.space.mass_of(0) == Fraction(1, 4)
     assert m.atomic_atom == 0
-    assert len(m.interval_atoms) == 8
+    assert len(m.space.ids) == 9  # the atomic atom and 8 interval atoms
     assert m.phi(0) == Fraction(1, 8)
-    assert m.cell_of(1) == 0 and m.cell_of(8) == 3
+    assert m.cell_atoms(0) == (1, 2) and m.cell_atoms(3) == (7, 8)
     # interval atoms evenly tile (gamma, 1]
     assert m.phi(1) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 16)
     blocks = m.cell_partition.blocks
