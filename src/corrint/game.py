@@ -69,10 +69,6 @@ class CounterexamplePayoff:
     def k(self) -> int:
         return self.bundle.k
 
-    def mixed_points(self, cell: int) -> np.ndarray:
-        """The k mixed points of a cell, rows i = 1..k."""
-        return _mixed_points(self.bundle)[cell]
-
 
 def _mixed_points(bundle: CounterexampleBundle) -> np.ndarray:
     """The k mixed points of every cell, shape (cells, k, d): row i of cell
@@ -231,8 +227,8 @@ def build_counterexample_game(
 def _cell_mixes(game: LargeGame) -> tuple:
     """(mixes, row): the k mixed points of every cell, and which to use.
 
-    ``mixes[c]`` is ``mixed_points(c)``, shape (k, d), for each of the
-    model's cells c, and a last block of zeros serves the atomic atom;
+    ``mixes[c]`` is cell c's (k, d) block of ``_mixed_points``, for each of
+    the model's cells c, and a last block of zeros serves the atomic atom;
     atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
     Interval atom i lies in cell i // refinement.
     """

@@ -31,9 +31,11 @@ from .errors import (
 )
 from .spaces import (
     SigmaPartition,
+    _int_dtype,
     block_averages,
     block_numerators,
     block_starts,
+    coarse_labels,
     inner_blocks,
 )
 from .vectors import NORM_EUCLID, Workspace, norm_mode
@@ -413,26 +415,6 @@ def conditional_set(
     return ConditionalSet(g_alg, tuple(block_sets))
 
 
-def _consecutive_fill(quotas: list[int], nums: list[int]) -> list[int] | None:
-    """The weight each sub-block plays when the sub-blocks, in order, fill
-    the quotas one after another exactly; None where they cannot."""
-    plays, gi, acc = [], 0, 0
-    for m in nums:
-        while gi < len(quotas) and quotas[gi] == 0:
-            gi += 1
-        if gi == len(quotas):
-            return None
-        plays.append(gi)
-        acc += m
-        if acc == quotas[gi]:
-            acc, gi = 0, gi + 1
-        elif acc > quotas[gi]:
-            return None
-    while gi < len(quotas) and quotas[gi] == 0:
-        gi += 1
-    return plays if gi == len(quotas) else None
-
-
 def lyapunov_mix(
     selections: list[Selection],
     weights,
@@ -442,16 +424,20 @@ def lyapunov_mix(
     """A finer-measurable selection whose conditional expectation is the
     weighted mixture of the inputs', exactly.
 
-    Inside every f_alg block the t_alg sub-blocks are grouped into parts
-    whose mass fractions equal the weights (round-robin when the sub-blocks
-    are uniform and the weights equal, exact consecutive filling otherwise);
-    the part assigned to weight j plays selection j's block value.  The
-    parts hit every f_alg block in exact proportion, i.e. they are
-    independent of f_alg, so E(g|G) mixes exactly for every sub-algebra G
-    of f_alg.  A block where every selection plays one value takes it
-    whole, unsplit, which mixes it just as exactly.  This is the package's
-    one equal-mass splitter: with n equal weights its parts are an n-part
-    independent supplement of f_alg on every block it splits.
+    This is the package's one equal-mass splitter.  Inside every f_alg
+    block the t_alg sub-blocks, in canonical order, fill the weights one
+    after another: a sub-block covers the span [lo, hi) of its block's
+    mass, weight j owns [w_1 + ... + w_{j-1}, w_1 + ... + w_j) times that
+    mass, and the sub-block plays the selection whose part holds lo (zero
+    weights own nothing).  The mix exists iff no span crosses a part's
+    boundary; all spans and boundaries are exact integers in units of
+    1/(den * space.den), den the weights' common denominator, so the parts
+    hit every f_alg block in exact proportion.  They are independent of
+    f_alg, and E(g|G) mixes exactly for every sub-algebra G of f_alg; with
+    n equal weights they are an n-part independent supplement of f_alg on
+    every block they split.  A block where every selection plays one value
+    takes it whole, unsplit, which mixes it just as exactly.  A unit weight
+    returns its selection itself.
     """
     if not selections:
         raise PreconditionError("need at least one selection")
@@ -467,8 +453,8 @@ def lyapunov_mix(
     for s in selections:
         if not s.is_measurable_against(f_alg):
             raise PreconditionError("selections must be f_alg-measurable")
-    inner_of = inner_blocks(t_alg, f_alg)
-    if inner_of is None:
+    lead = coarse_labels(t_alg, f_alg)
+    if lead is None:
         raise PreconditionError("t_alg must refine f_alg")
 
     # degenerate mixture: a unit weight returns that selection itself
@@ -476,34 +462,35 @@ def lyapunov_mix(
         if w == 1:
             return s
 
-    # masses in units of 1/space.den and weights in units of 1/den: exact ints
-    sub_nums = block_numerators(space, t_alg).tolist()
+    # the t-blocks grouped by f-block, each group in canonical order: each
+    # covers [lo, hi) of its f-block's mass, and weight j's part of that
+    # f-block ends at bounds[:, j], all ints in units of 1/(den * space.den)
     den = math.lcm(*(w.denominator for w in ws))
-    units = [w.numerator * (den // w.denominator) for w in ws]
+    dtype = _int_dtype(den * space.den)
+    by_f = np.argsort(lead, kind="stable")
+    f_of = lead[by_f]
+    sub = block_numerators(space, t_alg).astype(dtype)[by_f] * den
+    f_nums = block_numerators(space, f_alg).astype(dtype)
+    hi = np.cumsum(sub) - block_starts(f_nums)[f_of] * den
+    lo = hi - sub
+    cum = np.cumsum(np.array([w.numerator * (den // w.denominator) for w in ws[:-1]], dtype=dtype))
+    bounds = (f_nums[:, None] * cum)[f_of]
+    plays = (bounds <= lo[:, None]).sum(axis=1)
     f_order, f_sizes = f_alg.layout
     reps = f_order[block_starts(f_sizes)]  # position of each f-block's least atom
-    plays = np.zeros(len(t_alg.blocks), dtype=np.intp)  # the selection each t-block plays
-    n = len(ws)
-    for fb, inner, rep in zip(f_alg.blocks, inner_of, reps.tolist()):
-        agreed = selections[0].choice[rep]
-        if all(np.array_equal(s.choice[rep], agreed) for s in selections[1:]):
-            continue
-        nums = [sub_nums[j] for j in inner.tolist()]
-        if len(set(nums)) == 1 and len(set(ws)) == 1:
-            if len(inner) % n:
-                raise DivisibilityError(
-                    f"block {sorted(fb)}: {len(inner)} sub-blocks not divisible by {n}"
-                )
-            plays[inner] = np.arange(len(inner)) % n
-            continue
-        filled = _consecutive_fill([u * sum(nums) for u in units], [den * m for m in nums])
-        if filled is None:
-            raise DivisibilityError(
-                f"block {sorted(fb)} cannot realize weights "
-                f"{[str(w) for w in ws]} with its sub-block masses"
-            )
-        plays[inner] = filled
-    rows = np.stack([s.choice for s in selections])[plays[t_alg.labels], reps[f_alg.labels]]
+    stack = np.stack([s.choice for s in selections])
+    agreed = (stack[:, reps] == stack[0, reps]).all(axis=(0, 2))[f_of]
+    crossing = ~agreed & ((bounds < hi[:, None]).sum(axis=1) != plays)
+    if crossing.any():
+        fb = f_alg.blocks[f_of[crossing.argmax()]]
+        raise DivisibilityError(
+            f"block {sorted(fb)} cannot realize weights "
+            f"{[str(w) for w in ws]} with its sub-block masses"
+        )
+    plays[agreed] = 0
+    t_plays = np.empty_like(plays)
+    t_plays[by_f] = plays
+    rows = stack[t_plays[t_alg.labels], reps[f_alg.labels]]
     return Selection.from_rows(corr, t_alg, rows)
 
 
@@ -545,14 +532,14 @@ def _directions(d: int, seed: int, ndirs: int) -> np.ndarray:
                            u[keep] / nu[keep, None]])
 
 
-def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndarray:
-    """Deterministic extreme points: support maximizers over a fixed
-    low-discrepancy direction family (plus the coordinate directions).
+def _support_vertices(cloud: PointCloudSet, seed: int, ndirs: int = 64) -> np.ndarray:
+    """Deterministic extreme points of a cloud: support maximizers over a
+    fixed low-discrepancy direction family (plus the coordinate directions).
 
     Of the rows whose score is within 1e-12 of the top, the lexicographically
     largest is kept, which is itself an extreme point of the cloud's hull.
     A score is summed coordinate by coordinate from the first, one product
-    per term.  The rows are taken in lexicographic order, so they fall into
+    per term.  The cloud's rows are in lexicographic order, so they fall into
     groups that share their first d - 1 coordinates, and within a group the
     score is monotone in the last one: a group's best row is its last when
     u_last >= 0, else its first.  One (directions, groups) array of those
@@ -562,10 +549,9 @@ def _support_vertices(points: np.ndarray, seed: int, ndirs: int = 64) -> np.ndar
     pass over the rows of all those groups finds, in
     ``_kernels._segment_chunks``.
     """
+    points = cloud.points
     n, d = points.shape
     dirs = _directions(d, seed, ndirs)
-    if not _kernels._lex_sorted(points):
-        points = points[np.lexsort(points.T[::-1])]
     fresh = np.zeros(n, dtype=bool)
     fresh[0] = True
     for m in range(d - 1):
@@ -656,7 +642,7 @@ def convexity_gap(
     pts = cloud.points
     if len(cloud) == 1:
         return 0.0
-    targets = _probes(_support_vertices(pts, seed), seed, samples)
+    targets = _probes(_support_vertices(cloud, seed), seed, samples)
     mode, weights = _mode_for(metric, pts.shape[1])
     return _kernels.min_dists(targets, pts, mode, weights)
 

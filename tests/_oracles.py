@@ -907,8 +907,9 @@ def selection_index_loop(space, value_sets, alg, choice_map) -> tuple[int, ...]:
 
 
 def lyapunov_mix_loop(selections, weights, f_alg, t_alg) -> dict:
-    """``lyapunov_mix``'s choice per atom, found by subset filter and one
-    ``numerator`` per sub-block (its checks on the inputs left out)."""
+    """``lyapunov_mix``'s choice per atom, found by subset filter, one
+    ``numerator`` per sub-block and the consecutive fill as a loop over the
+    sub-blocks (its checks on the inputs left out)."""
     ws = [Fraction(w) for w in weights]
     for w, s in zip(ws, selections):
         if w == 1:
@@ -923,10 +924,6 @@ def lyapunov_mix_loop(selections, weights, f_alg, t_alg) -> dict:
         agreed = selections[0].at(rep)
         if all(np.array_equal(s.at(rep), agreed) for s in selections[1:]):
             plays = [0] * len(inner)
-        elif len(set(sub_nums)) == 1 and len(set(ws)) == 1:
-            if len(inner) % len(ws):
-                raise DivisibilityError(f"block {sorted(fb)}")
-            plays = [pos % len(ws) for pos in range(len(inner))]
         else:
             quotas = [w * fnum for w in ws]
             plays, gi, acc = [], 0, 0

@@ -344,6 +344,63 @@ def test_lyapunov_mix_equals_the_subset_loop(data):
     assert got[0] == "ok" or got[1] is DivisibilityError
 
 
+_E = Fraction(1, 1 << 52)
+# name: (atom masses, f-blocks, t-blocks, the basis vector each selection
+# plays on each f-block, weights, the basis vector each atom's mix plays)
+MIX_CASES = {
+    "eight-uniform-atoms-two-equal-weights": (
+        [Fraction(1, 8)] * 8, [range(8)], [[a] for a in range(8)], [[0], [1]],
+        [Fraction(1, 2)] * 2, ("ok", [0, 0, 0, 0, 1, 1, 1, 1])),
+    "zero-weight-between": (
+        [Fraction(1, 4)] * 4, [range(4)], [[a] for a in range(4)], [[0], [1], [2]],
+        [Fraction(1, 2), 0, Fraction(1, 2)], ("ok", [0, 0, 2, 2])),
+    "zero-weight-first": (
+        [Fraction(1, 4)] * 4, [range(4)], [[a] for a in range(4)], [[0], [1], [2]],
+        [0, Fraction(1, 2), Fraction(1, 2)], ("ok", [1, 1, 2, 2])),
+    # {0, 1} is one t-block, which no split could halve, but both play e_0 there
+    "agreed-block-beside-a-split-one": (
+        [Fraction(1, 4)] * 4, [[0, 1], [2, 3]], [[0, 1], [2], [3]], [[0, 0], [0, 1]],
+        [Fraction(1, 2)] * 2, ("ok", [0, 0, 0, 1])),
+    # atom 1 spans [1/4, 3/4) of the block, across the boundary at 1/2
+    "straddling-block-raises": (
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], [range(3)], [[0], [1], [2]],
+        [[0], [1]], [Fraction(1, 2)] * 2, ("raised", DivisibilityError)),
+    # space.den = 2**52, so spans and boundaries are Python ints
+    "past-2**53": (
+        [Fraction(1, 8) - _E, Fraction(1, 8) + _E, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)],
+        [[0, 1, 2], [3, 4]], [[a] for a in range(5)], [[0, 0], [1, 1]],
+        [Fraction(1, 2)] * 2, ("ok", [0, 0, 1, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIX_CASES))
+def test_lyapunov_mix_cases_equal_the_subset_loop(case):
+    masses, f_blocks, t_blocks, values, weights, want = MIX_CASES[case]
+    space = DiscreteSpace.from_masses(masses)
+    f_alg, t_alg = SigmaPartition(f_blocks), SigmaPartition(t_blocks)
+    basis = list(np.eye(len(values)))
+    corr = Correspondence(space, {a: basis for a in space.ids})
+    sels = [Selection(corr, f_alg, {a: basis[j] for b, j in zip(f_alg.blocks, row) for a in b})
+            for row in values]
+    assert (2 * space.den >= 1 << 53) == (case == "past-2**53")
+    got = outcome(lambda: lyapunov_mix(sels, weights, f_alg, t_alg).choice.argmax(axis=1).tolist())
+    loop = outcome(lambda: [int(lyapunov_mix_loop(sels, weights, f_alg, t_alg)[a].argmax())
+                            for a in space.ids])
+    assert got == loop == want
+
+
+def test_lyapunov_mix_plays_selection_0_where_the_selections_agree():
+    # -0.0 and 0.0 agree as values, so the block is not split and keeps
+    # selection 0's bits, though atom 1's span lies in selection 1's part
+    space = DiscreteSpace.uniform(2)
+    corr = Correspondence(space, {a: [np.zeros(1)] for a in space.ids})
+    trivial, singles = SigmaPartition.trivial(space), SigmaPartition.singletons(space)
+    sels = [Selection.from_rows(corr, trivial, np.full((2, 1), z)) for z in (-0.0, 0.0)]
+    mix = lyapunov_mix(sels, [Fraction(1, 2)] * 2, trivial, singles)
+    loop = lyapunov_mix_loop(sels, [Fraction(1, 2)] * 2, trivial, singles)
+    assert mix.choice.tobytes() == sels[0].choice.tobytes() == np.array([loop[0], loop[1]]).tobytes()
+
+
 @SETTINGS
 @given(data=st.data())
 def test_conditional_set_equals_the_subset_loop(data):

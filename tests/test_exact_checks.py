@@ -1,13 +1,14 @@
 """tower-barycenter against its per-instance form, its memory, the tower
 draws, and negative controls for the verdicts of tower-barycenter,
 rcd-mixture, lemma-bound, walsh-orthogonality, counterexample-integrals,
-lyapunov-exactness, convexity-decay and uhc-decay.
+lyapunov-exactness, convexity-decay, uhc-decay and necessity-gap.
 
 tower-barycenter runs its instances as disjoint unions of up to
 ``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
 written, one small space per instance.  A negative control injects one
-fault through a monkeypatch and shows the verdict false and the exit code
-1, so a check whose condition stopped deciding anything would fail here.
+fault through a monkeypatch, or runs a config whose verdict is false, and
+shows the verdict false and the exit code 1, so a check whose condition
+stopped deciding anything would fail here.
 """
 import json
 import tracemalloc
@@ -257,3 +258,10 @@ def test_uhc_final_condition_fails_alone(tmp_path, capsys, monkeypatch):
     code, res = _uhc(tmp_path, capsys, 1e-6)
     assert code == 1 and res["verdict"] is False
     assert res["monotone"] is True and res["final"] == 1.5e-6
+
+
+def test_necessity_gap_fails_where_the_midpoint_is_attained(tmp_path, capsys):
+    # at k = 1, N = 0 and L = 1 the midpoint is one of the cloud's three points
+    code, res = _run(tmp_path, capsys, {"kind": "necessity-gap", "k": 1, "N": 0, "L": 1})
+    assert code == 1 and res["verdict"] is False
+    assert res["midpoint_gap"] == 0.0 and res["midpoint_present"] is True

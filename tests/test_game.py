@@ -18,7 +18,6 @@ from _oracles import (
     phi_and_cells_loop,
 )
 from corrint import _kernels
-from corrint.correspondences import build_counterexample
 from corrint.errors import CapacityError, PreconditionError, StructureError
 from corrint.game import (
     EXTERNALITY_CONDITIONAL,
@@ -33,6 +32,7 @@ from corrint.game import (
     _canonical_tie_sets,
     _ctables,
     _lemma_holds,
+    _mixed_points,
     _payoffs_at_aggregate,
     find_equilibrium,
     lemma_bound_check,
@@ -108,7 +108,7 @@ def test_payoff_G_zero_cases(small_game):
     cell = cell_of(b.model, t)
     # theta = 0: zero action and the mixed points all give exactly 0
     assert payoff_G(g, t, zero_vector(b.d), e_mean) == 0.0
-    mix = g.payoff.mixed_points(cell)
+    mix = _mixed_points(g.payoff.bundle)[cell]
     for i in range(b.k):
         assert payoff_G(g, t, mix[i], e_mean) == 0.0
     # any other action is strictly negative at theta = 0
@@ -184,7 +184,7 @@ def test_best_response_case2_ties(small_game):
     t = g.space.ids[0]
     cell = cell_of(b.model, t)
     br = _best_response(g, t, b.e_mean())
-    mix = g.payoff.mixed_points(cell)
+    mix = _mixed_points(g.payoff.bundle)[cell]
     expected = {0}
     for i in range(b.k):
         for ai in range(g.nact):
@@ -376,7 +376,7 @@ def test_verify_partition_flags_unbalanced_profile():
     for atom in g.space.ids:
         cell = cell_of(model, atom)
         if atom in d1:
-            mix = g.payoff.mixed_points(cell)
+            mix = _mixed_points(g.payoff.bundle)[cell]
             for ai in range(g.nact):
                 if np.array_equal(g.actions[ai], mix[0]):
                     play.append(ai)
@@ -872,7 +872,7 @@ def _ctables_loop(game):
     zero_mix = np.zeros((k, b.d))
     for ti, atom in enumerate(space.ids):
         cell = cell_of(model, atom)
-        mixes = zero_mix if cell is None else pay.mixed_points(cell)
+        mixes = zero_mix if cell is None else _mixed_points(pay.bundle)[cell]
         for ai in range(nact):
             a = game.actions[ai]
             prod = na[ai]
@@ -900,7 +900,7 @@ def _canonical_tie_sets_loop(game):
         if cell is None:
             out.append([zero_idx])
             continue
-        mix = pay.mixed_points(cell)
+        mix = _mixed_points(pay.bundle)[cell]
         ids = [zero_idx]
         for i in range(b.k):
             for ai in range(game.nact):

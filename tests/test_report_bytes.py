@@ -30,6 +30,13 @@ the per-trial form of the check that the residue-class spectra replaced.
 Regenerate it with
 
     PYTHONPATH=src:tests python -c "import hashlib, json; from test_report_bytes import LEMMA, _lemma, render_report, run_scenario_dict, strip_csv; print(json.dumps({n: hashlib.sha256(render_report(strip_csv(run_scenario_dict(_lemma(n)))).encode()).hexdigest() for n in LEMMA}, indent=2, sort_keys=True), file=open('tests/lemma_sha256.json', 'w'))"
+
+``csv_sha256.json`` maps each bundled scenario to the sha256 of every file
+that ``corrint run --bundled NAME --emit-plot-data`` writes besides the
+report, by file name (an empty map where the scenario has no series).
+Regenerate it with
+
+    PYTHONPATH=src python -c "import hashlib, json; from corrint.scenarios import *; print(json.dumps({n: {f: hashlib.sha256(t.encode()).hexdigest() for f, t in extract_csv_tables(run_scenario_dict(load_bundled(n))).items()} for n in bundled_names()}, indent=2, sort_keys=True))" > tests/csv_sha256.json
 """
 import hashlib
 import json
@@ -39,6 +46,7 @@ import pytest
 
 from corrint.scenarios import (
     bundled_names,
+    extract_csv_tables,
     load_bundled,
     render_report,
     run_scenario_dict,
@@ -50,6 +58,7 @@ PINNED = json.loads((HERE / "report_sha256.json").read_text())
 PINNED_CONDITIONAL = json.loads((HERE / "conditional_sha256.json").read_text())
 PINNED_TOWER = json.loads((HERE / "tower_sha256.json").read_text())
 PINNED_LEMMA = json.loads((HERE / "lemma_sha256.json").read_text())
+PINNED_CSV = json.loads((HERE / "csv_sha256.json").read_text())
 CONDITIONAL = {
     **{f"br-{flavor}": {"workspace": {"norm": flavor}} for flavor in ("euclid", "sum", "max")},
     "exhaustive-k1-N1-L1-r2": {"mode": "exhaustive", "k": 1, "N": 1, "L": 1, "refinement": 2},
@@ -95,6 +104,17 @@ def test_every_bundled_scenario_is_pinned():
 def test_bundled_report_bytes_are_pinned(name):
     text = render_report(strip_csv(run_scenario_dict(load_bundled(name))))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+
+
+def test_every_bundled_scenario_pins_its_csv_files():
+    assert sorted(PINNED_CSV) == bundled_names()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_bundled_csv_bytes_are_pinned(name):
+    tables = extract_csv_tables(run_scenario_dict(load_bundled(name)))
+    got = {f: hashlib.sha256(text.encode()).hexdigest() for f, text in tables.items()}
+    assert got == PINNED_CSV[name]
 
 
 def test_every_conditional_check_is_pinned():

@@ -458,13 +458,14 @@ _support_values = st.one_of(
 @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4), seed=st.integers(0, 50),
        ndirs=st.sampled_from([0, 3, 64]))
 def test_support_vertices_equal_projection_oracle(data, n, d, seed, ndirs):
-    # unsorted rows, repeated values and rows, both zeros, and boxes whose
-    # faces lie along the +-e_m directions, so that many rows tie
+    # clouds of repeated values, both zeros, and boxes whose faces lie
+    # along the +-e_m directions, so that many rows tie
     pts = data.draw(arrays(float, (n, d), elements=_support_values))
     if data.draw(st.booleans()):
         pts = np.floor(pts)  # a lattice box: whole faces on the axes
-    got = set_integration._support_vertices(pts, seed, ndirs)
-    want = support_vertices(pts, seed, ndirs)
+    cloud = PointCloudSet(pts)
+    got = set_integration._support_vertices(cloud, seed, ndirs)
+    want = support_vertices(cloud.points, seed, ndirs)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -480,31 +481,30 @@ def test_support_vertices_equal_run_loop_oracle(data, n, d, seed, ndirs, budget,
     pts = data.draw(arrays(float, (n, d), elements=_support_values))
     if data.draw(st.booleans()):
         pts = np.floor(pts)
-    pts *= scale
+    cloud = PointCloudSet(pts * scale)
     with mock.patch.object(_kernels, "_CHUNK_BYTES", budget):
-        got = set_integration._support_vertices(pts, seed, ndirs)
-    assert got.tobytes() == support_vertices_runs(pts, seed, ndirs).tobytes()
+        got = set_integration._support_vertices(cloud, seed, ndirs)
+    assert got.tobytes() == support_vertices_runs(cloud.points, seed, ndirs).tobytes()
 
 
 def test_support_vertices_pick_the_largest_row_of_a_face():
     # each axis direction meets the square in a whole edge and keeps the
-    # edge's largest row, whatever the input order: +e_0 and +e_1 keep
-    # (1, 1), -e_0 keeps (0, 1) and -e_1 keeps (1, 0); (0, 0) is never kept
+    # edge's largest row: +e_0 and +e_1 keep (1, 1), -e_0 keeps (0, 1) and
+    # -e_1 keeps (1, 0); (0, 0) is never kept
     square = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 1.0]])
-    for pts in (square, square[::-1], square[np.lexsort(square.T[::-1])]):
-        got = set_integration._support_vertices(pts, 0, 0)
-        assert got.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        assert got.tobytes() == support_vertices(pts, 0, 0).tobytes()
+    got = set_integration._support_vertices(PointCloudSet(square), 0, 0)
+    assert got.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert got.tobytes() == support_vertices(square, 0, 0).tobytes()
 
 
 @pytest.mark.parametrize("gamma", ["0", "1/3"])
 def test_support_vertices_equal_projection_oracle_on_decay_clouds(gamma):
     for m in range(1, 7):
         b = build_counterexample(1, Fraction(gamma), 1, 4, refinement=1 << m)
-        pts = aumann_integral_set(b.corr, SigmaPartition.singletons(b.model.space)).points
+        cloud = aumann_integral_set(b.corr, SigmaPartition.singletons(b.model.space))
         for seed in ((0, 1, 2, 7) if m < 6 else (0,)):
-            got = set_integration._support_vertices(pts, seed)
-            assert got.tobytes() == support_vertices(pts, seed).tobytes()
+            got = set_integration._support_vertices(cloud, seed)
+            assert got.tobytes() == support_vertices(cloud.points, seed).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 48])

@@ -118,7 +118,7 @@ def test_nowhere_equivalence_monotone_under_refinement():
 
 def test_supplement_examples(uniform4):
     trivial = SigmaPartition.trivial(uniform4)
-    assert [sorted(p) for p in _mix_parts(uniform4, trivial, 2)] == [[0, 2], [1, 3]]
+    assert [sorted(p) for p in _mix_parts(uniform4, trivial, 2)] == [[0, 1], [2, 3]]
     f = SigmaPartition([{0, 1}, {2, 3}])
     parts = _mix_parts(uniform4, f, 2)
     assert [sorted(p) for p in parts] == [[0, 2], [1, 3]]
@@ -184,7 +184,7 @@ def test_dyadic_model_walsh_blocks():
     m = DyadicModel(Fraction(0), 3, refinement=2)
     d1 = m.walsh_block(1)
     assert m.space.mass(d1) == Fraction(1, 2)
-    # independence of a round-robin split against every Walsh block
+    # independence of the equal-mass split against every Walsh block
     parts = _mix_parts(m.space, m.cell_partition, 2)
     for n in range(1, 8):
         dn = m.walsh_block(n)
