@@ -11,9 +11,7 @@ from .correspondences import (
     Correspondence,
     CounterexampleBundle,
     Selection,
-    StepFunction,
     build_counterexample,
-    build_psi,
 )
 from .errors import (
     CapacityError,

@@ -408,7 +408,7 @@ def _aggregate_norms(contrib, e_mean, lead, flavor):
     return vectors.row_norms(x.T, flavor)
 
 
-def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
+def exhaustive_scan(nact, block_mass, block_len, actions, e_mean,
                     beta, flavor, phi, gamma, na, p2, dn, am, k, bound=-math.inf):
     """Scan every block-constant profile; return the minimum-residual one.
 
@@ -416,6 +416,8 @@ def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
     in the norm ``flavor``, over the profiles scanned).  Deterministic:
     mixed-radix order with the last block fastest, first minimum wins; or,
     if one is at most ``bound``, the first such, where the scan stops.
+    ``phi``, ``p2`` and ``dn`` hold one row per atom, the blocks' atoms
+    end to end, ``block_len[b]`` of them for block b.
 
     A profile moves the payoffs only through theta = beta * ||aggregate -
     e_mean||, and many profiles share one theta.  So each chunk of profiles
@@ -450,9 +452,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
     d = actions.shape[1]
     runs_total = nact ** (nblocks - 1)
     radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
-    atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
     starts = np.cumsum(block_len) - block_len
-    phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
     # contrib[m, b, a]: coordinate m of block b's mass times action a
     contrib = np.ascontiguousarray((block_mass[:, None, None] * actions).transpose(2, 0, 1))
     # runs per chunk, rows per regret table, theta per _payoffs call and
@@ -460,7 +460,7 @@ def exhaustive_scan(nact, block_mass, block_start, block_len, actions, e_mean,
     row_bytes = 8 * nblocks * nact
     runs = max(1, min(_CHUNK_BYTES // (32 * nact), _CHUNK_BYTES // (4 * d * nact)))
     tab = max(1, _CHUNK_BYTES // (2 * row_bytes))
-    width = max(1, _CHUNK_BYTES // (16 * atoms.shape[0] * nact))
+    width = max(1, _CHUNK_BYTES // (16 * phi.shape[0] * nact))
     limit = max(1, 8 * _CHUNK_BYTES // row_bytes)
     # cache[r] is the regret row of theta keys[r], and keys[sorter] is
     # sorted; the one placeholder row, under a NaN key that equals no

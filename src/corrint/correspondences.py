@@ -1,14 +1,17 @@
 """Finite-valued correspondences, measurable selections, and the explicit
-step-function constructions behind the necessity arguments.
+series construction behind the necessity arguments.
 
 The headline builder assembles, at truncation level N over a level-L dyadic
 model, the family of maps
 
     f_j = sum_{n=0}^{N} 2**-n * W_n((l - gamma)/(1 - gamma)) * x_{k n + j - 1}
 
-(zero on [0, gamma], basis vectors unit so no normalizing denominators),
-their exact integrals e_j = (1 - gamma) x_{j-1}, and the correspondence
-whose value at an interval atom is {0, f_1(cell), ..., f_k(cell)}.
+(zero on [0, gamma], basis vectors unit so no normalizing denominators).
+Each is constant on the 2**L cells of (gamma, 1], so the k maps are one
+cell table ``psi`` of shape (2**L, k, d).  Beside it come their exact
+integrals e_j = (1 - gamma) x_{j-1} and the correspondence whose value at
+an interval atom is {0, f_1(cell), ..., f_k(cell)}, gathered through the
+model's cell of each atom.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import PreconditionError, StructureError
 from .spaces import DiscreteSpace, DyadicModel, SigmaPartition, block_starts
-from .vectors import basis_vector, zero_vector
 from .walsh import walsh_sign_on_cell
 
 
@@ -79,52 +81,6 @@ def _merge_rows(rows: np.ndarray, owner: np.ndarray):
     starts = np.flatnonzero(fresh)
     lead = order[starts]
     return order, starts, np.lexsort((lead, np.cumsum(tie)[starts]))
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Step map on [0,1]: zero on [0, gamma], cell values on (gamma, 1].
-
-    ``values`` has one row per level-``level`` cell of (gamma, 1]; evaluation
-    at an arbitrary point snaps to the containing cell.
-    """
-
-    gamma: Fraction
-    level: int
-    values: np.ndarray  # (2**level, d)
-
-    def __post_init__(self):
-        gamma = Fraction(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        vals = np.array(self.values, dtype=float)  # a copy: the caller's stays writeable
-        if vals.ndim != 2 or vals.shape[0] != (1 << self.level):
-            raise StructureError(
-                f"need (2**{self.level}, d) cell values, got shape {vals.shape}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def eval_at(self, l) -> np.ndarray:
-        lf = Fraction(l)
-        if not 0 <= lf <= 1:
-            raise PreconditionError(f"argument {l} outside [0,1]")
-        if lf <= self.gamma:
-            return zero_vector(self.dim)
-        u = (lf - self.gamma) / (1 - self.gamma)
-        cell = min(int(u * (1 << self.level)), (1 << self.level) - 1)
-        return self.values[cell].copy()
-
-    def integral(self) -> np.ndarray:
-        """Integral over [0,1]: cell average scaled by the interval mass."""
-        w = float(Fraction(1 - self.gamma, 1 << self.level))
-        total = np.zeros(self.dim)
-        for row in self.values:
-            total += w * row
-        return total
 
 
 @dataclass(frozen=True, init=False)
@@ -349,9 +305,13 @@ def block_choice_sets(corr: Correspondence, alg: SigmaPartition) -> list[np.ndar
 class CounterexampleBundle:
     """The truncated series construction over a dyadic model.
 
-    f_list are the k step maps, e_list their exact integrals, corr the
-    correspondence t -> {0, f_1(phi(t)), ..., f_k(phi(t))} over the model's
-    atoms, and f_alg the cell algebra it is measurable against.
+    ``psi`` is the read-only (2**L, k, d) cell table of the k series maps:
+    row j of cell c is f_{j+1} on cell c of (gamma, 1].  ``e_list`` holds
+    their exact integrals, ``corr`` the correspondence
+    t -> {0, f_1(phi(t)), ..., f_k(phi(t))} over the model's atoms ({0} on
+    the atomic atom), and ``f_alg`` the cell algebra it is measurable
+    against.  Every per-atom table is ``psi`` gathered through
+    ``model.cells``.
     """
 
     k: int
@@ -361,7 +321,7 @@ class CounterexampleBundle:
     refinement: int
     d: int
     model: DyadicModel = field(compare=False)
-    f_list: tuple[StepFunction, ...] = field(compare=False)
+    psi: np.ndarray = field(compare=False)  # (2**L, k, d)
     e_list: np.ndarray = field(compare=False)  # (k, d)
     corr: Correspondence = field(compare=False)
     f_alg: SigmaPartition = field(compare=False)
@@ -382,10 +342,15 @@ class CounterexampleBundle:
         }
 
 
-def build_psi(
-    k: int, gamma, N: int, L: int, d: int | None = None
-) -> list[StepFunction]:
-    """The k truncated series maps as level-L step functions on (gamma, 1]."""
+def build_counterexample(
+    k: int, gamma, N: int, L: int, refinement: int = 1, d: int | None = None
+) -> CounterexampleBundle:
+    """Assemble the bundle: series cell table, exact integrals,
+    correspondence, algebra.
+
+    Coordinate k n + j - 1 of f_j on cell c is 2**-n W_n(c), for n <= N,
+    and every other coordinate is +0.0; ``d`` defaults to k(N+1).
+    """
     gamma = Fraction(gamma)
     if k < 1:
         raise PreconditionError(f"need k >= 1, got {k}")
@@ -402,42 +367,27 @@ def build_psi(
         raise PreconditionError(
             f"truncation dimension {d} < k(N+1) = {need} required by the series"
         )
-    ncells = 1 << L
-    out = []
-    for j in range(1, k + 1):
-        vals = np.zeros((ncells, d))
-        for c in range(ncells):
-            for n in range(N + 1):
-                vals[c] += (0.5 ** n) * walsh_sign_on_cell(n, c, L) * \
-                    basis_vector(k * n + j - 1, d)
-        out.append(StepFunction(gamma, L, vals))
-    return out
-
-
-def build_counterexample(
-    k: int, gamma, N: int, L: int, refinement: int = 1, d: int | None = None
-) -> CounterexampleBundle:
-    """Assemble the bundle: step maps, exact integrals, correspondence, algebra."""
-    gamma = Fraction(gamma)
-    f_list = build_psi(k, gamma, N, L, d)
-    d = f_list[0].dim
     model = DyadicModel(gamma, L, refinement)
+    ncells = model.ncells
+    psi = np.zeros((ncells, k, d))
+    maps = np.arange(k)
+    for n in range(N + 1):
+        signs = [walsh_sign_on_cell(n, c, L) for c in range(ncells)]
+        psi[:, maps, k * n + maps] = (0.5 ** n * np.array(signs, dtype=float))[:, None]
+    psi.setflags(write=False)
 
     # exact dyadic integration: e_j = (1-gamma) x_{j-1}, since W_0
     # integrates to 1 and every other W_n to 0
     e_list = np.eye(k, d) * float(1 - gamma)
 
-    # each cell's value set {0, f_1(cell), ..., f_k(cell)}, once per atom
-    # of the cell, after the atomic atom's {0}
-    cell_sets = np.stack([np.zeros((model.ncells, d))] + [f.values for f in f_list], axis=1)
-    rows = np.repeat(cell_sets, refinement, axis=0).reshape(-1, d)
-    counts = np.full(model.ncells * refinement, k + 1)
-    if model.atomic_atom is not None:
-        rows = np.concatenate((np.zeros((1, d)), rows))
-        counts = np.concatenate(([1], counts))
-    corr = Correspondence.from_stack(model.space, rows, counts)
+    # each atom's value set {0, f_1(cell), ..., f_k(cell)}; the atomic
+    # cell's k + 1 zero rows merge into {0}
+    sets = np.zeros((ncells + 1, k + 1, d))
+    sets[:ncells, 1:] = psi
+    counts = np.full(len(model.space.ids), k + 1)
+    corr = Correspondence.from_stack(model.space, sets[model.cells].reshape(-1, d), counts)
     return CounterexampleBundle(
         k=k, gamma=gamma, N=N, L=L, refinement=refinement, d=d,
-        model=model, f_list=tuple(f_list), e_list=e_list,
+        model=model, psi=psi, e_list=e_list,
         corr=corr, f_alg=model.cell_partition,
     )

@@ -73,7 +73,7 @@ class CounterexamplePayoff:
 def _mixed_points(bundle: CounterexampleBundle) -> np.ndarray:
     """The k mixed points of every cell, shape (cells, k, d): row i of cell
     c is (psi_i(c) + sum_j psi_j(c)) / (k + 1)."""
-    psi = np.stack([f.values for f in bundle.f_list], axis=1)
+    psi = bundle.psi
     return (psi + psi.sum(axis=1, keepdims=True)) / (bundle.k + 1)
 
 
@@ -98,6 +98,9 @@ class LargeGame:
         object.__setattr__(self, "actions", acts)
         if not isinstance(self.payoff, CounterexamplePayoff):
             raise StructureError(f"need a CounterexamplePayoff, got {self.payoff!r}")
+        if acts.shape[1] != self.payoff.bundle.d:
+            raise StructureError(
+                f"actions of length {acts.shape[1]}, not the bundle's d = {self.payoff.bundle.d}")
         maxn = float(row_norms(acts, self.payoff.flavor).max())
         if self.payoff.M < maxn - 1e-12:
             raise StructureError(f"M = {self.payoff.M} below the action norm bound {maxn}")
@@ -126,16 +129,15 @@ class LargeGame:
     def round_robin(self) -> tuple:
         """(cands, rr), built once: the (atoms, nact) bool mask whose row t
         marks atom t's canonical tie set, and the action ``rr[t]`` atom t
-        plays on a full tie, the member of its set at its position within
-        its characteristic block (ascending ids) modulo the set's size."""
-        sets = _canonical_tie_sets(self)
-        cands = np.zeros((len(sets), self.nact), dtype=bool)
-        rr = np.empty(len(sets), dtype=np.int64)
-        for blk in self.f_alg.blocks:
-            for p, atom in enumerate(sorted(blk)):
-                t = self.space.position(atom)
-                cands[t, sets[t]] = True
-                rr[t] = sets[t][p % len(sets[t])]
+        plays on a full tie, the member of its set (ascending) at its rank
+        within its characteristic block (ascending ids) modulo the set's
+        size."""
+        cands = _canonical_tie_sets(self)[self.payoff.bundle.model.cells]
+        order, sizes = self.f_alg.layout
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0]) - np.repeat(block_starts(sizes), sizes)
+        count = cands.sum(axis=1)
+        rr = (np.cumsum(cands, axis=1) == (rank % count + 1)[:, None]).argmax(axis=1)
         cands.setflags(write=False)
         rr.setflags(write=False)
         return cands, rr
@@ -229,18 +231,13 @@ def _cell_mixes(game: LargeGame) -> tuple:
 
     ``mixes[c]`` is cell c's (k, d) block of ``_mixed_points``, for each of
     the model's cells c, and a last block of zeros serves the atomic atom;
-    atom t at position p takes ``mixes[row[p]]``.  Both are read-only.
-    Interval atom i lies in cell i // refinement.
+    atom t at position p takes ``mixes[row[p]]``, ``row`` being the model's
+    ``cells``.  Both are read-only.
     """
     b = game.payoff.bundle
-    model = b.model
     mixes = np.concatenate((_mixed_points(b), np.zeros((1, b.k, b.d))))
-    row = np.arange(model.ncells * model.refinement, dtype=np.int64) // model.refinement
-    if model.atomic_atom is not None:
-        row = np.concatenate([[model.ncells], row])
     mixes.setflags(write=False)
-    row.setflags(write=False)
-    return mixes, row
+    return mixes, b.model.cells
 
 
 def _ctables(game: LargeGame):
@@ -255,10 +252,11 @@ def _ctables(game: LargeGame):
     ``dn`` and ``p2``, once per cell and once per atom, plus one chunk.
     Every entry equals the per-row ``norm`` loop bit for bit.
 
-    ``phi`` is ``float(model.phi(t))`` in closed form: with gamma = g/h and
-    n interval atoms, interval atom i sits at (2ng + (h - g)(2i + 1)) / 2nh
-    and the atomic atom at g / 2h, each Python's correctly rounded int
-    quotient, as ``float`` of the ``Fraction`` is.
+    ``phi`` is each atom's evaluation point, its subinterval midpoint, in
+    closed form: with gamma = g/h and n interval atoms, interval atom i sits
+    at (2ng + (h - g)(2i + 1)) / 2nh and the atomic atom at g / 2h, each
+    Python's correctly rounded int quotient, as ``float`` of the exact
+    ``Fraction`` is.
     """
     pay = game.payoff
     b = pay.bundle
@@ -325,28 +323,28 @@ def _zero_action_index(game: LargeGame) -> int:
     return int(np.argmin(game.actions.any(axis=1)))
 
 
-def _canonical_tie_sets(game: LargeGame) -> list[list[int]]:
-    """Per atom, the zero action plus its own cell's mixed points (ascending).
+def _canonical_tie_sets(game: LargeGame) -> np.ndarray:
+    """Per cell, the (cells + 1, nact) bool mask of the zero action and the
+    cell's mixed points, the last row the atomic atom's.
 
     These are exactly the candidate optimal actions of the explicit payoff.
     A mixed point names the first action equal to it in every coordinate
     (``np.array_equal``: -0.0 equals 0.0, NaN equals nothing), found for a
     chunk of cells by one broadcast equality.
     """
-    mixes, row = game.cell_mixes
+    mixes = game.cell_mixes[0]
     k, d = mixes.shape[1:]
     zero_idx = _zero_action_index(game)
-    if game.actions.shape[1] != d:  # no action has a mixed point's shape
-        return [[zero_idx] for _ in row]
     # the atomic atom's zero mixed points name the zero action, the first
     # action with every coordinate 0, or none if there is none: {zero_idx}
-    sets = []
+    mask = np.zeros((mixes.shape[0], game.nact), dtype=bool)
+    mask[:, zero_idx] = True
     step = max(1, _kernels._CHUNK_BYTES // (k * game.nact * d))
     for lo in range(0, mixes.shape[0], step):
         hit = (mixes[lo:lo + step, :, None, :] == game.actions).all(axis=-1)
         first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), zero_idx)
-        sets.extend(sorted({zero_idx, *ids}) for ids in first.tolist())
-    return [list(sets[r]) for r in row.tolist()]
+        np.put_along_axis(mask[lo:lo + step], first, True, axis=1)
+    return mask
 
 
 def _best_responses(game: LargeGame, table: np.ndarray) -> np.ndarray:
@@ -454,7 +452,7 @@ def _scan_arguments(game: LargeGame, cap: float) -> list[tuple]:
         perm = order[np.repeat(starts[group] - lead, lens) + np.arange(int(lens.sum()))]
         out.append((group, (
             game.nact, (t_nums[group] / total).astype(float, copy=False),
-            lead, lens, game.actions, pay.bundle.e_mean(), pay.beta,
+            lens, game.actions, pay.bundle.e_mean(), pay.beta,
             pay.flavor, phi[perm], gamma_f, na, p2[perm], dn[perm], am, pay.k)))
     return out
 

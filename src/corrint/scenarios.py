@@ -299,7 +299,7 @@ def check_counterexample_integrals(params: dict, seed: int) -> dict:
             float(np.max(np.abs(b.e_list[j - 1] - scale * basis_vector(j - 1, b.d)))) <= tol
             for j in range(1, k + 1)
         )
-        zero_ok = gamma == 0 or not np.any(b.f_list[0].eval_at(gamma / 2))
+        zero_ok = gamma == 0 or not np.any(b.corr.values[0])
         ok = ok and norm_ok and basis_ok and zero_ok
         rows.append({
             "gamma": f"{gamma.numerator}/{gamma.denominator}",
@@ -334,13 +334,11 @@ def check_necessity_gap(params: dict, seed: int) -> dict:
 
 def _canonical_selections(bundle) -> list[Selection]:
     """The k+1 cell-algebra selections {0, f_1, ..., f_k} of the bundle:
-    each cell's value once per atom of the cell, 0 on the atomic atom."""
+    each atom's cell value, 0 on the atomic atom."""
     model = bundle.model
-    cells = np.stack([np.zeros((model.ncells, bundle.d))] + [f.values for f in bundle.f_list])
-    rows = np.repeat(cells, model.refinement, axis=1)
-    if model.atomic_atom is not None:
-        rows = np.concatenate((np.zeros((bundle.k + 1, 1, bundle.d)), rows), axis=1)
-    return [Selection.from_rows(bundle.corr, bundle.f_alg, r) for r in rows]
+    table = np.zeros((bundle.k + 1, model.ncells + 1, bundle.d))
+    table[1:, :model.ncells] = bundle.psi.transpose(1, 0, 2)
+    return [Selection.from_rows(bundle.corr, bundle.f_alg, r) for r in table[:, model.cells]]
 
 
 def check_lyapunov_exactness(params: dict, seed: int) -> dict:

@@ -132,9 +132,6 @@ class PointCloudSet:
         target = np.asarray(v, dtype=float).reshape(1, -1)
         return _kernels.min_dists(target, self.points, mode, weights)
 
-    def contains(self, v, tol: float = MEMBERSHIP_TOL, metric=None) -> bool:
-        return self.nearest_distance(v, metric) <= tol
-
 
 def cloud_metadata(corr: Correspondence, alg: SigmaPartition, cap: int) -> dict:
     """Provenance block for cloud exports: correspondence hash, algebra,

@@ -112,11 +112,6 @@ class DiscreteSpace:
     def mass_of(self, atom: int) -> Fraction:
         return self.masses[self.position(atom)]
 
-    @property
-    def numerators(self) -> tuple[int, ...]:
-        """Each atom's mass times ``den``, aligned with ``ids``."""
-        return tuple(self._nums.tolist())
-
     def numerator(self, atoms) -> int:
         """Mass of the atom set times ``den``: a sum of ints."""
         try:
@@ -370,10 +365,11 @@ class DyadicModel:
 
     The interval piece (gamma, 1] becomes 2**level cells of equal mass,
     each split into ``refinement`` equal atoms; a positive gamma adds one
-    leading atom of mass gamma for the atomic part.  ``cell_partition``
-    (cells as blocks, plus the atomic atom as its own block) plays the role
-    of the characteristic algebra generated by level-``level`` step
-    functions.
+    leading atom of mass gamma for the atomic part.  ``cells`` holds each
+    atom's cell, the atomic atom's being ``ncells``: every cell table of
+    the model is read per atom through it.  ``cell_partition`` (cells as
+    blocks, plus the atomic atom as its own block) plays the role of the
+    characteristic algebra generated by level-``level`` step functions.
     """
 
     gamma: Fraction
@@ -408,37 +404,22 @@ class DyadicModel:
     def atomic_atom(self) -> int | None:
         return 0 if self.gamma > 0 else None
 
-    def cell_atoms(self, cell: int) -> tuple[int, ...]:
-        start = (1 if self.gamma > 0 else 0) + cell * self.refinement
-        return tuple(range(start, start + self.refinement))
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """Each atom's cell, aligned with ``space.ids``, read-only: interval
+        atom i lies in cell i // refinement, the atomic atom in ``ncells``."""
+        cells = np.arange(self.ncells * self.refinement) // self.refinement
+        if self.gamma > 0:
+            cells = np.concatenate(([self.ncells], cells))
+        cells.setflags(write=False)
+        return cells
 
     @property
     def cell_partition(self) -> SigmaPartition:
-        cells = np.repeat(np.arange(self.ncells), self.refinement)
-        if self.gamma > 0:
-            cells = np.concatenate(([self.ncells], cells))  # the atomic atom alone
-        return SigmaPartition.from_labels(self.space.ids, cells)
-
-    def phi(self, atom: int) -> Fraction:
-        """Evaluation point of an atom: its subinterval midpoint in (gamma, 1]."""
-        if self.gamma > 0 and atom == 0:
-            return self.gamma / 2
-        start = 1 if self.gamma > 0 else 0
-        idx = atom - start
-        n_sub = self.ncells * self.refinement
-        if not 0 <= idx < n_sub:
-            raise StructureError(f"atom {atom} not in model")
-        return self.gamma + (1 - self.gamma) * Fraction(2 * idx + 1, 2 * n_sub)
-
-    def rescaled(self, atom: int) -> Fraction:
-        """(phi(atom) - gamma)/(1 - gamma): the [0,1] argument of the Walsh maps."""
-        return (self.phi(atom) - self.gamma) / (1 - self.gamma)
+        return SigmaPartition.from_labels(self.space.ids, self.cells)
 
     def walsh_block(self, n: int) -> frozenset[int]:
         """Interval atoms where W_n of the rescaled coordinate is +1."""
-        cells = walsh_set(n, self.level)
-        out: set[int] = set()
-        for c in cells:
-            out.update(self.cell_atoms(c))
-        return frozenset(out)
-
+        plus = np.zeros(self.ncells + 1, dtype=bool)
+        plus[list(walsh_set(n, self.level))] = True
+        return frozenset(np.flatnonzero(plus[self.cells]).tolist())

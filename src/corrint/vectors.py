@@ -52,12 +52,6 @@ class Workspace:
         if self.topology not in TOPOLOGIES:
             raise PreconditionError(f"unknown topology tag {self.topology!r}")
 
-    def check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.d,):
-            raise PreconditionError(f"expected vector of shape ({self.d},), got {v.shape}")
-        return v
-
     def metric_mode(self) -> tuple[int, np.ndarray]:
         """(kernel mode, coordinate weights) for the workspace topology."""
         if self.topology in (TOPOLOGY_WEAK, TOPOLOGY_WEAK_STAR):

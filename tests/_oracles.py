@@ -1,8 +1,10 @@
 """Reference implementations that tests compare the package against.
 
 Two kinds live here.  The first are references the package no longer
-needs itself: a dyadic model's cell of an atom, the series integrals
-added one Walsh integral at a time, point evaluation of the Walsh
+needs itself: a dyadic model's cell of an atom, its atoms of a cell and
+an atom's evaluation point as a ``Fraction``, the series maps' cell table
+added one basis vector at a time, the series integrals added one Walsh
+integral at a time, point evaluation of the Walsh
 functions, the scalar payoffs h and G of the explicit game, the
 round-robin candidate profile, the per-atom best-response loop, the
 per-atom partition of a profile, the enumeration of measurable
@@ -74,7 +76,7 @@ from corrint.set_integration import (
 )
 from corrint.spaces import DiscreteSpace, SigmaPartition, block_starts
 from corrint.vectors import NORM_EUCLID, basis_vector, norm, zero_vector
-from corrint.walsh import walsh_integral
+from corrint.walsh import walsh_integral, walsh_sign_on_cell
 
 # the cell width of the grid that ``grid_dedup`` keys float rows on
 DEDUP_TOL = 1e-12
@@ -89,6 +91,40 @@ def cell_of(model, atom: int) -> int | None:
     if not 0 <= idx < model.ncells * model.refinement:
         raise StructureError(f"atom {atom} not in model")
     return idx // model.refinement
+
+
+def cell_atoms(model, cell: int) -> tuple[int, ...]:
+    """The interval atoms of one cell of a ``DyadicModel``, ascending."""
+    start = (1 if model.gamma > 0 else 0) + cell * model.refinement
+    return tuple(range(start, start + model.refinement))
+
+
+def model_phi(model, atom: int) -> Fraction:
+    """Evaluation point of an atom of a ``DyadicModel``: its subinterval
+    midpoint in (gamma, 1], gamma/2 for the atomic atom."""
+    if model.gamma > 0 and atom == 0:
+        return model.gamma / 2
+    start = 1 if model.gamma > 0 else 0
+    idx = atom - start
+    n_sub = model.ncells * model.refinement
+    if not 0 <= idx < n_sub:
+        raise StructureError(f"atom {atom} not in model")
+    return model.gamma + (1 - model.gamma) * Fraction(2 * idx + 1, 2 * n_sub)
+
+
+def psi_loop(k: int, N: int, L: int, d: int | None = None) -> np.ndarray:
+    """The (2**L, k, d) cell table of the k truncated series maps, each
+    cell row added up from zeros one basis vector at a time:
+    f_j(c) = sum_{n <= N} 2**-n W_n(c) x_{kn+j-1}."""
+    d = k * (N + 1) if d is None else d
+    ncells = 1 << L
+    psi = np.zeros((ncells, k, d))
+    for j in range(1, k + 1):
+        for c in range(ncells):
+            for n in range(N + 1):
+                psi[c, j - 1] += (0.5 ** n) * walsh_sign_on_cell(n, c, L) * \
+                    basis_vector(k * n + j - 1, d)
+    return psi
 
 
 def integrals_loop(k: int, gamma, N: int, L: int, d: int) -> np.ndarray:
@@ -168,8 +204,8 @@ def payoff_G(game, t: int, a, b) -> float:
     if cell is None:
         xs = [zero_vector(bnd.d) for _ in range(bnd.k)]
     else:
-        xs = [f.values[cell] for f in bnd.f_list]
-    h = payoff_h(model.phi(t), a, xs, theta, bnd.gamma, bnd.k, pay.flavor)
+        xs = list(bnd.psi[cell])
+    h = payoff_h(model_phi(model, t), a, xs, theta, bnd.gamma, bnd.k, pay.flavor)
     total = np.zeros(bnd.d)
     for x in xs:
         total = total + x
@@ -177,6 +213,12 @@ def payoff_G(game, t: int, a, b) -> float:
     for i in range(bnd.k):
         prod *= norm(a - (xs[i] + total) / (bnd.k + 1), pay.flavor)
     return -h - prod
+
+
+def tie_sets(game) -> list[list[int]]:
+    """Per atom, the actions of its cell's canonical tie set, ascending."""
+    mask = _canonical_tie_sets(game)[game.payoff.bundle.model.cells]
+    return [np.flatnonzero(row).tolist() for row in mask]
 
 
 def _block_positions(game) -> dict[int, int]:
@@ -192,11 +234,11 @@ def balanced_profile(game) -> StrategyProfile:
     every block's atom count its aggregate is the mean of the e_i and the
     induced parts form the balanced independent partition.
     """
-    tie_sets = _canonical_tie_sets(game)
+    sets = tie_sets(game)
     positions = _block_positions(game)
     play = []
     for ti, atom in enumerate(game.space.ids):
-        cands = tie_sets[ti]
+        cands = sets[ti]
         play.append(cands[positions[atom] % len(cands)])
     return StrategyProfile(tuple(play))
 
@@ -209,15 +251,15 @@ def best_response_loop(game, table) -> tuple[int, ...]:
     round-robin by the atom's position in its characteristic block;
     anything else plays the first tie.
     """
-    tie_sets = _canonical_tie_sets(game)
+    sets = tie_sets(game)
     positions = _block_positions(game)
     play = []
     for ti, atom in enumerate(game.space.ids):
         vals = table[ti]
         top = vals.max()
         ties = [int(i) for i in np.flatnonzero(vals >= top - TIE_TOL)]
-        if len(ties) > 1 and set(tie_sets[ti]) <= set(ties):
-            cands = tie_sets[ti]
+        if len(ties) > 1 and set(sets[ti]) <= set(ties):
+            cands = sets[ti]
             play.append(cands[positions[atom] % len(cands)])
         else:
             play.append(ties[0])
@@ -684,7 +726,7 @@ def space_numerators_loop(masses) -> tuple[int, tuple[int, ...]]:
 
 def block_averages_loop(space, alg, values) -> list[np.ndarray]:
     """E(f|alg) atom by atom: n_t / N_B * row added in ascending id order."""
-    nums = space.numerators
+    nums = space._nums.tolist()
     out = []
     for b in alg.blocks:
         pos = sorted(space.position(a) for a in b)
@@ -981,7 +1023,7 @@ def scan_arguments_loop(game) -> list[tuple]:
         perm = np.array([space.position(a) for b in blks for a in sorted(b)])
         out.append((np.array(group), (
             game.nact, np.array([float(sum(space.mass_of(a) for a in b) / total) for b in blks]),
-            np.cumsum(lens) - lens, lens, game.actions, pay.bundle.e_mean(), pay.beta,
+            lens, game.actions, pay.bundle.e_mean(), pay.beta,
             pay.flavor, phi[perm], gamma_f, na, p2[perm], dn[perm], am, pay.k)))
     return out
 
@@ -990,7 +1032,7 @@ def phi_and_cells_loop(model) -> tuple[np.ndarray, np.ndarray]:
     """Each atom's float ``phi`` and its cell, ``model.ncells`` for the
     atomic atom, one ``Fraction`` call and one ``cell_of`` per atom."""
     ids = model.space.ids
-    phi = np.array([float(model.phi(a)) for a in ids])
+    phi = np.array([float(model_phi(model, a)) for a in ids])
     cells = [cell_of(model, a) for a in ids]
     return phi, np.array([model.ncells if c is None else c for c in cells])
 

@@ -13,16 +13,15 @@ from _oracles import (
     enumerate_selections,
     integrals_loop,
     outcome,
+    psi_loop,
     same_rows,
     selection_choice,
 )
 from corrint.correspondences import (
     Correspondence,
     Selection,
-    StepFunction,
     block_choice_sets,
     build_counterexample,
-    build_psi,
 )
 from corrint.errors import (
     CapacityError,
@@ -130,13 +129,11 @@ def test_bundle_examples():
     for j in (1, 2):
         expect = 0.75 * basis_vector(j - 1, b.d)
         assert np.max(np.abs(b.e_list[j - 1] - expect)) <= 1e-12
-    # vanishes on the atomic part
-    assert not np.any(b.f_list[0].eval_at(Fraction(1, 8)))
-    assert not np.any(b.f_list[1].eval_at(Fraction(1, 4)))
     # correspondence is cell-measurable by construction
     assert oracle_check_measurable(b.model.space, b.corr.values, b.f_alg)
-    # atomic atom carries only the zero vector
+    # vanishes on the atomic part: the atomic atom carries only the zero vector
     assert b.model.atomic_atom == 0 and len(b.corr.values[0]) == 1
+    assert not np.any(b.corr.values[0])
 
 
 def test_bundle_degenerate_base_case():
@@ -162,23 +159,26 @@ def test_bundle_dimension_validation():
         build_counterexample(2, 0, 4, 2)  # level 2 cannot resolve index 4
 
 
+@pytest.mark.parametrize("gamma", [Fraction(0), Fraction(1, 4)])
+@pytest.mark.parametrize("k, N, L, d", [(1, 1, 2, None), (2, 2, 3, None), (3, 1, 2, None),
+                                        (2, 1, 2, 9)])
+def test_bundle_psi_equals_the_basis_vector_loop(gamma, k, N, L, d):
+    # bit for bit, signed zeros included; d = 9 > k(N+1) leaves padding
+    # coordinates, as uhc-decay's d = limit.d does
+    b = build_counterexample(k, gamma, N, L, d=d)
+    want = psi_loop(k, N, L, d)
+    assert b.psi.shape == want.shape == (1 << L, k, b.d)
+    assert b.psi.tobytes() == want.tobytes()
+    assert not b.psi.flags.writeable
+
+
 def test_psi_matches_bundle_and_integrals():
+    # each map's integral, its cell rows times the cell mass, is its e_j
     k, N, L = 2, 2, 4
     gamma = Fraction(1, 2)
-    psi = build_psi(k, gamma, N, L)
     b = build_counterexample(k, gamma, N, L)
-    for p, f in zip(psi, b.f_list):
-        assert np.array_equal(p.values, f.values)
-    for p, e in zip(psi, b.e_list):
-        assert np.max(np.abs(p.integral() - e)) <= 1e-12
-    assert not np.any(psi[0].eval_at(gamma / 2))
-
-
-def test_step_function_snapping():
-    psi = build_psi(1, 0, 1, 2)[0]
-    # evaluation inside a cell equals the cell value
-    assert np.array_equal(psi.eval_at(Fraction(1, 8)), psi.values[0])
-    assert np.array_equal(psi.eval_at(Fraction(7, 8)), psi.values[3])
+    integrals = b.psi.sum(axis=0) * float((1 - gamma) / (1 << L))
+    assert np.max(np.abs(integrals - b.e_list)) <= 1e-12
 
 
 def test_dyadic_convexify_counts():
@@ -343,6 +343,4 @@ def test_constructors_leave_the_callers_arrays_writeable():
     corr = Correspondence(space, {a: given for a in space.ids})
     choice = np.array([1.0, 2.0])
     Selection(corr, SigmaPartition.trivial(space), {a: choice for a in space.ids})
-    cells = np.zeros((2, 1))
-    StepFunction(Fraction(0), 1, cells)
-    assert all(v.flags.writeable for v in given + [choice, cells])
+    assert all(v.flags.writeable for v in given + [choice])

@@ -20,9 +20,9 @@ import pytest
 from _oracles import tower_barycenter_loop
 from corrint import game, scenarios
 from corrint.cli import main
-from corrint.correspondences import StepFunction
 from corrint.rcd import TransitionKernel
 from corrint.set_integration import ConditionalSet
+from corrint.spaces import DyadicModel
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -182,9 +182,17 @@ def test_counterexample_basis_condition_fails_alone(tmp_path, capsys, monkeypatc
 
 
 def test_counterexample_atomic_part_condition_fails_alone(tmp_path, capsys, monkeypatch):
-    # f_1 read on its first cell wherever it is evaluated, so it no longer
-    # vanishes on the atomic part [0, gamma]
-    monkeypatch.setattr(StepFunction, "eval_at", lambda self, l: self.values[0].copy())
+    code, res = _integral_cases(tmp_path, capsys)
+    assert code == 0 and [c["vanishes_on_atomic_part"] for c in res["cases"]] == [True, True]
+    # the atomic atom put in cell 0, so its value set is no longer {0}
+    cells = DyadicModel.cells.func
+
+    def atomic_in_cell_0(self):
+        moved = cells(self).copy()
+        moved[moved == self.ncells] = 0
+        return moved
+
+    monkeypatch.setattr(DyadicModel, "cells", property(atomic_in_cell_0))
     code, res = _integral_cases(tmp_path, capsys)
     assert code == 1 and res["verdict"] is False
     assert [c["vanishes_on_atomic_part"] for c in res["cases"]] == [True, False]

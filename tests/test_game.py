@@ -12,10 +12,12 @@ from _oracles import (
     balanced_profile,
     best_response_loop,
     cell_of,
+    model_phi,
     partition_loop,
     payoff_G,
     payoff_h,
     phi_and_cells_loop,
+    tie_sets,
 )
 from corrint import _kernels
 from corrint.errors import CapacityError, PreconditionError, StructureError
@@ -865,7 +867,7 @@ def _ctables_loop(game):
     model = b.model
     space = model.space
     natoms, nact, k = len(space.ids), game.nact, b.k
-    phi = np.array([float(model.phi(a)) for a in space.ids])
+    phi = np.array([float(model_phi(model, a)) for a in space.ids])
     na = np.array([norm(a, pay.flavor) for a in game.actions])
     dn = np.zeros((natoms, nact, k))
     p2 = np.zeros((natoms, nact))
@@ -970,9 +972,6 @@ TIE_GAMES = {
     # no zero action, so the first action stands in for it
     "no-zero-action": lambda: (lambda g: _with_actions(g, g.actions[1:]))(
         build_counterexample_game(1, 0, 1, 2)),
-    # actions of another length equal no mixed point
-    "other-length": lambda: (lambda g: _with_actions(g, np.full((3, g.payoff.bundle.d + 1), 0.25)))(
-        build_counterexample_game(1, 0, 1, 2)),
 }
 
 
@@ -982,7 +981,17 @@ def test_canonical_tie_sets_equal_the_array_equal_loop(monkeypatch, case, budget
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_BYTES", budget)
     g = TIE_GAMES[case]()
-    assert _canonical_tie_sets(g) == _canonical_tie_sets_loop(g)
+    # one row per cell and a last one for the atomic atom, read through cells
+    assert _canonical_tie_sets(g).shape == (g.payoff.bundle.model.ncells + 1, g.nact)
+    assert tie_sets(g) == _canonical_tie_sets_loop(g)
+
+
+def test_game_refuses_actions_of_another_length():
+    # such actions equal no mixed point, and the payoff cannot weigh them
+    g = build_counterexample_game(1, 0, 1, 2)
+    for d in (g.payoff.bundle.d - 1, g.payoff.bundle.d + 1):
+        with pytest.raises(StructureError, match="actions of length"):
+            _with_actions(g, np.full((3, d), 0.25))
 
 
 def _aggregate_at_mean(g):
@@ -1020,7 +1029,7 @@ def _response_tables(g, rng):
 
 
 BR_GAMES = {
-    **{case: TIE_GAMES[case] for case in sorted(TIE_GAMES) if case != "other-length"},
+    **TIE_GAMES,
     "gamma-quarter-k2": lambda: build_counterexample_game(2, "1/4", 2, 2, refinement=3),
     "conditional": lambda: build_counterexample_game(2, 0, 2, 2, refinement=3,
                                                      externality=EXTERNALITY_CONDITIONAL),
@@ -1049,7 +1058,7 @@ def test_balanced_profile_is_the_round_robin_play(case):
     g = BR_GAMES[case]()
     cands, rr = g.round_robin
     assert balanced_profile(g).play == tuple(rr.tolist())
-    assert [np.flatnonzero(row).tolist() for row in cands] == _canonical_tie_sets(g)
+    assert [np.flatnonzero(row).tolist() for row in cands] == tie_sets(g)
     assert not cands.flags.writeable and not rr.flags.writeable
 
 

@@ -1,4 +1,5 @@
-"""Every name a ``corrint`` module imports is used in that module.
+"""Every name a ``corrint`` module or a test module imports is used in
+that module.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -7,8 +8,9 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "corrint"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "corrint"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -99,7 +99,7 @@ def _payoff_table(theta, phi, gamma, na, p2, dn, am, k):
     return out
 
 
-def _exhaustive_scan(nact, block_mass, block_start, block_len,
+def _exhaustive_scan(nact, block_mass, block_len,
                      actions, e_mean, beta, flavor, phi, gamma, na, p2, dn, am, k):
     """Scan every block-constant profile; return the minimum-residual one.
 
@@ -108,6 +108,7 @@ def _exhaustive_scan(nact, block_mass, block_start, block_len,
     mixed-radix order, first strict improvement wins.
     """
     nblocks = block_mass.shape[0]
+    block_start = np.cumsum(block_len) - block_len
     d = actions.shape[1]
     total = 1
     for _ in range(nblocks):
@@ -173,7 +174,7 @@ def _exhaustive_scan(nact, block_mass, block_start, block_len,
     return best_res, best_prof, min_aggdist
 
 
-def _exhaustive_scan_batched(nact, block_mass, block_start, block_len, actions, e_mean,
+def _exhaustive_scan_batched(nact, block_mass, block_len, actions, e_mean,
                              beta, flavor, phi, gamma, na, p2, dn, am, k, bound=-math.inf):
     """Scan every block-constant profile; return the minimum-residual one.
 
@@ -188,10 +189,8 @@ def _exhaustive_scan_batched(nact, block_mass, block_start, block_len, actions, 
     d = actions.shape[1]
     total = nact ** nblocks
     radix = nact ** np.arange(nblocks - 1, -1, -1, dtype=np.int64)
-    atoms = np.concatenate([np.arange(s, s + n) for s, n in zip(block_start, block_len)])
     atom_block = np.repeat(np.arange(nblocks), block_len)
-    phi, p2, dn = phi[atoms], p2[atoms], dn[atoms]
-    chunk = max(1, _kernels._CHUNK_BYTES // (8 * atoms.shape[0] * nact))
+    chunk = max(1, _kernels._CHUNK_BYTES // (8 * phi.shape[0] * nact))
     residuals = []
     min_aggdist = math.inf
     for lo in range(0, total, chunk):
@@ -736,7 +735,7 @@ def _random_aggregates(args, seed):
     rng = np.random.default_rng(seed)
     nblocks = args[1].shape[0]
     masses = rng.uniform(0.5, 1.5, nblocks) / nblocks
-    return (args[0], masses, *args[2:4], rng.normal(size=args[4].shape), *args[5:])
+    return (args[0], masses, args[2], rng.normal(size=args[3].shape), *args[4:])
 
 
 # scan arguments: the cases above, crafted ties and all-distinct theta
@@ -789,7 +788,7 @@ def test_exhaustive_scan_refuses_beta_outside_positive_reals(beta):
     # theta = beta * distance is keyed as a float: it must be >= +0
     args = _scan_args(build_counterexample_game(1, 0, 1, 2))
     with pytest.raises(PreconditionError):
-        _kernels.exhaustive_scan(*args[:6], beta, *args[7:])
+        _kernels.exhaustive_scan(*args[:5], beta, *args[6:])
 
 
 def test_exhaustive_scan_memory_bounded_when_every_theta_differs(monkeypatch):
@@ -798,7 +797,7 @@ def test_exhaustive_scan_memory_bounded_when_every_theta_differs(monkeypatch):
     # 16 x _CHUNK_BYTES, and no payoff block exceeds one budget
     args = _random_aggregates(_scan_args(_coarse_strategies(
         build_counterexample_game(3, 0, 2, 2, refinement=4))), 67)
-    natoms, nact = args[8].shape[0], args[0]
+    natoms, nact = args[7].shape[0], args[0]
     tracemalloc.start()
     try:
         scan = _kernels.exhaustive_scan(*args)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import cell_atoms, model_phi
 from corrint.errors import (
     DivisibilityError,
     PreconditionError,
@@ -169,10 +170,11 @@ def test_dyadic_model_layout():
     assert m.space.mass_of(0) == Fraction(1, 4)
     assert m.atomic_atom == 0
     assert len(m.space.ids) == 9  # the atomic atom and 8 interval atoms
-    assert m.phi(0) == Fraction(1, 8)
-    assert m.cell_atoms(0) == (1, 2) and m.cell_atoms(3) == (7, 8)
+    assert model_phi(m, 0) == Fraction(1, 8)
+    assert cell_atoms(m, 0) == (1, 2) and cell_atoms(m, 3) == (7, 8)
     # interval atoms evenly tile (gamma, 1]
-    assert m.phi(1) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 16)
+    assert model_phi(m, 1) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 16)
+    assert m.cells.tolist() == [4, 0, 0, 1, 1, 2, 2, 3, 3] and not m.cells.flags.writeable
     blocks = m.cell_partition.blocks
     assert len(blocks) == 5
     m0 = DyadicModel(Fraction(0), 3)
@@ -286,14 +288,15 @@ def test_integer_weights_equal_fraction_weights():
         n = int(rng.integers(2, 9))
         space = DiscreteSpace.from_masses(_random_masses(rng, n, 10 ** int(rng.integers(1, 19))))
         assert space.den == math.lcm(*(m.denominator for m in space.masses))
-        assert sum(space.numerators) == space.den
+        nums = space._nums.tolist()
+        assert sum(nums) == space.den
         for alg in (_random_partition(rng, space.ids), SigmaPartition.trivial(space)):
             for b in alg.blocks:
                 big = space.numerator(b)
                 block_mass = sum((Fraction(space.mass_of(a)) for a in b), Fraction(0))
                 assert space.mass(b) == block_mass
                 for a in b:
-                    nt = space.numerators[space.position(a)]
+                    nt = nums[space.position(a)]
                     assert nt / big == float(Fraction(space.mass_of(a)) / block_mass)
 
 
