@@ -605,10 +605,12 @@ def _residue_spectra(m: int, mesh_exp: int) -> np.ndarray:
     return walsh_integer_spectrum(cells % m == np.arange(m)[:, None])
 
 
-def case1_lemma_trials(mesh_exp: int, trials):
+def case1_lemma_trials(mesh_exp: int, kk, shift, roles):
     """``lemma_bound_check`` of each drawn case-1 trial, from residue-class spectra.
 
-    Each trial is (kk, shift, roles) and stands for
+    Trial t is (kk[t], shift[t], roles[t, :kk[t] + 1]), from three arrays
+    of one entry or row per trial; entries of ``roles`` past those are
+    ignored.  It stands for
     ``lemma_bound_check(case1_indicator_parts(kk, mesh_exp, shift, roles), d0)``
     with d0 = 2**-mesh_exp.  Part i covers the residue class c = j - shift
     (mod m = kk + 1) of the j with roles[j] = i, and the m role classes
@@ -620,25 +622,26 @@ def case1_lemma_trials(mesh_exp: int, trials):
     ``_kernels._CHUNK_BYTES``.  Returns (worst sums, verdicts), one entry
     per trial in order.
     """
-    trials = list(trials)
+    kk, shift, roles = np.asarray(kk), np.asarray(shift), np.asarray(roles)
+    if kk.dtype.kind not in "iu" or shift.dtype.kind not in "iu":
+        raise PreconditionError("kk and shift must be integers")
+    kk, shift = kk.astype(np.int64), shift.astype(np.int64)
+    if np.any(kk < 1):
+        raise PreconditionError("need at least one indicator part")
+    if roles.ndim != 2 or not kk.shape == shift.shape == roles.shape[:1] \
+            or roles.shape[1] <= kk.max(initial=0) or roles.dtype.kind not in "iu":
+        raise PreconditionError("roles must permute 0..k")
     ncell = 1 << mesh_exp
-    by_modulus: dict[int, list[int]] = {}
-    for t, (kk, _, roles) in enumerate(trials):
-        if kk < 1:
-            raise PreconditionError("need at least one indicator part")
-        if len(roles) != kk + 1:
+    worst = np.empty(kk.shape[0])
+    holds = np.empty(kk.shape[0], dtype=bool)
+    for m in np.flatnonzero(np.bincount(kk + 1)).tolist():
+        ts = np.flatnonzero(kk + 1 == m)
+        r = roles[ts, :m]
+        if r.min() < 0 or r.max() >= m:
             raise PreconditionError("roles must permute 0..k")
-        by_modulus.setdefault(kk + 1, []).append(t)
-    worst = np.empty(len(trials))
-    holds = np.empty(len(trials), dtype=bool)
-    for m, ts in sorted(by_modulus.items()):
-        roles = np.array([trials[t][2] for t in ts])
-        if roles.dtype.kind not in "iu" or roles.min() < 0 or roles.max() >= m:
-            raise PreconditionError("roles must permute 0..k")
-        shifts = np.array([trials[t][1] for t in ts], dtype=np.int64)
         # column r: the residue class of the cells of role r, -1 if none is
-        a = np.full(roles.shape, -1)
-        a[np.arange(len(ts))[:, None], roles] = (np.arange(m) - shifts[:, None]) % m
+        a = np.full(r.shape, -1)
+        a[np.arange(len(ts))[:, None], r] = (np.arange(m) - shift[ts, None]) % m
         if np.any(a < 0):
             raise PreconditionError("roles must permute 0..k")
         basis = _residue_spectra(m, mesh_exp)

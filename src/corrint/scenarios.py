@@ -400,50 +400,47 @@ def check_convexity_decay(params: dict, seed: int) -> dict:
 TOWER_BATCH = 50
 
 
-def _merge_labels(rng: np.random.Generator, n: int, least: int) -> np.ndarray:
-    """Labels merging n parts into a random number (at least ``least``) of
-    blocks, every label in 0..m-1 used."""
-    m = int(rng.integers(least, n + 1))
-    assign = rng.integers(0, m, n)
-    assign[rng.permutation(n)[:m]] = np.arange(m)  # no empty blocks
-    return assign
+def _spread_labels(rng: np.random.Generator, parts: np.ndarray, least: int):
+    """Labels merging each instance's ``parts[i]`` parts into m_i >= ``least``
+    blocks, and the m_i.  Instance i's labels are 0..m_i - 1 after the m of
+    the instances before it; the m_i parts that rank lowest by a random key
+    take them, so no block is empty, and the rest draw theirs uniformly."""
+    m = rng.integers(least, parts + 1)
+    owner = np.repeat(np.arange(parts.shape[0]), parts)
+    labels = rng.integers(0, m[owner])
+    order = np.lexsort((rng.random(owner.shape[0]), owner))
+    rank = np.arange(owner.shape[0]) - block_starts(parts)[owner]  # order[p]'s, in its instance
+    first = rank < m[owner]
+    labels[order[first]] = rank[first]
+    return labels + block_starts(m)[owner], m
 
 
-def _tower_union(rng: np.random.Generator, instances: int, d: int = 3):
-    """``instances`` random nested instances as one disjoint union: (space,
-    selection, F-algebra, G-algebra), with G below F on every instance.
+def _tower_draws(rng: np.random.Generator, instances: int):
+    """One batch of random nested instances in nine generator calls: (sizes,
+    F-labels, G-labels, values, picks), each instance's atoms after those
+    before it.  Instance i has 4..12 atoms in 2..sizes[i] F-blocks, merged
+    into G-blocks; each atom has three normal values in R^3 and picks one."""
+    sizes = rng.integers(4, 13, instances)
+    f, nf = _spread_labels(rng, sizes, 2)
+    g, _ = _spread_labels(rng, nf, 1)
+    values = rng.normal(size=(int(sizes.sum()), 3, 3))
+    return sizes, f, g[f], values, rng.integers(0, 3, values.shape[0])
 
-    Instance i has n_i uniform atoms, each of mass 1/(instances * n_i) in
-    the union, so every conditional weight is the instance's own.  Its atoms
-    are grouped into F-blocks, its F-blocks (in canonical order) merged into
-    G-blocks, and each atom gets three normal values in R^d and picks one.
-    """
-    sizes, f_parts, g_parts, values, picks = [], [], [], [], []
-    for _ in range(instances):
-        n = int(rng.integers(4, 13))
-        f = _merge_labels(rng, n, 2)
-        sizes.append(n)
-        f_parts.append(f)
-        g_parts.append(_merge_labels(rng, int(f.max()) + 1, 1))
-        values.append(rng.normal(size=(n, 3, d)))
-        picks.append(rng.integers(0, 3, n))
-    sizes = np.array(sizes)
-    nf = np.array([g.shape[0] for g in g_parts])
-    ng = np.array([int(g.max()) + 1 for g in g_parts])
+
+def _tower_union(rng: np.random.Generator, instances: int):
+    """``instances`` random nested instances (``_tower_draws``) as one disjoint
+    union: (space, selection, F-algebra, G-algebra), G below F on each.  Each
+    atom of instance i weighs 1/(instances * n_i), so weights are its own."""
+    sizes, f, g, values, picks = _tower_draws(rng, instances)
     masses = [Fraction(1, instances * n) for n in sizes.tolist()]
-    space = DiscreteSpace(tuple(range(int(sizes.sum()))),
+    space = DiscreteSpace(tuple(range(values.shape[0])),
                           tuple(np.repeat(np.array(masses, dtype=object), sizes)))
-    # F-labels made distinct across the union; the partition's own labels
-    # rank each instance's F-blocks canonically, after those before it, as
-    # the instance's G-labels index them
-    f_alg = SigmaPartition.from_labels(
-        space.ids, np.concatenate(f_parts) + np.repeat(block_starts(nf), sizes))
-    g = np.concatenate(g_parts)[f_alg.labels] + np.repeat(block_starts(ng), sizes)
-    vals = np.concatenate(values)
-    corr = Correspondence.from_stack(space, vals.reshape(-1, d), np.full(vals.shape[0], 3))
-    choice = vals[np.arange(vals.shape[0]), np.concatenate(picks)]
+    corr = Correspondence.from_stack(space, values.reshape(-1, values.shape[2]),
+                                     np.full(values.shape[0], 3))
+    choice = values[np.arange(values.shape[0]), picks]
     sel = Selection.from_rows(corr, SigmaPartition.singletons(space), choice)
-    return space, sel, f_alg, SigmaPartition.from_labels(space.ids, g)
+    return (space, sel, SigmaPartition.from_labels(space.ids, f),
+            SigmaPartition.from_labels(space.ids, g))
 
 
 def check_tower_barycenter(params: dict, seed: int) -> dict:
@@ -558,22 +555,27 @@ def check_game_nonexistence(params: dict, seed: int) -> dict:
     }
 
 
+def _lemma_draws(rng: np.random.Generator, trials: int, kmax: int):
+    """One mesh's case-1 trials in three generator calls, as arrays (kk, shift,
+    roles) for ``game.case1_lemma_trials``: kk in 1..kmax, shift in 0..kk, and
+    row t of roles the argsort of random keys whose columns past kk[t] sort
+    last, so it opens with a permutation of 0..kk[t]."""
+    kk = rng.integers(1, kmax + 1, trials)
+    shift = rng.integers(0, kk + 1)
+    keys = rng.random((trials, kmax + 1))
+    keys[np.arange(kmax + 1) > kk[:, None]] = 2.0
+    return kk, shift, np.argsort(keys, axis=1, kind="stable")
+
+
 def check_lemma_bound(params: dict, seed: int) -> dict:
     k, trials, kmax = params["k"], params["trials"], params["kmax"]
     rng = np.random.default_rng(seed)
-
-    def draws():
-        for _ in range(trials):
-            kk = int(rng.integers(1, kmax + 1))
-            shift = int(rng.integers(0, kk + 1))
-            yield kk, shift, rng.permutation(kk + 1)
-
     rows = []
     ok = True
     for s in params["meshes"]:
         d0 = Fraction(1, 1 << s)
         canonical = lemma_bound_check(case1_indicator_parts(k, s), d0)
-        totals, holds = case1_lemma_trials(s, draws())
+        totals, holds = case1_lemma_trials(s, *_lemma_draws(rng, trials, kmax))
         all_hold = canonical[2] and bool(holds.all())
         bound = canonical[1]
         worst_ratio = float(np.max(totals / bound, initial=canonical[0] / bound))

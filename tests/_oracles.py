@@ -67,6 +67,7 @@ from corrint.errors import (
 )
 from corrint.game import TIE_TOL, StrategyProfile, _canonical_tie_sets, root_of_unity_gap
 from corrint.rcd import rcd_of_selection
+from corrint.scenarios import TOWER_BATCH, _tower_draws
 from corrint.set_integration import (
     _PRIMES,
     _directions,
@@ -1037,47 +1038,46 @@ def phi_and_cells_loop(model) -> tuple[np.ndarray, np.ndarray]:
     return phi, np.array([model.ncells if c is None else c for c in cells])
 
 
-def _random_merge(rng, parts: list, least: int):
-    n = len(parts)
-    m = int(rng.integers(least, n + 1))
-    assign = rng.integers(0, m, n)
-    assign[rng.permutation(n)[:m]] = np.arange(m)  # no empty blocks
+def _label_blocks(labels) -> SigmaPartition:
+    """The partition of atoms 0..n-1 into the blocks of their labels."""
     blocks: dict[int, set] = {}
-    for part, idx in zip(parts, assign):
-        blocks.setdefault(int(idx), set()).update(part)
+    for a, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, set()).add(a)
     return SigmaPartition(list(blocks.values()))
 
 
-def _random_nested_instance(rng, d: int = 3):
-    natoms = int(rng.integers(4, 13))
-    space = DiscreteSpace.uniform(natoms)
-    ids = list(space.ids)
-    f_alg = _random_merge(rng, [{a} for a in ids], 2)
-    g_alg = _random_merge(rng, list(f_alg.blocks), 1)
-    values = rng.normal(size=(natoms, 3, d))
-    vmap = {a: [values[i, j] for j in range(3)] for i, a in enumerate(ids)}
-    corr = Correspondence(space, vmap)
-    choice = {a: values[i, int(rng.integers(0, 3))] for i, a in enumerate(ids)}
+def _nested_instance(f, g, values, picks):
+    """One drawn instance as its own uniform space: (space, selection,
+    F-algebra, G-algebra), every vector mapped atom by atom."""
+    space = DiscreteSpace.uniform(len(f))
+    f_alg, g_alg = _label_blocks(f), _label_blocks(g)
+    corr = Correspondence(space, {a: list(values[a]) for a in space.ids})
+    choice = {a: values[a, picks[a]] for a in space.ids}
     sel = Selection(corr, SigmaPartition.singletons(space), choice)
     return space, sel, f_alg, g_alg
 
 
 def tower_barycenter_loop(instances: int, tol: float, seed: int) -> dict:
-    """The tower-barycenter check with one small space per instance."""
+    """The tower-barycenter check with one small space per instance, each
+    sliced out of the arrays that ``scenarios._tower_draws`` draws for its
+    batch of up to ``TOWER_BATCH``."""
     rng = np.random.default_rng(seed)
     worst_tower = 0.0
     worst_bary = 0.0
-    for _ in range(instances):
-        space, sel, f_alg, g_alg = _random_nested_instance(rng)
-        ef = block_averages_loop(space, f_alg, sel.choice)
-        lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
-        eg_direct = block_averages_loop(space, g_alg, sel.choice)
-        tower = block_averages_loop(space, g_alg, [lifted[a] for a in space.ids])
-        for acc, direct in zip(tower, eg_direct):
-            worst_tower = max(worst_tower, float(np.max(np.abs(acc - direct))))
-        kern = rcd_of_selection(sel, g_alg)
-        for bc, direct in zip(barycenters_loop(kern), eg_direct):
-            worst_bary = max(worst_bary, float(np.max(np.abs(bc - direct))))
+    for lo in range(0, instances, TOWER_BATCH):
+        sizes, f, g, values, picks = _tower_draws(rng, min(TOWER_BATCH, instances - lo))
+        for start, n in zip(block_starts(sizes).tolist(), sizes.tolist()):
+            cut = slice(start, start + n)
+            space, sel, f_alg, g_alg = _nested_instance(f[cut], g[cut], values[cut], picks[cut])
+            ef = block_averages_loop(space, f_alg, sel.choice)
+            lifted = {a: v for blk, v in zip(f_alg.blocks, ef) for a in blk}
+            eg_direct = block_averages_loop(space, g_alg, sel.choice)
+            tower = block_averages_loop(space, g_alg, [lifted[a] for a in space.ids])
+            for acc, direct in zip(tower, eg_direct):
+                worst_tower = max(worst_tower, float(np.max(np.abs(acc - direct))))
+            kern = rcd_of_selection(sel, g_alg)
+            for bc, direct in zip(barycenters_loop(kern), eg_direct):
+                worst_bary = max(worst_bary, float(np.max(np.abs(bc - direct))))
     return {
         "instances": instances,
         "worst_tower_error": worst_tower,

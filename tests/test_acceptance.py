@@ -82,8 +82,8 @@ def test_c03_necessity_shadow():
     cloud = aumann_integral_set(b.corr, t_alg, cap=10_000)
     mid = b.e_mean()
     delta_star = cloud.nearest_distance(mid)
-    ok = cloud.nearest_distance(mid) > 1e-9 and delta_star > 1e-9 \
-        and cloud.nearest_distance(mid) >= delta_star
+    brute = float(np.sqrt(((cloud.points - mid) ** 2).sum(axis=1).min()))
+    ok = abs(brute - delta_star) <= 4 * np.spacing(delta_star) and delta_star > 1e-9
     el = time.perf_counter() - t0
     _report(3, "necessity midpoint gap", ok and el < 10.0, el,
             f"delta*={delta_star:.6f} over 3^8 selections")

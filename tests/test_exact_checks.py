@@ -1,11 +1,12 @@
-"""tower-barycenter against its per-instance form, its memory, the tower
-draws, and negative controls for the verdicts of tower-barycenter,
-rcd-mixture, lemma-bound, walsh-orthogonality, counterexample-integrals,
-lyapunov-exactness, convexity-decay, uhc-decay and necessity-gap.
+"""tower-barycenter against its per-instance form, its memory, the shape
+of the tower and lemma-bound draws, and negative controls for the verdicts
+of tower-barycenter, rcd-mixture, lemma-bound, walsh-orthogonality,
+counterexample-integrals, lyapunov-exactness, convexity-decay, uhc-decay
+and necessity-gap.
 
 tower-barycenter runs its instances as disjoint unions of up to
-``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` is the check as it was
-written, one small space per instance.  A negative control injects one
+``TOWER_BATCH``; ``_oracles.tower_barycenter_loop`` runs the same draws
+with one small space per instance.  A negative control injects one
 fault through a monkeypatch, or runs a config whose verdict is false, and
 shows the verdict false and the exit code 1, so a check whose condition
 stopped deciding anything would fail here.
@@ -18,11 +19,15 @@ import numpy as np
 import pytest
 
 from _oracles import tower_barycenter_loop
+from _perfbench import load
 from corrint import game, scenarios
 from corrint.cli import main
 from corrint.rcd import TransitionKernel
 from corrint.set_integration import ConditionalSet
-from corrint.spaces import DyadicModel
+from corrint.spaces import DyadicModel, block_starts
+
+LEMMA_CHECK = next(item["config"]["checks"][0] for item in load("workloads").generate("exact", 1)
+                   if item["config"]["checks"][0]["kind"] == "lemma-bound")
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -49,15 +54,59 @@ def test_tower_barycenter_memory_is_bounded_by_its_batch():
 
 @pytest.mark.parametrize("seed", range(0, 400, 7))
 def test_vector_picks_equal_the_scalar_draws(seed):
-    # _tower_union draws each instance's picks in one call; on default_rng
-    # that gives the values of one scalar draw per atom and leaves the
-    # generator where they leave it
+    # one integer draw of n entries on default_rng gives the values of n
+    # scalar draws and leaves the generator where they leave it
     for n in range(1, 20):
         loop, vector = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
         picks = vector.integers(0, 3, n)
         assert picks.dtype == np.int64
         assert picks.tolist() == [int(loop.integers(0, 3)) for _ in range(n)]
         assert vector.integers(0, 1 << 62, 3).tolist() == loop.integers(0, 1 << 62, 3).tolist()
+
+
+@pytest.mark.parametrize("batch", [1, 2, scenarios.TOWER_BATCH - 1, scenarios.TOWER_BATCH])
+def test_tower_draws_use_every_block(batch):
+    # each instance has 4..12 atoms; its F-labels are 0..m_F - 1 after the
+    # instances before it, every one used, m_F in [2, n]; its G-labels
+    # likewise, m_G in [1, m_F], one per F-block; so a draw that left a
+    # block empty fails here, and one that never reached an end of a block
+    # count fails at the end
+    seen_f, seen_g = set(), set()
+    for seed in range(200):
+        sizes, f, g, values, picks = scenarios._tower_draws(np.random.default_rng(seed), batch)
+        assert sizes.shape == (batch,) and sizes.min() >= 4 and sizes.max() <= 12
+        assert values.shape == (sizes.sum(), 3, 3) and picks.shape == f.shape == g.shape
+        assert set(picks.tolist()) <= {0, 1, 2}
+        f_next = g_next = 0
+        for start, n in zip(block_starts(sizes).tolist(), sizes.tolist()):
+            fi, gi = f[start:start + n] - f_next, g[start:start + n] - g_next
+            m_f, m_g = len(set(fi.tolist())), len(set(gi.tolist()))
+            assert sorted(set(fi.tolist())) == list(range(m_f)) and 2 <= m_f <= n
+            assert sorted(set(gi.tolist())) == list(range(m_g)) and 1 <= m_g <= m_f
+            assert all(len(set(gi[fi == b].tolist())) == 1 for b in range(m_f))
+            seen_f.add((n, m_f))
+            seen_g.add((m_f, m_g))
+            f_next, g_next = f_next + m_f, g_next + m_g
+    # both ends of each block count are drawn
+    assert any(m == n for n, m in seen_f) and any(m == 2 for _, m in seen_f)
+    assert any(m == m_f for m_f, m in seen_g) and any(m == 1 for _, m in seen_g)
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 7))
+def test_lemma_draws_reach_every_modulus(seed):
+    # the exact workload's lemma-bound config: on each of its meshes, every
+    # roles row opens with a permutation of 0..kk, shift is in [0, kk], the
+    # trials reach every modulus 2..kmax + 1, and each role leads some row
+    trials, kmax = LEMMA_CHECK["trials"], LEMMA_CHECK["kmax"]
+    rng = np.random.default_rng(seed)
+    for _ in LEMMA_CHECK["meshes"]:
+        kk, shift, roles = scenarios._lemma_draws(rng, trials, kmax)
+        assert kk.shape == shift.shape == (trials,) and roles.shape == (trials, kmax + 1)
+        assert set(kk.tolist()) == set(range(1, kmax + 1))
+        assert (shift >= 0).all() and (shift <= kk).all()
+        for k, row in zip(kk.tolist(), roles.tolist()):
+            assert sorted(row[:k + 1]) == list(range(k + 1))
+        assert set(roles[kk == kmax, 0].tolist()) == set(range(kmax + 1))
 
 
 def _run(tmp_path, capsys, check) -> tuple[int, dict]:

@@ -43,7 +43,7 @@ from corrint.game import (
     verify_equilibrium_partition,
 )
 from corrint.spaces import SigmaPartition
-from corrint.scenarios import MODEL_CAP, run_scenario_dict
+from corrint.scenarios import MODEL_CAP, _lemma_draws, run_scenario_dict
 from corrint.vectors import NORM_FLAVORS, basis_vector, norm, zero_vector
 from corrint.walsh import walsh_integer_spectrum, walsh_sign_on_cell
 
@@ -660,20 +660,17 @@ def _random_trials(rng, mesh_exp, count, kmax=4):
             yield [(label == i).astype(np.int64) for i in range(1, k + 1)]
 
 
-def _case1_draws(rng, count, kmax):
-    """(kk, shift, roles) triples, drawn as the lemma-bound check draws them."""
-    out = []
-    for _ in range(count):
-        kk = int(rng.integers(1, kmax + 1))
-        out.append((kk, int(rng.integers(0, kk + 1)), [int(x) for x in rng.permutation(kk + 1)]))
-    return out
+def _case1_rows(draws):
+    """Each trial of the arrays as (kk, shift, its kk + 1 roles)."""
+    kk, shift, roles = draws
+    return [(k, s, r[:k + 1].tolist()) for k, s, r in zip(kk.tolist(), shift.tolist(), roles)]
 
 
 def _case1_expect(mesh_exp, draws):
     """Each draw through ``lemma_bound_check`` of its indicator parts."""
     d0 = Fraction(1, 1 << mesh_exp)
     return [lemma_bound_check(case1_indicator_parts(kk, mesh_exp, shift, roles), d0)
-            for kk, shift, roles in draws]
+            for kk, shift, roles in _case1_rows(draws)]
 
 
 LEMMA_GAMMAS = [Fraction(0), Fraction(1, 4), Fraction(1, 3)]
@@ -699,11 +696,11 @@ def test_lemma_batched_equals_loop_oracle(monkeypatch, gamma, L, budget):
             assert lemma_bound_check(parts, d0, gamma, L) == expect
             verdicts.add(expect[2])
         if gamma == 0 and L is None:
-            draws = _case1_draws(rng, 40, 4)
-            totals, holds = case1_lemma_trials(s, iter(draws))
+            draws = _lemma_draws(rng, 40, 4)
+            totals, holds = case1_lemma_trials(s, *draws)
             assert totals.dtype == float and holds.dtype == bool
             expect = [_lemma_bound_check_loop(case1_indicator_parts(kk, s, shift, roles), d0)
-                      for kk, shift, roles in draws]
+                      for kk, shift, roles in _case1_rows(draws)]
             assert totals.tolist() == [e[0] for e in expect]
             assert holds.tolist() == [e[2] for e in expect]
             verdicts.update(holds.tolist())
@@ -716,8 +713,8 @@ def test_case1_lemma_trials_equal_lemma_bound_check(mesh_exp):
     rng = np.random.default_rng(59 + mesh_exp)
     for kmax in range(1, 10):
         for count in (0, 1, 23):
-            draws = _case1_draws(rng, count, kmax)
-            totals, holds = case1_lemma_trials(mesh_exp, draws)
+            draws = _lemma_draws(rng, count, kmax)
+            totals, holds = case1_lemma_trials(mesh_exp, *draws)
             expect = _case1_expect(mesh_exp, draws)
             assert totals.shape == holds.shape == (count,)
             assert totals.tobytes() == np.array([e[0] for e in expect]).tobytes()
@@ -737,8 +734,8 @@ def test_lemma_chunks_stay_within_budget(monkeypatch):
         return core(spectra, *args)
 
     monkeypatch.setattr(game, "_lemma_verdicts", spy)
-    draws = _case1_draws(np.random.default_rng(58), 200, 4)
-    totals, _ = case1_lemma_trials(8, draws)
+    draws = _lemma_draws(np.random.default_rng(58), 200, 4)
+    totals, _ = case1_lemma_trials(8, *draws)
     assert len(totals) == 200 and len(sizes) > 4
     assert max(sizes) <= _kernels._CHUNK_BYTES // 2
 
@@ -746,11 +743,11 @@ def test_lemma_chunks_stay_within_budget(monkeypatch):
 def test_case1_lemma_memory_is_one_modulus_at_a_time():
     # 64 moduli on 1,024 cells: one modulus's rows take at most 0.53 MB, every
     # basis at once about 17 MB
-    draws = _case1_draws(np.random.default_rng(60), 200, 64)
-    case1_lemma_trials(10, draws)  # imports and caches warm
+    draws = _lemma_draws(np.random.default_rng(60), 200, 64)
+    case1_lemma_trials(10, *draws)  # imports and caches warm
     tracemalloc.start()
     try:
-        totals, _ = case1_lemma_trials(10, draws)
+        totals, _ = case1_lemma_trials(10, *draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -827,11 +824,25 @@ def test_lemma_trials_refuse_bad_input():
         lemma_bound_check(good, Fraction(1, 8), gamma=1)  # does not tile
     with pytest.raises(PreconditionError):
         lemma_bound_check([np.zeros(8, dtype=np.int64)], Fraction(0), gamma=1)
-    for bad in ((0, 0, [0]), (2, 0, [0, 1, 1]), (2, 0, [0, 1]), (2, 1, [0, 1, 3])):
+    for bad in (([2, 0], [0, 0], [[2, 0, 1], [0, 1, 2]]),  # no part
+                ([2, 2], [0, 0], [[2, 0, 1], [0, 1, 1]]),  # not a permutation
+                ([2, 2], [0, 0], [[2, 0], [0, 1]]),  # rows shorter than kk + 1
+                ([2, 2], [0, 1], [[2, 0, 1], [0, 1, 3]]),  # role out of range
+                ([2, 2], [0], [[2, 0, 1], [0, 1, 2]]),  # one shift for two trials
+                ([[2]], [[0]], [[2, 0, 1]]),  # not one trial per entry
+                ([2], [0], [[2.0, 0.0, 1.0]]),  # roles not integers
+                ([2.5], [0], [[2, 0, 1]]),  # kk not an integer, not truncated to 2
+                ([2], [0.0], [[2, 0, 1]])):  # shift not an integer
         with pytest.raises(PreconditionError):
-            case1_lemma_trials(3, [(2, 0, [2, 0, 1]), bad])
-    totals, holds = case1_lemma_trials(3, iter([]))
+            case1_lemma_trials(3, *bad)
+    empty = np.zeros(0, dtype=np.int64)
+    totals, holds = case1_lemma_trials(3, empty, empty, np.zeros((0, 1), dtype=np.int64))
     assert totals.shape == holds.shape == (0,)
+    # entries past kk + 1 are ignored
+    draws = (np.array([1, 2]), np.array([0, 1]), np.array([[1, 0, 7], [2, 0, 1]]))
+    totals, holds = case1_lemma_trials(3, *draws)
+    expect = _case1_expect(3, draws)
+    assert totals.tolist() == [e[0] for e in expect] and holds.tolist() == [e[2] for e in expect]
 
 
 def test_case1_indicator_parts_pattern():
