@@ -250,7 +250,7 @@ def _window_minima(tcols, cloud, lo, hi, bound, mode, weights):
     return out
 
 
-def min_dists(targets, cloud, mode, weights):
+def min_dists(targets, cloud, mode, weights, canonical=False):
     """Directed Hausdorff distance: the largest distance from a target row
     to its nearest cloud row, as one float.
 
@@ -275,7 +275,9 @@ def min_dists(targets, cloud, mode, weights):
     most the maximum already found; and the maximum is exact in any order.
     So the result equals the maximum of the loop form bit for bit at every
     dimension.  A cloud passed as its own targets is at distance 0 without a
-    scan.
+    scan.  With ``canonical`` the cloud is a ``PointCloudSet``'s rows, in
+    lexicographic order and finite by construction, and neither is checked
+    again; a raw array is checked, and sorted when it is out of order.
 
     Raises ``PreconditionError`` on NaN or infinite coordinates, on no
     targets, on an empty cloud, and on MODE_WSUM weights that are negative
@@ -289,7 +291,7 @@ def min_dists(targets, cloud, mode, weights):
             f"need (n, d) targets and cloud of one d >= 1, got {targets.shape} and {cloud.shape}"
         )
     nt, n = targets.shape[0], cloud.shape[0]
-    if not (np.isfinite(targets).all() and np.isfinite(cloud).all()):
+    if not (np.isfinite(targets).all() and (canonical or np.isfinite(cloud).all())):
         raise PreconditionError("nearest distances need finite coordinates")
     # -0.0 weights become +0.0, so every term is >= +0 as _row_dists needs
     w = np.asarray(weights, dtype=float) + 0.0
@@ -301,7 +303,7 @@ def min_dists(targets, cloud, mode, weights):
         raise PreconditionError("an empty cloud has no nearest row")
     if targets is cloud or np.array_equal(targets, cloud):
         return 0.0
-    if not _lex_sorted(cloud):
+    if not (canonical or _lex_sorted(cloud)):
         cloud = cloud[np.lexsort(cloud.T[::-1])]
     cloud = np.ascontiguousarray(cloud)
     tcols = np.ascontiguousarray(targets.T)

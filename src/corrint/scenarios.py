@@ -477,8 +477,11 @@ def check_uhc_decay(params: dict, seed: int) -> dict:
     series = []
     sigmas = []
     for m in range(N + 1):
-        fam = build_counterexample(k, gamma, m, L, d=limit.d)
-        cloud = aumann_integral_set(fam.corr, t_alg, cap=cap)
+        if m < N:
+            fam = build_counterexample(k, gamma, m, L, d=limit.d)
+            cloud = aumann_integral_set(fam.corr, t_alg, cap=cap)
+        else:  # the truncation at N is the limit itself
+            cloud = limit_cloud
         sig = hausdorff_semidistance(cloud, limit_cloud, ws)
         sigmas.append(sig)
         series.append({"truncation": m, "semidistance": sig})

@@ -58,9 +58,12 @@ def dedup_points(keys: np.ndarray) -> np.ndarray:
 
     ``keys`` is an (n, c) int64 array, its first column most significant.
     Of the rows sharing a key, the first in input order is kept: one stable
-    sort, of one column where the keys are packed.  Indexing the keys with
-    the result gives distinct rows, so a second call returns ``arange`` of
-    them.
+    sort, of one column where the keys are packed.  The sort merges runs
+    that are in order already, so keys made of ascending runs sort in a
+    fraction of the time of keys in no order.  Beside the sort order it
+    holds one gathered column at a time and a flag per row, and it releases
+    the column before it gathers the result.  Indexing the keys with the
+    result gives distinct rows, so a second call returns ``arange`` of them.
     """
     keys = np.asarray(keys)
     n = keys.shape[0]
@@ -72,6 +75,7 @@ def dedup_points(keys: np.ndarray) -> np.ndarray:
     for col in keys.T:
         k = col.take(order)
         keep[1:] |= k[1:] != k[:-1]
+        del k
     return order[keep]
 
 
@@ -130,7 +134,7 @@ class PointCloudSet:
         """Distance from v to its nearest point of the set."""
         mode, weights = _mode_for(metric, self.ambient_dim)
         target = np.asarray(v, dtype=float).reshape(1, -1)
-        return _kernels.min_dists(target, self.points, mode, weights)
+        return _kernels.min_dists(target, self.points, mode, weights, canonical=True)
 
 
 def cloud_metadata(corr: Correspondence, alg: SigmaPartition, cap: int) -> dict:
@@ -224,22 +228,40 @@ def _fold_step(key_of, na: int, ns: int, cap: int) -> tuple[np.ndarray, np.ndarr
     at most max(cap, ns) sums each; a chunk's kept sums merge into the
     running set with earlier rows winning ties, so each key keeps its first
     sum in input order, and the set is refused as soon as it passes ``cap``.
+    Where the step rows are in key order, each accumulated row's sums are
+    one ascending run of keys, and the dedup's sort merges those runs.  A
+    kept sum is the pair i * ns + j: the dedup's indices become the pairs
+    and the pairs become (i, j) in place, so past the keys and the dedup
+    the step holds only the two arrays it returns.
     """
     chunk = max(cap, ns) // ns
     kept_keys = kept = None
     for lo in range(0, na, chunk):
         keys = key_of(slice(lo, lo + chunk))
-        flat = np.arange(lo * ns, lo * ns + keys.shape[0])
+        nk = 0
         if kept is not None:
-            keys, flat = np.concatenate([kept_keys, keys]), np.concatenate([kept, flat])
+            nk = kept.shape[0]
+            keys = np.concatenate([kept_keys, keys])
         idx = dedup_points(keys)
         if idx.shape[0] > cap:
             raise CapacityError(idx.shape[0], cap)
-        kept = flat.take(idx)
         if lo + chunk < na:
             kept_keys = keys.take(idx, axis=0)
-    ia = kept // ns  # a division by one scalar is far faster than divmod
-    return ia, kept - ia * ns
+        del keys
+        # place p >= nk of the keys is this chunk's pair lo * ns + p - nk,
+        # and place p < nk the carried pair kept[p]
+        shift = lo * ns - nk
+        idx += shift
+        if nk:
+            carried = idx < shift + nk
+            idx[carried] = kept.take(idx[carried] - shift)
+        kept = idx
+    # i * ns + j into (i, j); a division by one scalar is far faster than divmod
+    ia = kept // ns
+    ia *= ns
+    kept -= ia
+    ia //= ns
+    return ia, kept
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -279,6 +301,14 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
     refused before it is built; otherwise a step takes as many of its
     blocks as have at most ``cap`` compositions, and the rest fold as
     further steps.
+
+    Every step's rows are in key order: a block's choices are in
+    lexicographic order, and a run's multiset sums are put in key order by
+    one stable sort, which keeps equal keys in the compositions' order and
+    so leaves each key's first sum first.  The kept accumulated rows are
+    gathered once and the step rows added to them in place, a chunk of
+    rows at a time (``_add_rows``), so the fold peaks at about twice the
+    rows it returns: those rows and the step's two index arrays.
     """
     sizes = [s.shape[0] for s in sets]
     starts = [0, *itertools.accumulate(sizes)][:-1]
@@ -313,12 +343,26 @@ def _minkowski_fold(sets: list[np.ndarray], weights: list[Fraction], cap: int,
             for c in range(1, m):
                 sums += counts[:, c, None] * step[c]
             step, step_keys = sums, counts @ step_keys
+            if m > 1:  # a run of one value is one sum
+                order = np.lexsort(step_keys.T[::-1])
+                step, step_keys = step.take(order, axis=0), step_keys.take(order, axis=0)
         ia, js = _fold_step(_packed_key_maker(acc_keys, step_keys), acc.shape[0], rows, cap)
-        acc = acc.take(ia, axis=0) + step.take(js, axis=0)
         i += run
         if i < nb:
-            acc_keys = acc_keys.take(ia, axis=0) + step_keys.take(js, axis=0)
+            acc_keys = _add_rows(acc_keys.take(ia, axis=0), step_keys, js)
+        acc = acc.take(ia, axis=0)
+        del ia
+        acc = _add_rows(acc, step, js)
     return acc
+
+
+def _add_rows(out: np.ndarray, step: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """``out += step[js]`` in place, in chunks of rows within
+    ``_kernels._CHUNK_BYTES``; returns ``out``."""
+    per = max(1, _kernels._CHUNK_BYTES // max(1, step.itemsize * step.shape[1]))
+    for lo in range(0, js.shape[0], per):
+        out[lo:lo + per] += step.take(js[lo:lo + per], axis=0)
+    return out
 
 
 def aumann_integral_set(
@@ -641,7 +685,7 @@ def convexity_gap(
         return 0.0
     targets = _probes(_support_vertices(cloud, seed), seed, samples)
     mode, weights = _mode_for(metric, pts.shape[1])
-    return _kernels.min_dists(targets, pts, mode, weights)
+    return _kernels.min_dists(targets, pts, mode, weights, canonical=True)
 
 
 def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> float:
@@ -653,5 +697,5 @@ def hausdorff_semidistance(a: PointCloudSet, b: PointCloudSet, metric=None) -> f
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("semidistance needs non-empty clouds")
     mode, weights = _mode_for(metric, a.ambient_dim)
-    return _kernels.min_dists(a.points, b.points, mode, weights)
+    return _kernels.min_dists(a.points, b.points, mode, weights, canonical=True)
 

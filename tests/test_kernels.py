@@ -405,6 +405,26 @@ def test_min_dists_zero_and_subnormal_first_weight(w0):
     _assert_min_dists_equal_loop(targets, cloud, MODE_WSUM, weights)
 
 
+@pytest.mark.parametrize("mode", [MODE_WSUM, MODE_EUCLID, MODE_MAX])
+def test_min_dists_sorts_an_unsorted_raw_cloud(monkeypatch, mode):
+    # a raw array is checked for order and sorted when it is out of it; a
+    # canonical cloud, a PointCloudSet's sorted rows, is taken as given
+    rng = np.random.default_rng(69)
+    cloud = rng.normal(size=(40, 3))
+    assert not lex_sorted(cloud)
+    targets = rng.normal(size=(7, 3))
+    weights = np.array([0.5, 1.0, 2.0])
+    _assert_min_dists_equal_loop(targets, cloud, mode, weights)
+    checked = []
+    lex = _kernels._lex_sorted
+    monkeypatch.setattr(_kernels, "_lex_sorted", lambda rows: checked.append(rows) or lex(rows))
+    raw = _kernels.min_dists(targets, cloud, mode, weights)
+    assert len(checked) == 1
+    ordered = cloud[np.lexsort(cloud.T[::-1])]
+    assert _kernels.min_dists(targets, ordered, mode, weights, canonical=True) == raw
+    assert len(checked) == 1
+
+
 def test_min_dists_refuses_no_targets():
     cloud = np.random.default_rng(68).normal(size=(5, 2))
     for mode in (MODE_WSUM, MODE_EUCLID, MODE_MAX):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -543,6 +544,26 @@ def test_hausdorff_examples():
     assert hausdorff_semidistance(a, z) == 1.0
 
 
+def test_point_cloud_sets_skip_the_cloud_checks(monkeypatch):
+    # a PointCloudSet's rows are sorted, distinct and finite by construction:
+    # the distances over one check neither order nor finiteness of them,
+    # while a raw array still gets both
+    rng = np.random.default_rng(70)
+    a, b = PointCloudSet(rng.normal(size=(30, 2))), PointCloudSet(rng.normal(size=(20, 2)))
+    checked = []
+    lex, finite = _kernels._lex_sorted, np.isfinite
+    monkeypatch.setattr(_kernels, "_lex_sorted", lambda rows: checked.append("order") or lex(rows))
+    monkeypatch.setattr(_kernels.np, "isfinite", lambda x: checked.append(x is a.points) or finite(x))
+    want = [_kernels.min_dists(b.points, a.points, _kernels.MODE_EUCLID, np.ones(2)),
+            _kernels.min_dists(np.zeros((1, 2)), a.points, _kernels.MODE_EUCLID, np.ones(2))]
+    assert checked.count("order") == 2 and checked.count(True) == 2
+    checked.clear()
+    assert hausdorff_semidistance(b, a) == want[0]
+    assert a.nearest_distance(np.zeros(2)) == want[1]
+    convexity_gap(a)
+    assert checked and "order" not in checked and True not in checked
+
+
 def _uhc_series(family, limit, t_alg, cap):
     """Semidistance of each member's integral set to the limit's, as the
     uhc-decay check computes it."""
@@ -815,6 +836,27 @@ def test_fold_in_chunks_keeps_the_same_rows(monkeypatch):
         aumann_integral_set(b.corr, singles, cap=len(whole) - 1)
 
 
+def test_fold_keeps_the_first_of_equal_multiset_sums():
+    # three atoms of mass 1/3 with values -2, -1.25 and -0.5 fold as one run;
+    # the multisets {-1.25, -1.25, -0.5} and {-2, -0.5, -0.5} both sum to
+    # -1 exactly, but in floats to -0.9999999999999999 and -1.0, and the
+    # first in the compositions' order, as the grid fold takes it, is kept
+    space = DiscreteSpace.uniform(3)
+    corr = Correspondence(space, {a: [np.array([v]) for v in (-2.0, -1.25, -0.5)]
+                                  for a in space.ids})
+    singles = SigmaPartition.singletons(space)
+    got = aumann_integral_set(corr, singles).points
+    assert got.tobytes() == grid_aumann_points(corr, singles, 100).tobytes()
+    assert got[4, 0] == -0.9999999999999999
+
+
+def test_fold_of_zero_dimensional_values():
+    # every atom's one value is the empty vector: one run of one sum
+    space = DiscreteSpace.uniform(3)
+    corr = Correspondence(space, {a: [np.zeros(0)] for a in space.ids})
+    assert aumann_integral_set(corr, SigmaPartition.singletons(space)).points.shape == (1, 0)
+
+
 def test_fold_keys_columns_where_packing_overflows(monkeypatch):
     # keys 0..600 in each of 8 coordinates fit int64, but packed they
     # need 601**8 > 2**63 values: the sort takes the 8 columns
@@ -826,6 +868,23 @@ def test_fold_keys_columns_where_packing_overflows(monkeypatch):
     _assert_fold_agrees(corr, singles, SigmaPartition.trivial(space), 100)
     assert 8 in seen["widths"]
     assert len(aumann_integral_set(corr, singles)) == 9
+
+
+def test_fold_peak_stays_near_its_result():
+    # convexity-decay's level-6 cloud, 513**2 points over 1,024 atoms in two
+    # steps of 513 sums per row: the fold holds its dedup's indices, the
+    # (row, step row) pairs and the gathered rows, about twice the result,
+    # where a copy of every index and an (n, d) sum would need 3.7 times
+    b = build_counterexample(1, 0, 1, 4, refinement=64)
+    singles = SigmaPartition.singletons(b.model.space)
+    tracemalloc.start()
+    try:
+        cloud = aumann_integral_set(b.corr, singles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 513 ** 2
+    assert peak <= 2.5 * cloud.points.nbytes
 
 
 def test_fold_off_the_lattice_is_refused():

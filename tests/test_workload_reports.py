@@ -113,8 +113,8 @@ def test_every_workload_min_dists_equals_window_scan_oracle(monkeypatch):
     calls = []
     min_dists = _kernels.min_dists
 
-    def recording(targets, cloud, mode, weights):
-        out = min_dists(targets, cloud, mode, weights)
+    def recording(targets, cloud, mode, weights, **kwargs):
+        out = min_dists(targets, cloud, mode, weights, **kwargs)
         calls.append((out, window_scan_min_dists(targets, cloud, mode, weights)))
         return out
 
